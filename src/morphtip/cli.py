@@ -122,7 +122,6 @@ def load_config(path: str | None) -> RunConfig:
             spring_k=float(_get(f, "spring_k", 10.0)),
             rod_len=float(_get(f, "rod_len_mm", 100.0)),
             step_deg=float(_get(f, "step_deg", 3.0)),
-            step_count=int(_get(f, "step_count", 13)),
         )
         s = raw.get("sweep", {})
         sweep = SweepSpec(

@@ -45,15 +45,12 @@ class FingertipConfig:
     spring_k: float = 10.0
     rod_len: float = 100.0
     step_deg: float = 3.0
-    step_count: int = 13
 
     def __post_init__(self) -> None:
         _require_positive("facet_len", self.facet_len)
         _require_positive("spring_k", self.spring_k)
         _require_positive("rod_len", self.rod_len)
         _require_positive("step_deg", self.step_deg)
-        if self.step_count < 1:
-            raise InvalidParams("step_count must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import combinations
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateContacts, InvalidParams, Penetration, Unsupported
 
@@ -31,6 +32,9 @@ PENETRATION_TOL = 1e-6
 DEDUP_TOL = 1e-4
 # Strict-interior margin for wrench-hull containment (normalized wrenches).
 HULL_TOL = 1e-9
+# Rounding slack when testing that no wrench ray lies beyond a triple's
+# plane, and the smallest triple cross product that still spans a plane.
+_PLANE_TOL = 1e-12
 # Anti-parallelism tolerance for the pivot pinch line (rad).
 PIVOT_ANGLE_TOL = 1e-3
 
@@ -357,30 +361,63 @@ def cradle_height(
     return best
 
 
-def _wrench_rays(contacts: Sequence[Contact], mu: float) -> np.ndarray:
-    """Unit wrench rays (fx, fy, tau/rho) of the contact set.
+def _wrench_rays(points: np.ndarray, normals: np.ndarray, mu: float) -> np.ndarray:
+    """Unit wrench rays (fx, fy, tau/rho) of the contact set, one row each.
 
     mu = 0 gives one normal ray per contact; mu > 0 gives the two friction
     cone edges.  Torque is taken about the mean contact point and scaled by
     the contact spread so all three wrench components are commensurate.
     """
-    pts = np.array([c.point for c in contacts])
-    ref = pts.mean(axis=0)
-    rho = max(1.0, float(np.max(np.hypot(*(pts - ref).T))))
-    rays = []
-    for c in contacts:
-        n = c.normal
-        if mu > 0.0:
-            tangent = np.array([-n[1], n[0]])
-            forces = [n + mu * tangent, n - mu * tangent]
-        else:
-            forces = [n]
-        r = c.point - ref
-        for f in forces:
-            tau = (r[0] * f[1] - r[1] * f[0]) / rho
-            w = np.array([f[0], f[1], tau])
-            rays.append(w / np.linalg.norm(w))
-    return np.array(rays)
+    r = points - points.mean(axis=0)
+    rho = max(1.0, float(np.max(np.hypot(r[:, 0], r[:, 1]))))
+    if mu > 0.0:
+        tangent = normals[:, ::-1] * (-mu, mu)  # mu * (-n_y, n_x)
+        forces = np.stack([normals + tangent, normals - tangent], axis=1).reshape(-1, 2)
+        r = np.repeat(r, 2, axis=0)
+    else:
+        forces = normals
+    w = np.empty((len(forces), 3))
+    w[:, :2] = forces
+    w[:, 2] = (r[:, 0] * forces[:, 1] - r[:, 1] * forces[:, 0]) / rho
+    w /= np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
+    return w
+
+
+@lru_cache(maxsize=64)
+def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (i, j, k) over every ray triple i < j < k of m rays."""
+    idx = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
+    idx.flags.writeable = False
+    return idx[:, 0], idx[:, 1], idx[:, 2]
+
+
+def _hull_margin(rays: np.ndarray) -> float:
+    """Smallest offset of the origin inside the supporting planes of conv(rays).
+
+    A plane through three rays is supporting when no ray lies strictly
+    beyond it; these are exactly the facet planes of the hull.  The value
+    is positive only when the origin is strictly inside a full-dimensional
+    hull, and is then the Ferrari-Canny epsilon of the ray set.  A plane
+    holding every ray is supporting on both sides, so a flat ray set gives
+    at most 0; -inf means no three rays span a plane.
+    """
+    i, j, k = _triples(len(rays))
+    # Triples run along the columns: a, u, v and the plane normals n are 3 x T.
+    a = rays.T[:, i]
+    u = rays.T[:, j] - a
+    v = rays.T[:, k] - a
+    n = u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]
+    norm = np.sqrt(np.einsum("it,it->t", n, n))
+    d = np.einsum("it,it->t", n, a)
+    beyond = rays @ n - d
+    spans = norm > _PLANE_TOL
+    slack = _PLANE_TOL * norm
+    offset = d / np.maximum(norm, _PLANE_TOL)
+    offsets = np.concatenate([
+        offset[spans & (beyond.max(axis=0) <= slack)],
+        -offset[spans & (beyond.min(axis=0) >= -slack)],
+    ])
+    return float(offsets.min()) if len(offsets) else -math.inf
 
 
 def _origin_strictly_inside(rays: np.ndarray) -> bool:
@@ -389,13 +426,7 @@ def _origin_strictly_inside(rays: np.ndarray) -> bool:
     Equivalent to the rays positively spanning the whole wrench space.
     Degenerate ray sets (hull not full-dimensional) count as not closed.
     """
-    if len(rays) < 4:
-        return False
-    try:
-        hull = ConvexHull(rays)
-    except QhullError:
-        return False
-    return bool(np.all(hull.equations[:, -1] <= -HULL_TOL))
+    return _hull_margin(rays) >= HULL_TOL
 
 
 def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
@@ -415,9 +446,11 @@ def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     spread = np.max(np.hypot(*(pts - pts[0]).T)) if len(pts) > 1 else 0.0
     if len(contacts) > 1 and spread <= DEDUP_TOL:
         raise DegenerateContacts("all contacts coincide; wrench basis is degenerate")
-    if _origin_strictly_inside(_wrench_rays(contacts, 0.0)):
+    normals = np.array([c.normal for c in contacts], dtype=float)
+    # Fewer than four wrench rays never span the 3-D wrench space.
+    if len(contacts) >= 4 and _origin_strictly_inside(_wrench_rays(pts, normals, 0.0)):
         return Closure.FORM_CLOSURE
-    if mu > 0.0 and _origin_strictly_inside(_wrench_rays(contacts, mu)):
+    if mu > 0.0 and len(contacts) >= 2 and _origin_strictly_inside(_wrench_rays(pts, normals, mu)):
         return Closure.FORCE_CLOSURE
     return Closure.NONE
 

@@ -26,12 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.optimize import brentq
-
 from .errors import InvalidParams, OutOfRange, Unreachable
 
-# Direction-condition residual accepted from the bracketed root (mm scale).
-BISECT_RESIDUAL_TOL = 1e-12
 # Margin kept from a jam endpoint when clipping the operating range (rad).
 JAM_MARGIN = 1e-9
 # Tolerance on the derived flat-neutral servo mount height (mm).
@@ -165,20 +161,13 @@ def attainable_facet_range(params: LinkageParams) -> tuple[float, float]:
     return forward_facet(params, lo), forward_facet(params, hi)
 
 
-def _direction_residual(params: LinkageParams, theta: float, phi: float) -> float:
-    gx, gy = guide_vector(params, theta)
-    return gy * math.cos(phi) - gx * math.sin(phi)
-
-
-def inverse_facet(params: LinkageParams, phi: float, method: str = "closed-form") -> float:
+def inverse_facet(params: LinkageParams, phi: float) -> float:
     """Servo command that produces the requested facet angle.
 
     The direction condition ``guide_y*cos(phi) - guide_x*sin(phi) = 0``
     reduces to ``l_ab*cos(alpha0 - theta + phi) = (oa_x - l_oc)*sin(phi)
     - oa_y*cos(phi)``; the closed form picks the branch that keeps the
-    slider outward of the hinge.  ``method="bisect"`` solves the same
-    condition with a bracketed root-finder instead; the two routes agree
-    to better than 1e-9 rad.
+    slider outward of the hinge.
 
     Raises Unreachable (with the attainable facet interval attached) when
     phi lies outside the image of the operating range.
@@ -193,25 +182,6 @@ def inverse_facet(params: LinkageParams, phi: float, method: str = "closed-form"
             f"reachable interval is [{a_lo:.6f}, {a_hi:.6f}] rad",
             attainable=(a_lo, a_hi),
         )
-
-    if method == "bisect":
-        f_lo = _direction_residual(params, lo, phi)
-        f_hi = _direction_residual(params, hi, phi)
-        if f_lo == 0.0:
-            return lo
-        if f_hi == 0.0:
-            return hi
-        if f_lo * f_hi > 0.0:
-            raise unreachable()
-        theta = float(brentq(
-            lambda t: _direction_residual(params, t, phi),
-            lo, hi, xtol=4e-16, rtol=8.9e-16, maxiter=200,
-        ))
-        if abs(_direction_residual(params, theta, phi)) > BISECT_RESIDUAL_TOL * params.l_ab:
-            raise unreachable()
-        return theta
-    if method != "closed-form":
-        raise ValueError(f"unknown method {method!r}")
 
     if phi == 0.0 and params.oa_y == -params.l_ab * math.cos(params.alpha0):
         # Flat-neutral construction makes theta = 0 the exact solution.

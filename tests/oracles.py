@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the library's solution paths: facet
-angles are re-derived from the raw vector chain, minima come from grid
-refinement, and closure is decided by sampling external wrenches against
-dual-cone certificates instead of a convex hull.
+angles are re-derived from the raw vector chain, inverse kinematics comes
+from bisection on that chain, minima come from grid refinement, and
+closure is decided by sampling external wrenches against dual-cone
+certificates, or by Qhull, instead of the library's facet test.
 """
 
 from __future__ import annotations
@@ -27,6 +28,32 @@ def slider_ray_angle_grid(params, thetas: np.ndarray) -> np.ndarray:
     bx = params.oa_x + params.l_ab * np.sin(a)
     by = params.oa_y + params.l_ab * np.cos(a)
     return np.arctan2(by, bx)
+
+
+def inverse_facet_by_bisection(params, phi: float, lo: float, hi: float) -> float:
+    """Servo command in [lo, hi] whose facet angle is phi, by bisection.
+
+    Bisects the sign of the direction residual ``g_y*cos(phi) -
+    g_x*sin(phi)`` of the hinge-to-slider vector g, rebuilt from the raw
+    vector chain; the residual rises through zero once over a jam-free
+    bracket.  Stops when the midpoint no longer splits the bracket.
+    """
+    def residual(theta: float) -> float:
+        a = params.alpha0 - theta
+        gx = params.oa_x + params.l_ab * math.sin(a) - params.l_oc
+        gy = params.oa_y + params.l_ab * math.cos(a)
+        return gy * math.cos(phi) - gx * math.sin(phi)
+
+    if residual(lo) > 0.0 or residual(hi) < 0.0:
+        raise ValueError(f"facet angle {phi!r} is not bracketed by [{lo!r}, {hi!r}]")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if residual(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def grid_argmin(f, lo: float, hi: float, n: int = 4001) -> float:
@@ -109,6 +136,25 @@ def _dual_certificates(W: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     cands = np.array(cands)
     keep = np.max(W @ cands.T, axis=0) <= tol
     return cands[keep]
+
+
+def closed_by_qhull(rays: np.ndarray, hull_tol: float) -> bool:
+    """True when Qhull puts the origin at least hull_tol inside conv(rays).
+
+    A ray set Qhull cannot build a full-dimensional hull from is not
+    closed.
+    """
+    # Imported here: the benchmark imports this module, and must not pay
+    # for SciPy when it never calls this oracle.
+    from scipy.spatial import ConvexHull, QhullError
+
+    if len(rays) < 4:
+        return False
+    try:
+        hull = ConvexHull(rays)
+    except QhullError:
+        return False
+    return bool(np.all(hull.equations[:, -1] <= -hull_tol))
 
 
 def closed_by_wrench_sampling(

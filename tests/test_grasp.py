@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from morphtip import (
@@ -24,6 +25,7 @@ from morphtip import (
     plan_primitive,
     scene_between,
 )
+from morphtip.grasp import HULL_TOL, _origin_strictly_inside
 
 CFG = FingertipConfig()
 L_OC = CFG.linkage.l_oc
@@ -333,3 +335,53 @@ class TestOracleAgreement:
             brute = oracle_closed(cts, mu_used)
             assert verdict == brute, f"scene {checked}: classifier {verdict}, oracle {brute}"
             checked += 1
+
+
+_COMPONENT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+_UNIT = (st.tuples(_COMPONENT, _COMPONENT, _COMPONENT)
+         .filter(lambda v: math.hypot(*v) > 0.1)
+         .map(lambda v: np.array(v) / math.hypot(*v)))
+
+
+@st.composite
+def ray_sets(draw):
+    """(kind, rays): 4-16 unit rays, free or shaped so the origin is not inside.
+
+    ``coplanar`` rays lie on one circle of the sphere, ``half_space`` rays
+    in one closed half-space, and ``origin_on_facet`` puts three rays
+    around the origin on a great circle with every other ray on one side.
+    """
+    kind = draw(st.sampled_from(("free", "coplanar", "half_space", "origin_on_facet")))
+    rays = np.array(draw(st.lists(_UNIT, min_size=4, max_size=16)))
+    u = draw(_UNIT)
+    # e1, e2 span the plane through the origin normal to u.
+    e1 = np.cross(u, [1.0, 0.0, 0.0] if abs(u[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(u, e1)
+    along = rays @ u
+    if kind == "coplanar":
+        c = draw(st.sampled_from((0.0, 0.3, -0.7)))
+        turn = np.arctan2(rays @ e2, rays @ e1)[:, None]
+        rays = math.sqrt(1.0 - c * c) * (np.cos(turn) * e1 + np.sin(turn) * e2) + c * u
+    elif kind == "half_space":
+        rays = np.where(along[:, None] < 0.0, -rays, rays)
+    elif kind == "origin_on_facet":
+        start = draw(st.floats(0.0, 2.0 * math.pi))
+        jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3))
+        ring = [start + 2.0 * math.pi * q / 3.0 + jitter[q] for q in range(3)]
+        facet = np.array([math.cos(t) * e1 + math.sin(t) * e2 for t in ring])
+        rest = rays[3:] - np.outer(along[3:], u) + np.outer(0.1 + np.abs(along[3:]), u)
+        rest /= np.linalg.norm(rest, axis=1, keepdims=True)
+        rays = np.vstack([facet, rest])
+    return kind, rays
+
+
+class TestFacetTestAgainstQhull:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(ray_sets())
+    def test_matches_qhull_verdict(self, case):
+        kind, rays = case
+        verdict = _origin_strictly_inside(rays)
+        assert verdict == oracles.closed_by_qhull(rays, HULL_TOL)
+        if kind != "free":
+            assert not verdict

@@ -161,13 +161,9 @@ class TestInverse:
         lo, hi = operating_range(params)
         phis = oracles.facet_angle_grid(params, rng.uniform(lo, hi, 1000))
         for phi in phis:
-            a = inverse_facet(params, float(phi), method="closed-form")
-            b = inverse_facet(params, float(phi), method="bisect")
+            a = inverse_facet(params, float(phi))
+            b = oracles.inverse_facet_by_bisection(params, float(phi), lo, hi)
             assert abs(a - b) <= 1e-9
-
-    def test_unknown_method_rejected(self, params):
-        with pytest.raises(ValueError):
-            inverse_facet(params, 0.1, method="newton")
 
 
 class TestPlanar:
