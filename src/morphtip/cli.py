@@ -87,6 +87,33 @@ class RunConfig:
     out_path: str | None = None
 
 
+_CONFIG_SECTIONS = {
+    "fingertip": ("l_oc_mm", "l_ab_mm", "alpha0_deg", "oa_mm", "theta_min_deg",
+                  "theta_max_deg", "facet_len_mm", "spring_k", "rod_len_mm", "step_deg"),
+    "sweep": ("start_deg", "step_deg", "count"),
+    "output": ("format", "path"),
+}
+_SCENE_FIELDS = ("gap_mm", "mu", "left", "right", "object")
+_PROFILE_FIELDS = ("polyline_mm", "primitive", "degree_deg", "tilt_deg")
+_OBJECT_FIELDS = {"circle": ("type", "radius_mm", "center_mm"),
+                  "polygon": ("type", "vertices_mm")}
+
+
+def _fields(d, path: str, known, what: str = "config") -> dict:
+    """d itself, once it is a JSON object whose keys are all in ``known``.
+
+    ``path`` names d in error messages (``fingertip``, ``object``; empty
+    for the root).
+    """
+    if not isinstance(d, dict):
+        where = f"field {path!r}" if path else "root"
+        raise ConfigError(f"{what} {where} must be a JSON object")
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"unknown {what} field {(path + '.' if path else '') + key!r}")
+    return d
+
+
 def _get(d: dict, key: str, default):
     value = d.get(key, default)
     if value is None and default is not None:
@@ -102,10 +129,9 @@ def load_config(path: str | None) -> RunConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
+    _fields(raw, "", _CONFIG_SECTIONS)
+    f, s, o = (_fields(raw.get(name, {}), name, known) for name, known in _CONFIG_SECTIONS.items())
     try:
-        f = raw.get("fingertip", {})
         oa = _get(f, "oa_mm", [10.0, None])
         params = lk.LinkageParams(
             l_oc=float(_get(f, "l_oc_mm", 15.0)),
@@ -123,13 +149,11 @@ def load_config(path: str | None) -> RunConfig:
             rod_len=float(_get(f, "rod_len_mm", 100.0)),
             step_deg=float(_get(f, "step_deg", 3.0)),
         )
-        s = raw.get("sweep", {})
         sweep = SweepSpec(
             start_deg=float(_get(s, "start_deg", 15.0)),
             step_deg=float(_get(s, "step_deg", -3.0)),
             count=int(_get(s, "count", 13)),
         )
-        o = raw.get("output", {})
         out_format = str(_get(o, "format", "csv"))
         out_path = o.get("path")
     except (TypeError, ValueError, KeyError, IndexError, MorphtipError) as exc:
@@ -146,11 +170,12 @@ def load_config(path: str | None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # scenes
 
-def _profile_from_spec(spec, tip: ft.FingertipConfig) -> np.ndarray:
+def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> np.ndarray:
     if isinstance(spec, str):
         spec = {"primitive": spec}
     if not isinstance(spec, dict):
         raise ConfigError("profile spec must be a string or object")
+    _fields(spec, side, _PROFILE_FIELDS, "scene")
     if "polyline_mm" in spec:
         return np.asarray(spec["polyline_mm"], dtype=float)
     kind = spec.get("primitive", "flat")
@@ -175,24 +200,27 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, np.nd
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read scene {path}: {exc}") from exc
+    _fields(raw, "", _SCENE_FIELDS, "scene")
     try:
         gap = float(raw["gap_mm"])
         mu = float(raw.get("mu", 0.0))
-        left_local = _profile_from_spec(raw.get("left", "flat"), tip)
+        left_local = _profile_from_spec(raw.get("left", "flat"), "left", tip)
         right_local = (
-            _profile_from_spec(raw["right"], tip) if "right" in raw else left_local
+            _profile_from_spec(raw["right"], "right", tip) if "right" in raw else left_local
         )
         ospec = raw["object"]
-        if ospec["type"] == "circle":
+        kind = ospec["type"]
+        if kind not in _OBJECT_FIELDS:
+            raise ConfigError(f"unknown object type {kind!r}")
+        _fields(ospec, "object", _OBJECT_FIELDS[kind], "scene")
+        if kind == "circle":
             center = ospec.get("center_mm", [gap / 2.0, 0.0])
             obj: gr.ObjectXSection = gr.Circle(
                 radius=float(ospec["radius_mm"]),
                 center=(float(center[0]), float(center[1])),
             )
-        elif ospec["type"] == "polygon":
-            obj = gr.ConvexPolygon(np.asarray(ospec["vertices_mm"], dtype=float))
         else:
-            raise ConfigError(f"unknown object type {ospec['type']!r}")
+            obj = gr.ConvexPolygon(np.asarray(ospec["vertices_mm"], dtype=float))
         scene = gr.scene_between(left_local, right_local, gap, obj, mu)
     except (TypeError, ValueError, KeyError, IndexError, MorphtipError) as exc:
         if isinstance(exc, ConfigError):
@@ -441,7 +469,12 @@ def grasp(config_path, output, scene_path) -> None:
 
 
 def _cradle_sign(profile_local: np.ndarray, radius: float, delta: float = 0.1) -> int | None:
-    """Sign of the cradle-landscape curvature at the profile center."""
+    """Sign of the cradle-landscape curvature at the profile center.
+
+    Only the profile passed in is used, and the grasp report passes the
+    left one: with a right profile that differs from the left, the sign
+    describes the left fingertip alone.
+    """
     from .errors import Unsupported
 
     try:

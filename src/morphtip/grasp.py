@@ -14,7 +14,7 @@ support landscape of a circle over the profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -55,9 +55,17 @@ class Circle:
 
 @dataclass(frozen=True, eq=False)
 class ConvexPolygon:
-    """Convex polygon cross-section, vertices counter-clockwise."""
+    """Convex polygon cross-section, vertices counter-clockwise.
+
+    ``edges[j]`` runs from vertex j to vertex j + 1 and ``normals[j]`` is
+    that edge's unit inward normal; they and the centroid are computed
+    once, on construction, and are read-only.
+    """
 
     vertices: np.ndarray
+    edges: np.ndarray = field(init=False, repr=False)
+    normals: np.ndarray = field(init=False, repr=False)
+    centroid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         verts = np.asarray(self.vertices, dtype=float)
@@ -65,18 +73,18 @@ class ConvexPolygon:
             raise InvalidParams("polygon needs at least 3 points of shape (n, 2)")
         if not np.all(np.isfinite(verts)):
             raise InvalidParams("polygon vertices must be finite")
-        object.__setattr__(self, "vertices", verts)
-        rolled = np.roll(verts, -1, axis=0)
-        rolled2 = np.roll(verts, -2, axis=0)
-        e1 = rolled - verts
-        e2 = rolled2 - rolled
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        edges = np.roll(verts, -1, axis=0) - verts
+        turn = np.roll(edges, -1, axis=0)
+        cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
         if np.any(cross <= 0):
             raise InvalidParams("polygon must be strictly convex and counter-clockwise")
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
+        normals = np.column_stack([-edges[:, 1], edges[:, 0]])  # CCW: left-hand normal points inward
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        object.__setattr__(self, "vertices", verts)
+        # Contacts share rows of ``normals``; read-only arrays keep that safe.
+        for name, value in (("edges", edges), ("normals", normals), ("centroid", verts.mean(axis=0))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 ObjectXSection = Union[Circle, ConvexPolygon]
@@ -174,120 +182,91 @@ def scene_between(
     )
 
 
-def _closest_on_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(distance, closest point, parameter in [0, 1]) from p to segment ab."""
-    d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        q = a
-        t = 0.0
-    else:
-        t = float(np.clip((p - a) @ d / dd, 0.0, 1.0))
-        q = a + t * d
-    return float(np.hypot(*(p - q))), q, t
+def _closest_on_segments(points: np.ndarray, starts: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closest point on every segment to every point, and its distance.
 
-
-def _segments(profile: np.ndarray):
-    for i in range(len(profile) - 1):
-        yield i, profile[i], profile[i + 1]
-
-
-def _polygon_inward(poly: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge (unit inward normal, edge start) arrays for a CCW polygon."""
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    n = np.column_stack([-e[:, 1], e[:, 0]])  # CCW: left-hand normal points inward
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    return n, v
-
-
-def _segment_depth_into_polygon(a: np.ndarray, b: np.ndarray, poly: ConvexPolygon) -> tuple[float, np.ndarray]:
-    """Deepest intrusion of segment ab into the polygon, with witness point.
-
-    Depth of a point is its smallest inward edge distance (positive only
-    inside).  Along the segment that is a concave piecewise-linear
-    function, so the maximum sits at an endpoint or where the active edge
-    changes; all candidates are enumerated exactly.
+    Segment i runs from ``starts[i]`` to ``starts[i] + dirs[i]``.  Returns
+    the closest points, shape (segments, points, 2), and the distances,
+    shape (segments, points).  A zero-length segment is its start point.
     """
-    normals, starts = _polygon_inward(poly)
-    # inward distance of a+t(b-a) to edge j: c_j + t*s_j
-    c = np.einsum("ij,ij->i", normals, a - starts)
-    s = normals @ (b - a)
-    ts = [0.0, 1.0]
-    k = len(c)
-    for i in range(k):
-        for j in range(i + 1, k):
-            ds = s[i] - s[j]
-            if ds != 0.0:
-                t = (c[j] - c[i]) / ds
-                if 0.0 < t < 1.0:
-                    ts.append(t)
-    best = -math.inf
-    witness = a
-    for t in ts:
-        depth = float(np.min(c + t * s))
-        if depth > best:
-            best = depth
-            witness = a + t * (b - a)
-    return best, witness
+    rel = points - starts[:, None]
+    along = rel[..., 0] * dirs[:, None, 0] + rel[..., 1] * dirs[:, None, 1]
+    dd = np.einsum("ij,ij->i", dirs, dirs)[:, None]
+    t = np.divide(along, dd, out=np.zeros_like(along), where=dd != 0.0)
+    t.clip(0.0, 1.0, out=t)
+    q = starts[:, None] + t[..., None] * dirs[:, None]
+    gap = points - q
+    return q, np.hypot(gap[..., 0], gap[..., 1])
 
 
-def _point_in_polygon_depth(p: np.ndarray, poly: ConvexPolygon) -> float:
-    """Inward depth of a point (negative outside, by edge lines)."""
-    normals, starts = _polygon_inward(poly)
-    return float(np.min(np.einsum("ij,ij->i", normals, p - starts)))
-
-
-def _circle_contacts(profile: np.ndarray, side: str, circle: Circle) -> list[Contact]:
+def _circle_contacts(starts: np.ndarray, dirs: np.ndarray, labels: list[tuple[str, int]],
+                     circle: Circle) -> list[Contact]:
     center = np.asarray(circle.center, dtype=float)
-    out = []
-    for i, a, b in _segments(profile):
-        dist, q, _ = _closest_on_segment(center, a, b)
-        if dist < circle.radius - PENETRATION_TOL:
-            raise Penetration(
-                f"circle overlaps the {side} profile by {circle.radius - dist:.3g} mm",
-                witness=(float(q[0]), float(q[1])),
-            )
-        if abs(dist - circle.radius) <= CONTACT_TOL and dist > 0:
-            out.append(Contact(point=q, normal=(center - q) / dist, side=side, segment=i))
-    return out
+    q, dist = _closest_on_segments(center[None], starts, dirs)
+    q, dist = q[:, 0], dist[:, 0]
+    over = np.flatnonzero(dist < circle.radius - PENETRATION_TOL)
+    if len(over):
+        g = over[0]
+        raise Penetration(
+            f"circle overlaps the {labels[g][0]} profile by {circle.radius - dist[g]:.3g} mm",
+            witness=(float(q[g, 0]), float(q[g, 1])),
+        )
+    touch = np.flatnonzero((np.abs(dist - circle.radius) <= CONTACT_TOL) & (dist > 0))
+    return [Contact(point=q[g], normal=(center - q[g]) / dist[g], side=labels[g][0], segment=labels[g][1])
+            for g in touch]
 
 
-def _polygon_contacts(profile: np.ndarray, side: str, poly: ConvexPolygon) -> list[Contact]:
-    normals, starts = _polygon_inward(poly)
-    verts = poly.vertices
-    centroid = poly.centroid
+def _polygon_contacts(starts: np.ndarray, dirs: np.ndarray, ends: np.ndarray,
+                      labels: list[tuple[str, int]], poly: ConvexPolygon) -> list[Contact]:
+    verts, normals = poly.vertices, poly.normals
+    # Along segment i the inward distance to edge line j is c + t*s, t in
+    # [0, 1]; the segment's depth is the maximum of their lower envelope.
+    rel = starts[:, None] - verts
+    c = rel[..., 0] * normals[:, 0] + rel[..., 1] * normals[:, 1]
+    s = dirs @ normals.T
+    cp, sp = c.T[:, :, None], s.T[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # [p, i, q]: the t at which edge lines p and q cross along segment i.
+        cross = (c - cp) / (sp - s)
+    # The lower envelope of the rising lines (s > 0) falls below a falling
+    # line q at q's last crossing with one of them.  The envelope of all
+    # lines peaks at the earliest such point over the falling lines, or at
+    # t = 0 (1) when no line rises (falls); flat lines only cap the peak.
+    drop = np.where(sp > 0, cross, -np.inf).max(axis=0)
+    t = np.where(s < 0, drop, np.inf).min(axis=1).clip(0.0, 1.0)
+    depth = np.min(c + t[:, None] * s, axis=1)
+    over = np.flatnonzero(depth > PENETRATION_TOL)
+    if len(over):
+        g = over[0]
+        witness = starts[g] + t[g] * dirs[g]
+        raise Penetration(
+            f"polygon overlaps the {labels[g][0]} profile by {depth[g]:.3g} mm",
+            witness=(float(witness[0]), float(witness[1])),
+        )
+    seg_len = np.hypot(dirs[:, 0], dirs[:, 1])
+    live = seg_len > 0.0
+    # Object vertex resting on a profile segment.
+    q, dist = _closest_on_segments(verts, starts, dirs)
+    on_segment = (dist <= CONTACT_TOL) & live[:, None]
+    # Profile corner (segment start, then end) resting on an object edge:
+    # the first edge it touches.  A corner more than CONTACT_TOL inside the
+    # polygon is at least that far from every edge, so it never counts.
+    corners = np.stack([starts, ends], axis=1)
+    _, edge_dist = _closest_on_segments(corners.reshape(-1, 2), verts, poly.edges)
+    on_edge = (edge_dist <= CONTACT_TOL).T.reshape(len(starts), 2, -1)
+    edge = on_edge.argmax(axis=2)
+    at_corner = on_edge.any(axis=2) & live[:, None]
     out = []
-    for i, a, b in _segments(profile):
-        depth, witness = _segment_depth_into_polygon(a, b, poly)
-        if depth > PENETRATION_TOL:
-            raise Penetration(
-                f"polygon overlaps the {side} profile by {depth:.3g} mm",
-                witness=(float(witness[0]), float(witness[1])),
-            )
-        seg = b - a
-        seg_len = float(np.hypot(*seg))
-        if seg_len == 0.0:
-            continue
-        # Object vertex resting on this profile segment.
-        for v in verts:
-            dist, q, _ = _closest_on_segment(v, a, b)
-            if dist <= CONTACT_TOL:
-                n = np.array([-seg[1], seg[0]]) / seg_len
-                if float(n @ (centroid - q)) < 0:
-                    n = -n
-                out.append(Contact(point=q, normal=n, side=side, segment=i))
-        # Profile corner (segment endpoint) resting on an object edge.
-        for p in (a, b):
-            if _point_in_polygon_depth(p, poly) > CONTACT_TOL:
-                continue
-            for j in range(len(verts)):
-                v0 = verts[j]
-                v1 = verts[(j + 1) % len(verts)]
-                dist, _, _ = _closest_on_segment(p, v0, v1)
-                if dist <= CONTACT_TOL:
-                    out.append(Contact(point=p, normal=normals[j], side=side, segment=i))
-                    break
+    for g in np.flatnonzero(on_segment.any(axis=1) | at_corner.any(axis=1)):
+        side, i = labels[g]
+        for j in np.flatnonzero(on_segment[g]):
+            n = np.array([-dirs[g, 1], dirs[g, 0]]) / seg_len[g]
+            if float(n @ (poly.centroid - q[g, j])) < 0:
+                n = -n
+            out.append(Contact(point=q[g, j], normal=n, side=side, segment=i))
+        for end in np.flatnonzero(at_corner[g]):
+            out.append(Contact(point=corners[g, end], normal=normals[edge[g, end]],
+                               side=side, segment=i))
     return out
 
 
@@ -295,14 +274,18 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
     """All points where the object touches a profile, deduplicated.
 
     Raises Penetration when the object overlaps a profile by more than
-    PENETRATION_TOL (the pose is not quasi-statically valid).
+    PENETRATION_TOL (the pose is not quasi-statically valid); the first
+    offending segment, left profile before right, is reported.
     """
-    raw: list[Contact] = []
-    for side, profile in (("left", scene.left_profile), ("right", scene.right_profile)):
-        if isinstance(scene.obj, Circle):
-            raw.extend(_circle_contacts(profile, side, scene.obj))
-        else:
-            raw.extend(_polygon_contacts(profile, side, scene.obj))
+    profiles = (("left", scene.left_profile), ("right", scene.right_profile))
+    # Both profiles' segments in scan order, with (side, index) labels.
+    starts = np.concatenate([p[:-1] for _, p in profiles])
+    ends = np.concatenate([p[1:] for _, p in profiles])
+    labels = [(side, i) for side, p in profiles for i in range(len(p) - 1)]
+    if isinstance(scene.obj, Circle):
+        raw = _circle_contacts(starts, ends - starts, labels, scene.obj)
+    else:
+        raw = _polygon_contacts(starts, ends - starts, ends, labels, scene.obj)
     kept: list[Contact] = []
     for c in raw:
         if all(float(np.hypot(*(c.point - k.point))) > DEDUP_TOL for k in kept):
@@ -337,7 +320,7 @@ def cradle_height(
         profile_list = [np.asarray(p, dtype=float) for p in profiles]
     best = -math.inf
     for profile in profile_list:
-        for _, a, b in _segments(profile):
+        for a, b in zip(profile[:-1], profile[1:]):
             seg = b - a
             seg_len = float(np.hypot(*seg))
             if seg_len > 0.0:

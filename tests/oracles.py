@@ -181,3 +181,145 @@ def closed_by_wrench_sampling(
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     violations = (-g) @ certs.T > 1e-9
     return not bool(np.any(violations))
+
+
+# ---------------------------------------------------------------------------
+# contact oracle
+
+def _closest_on_segment(p, a, b):
+    """(distance, closest point) from point p to segment ab."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dd = dx * dx + dy * dy
+    t = 0.0 if dd == 0.0 else min(1.0, max(0.0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / dd))
+    q = (a[0] + t * dx, a[1] + t * dy)
+    return math.hypot(p[0] - q[0], p[1] - q[1]), q
+
+
+def distance_to_segment(p, a, b) -> float:
+    return _closest_on_segment(p, a, b)[0]
+
+
+def _edge_lines(verts):
+    """(unit inward normal, start) of each edge of a CCW polygon."""
+    lines = []
+    for j, v0 in enumerate(verts):
+        v1 = verts[(j + 1) % len(verts)]
+        ex, ey = v1[0] - v0[0], v1[1] - v0[1]
+        norm = math.hypot(ex, ey)
+        lines.append(((-ey / norm, ex / norm), v0))
+    return lines
+
+
+def _inward(p, line) -> float:
+    (nx, ny), v = line
+    return nx * (p[0] - v[0]) + ny * (p[1] - v[1])
+
+
+def depth_at(obj, p) -> float:
+    """How far point p lies inside the object (negative outside).
+
+    A circle's depth is radius minus centre distance; a polygon's is the
+    smallest inward distance to its edge lines.
+    """
+    if hasattr(obj, "radius"):
+        return obj.radius - math.hypot(p[0] - obj.center[0], p[1] - obj.center[1])
+    return min(_inward(p, line) for line in _edge_lines(obj.vertices.tolist()))
+
+
+def _segment_depth(a, b, lines) -> float:
+    """Deepest intrusion of segment ab into a polygon given by its edge lines.
+
+    Along the segment the depth is the lower envelope of one line per edge,
+    c + t*s for t in [0, 1]; its maximum sits at an endpoint or where two
+    lines cross, and every such candidate is evaluated.
+    """
+    c = [_inward(a, line) for line in lines]
+    s = [n[0] * (b[0] - a[0]) + n[1] * (b[1] - a[1]) for n, _ in lines]
+    ts = [0.0, 1.0]
+    for i in range(len(c)):
+        for j in range(i + 1, len(c)):
+            ds = s[i] - s[j]
+            if ds != 0.0:
+                t = (c[j] - c[i]) / ds
+                if 0.0 < t < 1.0:
+                    ts.append(t)
+    best = -math.inf
+    for t in ts:
+        depth = math.inf
+        for cj, sj in zip(c, s):
+            depth = min(depth, cj + t * sj)
+            if depth <= best:
+                break  # this candidate cannot beat the best one
+        else:
+            best = depth
+    return best
+
+
+def _side_by_enumeration(profile, side, obj, contact_tol, penetration_tol):
+    """(penetration or None, raw contacts) of one profile, segment by segment."""
+    out = []
+    circle = hasattr(obj, "radius")
+    if not circle:
+        verts = obj.vertices.tolist()
+        lines = _edge_lines(verts)
+        cx = sum(v[0] for v in verts) / len(verts)
+        cy = sum(v[1] for v in verts) / len(verts)
+    for i in range(len(profile) - 1):
+        a, b = profile[i], profile[i + 1]
+        if circle:
+            center = obj.center
+            dist, q = _closest_on_segment(center, a, b)
+            if dist < obj.radius - penetration_tol:
+                return (side, i, obj.radius - dist), out
+            if abs(dist - obj.radius) <= contact_tol and dist > 0:
+                out.append((side, i, q, ((center[0] - q[0]) / dist, (center[1] - q[1]) / dist)))
+            continue
+        depth = _segment_depth(a, b, lines)
+        if depth > penetration_tol:
+            return (side, i, depth), out
+        sx, sy = b[0] - a[0], b[1] - a[1]
+        seg_len = math.hypot(sx, sy)
+        if seg_len == 0.0:
+            continue
+        # Object vertex resting on this profile segment.
+        for v in verts:
+            dist, q = _closest_on_segment(v, a, b)
+            if dist <= contact_tol:
+                n = (-sy / seg_len, sx / seg_len)
+                if n[0] * (cx - q[0]) + n[1] * (cy - q[1]) < 0:
+                    n = (-n[0], -n[1])
+                out.append((side, i, q, n))
+        # Profile corner resting on an object edge, unless it is inside.
+        for p in (a, b):
+            if min(_inward(p, line) for line in lines) > contact_tol:
+                continue
+            for j, (n, v0) in enumerate(lines):
+                if distance_to_segment(p, v0, verts[(j + 1) % len(verts)]) <= contact_tol:
+                    out.append((side, i, tuple(p), n))
+                    break
+    return None, out
+
+
+def contacts_by_enumeration(scene, contact_tol, penetration_tol, dedup_tol):
+    """Contacts of a grasp scene by scalar enumeration, in plain floats.
+
+    Returns ``(penetration, contacts)``.  ``penetration`` is ``(side,
+    segment, depth)`` of the first segment, left profile before right,
+    that overlaps the object by more than penetration_tol, and then
+    ``contacts`` is None.  Otherwise it is None and ``contacts`` lists
+    ``(side, segment, point, normal)``, deduplicated in scan order and
+    sorted by side, segment and point.
+    """
+    raw = []
+    for side, profile in (("left", scene.left_profile), ("right", scene.right_profile)):
+        hit, found = _side_by_enumeration(
+            profile.tolist(), side, scene.obj, contact_tol, penetration_tol)
+        if hit is not None:
+            return hit, None
+        raw.extend(found)
+    kept = []
+    for c in raw:
+        if all(math.hypot(c[2][0] - k[2][0], c[2][1] - k[2][1]) > dedup_tol for k in kept):
+            kept.append(c)
+    kept.sort(key=lambda c: (c[0], c[1], c[2][0], c[2][1]))
+    return None, kept

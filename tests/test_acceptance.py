@@ -7,6 +7,7 @@ report.  Tolerances are pinned here and nowhere else.
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ import oracles
 import test_grasp as scenes
 from morphtip import (
     Closure,
+    Concave,
+    ConvexPolygon,
     FingertipConfig,
     LinkageParams,
     closure_classify,
@@ -25,8 +28,11 @@ from morphtip import (
     inverse_facet,
     operating_range,
     pivot_feasible,
+    place_left,
+    place_right,
     planar_condition_angle,
     pointer_top,
+    scene_between,
     solve_planar_pair,
     terrace_equilibrium,
     tilt_line_residual,
@@ -200,6 +206,30 @@ def test_criterion_6_grasp_proxies():
         assert got == brute, f"scene {agreements} disagrees"
         agreements += 1
     _report(6, "grasp proxies (seat, pinch, form closure, 100-scene oracle agreement)")
+
+
+def test_contacts_of_a_256_gon_match_enumeration():
+    # A 256-gon seated on both concave tips, then pushed 0.05 mm into the
+    # right one.  Contact finding holds no array of 256**3 entries (one
+    # would take over 100 MB); the scalar oracle checks both verdicts.
+    k = 256
+    ang = 2.0 * math.pi * np.arange(k) / k
+    verts = 88.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+    prof = scenes.profile(Concave(math.radians(20.0)))
+    verts = verts - [scenes.touch_shift(place_left(prof), verts, min), 0.0]
+    gap = scenes.touch_shift(place_right(prof, 0.0), verts, max)
+    seated = scene_between(prof, prof, gap, ConvexPolygon(verts), 0.0)
+    tracemalloc.start()
+    try:
+        contacts = find_contacts(seated)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"find_contacts peaked at {peak / 1e6:.0f} MB on a 256-gon"
+    assert len(contacts) == 4
+    scenes.assert_matches_enumeration(seated)
+    scenes.assert_matches_enumeration(
+        scene_between(prof, prof, gap - 0.05, ConvexPolygon(verts), 0.0))
 
 
 def test_criterion_7_cli_determinism(tmp_path):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +234,54 @@ class TestGrasp:
         scene = scene_file(tmp_path, {"gap_mm": -1.0, "object": {"type": "circle", "radius_mm": 1.0}})
         result = runner.invoke(main, ["grasp", "--scene", scene])
         assert result.exit_code == 2
+
+
+_CIRCLE = {"type": "circle", "radius_mm": 10.0}
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("config, field", [
+        ({"fingertips": {}}, "fingertips"),
+        ({"fingertip": {"l_ab": 5.0}}, "fingertip.l_ab"),
+        ({"sweep": {"count": 3, "stop_deg": 0.0}}, "sweep.stop_deg"),
+        ({"output": {"fmt": "json"}}, "output.fmt"),
+    ], ids=["config-root", "fingertip", "sweep", "output"])
+    def test_config_key_exits_2(self, runner, tmp_path, config, field):
+        result = runner.invoke(main, ["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
+        assert result.exit_code == 2
+        err = json.loads(result.output)["error"]
+        assert err == {"code": "config", "message": f"unknown config field {field!r}"}
+
+    @pytest.mark.parametrize("scene, field", [
+        ({"gap_mm": 20.0, "gap": 20.0, "object": _CIRCLE}, "gap"),
+        ({"gap_mm": 20.0, "left": {"primitive": "concave", "degree": 8.0}, "object": _CIRCLE},
+         "left.degree"),
+        ({"gap_mm": 20.0, "object": {**_CIRCLE, "radius": 10.0}}, "object.radius"),
+    ], ids=["scene-root", "profile-spec", "object"])
+    def test_scene_key_exits_2(self, runner, tmp_path, scene, field):
+        result = runner.invoke(main, ["grasp", "--scene", scene_file(tmp_path, scene)])
+        assert result.exit_code == 2
+        err = json.loads(result.output)["error"]
+        assert err == {"code": "config", "message": f"unknown scene field {field!r}"}
+
+
+def readme_json(heading: str) -> str:
+    """The first JSON block after a heading of README.md."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.search(re.escape(heading) + r".*?```json\n(.*?)```", text, re.S).group(1)
+
+
+class TestReadmeExamples:
+    def test_config_file_example_runs(self, runner, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(readme_json("### Config file"))
+        run_ok(runner, ["fk", "--config", str(path), "--theta", "9"])
+
+    def test_scene_file_example_seats_the_circle(self, runner, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(readme_json("### Scene file"))
+        rec = json.loads(run_ok(runner, ["grasp", "--scene", str(path)]))
+        assert len(rec["contacts"]) == 4
 
 
 class TestPlan:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from morphtip import (
@@ -25,7 +25,15 @@ from morphtip import (
     plan_primitive,
     scene_between,
 )
-from morphtip.grasp import HULL_TOL, _origin_strictly_inside
+from morphtip.grasp import (
+    CONTACT_TOL,
+    DEDUP_TOL,
+    HULL_TOL,
+    PENETRATION_TOL,
+    _origin_strictly_inside,
+    place_left,
+    place_right,
+)
 
 CFG = FingertipConfig()
 L_OC = CFG.linkage.l_oc
@@ -65,6 +73,71 @@ def square_seat_scene(phi_deg: float = 30.0, half_side: float = 20.0, mu: float 
 def convex_pinch_scene(r: float = 8.0, mu: float = 0.0, c_y: float = 3.0) -> GraspScene:
     conv = profile(Convex(math.radians(-30.0)))
     return scene_between(conv, conv, 2 * r, Circle(r, (r, c_y)), mu)
+
+
+def touch_shift(profile: np.ndarray, verts: np.ndarray, first) -> float | None:
+    """x shift of a placed profile at which it first touches a polygon.
+
+    ``first=min`` sweeps the profile in from -x, ``first=max`` from +x.  A
+    first touch is a polygon vertex on a profile segment or a profile
+    corner on a polygon edge, each met along a horizontal line.  None when
+    the two never meet.
+    """
+    def crossings(points, chain):
+        for a, b in chain:
+            if a[1] != b[1]:
+                for p in points:
+                    if min(a[1], b[1]) <= p[1] <= max(a[1], b[1]):
+                        yield p, a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
+
+    segments = list(zip(profile[:-1], profile[1:]))
+    edges = list(zip(verts, np.roll(verts, -1, axis=0)))
+    shifts = ([v[0] - x for v, x in crossings(verts, segments)]
+              + [x - p[0] for p, x in crossings(profile, edges)])
+    return first(shifts, default=None)
+
+
+def circle_touch_shift(profile: np.ndarray, center, r: float, first) -> float | None:
+    """x shift of a placed profile at which it first touches a circle.
+
+    ``first=min`` sweeps the profile in from -x, ``first=max`` from +x.  A
+    first touch is a profile corner on the circle or a segment tangent to
+    it.  None when the two never meet.
+    """
+    toward = 1.0 if first is min else -1.0  # x direction from profile to circle
+    shifts = [center[0] - p[0] - toward * math.sqrt(r * r - (center[1] - p[1]) ** 2)
+              for p in profile if abs(center[1] - p[1]) <= r]
+    for a, b in zip(profile[:-1], profile[1:]):
+        d = b - a
+        if d[1] == 0.0:
+            continue
+        n = np.array([-d[1], d[0]]) * toward / abs(d[1])
+        n /= np.hypot(*n)
+        shift = (float(n @ (np.asarray(center) - a)) - r) / n[0]
+        t = float((np.asarray(center) - r * n - a - [shift, 0.0]) @ d) / float(d @ d)
+        if 0.0 <= t <= 1.0:
+            shifts.append(shift)
+    return first(shifts, default=None)
+
+
+def assert_matches_enumeration(scene: GraspScene) -> None:
+    """find_contacts equals the scalar enumeration oracle on one scene."""
+    pen, expected = oracles.contacts_by_enumeration(scene, CONTACT_TOL, PENETRATION_TOL, DEDUP_TOL)
+    if pen is not None:
+        side, i, depth = pen
+        with pytest.raises(Penetration) as exc:
+            find_contacts(scene)
+        assert f"the {side} profile by {depth:.3g} mm" in str(exc.value)
+        witness = exc.value.witness
+        placed = scene.left_profile if side == "left" else scene.right_profile
+        assert oracles.distance_to_segment(witness, placed[i], placed[i + 1]) <= 1e-12
+        assert abs(oracles.depth_at(scene.obj, witness) - depth) <= 1e-12
+        return
+    got = find_contacts(scene)
+    assert [(c.side, c.segment) for c in got] == [c[:2] for c in expected]
+    for c, (_, _, point, normal) in zip(got, expected):
+        assert np.max(np.abs(c.point - point)) <= 1e-12
+        assert np.max(np.abs(c.normal - normal)) <= 1e-12
 
 
 def oracle_closed(contacts, mu: float) -> bool:
@@ -148,6 +221,100 @@ class TestFindContacts:
         assert sum(c.side == "right" for c in cts) == 2
         for c in cts:
             assert abs(c.normal[0]) == pytest.approx(1.0)
+
+
+@st.composite
+def fingertip_profiles(draw) -> np.ndarray:
+    """A flat, concave, convex or random polyline profile in the tip frame."""
+    kind = draw(st.sampled_from(("flat", "concave", "convex", "polyline")))
+    if kind == "flat":
+        return profile(Flat())
+    if kind != "polyline":
+        phi = math.radians(draw(st.floats(5.0, 30.0)))
+        return profile(Concave(phi) if kind == "concave" else Convex(-phi))
+    n = draw(st.integers(2, 6))
+    # Strictly increasing plate positions keep the polyline simple.
+    steps = draw(st.lists(st.floats(2.0, 25.0), min_size=n - 1, max_size=n - 1))
+    pos = -35.0 + np.concatenate([[0.0], np.cumsum(steps)])
+    heights = draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))
+    return np.column_stack([pos, heights])
+
+
+@st.composite
+def polygon_scenes(draw) -> GraspScene:
+    """A convex polygon of 3-64 vertices between two random profiles.
+
+    ``touch`` sweeps the polygon onto the left profile and the right
+    profile onto the polygon; ``vertex`` rests a polygon vertex on a point
+    of a left segment, ``corner`` rests a left profile corner on a polygon
+    edge, each then closed by the right profile; ``push`` moves a touching
+    polygon into one profile, or just off it by less than the penetration
+    tolerance; ``free`` places everything at random.
+    """
+    k = draw(st.integers(3, 64))
+    jitter = np.array(draw(st.lists(st.floats(0.0, 0.8), min_size=k, max_size=k)))
+    radius, aspect = draw(st.floats(3.0, 40.0)), draw(st.floats(0.3, 1.0))
+    turn = draw(st.floats(0.0, 2.0 * math.pi))
+    ang = 2.0 * math.pi * (np.arange(k) + jitter) / k
+    ellipse = np.column_stack([radius * np.cos(ang), aspect * radius * np.sin(ang)])
+    rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+    verts = ellipse @ rot.T + [0.0, draw(st.floats(-10.0, 10.0))]
+    left_local, right_local = draw(fingertip_profiles()), draw(fingertip_profiles())
+    left = place_left(left_local)
+    placement = draw(st.sampled_from(("touch", "vertex", "corner", "push", "free")))
+    if placement == "free":
+        verts = verts + [draw(st.floats(0.0, 80.0)), 0.0]
+        gap = draw(st.floats(1.0, 150.0))
+    else:
+        if placement == "vertex":
+            i = draw(st.integers(0, len(left) - 2))
+            a, b = left[i], left[i + 1]
+            u = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+            n = np.array([b[1] - a[1], a[0] - b[0]])
+            n = n if n[0] > 0 or (n[0] == 0 and n[1] > 0) else -n
+            verts = verts + (a + u * (b - a) - verts[np.argmin(verts @ n)])
+        elif placement == "corner":
+            corner = left[draw(st.integers(0, len(left) - 1))]
+            edges = np.roll(verts, -1, axis=0) - verts
+            j = int(np.argmax(-edges[:, 1] / np.hypot(edges[:, 0], edges[:, 1])))
+            u = draw(st.floats(0.0, 1.0))
+            verts = verts + (corner - (verts[j] + u * edges[j]))
+        else:
+            shift = touch_shift(left, verts, min)
+            assume(shift is not None)
+            verts = verts - [shift, 0.0]
+        gap = touch_shift(place_right(right_local, 0.0), verts, max)
+        assume(gap is not None)
+        if placement == "push":
+            push = draw(st.one_of(st.floats(0.001, 0.5), st.sampled_from((5e-7, -5e-7))))
+            if draw(st.booleans()):
+                verts = verts - [push, 0.0]
+            else:
+                gap -= push
+    assume(gap > 0.0)
+    return scene_between(left_local, right_local, gap, ConvexPolygon(verts), 0.0)
+
+
+class TestContactsAgainstEnumeration:
+    @settings(max_examples=300)
+    @given(polygon_scenes())
+    def test_polygon_scenes_match_enumeration(self, scene):
+        assert_matches_enumeration(scene)
+
+    @settings(max_examples=100)
+    @given(fingertip_profiles(), fingertip_profiles(), st.floats(3.0, 40.0),
+           st.floats(-10.0, 10.0), st.sampled_from((0.0, 0.0, 0.3, 0.01, -0.01, 5e-7, -5e-7)))
+    def test_circle_scenes_match_enumeration(self, left_local, right_local, r, c_y, push):
+        # The circle touches the left profile; the right one touches it too,
+        # or is pushed by ``push`` mm into it (> 0) or away from it (< 0),
+        # 5e-7 mm lying between the contact and penetration tolerances.
+        shift = circle_touch_shift(place_left(left_local), (0.0, c_y), r, min)
+        assume(shift is not None)
+        c_x = -shift
+        gap = circle_touch_shift(place_right(right_local, 0.0), (c_x, c_y), r, max)
+        assume(gap is not None and gap - push > 0.0)
+        gap -= push
+        assert_matches_enumeration(scene_between(left_local, right_local, gap, Circle(r, (c_x, c_y)), 0.0))
 
 
 class TestCradle:
@@ -377,7 +544,7 @@ def ray_sets(draw):
 
 
 class TestFacetTestAgainstQhull:
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(ray_sets())
     def test_matches_qhull_verdict(self, case):
         kind, rays = case
