@@ -114,11 +114,46 @@ def _fields(d, path: str, known, what: str = "config") -> dict:
     return d
 
 
-def _get(d: dict, key: str, default):
-    value = d.get(key, default)
-    if value is None and default is not None:
-        raise ConfigError(f"config field {key!r} must not be null")
-    return value
+_REQUIRED = object()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _number(d: dict, key: str, path: str, default=_REQUIRED, what: str = "config") -> float:
+    """d[key] as a float, or ``default`` when the key is absent.
+
+    ``path`` names d as in :func:`_fields`.  A missing key without a
+    default, or a value that is not a JSON number, is an error naming the
+    field.
+    """
+    name = (path + "." if path else "") + key
+    if key not in d:
+        if default is _REQUIRED:
+            raise ConfigError(f"{what} field {name!r} is required")
+        return default
+    if not _is_number(d[key]):
+        raise ConfigError(f"{what} field {name!r} must be a number")
+    return float(d[key])
+
+
+def _pair(value, name: str) -> tuple[float, float]:
+    """A scene's [x, y] number pair."""
+    if not _is_pair(value):
+        raise ConfigError(f"scene field {name!r} must be a pair of numbers [x, y]")
+    return float(value[0]), float(value[1])
+
+
+def _points(value, name: str, least: int) -> np.ndarray:
+    """A scene's list of at least ``least`` [x, y] points, shape (n, 2)."""
+    if not (isinstance(value, list) and len(value) >= least and all(map(_is_pair, value))):
+        raise ConfigError(f"scene field {name!r} must be a list of at least {least} [x, y] points")
+    return np.array(value, dtype=float)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -131,33 +166,41 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _fields(raw, "", _CONFIG_SECTIONS)
     f, s, o = (_fields(raw.get(name, {}), name, known) for name, known in _CONFIG_SECTIONS.items())
+    out_path = o.get("path")
+    if not (out_path is None or isinstance(out_path, str)):
+        raise ConfigError("config field 'output.path' must be a string or null")
+    oa = f.get("oa_mm", [10.0, None])
+    if not (isinstance(oa, list) and len(oa) == 2 and _is_number(oa[0])
+            and (oa[1] is None or _is_number(oa[1]))):
+        raise ConfigError("config field 'fingertip.oa_mm' must be [x, y] numbers, y may be null")
+    count = s.get("count", 13)
     try:
-        oa = _get(f, "oa_mm", [10.0, None])
+        if not (_is_number(count) and float(count).is_integer()):
+            raise ConfigError("config field 'sweep.count' must be an integer")
         params = lk.LinkageParams(
-            l_oc=float(_get(f, "l_oc_mm", 15.0)),
-            l_ab=float(_get(f, "l_ab_mm", 20.0)),
-            alpha0=math.radians(float(_get(f, "alpha0_deg", 30.0))),
+            l_oc=_number(f, "l_oc_mm", "fingertip", 15.0),
+            l_ab=_number(f, "l_ab_mm", "fingertip", 20.0),
+            alpha0=math.radians(_number(f, "alpha0_deg", "fingertip", 30.0)),
             oa_x=float(oa[0]),
             oa_y=None if oa[1] is None else float(oa[1]),
-            theta_min=math.radians(float(_get(f, "theta_min_deg", -36.0))),
-            theta_max=math.radians(float(_get(f, "theta_max_deg", 36.0))),
+            theta_min=math.radians(_number(f, "theta_min_deg", "fingertip", -36.0)),
+            theta_max=math.radians(_number(f, "theta_max_deg", "fingertip", 36.0)),
         )
         tip = ft.FingertipConfig(
             linkage=params,
-            facet_len=float(_get(f, "facet_len_mm", 17.5)),
-            spring_k=float(_get(f, "spring_k", 10.0)),
-            rod_len=float(_get(f, "rod_len_mm", 100.0)),
-            step_deg=float(_get(f, "step_deg", 3.0)),
+            facet_len=_number(f, "facet_len_mm", "fingertip", 17.5),
+            spring_k=_number(f, "spring_k", "fingertip", 10.0),
+            rod_len=_number(f, "rod_len_mm", "fingertip", 100.0),
+            step_deg=_number(f, "step_deg", "fingertip", 3.0),
         )
         sweep = SweepSpec(
-            start_deg=float(_get(s, "start_deg", 15.0)),
-            step_deg=float(_get(s, "step_deg", -3.0)),
-            count=int(_get(s, "count", 13)),
+            start_deg=_number(s, "start_deg", "sweep", 15.0),
+            step_deg=_number(s, "step_deg", "sweep", -3.0),
+            count=int(count),
         )
-        out_format = str(_get(o, "format", "csv"))
-        out_path = o.get("path")
-    except (TypeError, ValueError, KeyError, IndexError, MorphtipError) as exc:
+    except (OverflowError, MorphtipError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
+    out_format = o.get("format", "csv")
     if sweep.count < 2:
         raise ConfigError("sweep count must be at least 2")
     if sweep.step_deg == 0.0:
@@ -170,26 +213,28 @@ def load_config(path: str | None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # scenes
 
+_PRIMITIVES = ("flat", "concave", "convex", "tilted-planar")
+
+
 def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> np.ndarray:
     if isinstance(spec, str):
         spec = {"primitive": spec}
     if not isinstance(spec, dict):
-        raise ConfigError("profile spec must be a string or object")
+        raise ConfigError(f"scene field {side!r} must be a string or object")
     _fields(spec, side, _PROFILE_FIELDS, "scene")
     if "polyline_mm" in spec:
-        return np.asarray(spec["polyline_mm"], dtype=float)
+        return _points(spec["polyline_mm"], f"{side}.polyline_mm", 2)
     kind = spec.get("primitive", "flat")
+    if kind not in _PRIMITIVES:
+        raise ConfigError(f"scene field '{side}.primitive' must be one of {', '.join(_PRIMITIVES)}")
     if kind == "flat":
         prim: ft.MorphPrimitive = ft.Flat()
-    elif kind == "concave":
-        prim = ft.Concave(math.radians(float(spec["degree_deg"])))
-    elif kind == "convex":
-        prim = ft.Convex(math.radians(float(spec["degree_deg"])))
     elif kind == "tilted-planar":
-        tx, ty = spec.get("tilt_deg", [0.0, 0.0])
-        prim = ft.TiltedPlanar(math.radians(float(tx)), math.radians(float(ty)))
+        tx, ty = _pair(spec.get("tilt_deg", [0.0, 0.0]), f"{side}.tilt_deg")
+        prim = ft.TiltedPlanar(math.radians(tx), math.radians(ty))
     else:
-        raise ConfigError(f"unknown profile primitive {kind!r}")
+        degree = math.radians(_number(spec, "degree_deg", side, what="scene"))
+        prim = ft.Concave(degree) if kind == "concave" else ft.Convex(degree)
     return ft.plan_primitive(tip, prim).profile_x
 
 
@@ -202,29 +247,27 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, np.nd
         raise ConfigError(f"cannot read scene {path}: {exc}") from exc
     _fields(raw, "", _SCENE_FIELDS, "scene")
     try:
-        gap = float(raw["gap_mm"])
-        mu = float(raw.get("mu", 0.0))
+        gap = _number(raw, "gap_mm", "", what="scene")
+        mu = _number(raw, "mu", "", 0.0, "scene")
         left_local = _profile_from_spec(raw.get("left", "flat"), "left", tip)
         right_local = (
             _profile_from_spec(raw["right"], "right", tip) if "right" in raw else left_local
         )
-        ospec = raw["object"]
-        kind = ospec["type"]
-        if kind not in _OBJECT_FIELDS:
-            raise ConfigError(f"unknown object type {kind!r}")
+        ospec = raw.get("object")
+        if not isinstance(ospec, dict):
+            raise ConfigError("scene field 'object' must be a JSON object")
+        kind = ospec.get("type")
+        if not isinstance(kind, str) or kind not in _OBJECT_FIELDS:
+            raise ConfigError("scene field 'object.type' must be 'circle' or 'polygon'")
         _fields(ospec, "object", _OBJECT_FIELDS[kind], "scene")
         if kind == "circle":
-            center = ospec.get("center_mm", [gap / 2.0, 0.0])
+            center = _pair(ospec.get("center_mm", [gap / 2.0, 0.0]), "object.center_mm")
             obj: gr.ObjectXSection = gr.Circle(
-                radius=float(ospec["radius_mm"]),
-                center=(float(center[0]), float(center[1])),
-            )
+                radius=_number(ospec, "radius_mm", "object", what="scene"), center=center)
         else:
-            obj = gr.ConvexPolygon(np.asarray(ospec["vertices_mm"], dtype=float))
+            obj = gr.ConvexPolygon(_points(ospec.get("vertices_mm"), "object.vertices_mm", 3))
         scene = gr.scene_between(left_local, right_local, gap, obj, mu)
-    except (TypeError, ValueError, KeyError, IndexError, MorphtipError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except (OverflowError, MorphtipError) as exc:
         raise ConfigError(f"invalid scene: {exc}") from exc
     return scene, left_local
 
@@ -306,8 +349,7 @@ def ik(config_path: str | None, phi_deg: float) -> None:
 
 @main.command()
 @_config_opt
-@click.option("--primitive", type=click.Choice(["flat", "concave", "convex", "tilted-planar"]),
-              required=True)
+@click.option("--primitive", type=click.Choice(_PRIMITIVES), required=True)
 @click.option("--degree", "degree_deg", type=float, default=None,
               help="Facet angle in degrees (concave/convex).")
 @click.option("--tilt-x", "tilt_x_deg", type=float, default=0.0)

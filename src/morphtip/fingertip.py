@@ -159,27 +159,30 @@ def surface_profile(
     and points from its hinge toward its slider, so the polyline is one
     straight line when the pair satisfies the tilted-plane condition.
     """
-    params = cfg.linkage
-    # Jam validation happens in the facet readout.
-    linkage.forward_facet(params, theta_pos)
-    linkage.forward_facet(params, theta_neg)
+    pose = linkage.facet_pose  # raises OutOfRange on a jammed command
+    return _profile(cfg, pose(cfg.linkage, theta_pos), pose(cfg.linkage, theta_neg), psi)
+
+
+def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> np.ndarray:
+    """surface_profile from the two facet poses ``(phi, bx, by)``."""
     if not math.isfinite(psi):
         raise InvalidParams("psi must be finite")
+    f = cfg.facet_len
+    cx = cfg.linkage.l_oc * math.cos(psi)
+    cy = cfg.linkage.l_oc * math.sin(psi)
 
-    c_pos = np.array([params.l_oc * math.cos(psi), params.l_oc * math.sin(psi)])
-    c_neg = -c_pos
-    b_pos = np.array(linkage.slider_point(params, theta_pos))
-    nx, ny = linkage.slider_point(params, theta_neg)
-    b_neg = np.array([-nx, ny])
-
-    def tip(hinge: np.ndarray, slider: np.ndarray) -> np.ndarray:
-        guide = slider - hinge
-        norm = float(np.hypot(guide[0], guide[1]))
+    def tip(hx: float, hy: float, sx: float, sy: float) -> tuple[float, float]:
+        gx, gy = sx - hx, sy - hy
+        # abs() of a complex is the C library's hypot, the same function that
+        # np.hypot calls; math.hypot rounds differently in the last bit.
+        norm = abs(complex(gx, gy))
         if norm <= 0.0:
             raise OutOfRange("slider coincides with the hinge: mechanism jam")
-        return hinge + cfg.facet_len * guide / norm
+        return hx + f * gx / norm, hy + f * gy / norm
 
-    return np.array([tip(c_neg, b_neg), c_neg, c_pos, tip(c_pos, b_pos)])
+    # The mirrored half's slider is reflected into the common frame.
+    return np.array([tip(-cx, -cy, -neg[1], neg[2]), (-cx, -cy), (cx, cy),
+                     tip(cx, cy, pos[1], pos[2])])
 
 
 def pointer_top(cfg: FingertipConfig, psi_x: float, psi_y: float) -> np.ndarray:
@@ -205,18 +208,21 @@ def pointer_top(cfg: FingertipConfig, psi_x: float, psi_y: float) -> np.ndarray:
     return ry @ rx @ np.array([0.0, 0.0, cfg.rod_len])
 
 
-def _state(
-    cfg: FingertipConfig,
-    thetas: tuple[float, float, float, float],
-    tilt: tuple[float, float],
-) -> FingertipState:
-    phis = tuple(linkage.forward_facet(cfg.linkage, t) for t in thetas)
+def _state(cfg: FingertipConfig, thetas: tuple[float, float, float, float],
+           tilt: tuple[float, float] | None, load: ExternalLoad = ExternalLoad()) -> FingertipState:
+    """State of four servo commands; a tilt of None settles the terrace under load."""
+    params = cfg.linkage
+    poses = [linkage.facet_pose(params, t) for t in thetas]
+    phis = (poses[0][0], poses[1][0], poses[2][0], poses[3][0])
+    if tilt is None:
+        tilt = (terrace_equilibrium(phis[0], phis[1], cfg.spring_k, load.tau_x),
+                terrace_equilibrium(phis[2], phis[3], cfg.spring_k, load.tau_y))
     return FingertipState(
         thetas=thetas,
         phis=phis,  # type: ignore[arg-type]
         terrace_tilt=tilt,
-        profile_x=surface_profile(cfg, thetas[0], thetas[1], tilt[0]),
-        profile_y=surface_profile(cfg, thetas[2], thetas[3], tilt[1]),
+        profile_x=_profile(cfg, poses[0], poses[1], tilt[0]),
+        profile_y=_profile(cfg, poses[2], poses[3], tilt[1]),
     )
 
 
@@ -230,12 +236,7 @@ def state_from_thetas(
     The terrace tilt of each pair comes from the spring-energy argmin of
     the pair's facet readouts plus the external torque on that axis.
     """
-    phis = tuple(linkage.forward_facet(cfg.linkage, t) for t in thetas)
-    tilt = (
-        terrace_equilibrium(phis[0], phis[1], cfg.spring_k, load.tau_x),
-        terrace_equilibrium(phis[2], phis[3], cfg.spring_k, load.tau_y),
-    )
-    return _state(cfg, thetas, tilt)
+    return _state(cfg, thetas, None, load)
 
 
 def plan_primitive(cfg: FingertipConfig, prim: MorphPrimitive) -> FingertipState:
@@ -275,16 +276,16 @@ def transition_trajectory(
     spring equilibrium at every step.  Returns the full state sequence
     including both endpoints (a single state if there is no motion).
     """
-    t0 = np.array(plan_primitive(cfg, start).thetas)
-    t1 = np.array(plan_primitive(cfg, end).thetas)
-    span = float(np.max(np.abs(t1 - t0)))
+    t0 = plan_primitive(cfg, start).thetas
+    t1 = plan_primitive(cfg, end).thetas
+    span = max(abs(b - a) for a, b in zip(t0, t1))
     step = math.radians(cfg.step_deg)
     n = max(0, math.ceil(span / step - 1e-12))
     if n == 0:
-        return [state_from_thetas(cfg, tuple(t0))]
+        return [state_from_thetas(cfg, t0)]
     states = []
     for i in range(n + 1):
-        thetas = tuple(t0 + (t1 - t0) * (i / n))
+        thetas = tuple(a + (b - a) * (i / n) for a, b in zip(t0, t1))
         try:
             states.append(state_from_thetas(cfg, thetas))
         except OutOfRange as exc:

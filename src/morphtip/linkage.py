@@ -112,25 +112,29 @@ def slider_point(params: LinkageParams, theta: float) -> tuple[float, float]:
     )
 
 
-def guide_vector(params: LinkageParams, theta: float) -> tuple[float, float]:
-    """Hinge-to-slider vector; its x-component must stay positive (no jam)."""
-    bx, by = slider_point(params, theta)
-    return bx - params.l_oc, by
-
-
 def forward_facet(params: LinkageParams, theta: float) -> float:
     """Facet angle produced by a servo command (forward kinematics).
 
     Raises OutOfRange if the slider would pass inside the hinge
     (mechanism jam).
     """
-    gx, gy = guide_vector(params, theta)
+    return facet_pose(params, theta)[0]
+
+
+def facet_pose(params: LinkageParams, theta: float) -> tuple[float, float, float]:
+    """Facet angle and slider point ``(phi, bx, by)`` of one servo command.
+
+    One slider evaluation serves both; raises what :func:`forward_facet`
+    raises.
+    """
+    bx, by = slider_point(params, theta)
+    gx = bx - params.l_oc
     if gx <= 0.0:
         raise OutOfRange(
             f"slider inside the hinge (guide x = {gx:.6g} mm) at "
             f"theta={theta:.6f} rad: mechanism jam"
         )
-    return math.atan2(gy, gx)
+    return math.atan2(by, gx), bx, by
 
 
 def operating_range(params: LinkageParams) -> tuple[float, float]:
@@ -161,46 +165,57 @@ def attainable_facet_range(params: LinkageParams) -> tuple[float, float]:
     return forward_facet(params, lo), forward_facet(params, hi)
 
 
+def _ray_command(params: LinkageParams, angle: float, origin: float,
+                 lo: float, hi: float) -> float | None:
+    """Servo command in [lo, hi] that puts the slider on a ray, or None.
+
+    The ray leaves ``(origin, 0)`` at ``angle`` from the horizontal.  The
+    direction condition ``B_y*cos(angle) - (B_x - origin)*sin(angle) = 0``
+    reduces to ``l_ab*cos(alpha0 - theta + angle) = (oa_x - origin)*sin(angle)
+    - oa_y*cos(angle)``; the closed form picks the branch that puts the
+    slider on the ray rather than on its backward extension.
+    """
+    if angle == 0.0 and params.oa_y == -params.l_ab * math.cos(params.alpha0):
+        # Flat-neutral construction puts the slider on the horizontal at theta = 0.
+        return 0.0 if lo <= 0.0 <= hi else None
+    s, c = math.sin(angle), math.cos(angle)
+    k = ((params.oa_x - origin) * s - params.oa_y * c) / params.l_ab
+    if abs(k) > 1.0:
+        return None
+    theta = params.alpha0 + angle - math.acos(k)
+    # Float slack at the clipped endpoints, well below any stated tolerance.
+    slack = 1e-12
+    if theta < lo - slack or theta > hi + slack:
+        return None
+    theta = min(max(theta, lo), hi)
+    # [lo, hi] keeps the crank angle inside (0, pi), as slider_point requires.
+    a = params.alpha0 - theta
+    bx = params.oa_x + params.l_ab * math.sin(a) - origin
+    by = params.oa_y + params.l_ab * math.cos(a)
+    if bx * c + by * s <= 0.0:
+        return None
+    return theta
+
+
 def inverse_facet(params: LinkageParams, phi: float) -> float:
     """Servo command that produces the requested facet angle.
 
-    The direction condition ``guide_y*cos(phi) - guide_x*sin(phi) = 0``
-    reduces to ``l_ab*cos(alpha0 - theta + phi) = (oa_x - l_oc)*sin(phi)
-    - oa_y*cos(phi)``; the closed form picks the branch that keeps the
-    slider outward of the hinge.
+    The facet is the ray from the hinge ``(l_oc, 0)`` through the slider;
+    see :func:`_ray_command` for the closed form.
 
     Raises Unreachable (with the attainable facet interval attached) when
     phi lies outside the image of the operating range.
     """
     _require_finite("phi", phi)
     lo, hi = operating_range(params)
-
-    def unreachable() -> Unreachable:
+    theta = _ray_command(params, phi, params.l_oc, lo, hi)
+    if theta is None:
         a_lo, a_hi = attainable_facet_range(params)
-        return Unreachable(
+        raise Unreachable(
             f"facet angle {phi:.6f} rad not attainable; "
             f"reachable interval is [{a_lo:.6f}, {a_hi:.6f}] rad",
             attainable=(a_lo, a_hi),
         )
-
-    if phi == 0.0 and params.oa_y == -params.l_ab * math.cos(params.alpha0):
-        # Flat-neutral construction makes theta = 0 the exact solution.
-        if lo <= 0.0 <= hi:
-            return 0.0
-        raise unreachable()
-    rhs = (params.oa_x - params.l_oc) * math.sin(phi) - params.oa_y * math.cos(phi)
-    c = rhs / params.l_ab
-    if abs(c) > 1.0:
-        raise unreachable()
-    theta = params.alpha0 + phi - math.acos(c)
-    # Float slack at the clipped endpoints, well below any stated tolerance.
-    slack = 1e-12
-    if theta < lo - slack or theta > hi + slack:
-        raise unreachable()
-    theta = min(max(theta, lo), hi)
-    gx, gy = guide_vector(params, theta)
-    if gx * math.cos(phi) + gy * math.sin(phi) <= 0.0:
-        raise unreachable()
     return theta
 
 
@@ -219,35 +234,16 @@ def planar_condition_angle(params: LinkageParams, theta: float) -> SliderPolar:
     return SliderPolar(math.atan2(by, bx), math.hypot(bx, by))
 
 
-def _solve_slider_angle(params: LinkageParams, psi: float) -> float:
-    """Servo command placing the slider ray at polar angle psi."""
-    lo, hi = operating_range(params)
-
-    def unreachable() -> Unreachable:
+def _solve_slider_angle(params: LinkageParams, psi: float, lo: float, hi: float) -> float:
+    """Servo command placing the slider ray (from the ball joint) at polar angle psi."""
+    theta = _ray_command(params, psi, 0.0, lo, hi)
+    if theta is None:
         t_lo, t_hi = attainable_tilt_range(params)
-        return Unreachable(
+        raise Unreachable(
             f"tilt {psi:.6f} rad not attainable; "
             f"reachable interval is [{t_lo:.6f}, {t_hi:.6f}] rad",
             attainable=(t_lo, t_hi),
         )
-
-    if psi == 0.0 and params.oa_y == -params.l_ab * math.cos(params.alpha0):
-        # Flat-neutral construction puts the slider ray on the horizontal.
-        if lo <= 0.0 <= hi:
-            return 0.0
-        raise unreachable()
-    rhs = params.oa_x * math.sin(psi) - params.oa_y * math.cos(psi)
-    c = rhs / params.l_ab
-    if abs(c) > 1.0:
-        raise unreachable()
-    theta = params.alpha0 + psi - math.acos(c)
-    slack = 1e-12
-    if theta < lo - slack or theta > hi + slack:
-        raise unreachable()
-    theta = min(max(theta, lo), hi)
-    bx, by = slider_point(params, theta)
-    if bx * math.cos(psi) + by * math.sin(psi) <= 0.0:
-        raise unreachable()
     return theta
 
 
@@ -269,8 +265,9 @@ def solve_planar_pair(params: LinkageParams, phi_tilt: float) -> tuple[float, fl
     The two commands have opposite signs for a nonzero tilt.
     """
     _require_finite("phi_tilt", phi_tilt)
-    theta_pos = _solve_slider_angle(params, phi_tilt)
-    theta_neg = _solve_slider_angle(params, -phi_tilt)
+    lo, hi = operating_range(params)
+    theta_pos = _solve_slider_angle(params, phi_tilt, lo, hi)
+    theta_neg = _solve_slider_angle(params, -phi_tilt, lo, hi)
     return theta_pos, theta_neg
 
 

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the library's solution paths: facet
-angles are re-derived from the raw vector chain, inverse kinematics comes
+angles and surface profiles are re-derived from the raw vector chain, inverse kinematics comes
 from bisection on that chain, minima come from grid refinement, and
 closure is decided by sampling external wrenches against dual-cone
 certificates, or by Qhull, instead of the library's facet test.
@@ -54,6 +54,31 @@ def inverse_facet_by_bisection(params, phi: float, lo: float, hi: float) -> floa
             lo = mid
         else:
             hi = mid
+
+
+def profile_by_vector_chain(cfg, theta_pos: float, theta_neg: float, psi: float) -> list:
+    """Cross-section [tip-, hinge-, hinge+, tip+] of one plane, from the raw chain.
+
+    The hinges are (-l_oc, 0) and (l_oc, 0) rotated by psi about the ball
+    joint; each tip is its hinge plus facet_len along the unit vector from
+    the hinge to its slider, the mirrored half's slider reflected in x.
+    """
+    p = cfg.linkage
+    c, s = math.cos(psi), math.sin(psi)
+
+    def slider(theta: float) -> tuple[float, float]:
+        a = p.alpha0 - theta
+        return p.oa_x + p.l_ab * math.sin(a), p.oa_y + p.l_ab * math.cos(a)
+
+    def tip(hinge, slider_xy):
+        dx, dy = slider_xy[0] - hinge[0], slider_xy[1] - hinge[1]
+        length = math.hypot(dx, dy)
+        return (hinge[0] + cfg.facet_len * dx / length, hinge[1] + cfg.facet_len * dy / length)
+
+    h_neg = (-p.l_oc * c, -p.l_oc * s)
+    h_pos = (p.l_oc * c, p.l_oc * s)
+    nx, ny = slider(theta_neg)
+    return [tip(h_neg, (-nx, ny)), h_neg, h_pos, tip(h_pos, slider(theta_pos))]
 
 
 def grid_argmin(f, lo: float, hi: float, n: int = 4001) -> float:

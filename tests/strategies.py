@@ -1,0 +1,50 @@
+"""Hypothesis strategies for random valid fingertip geometries."""
+
+from __future__ import annotations
+
+import math
+
+from hypothesis import assume, strategies as st
+
+from morphtip import FingertipConfig, LinkageParams
+
+
+@st.composite
+def linkage_params(draw) -> LinkageParams:
+    """Slider-crank geometries with a usable jam-free stroke.
+
+    The screen is stated here from the geometry, not taken from the
+    library: the slider sits at least 1 mm outward of the hinge at
+    neutral, and the servo interval where the slider stays outward of the
+    hinge (``sin(alpha0 - theta) > (l_oc - oa_x) / l_ab``, crank inside
+    the half-turn) keeps at least 20 degrees of the commanded stroke and
+    reaches 3 degrees on the concave side.
+    """
+    l_oc = draw(st.floats(10.0, 20.0))
+    l_ab = draw(st.floats(14.0, 26.0))
+    alpha0 = math.radians(draw(st.floats(18.0, 50.0)))
+    oa_x = draw(st.floats(4.0, 16.0))
+    theta_min = -math.radians(draw(st.floats(20.0, 45.0)))
+    theta_max = math.radians(draw(st.floats(20.0, 45.0)))
+    assume(oa_x + l_ab * math.sin(alpha0) - l_oc >= 1.0)
+    s0 = (l_oc - oa_x) / l_ab
+    edge = math.asin(s0) if s0 > 0.0 else 0.0
+    lo = max(theta_min, alpha0 - math.pi + edge)
+    hi = min(theta_max, alpha0 - edge)
+    assume(hi - lo >= math.radians(20.0) and hi >= math.radians(3.0))
+    return LinkageParams(l_oc=l_oc, l_ab=l_ab, alpha0=alpha0, oa_x=oa_x,
+                         theta_min=theta_min, theta_max=theta_max)
+
+
+@st.composite
+def fingertip_configs(draw) -> FingertipConfig:
+    return FingertipConfig(
+        linkage=draw(linkage_params()),
+        facet_len=draw(st.floats(12.0, 25.0)),
+        spring_k=draw(st.floats(5.0, 20.0)),
+        step_deg=draw(st.floats(2.0, 5.0)),
+    )
+
+
+# Fractions of an interval, ends included.
+fractions = st.floats(0.0, 1.0)

@@ -265,10 +265,52 @@ class TestUnknownKeys:
         assert err == {"code": "config", "message": f"unknown scene field {field!r}"}
 
 
+class TestWrongTypes:
+    """A value of the wrong JSON type exits 2 naming its field."""
+
+    @pytest.mark.parametrize("config, message", [
+        ({"fingertip": {"oa_mm": 5}},
+         "config field 'fingertip.oa_mm' must be [x, y] numbers, y may be null"),
+        ({"fingertip": {"l_oc_mm": "15"}}, "config field 'fingertip.l_oc_mm' must be a number"),
+        ({"sweep": {"count": 2.5}}, "config field 'sweep.count' must be an integer"),
+        ({"output": {"path": 1}}, "config field 'output.path' must be a string or null"),
+    ], ids=["oa_mm", "l_oc_mm", "count", "path"])
+    def test_config_value_exits_2(self, runner, tmp_path, config, message):
+        result = runner.invoke(main, ["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"] == {"code": "config", "message": message}
+
+    @pytest.mark.parametrize("scene, message", [
+        ({"gap_mm": 20.0, "object": "circle"}, "scene field 'object' must be a JSON object"),
+        ({"gap_mm": 20.0, "left": {"polyline_mm": [[0.0, 0.0]]}, "object": _CIRCLE},
+         "scene field 'left.polyline_mm' must be a list of at least 2 [x, y] points"),
+        ({"gap_mm": 20.0, "left": {"primitive": "concave"}, "object": _CIRCLE},
+         "scene field 'left.degree_deg' is required"),
+        ({"object": _CIRCLE}, "scene field 'gap_mm' is required"),
+        ({"gap_mm": 20.0, "object": {"radius_mm": 10.0}},
+         "scene field 'object.type' must be 'circle' or 'polygon'"),
+        ({"gap_mm": 20.0, "object": {**_CIRCLE, "center_mm": [10.0]}},
+         "scene field 'object.center_mm' must be a pair of numbers [x, y]"),
+    ], ids=["object", "polyline_mm", "degree_deg", "gap_mm", "type", "center_mm"])
+    def test_scene_value_exits_2(self, runner, tmp_path, scene, message):
+        result = runner.invoke(main, ["grasp", "--scene", scene_file(tmp_path, scene)])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"] == {"code": "config", "message": message}
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
 def readme_json(heading: str) -> str:
     """The first JSON block after a heading of README.md."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    return re.search(re.escape(heading) + r".*?```json\n(.*?)```", text, re.S).group(1)
+    return re.search(re.escape(heading) + r".*?```json\n(.*?)```", README, re.S).group(1)
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """Arguments of each command line in the README's CLI block, optional parts included."""
+    block = re.search(r"## CLI\n\n```\n(.*?)```", README, re.S).group(1)
+    lines = [re.sub(r"#.*|[\[\]]", "", line).split() for line in block.splitlines()]
+    return [line[1:] for line in lines if line]
 
 
 class TestReadmeExamples:
@@ -282,6 +324,13 @@ class TestReadmeExamples:
         path.write_text(readme_json("### Scene file"))
         rec = json.loads(run_ok(runner, ["grasp", "--scene", str(path)]))
         assert len(rec["contacts"]) == 4
+
+    @pytest.mark.parametrize("args", readme_cli_lines(), ids=" ".join)
+    def test_cli_line_runs(self, runner, tmp_path, monkeypatch, args):
+        # Run where the README's own scene file is, and where sweep.csv may go.
+        (tmp_path / "scene.json").write_text(readme_json("### Scene file"))
+        monkeypatch.chdir(tmp_path)
+        run_ok(runner, args)
 
 
 class TestPlan:
@@ -350,3 +399,18 @@ class TestDeterminism:
     def test_json_round_trips_the_schema(self, runner):
         rec = json.loads(run_ok(runner, ["fk", "--theta", "3"]))
         assert list(rec.keys()) == ["theta_deg", "phi_deg", "B", "C", "CB"]
+
+
+GOLDEN = json.loads((Path(__file__).parents[1] / "bench" / "golden" / "cli_cold.json").read_text())
+
+
+class TestGolden:
+    """Each recorded command prints its recorded bytes and exit code."""
+
+    @pytest.mark.parametrize("cmd", GOLDEN["commands"], ids=lambda cmd: cmd["id"])
+    def test_command(self, runner, tmp_path, monkeypatch, cmd):
+        for name, text in GOLDEN["files"].items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, cmd["args"])
+        assert (result.exit_code, result.stdout) == (cmd["exit"], cmd["stdout"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from morphtip import (
@@ -13,7 +14,9 @@ from morphtip import (
     InvalidParams,
     TiltedPlanar,
     Unreachable,
+    attainable_tilt_range,
     forward_facet,
+    operating_range,
     pair_tilt_residuals,
     plan_primitive,
     pointer_top,
@@ -22,6 +25,7 @@ from morphtip import (
     terrace_equilibrium,
     transition_trajectory,
 )
+from strategies import fingertip_configs
 
 # Frozen from the rotation-composition oracle at 5 degrees, 100 mm rod.
 CORNER_X = 8.682408883346517
@@ -276,3 +280,38 @@ class TestStateFromThetas:
         assert st0.terrace_tilt == (0.0, 0.0)
         assert st1.terrace_tilt[0] == pytest.approx(1.0)
         assert st1.terrace_tilt[1] == 0.0
+
+
+class TestStatesOverRandomGeometries:
+    """Every built state against the vector-chain oracle, on random geometries."""
+
+    @given(fingertip_configs(), st.floats(0.05, 1.0), st.floats(0.05, 1.0),
+           st.floats(-0.9, 0.9), st.floats(-0.9, 0.9))
+    def test_plans_and_transitions(self, cfg, concave_frac, convex_frac, fx, fy):
+        p = cfg.linkage
+        lo, hi = operating_range(p)
+        _, t = attainable_tilt_range(p)
+        concave = Concave(concave_frac * forward_facet(p, hi))
+        convex = Convex(convex_frac * forward_facet(p, lo))
+        planar = TiltedPlanar(fx * t, fy * t)
+        plans = [plan_primitive(cfg, prim) for prim in (Flat(), concave, convex, planar)]
+        ramp = transition_trajectory(cfg, convex, concave)
+        tilt_ramp = transition_trajectory(cfg, Flat(), planar)
+        for states, start, end in ((ramp, plans[2], plans[1]), (tilt_ramp, plans[0], plans[3])):
+            assert states[0].thetas == start.thetas
+            assert np.max(np.abs(np.subtract(states[-1].thetas, end.thetas))) <= 1e-12
+        ramps = ramp + tilt_ramp
+        for state in plans + ramps:
+            th = state.thetas
+            assert state.phis == tuple(forward_facet(p, theta) for theta in th)
+            planes = ((state.profile_x, th[0], th[1], state.terrace_tilt[0]),
+                      (state.profile_y, th[2], th[3], state.terrace_tilt[1]))
+            for profile, pos, neg, psi in planes:
+                expected = oracles.profile_by_vector_chain(cfg, pos, neg, psi)
+                assert np.max(np.abs(profile - np.array(expected))) <= 1e-12
+        # TiltedPlanar carries its prescribed tilt; every other state settles.
+        assert plans[3].terrace_tilt == (planar.tilt_x, planar.tilt_y)
+        for state in plans[:3] + ramps:
+            ph = state.phis
+            assert state.terrace_tilt == (terrace_equilibrium(ph[0], ph[1], cfg.spring_k),
+                                        terrace_equilibrium(ph[2], ph[3], cfg.spring_k))

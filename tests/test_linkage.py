@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
+from strategies import fractions, linkage_params
 from morphtip import (
     InvalidParams,
     LinkageParams,
@@ -213,6 +215,49 @@ class TestPlanar:
         t_scan = min(float(angles.max()), -float(angles.min()))
         _, t = attainable_tilt_range(params)
         assert t == pytest.approx(t_scan, abs=1e-4)
+
+
+class TestRandomGeometries:
+    """Properties over random valid geometries, not only the default one."""
+
+    @given(linkage_params(), st.lists(fractions, min_size=1, max_size=8))
+    def test_fk_ik_roundtrip_agrees_with_bisection(self, params, fracs):
+        lo, hi = operating_range(params)
+        # At an end of the range the root sits on the bracket's end, where
+        # rounding gives its residual either sign; widen the bracket a little.
+        wide = (lo - 1e-7, hi + 1e-7)
+        for f in fracs:
+            theta = min(lo + f * (hi - lo), hi)
+            phi = forward_facet(params, theta)
+            back = inverse_facet(params, phi)
+            assert abs(back - theta) <= 1e-9
+            assert abs(back - oracles.inverse_facet_by_bisection(params, phi, *wide)) <= 1e-9
+
+    @given(linkage_params())
+    def test_phi_monotone_over_operating_range(self, params):
+        lo, hi = operating_range(params)
+        phis = [forward_facet(params, float(t)) for t in np.linspace(lo, hi, 400)]
+        assert all(a < b for a, b in zip(phis, phis[1:]))
+
+    @given(linkage_params())
+    def test_targets_past_the_attainable_ends_are_unreachable(self, params):
+        lo, hi = operating_range(params)
+        ends = (forward_facet(params, lo), forward_facet(params, hi))
+        for target in (ends[0] - 1e-6, ends[1] + 1e-6):
+            with pytest.raises(Unreachable) as exc:
+                inverse_facet(params, target)
+            assert exc.value.attainable == ends
+
+    @given(linkage_params(), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+    def test_planar_pairs_match_the_ray_oracle(self, params, fracs):
+        _, t = attainable_tilt_range(params)
+        for f in fracs:
+            tilt = f * t
+            tp, tn = solve_planar_pair(params, tilt)
+            rays = oracles.slider_ray_angle_grid(params, np.array([tp, tn]))
+            assert abs(rays[0] - tilt) <= 1e-9
+            assert abs(rays[1] + tilt) <= 1e-9
+            assert tilt_line_residual(params, tp, tn) < 1e-9
 
 
 def test_slider_point_neutral(params):
