@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import click
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import fingertip as ft
 from . import grasp as gr
 from . import linkage as lk
-from .errors import MorphtipError
+from .errors import InvalidParams, MorphtipError, Penetration, Unreachable, Unsupported
 
 SWEEP_HEADER = "step,theta_deg,phi_deg,B_x_mm,B_y_mm"
 POINTER_HEADER = "index,psi_x_deg,psi_y_deg,x_mm,y_mm,z_mm"
@@ -78,12 +78,17 @@ class SweepSpec:
     step_deg: float = -3.0
     count: int = 13
 
+    def __post_init__(self) -> None:
+        if self.count < 2:
+            raise ConfigError("sweep count must be at least 2")
+        if self.step_deg == 0.0:
+            raise ConfigError("sweep step must be nonzero")
+
 
 @dataclass(frozen=True)
 class RunConfig:
     tip: ft.FingertipConfig
     sweep: SweepSpec
-    out_format: str = "csv"
     out_path: str | None = None
 
 
@@ -91,10 +96,13 @@ _CONFIG_SECTIONS = {
     "fingertip": ("l_oc_mm", "l_ab_mm", "alpha0_deg", "oa_mm", "theta_min_deg",
                   "theta_max_deg", "facet_len_mm", "spring_k", "rod_len_mm", "step_deg"),
     "sweep": ("start_deg", "step_deg", "count"),
-    "output": ("format", "path"),
+    "output": ("path",),
 }
 _SCENE_FIELDS = ("gap_mm", "mu", "left", "right", "object")
-_PROFILE_FIELDS = ("polyline_mm", "primitive", "degree_deg", "tilt_deg")
+# A profile spec is a polyline_mm alone, or a primitive with its own fields.
+_PRIMITIVE_FIELDS = {"flat": (), "concave": ("degree_deg",), "convex": ("degree_deg",),
+                     "tilted-planar": ("tilt_deg",)}
+_PRIMITIVES = tuple(_PRIMITIVE_FIELDS)
 _OBJECT_FIELDS = {"circle": ("type", "radius_mm", "center_mm"),
                   "polygon": ("type", "vertices_mm")}
 
@@ -129,8 +137,8 @@ def _number(d: dict, key: str, path: str, default=_REQUIRED, what: str = "config
     """d[key] as a float, or ``default`` when the key is absent.
 
     ``path`` names d as in :func:`_fields`.  A missing key without a
-    default, or a value that is not a JSON number, is an error naming the
-    field.
+    default, or a value that is not a finite JSON number, is an error
+    naming the field.
     """
     name = (path + "." if path else "") + key
     if key not in d:
@@ -139,7 +147,10 @@ def _number(d: dict, key: str, path: str, default=_REQUIRED, what: str = "config
         return default
     if not _is_number(d[key]):
         raise ConfigError(f"{what} field {name!r} must be a number")
-    return float(d[key])
+    value = float(d[key])
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} field {name!r} must be a finite number")
+    return value
 
 
 def _pair(value, name: str) -> tuple[float, float]:
@@ -198,22 +209,37 @@ def load_config(path: str | None) -> RunConfig:
             step_deg=_number(s, "step_deg", "sweep", -3.0),
             count=int(count),
         )
-    except (OverflowError, MorphtipError) as exc:
+    except (OverflowError, InvalidParams) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    out_format = o.get("format", "csv")
-    if sweep.count < 2:
-        raise ConfigError("sweep count must be at least 2")
-    if sweep.step_deg == 0.0:
-        raise ConfigError("sweep step must be nonzero")
-    if out_format not in ("csv", "json"):
-        raise ConfigError("output format must be 'csv' or 'json'")
-    return RunConfig(tip=tip, sweep=sweep, out_format=out_format, out_path=out_path)
+    return RunConfig(tip=tip, sweep=sweep, out_path=out_path)
 
 
 # ---------------------------------------------------------------------------
-# scenes
+# primitives and scenes
 
-_PRIMITIVES = ("flat", "concave", "convex", "tilted-planar")
+def _primitive(kind: str, degree_deg: float | None, tilt_deg: tuple[float, float],
+               name: tuple[str, str]) -> ft.MorphPrimitive:
+    """The morphing primitive of a plan command or a scene profile spec.
+
+    ``name`` says how the input calls the degree and the tilt; a value
+    the primitive's constructor rejects is an input error naming it.
+    """
+    degree_name, tilt_name = name
+    if kind == "flat":
+        return ft.Flat()
+    if kind == "tilted-planar":
+        try:
+            return ft.TiltedPlanar(math.radians(tilt_deg[0]), math.radians(tilt_deg[1]))
+        except InvalidParams as exc:
+            raise ConfigError(f"{tilt_name} must be finite") from exc
+    if degree_deg is None:
+        raise ConfigError(f"{degree_name} is required for concave/convex")
+    shape = ft.Concave if kind == "concave" else ft.Convex
+    try:
+        return shape(math.radians(degree_deg))
+    except InvalidParams as exc:
+        sign = "positive" if kind == "concave" else "negative"
+        raise ConfigError(f"{degree_name} must be a {sign} angle in degrees for {kind}") from exc
 
 
 def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> np.ndarray:
@@ -221,20 +247,18 @@ def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> np.ndarray:
         spec = {"primitive": spec}
     if not isinstance(spec, dict):
         raise ConfigError(f"scene field {side!r} must be a string or object")
-    _fields(spec, side, _PROFILE_FIELDS, "scene")
     if "polyline_mm" in spec:
+        _fields(spec, side, ("polyline_mm",), "scene")
         return _points(spec["polyline_mm"], f"{side}.polyline_mm", 2)
     kind = spec.get("primitive", "flat")
     if kind not in _PRIMITIVES:
         raise ConfigError(f"scene field '{side}.primitive' must be one of {', '.join(_PRIMITIVES)}")
-    if kind == "flat":
-        prim: ft.MorphPrimitive = ft.Flat()
-    elif kind == "tilted-planar":
-        tx, ty = _pair(spec.get("tilt_deg", [0.0, 0.0]), f"{side}.tilt_deg")
-        prim = ft.TiltedPlanar(math.radians(tx), math.radians(ty))
-    else:
-        degree = math.radians(_number(spec, "degree_deg", side, what="scene"))
-        prim = ft.Concave(degree) if kind == "concave" else ft.Convex(degree)
+    _fields(spec, side, ("primitive", *_PRIMITIVE_FIELDS[kind]), "scene")
+    degree = (_number(spec, "degree_deg", side, what="scene")
+              if kind in ("concave", "convex") else None)
+    tilt = _pair(spec.get("tilt_deg", [0.0, 0.0]), f"{side}.tilt_deg")
+    prim = _primitive(kind, degree, tilt,
+                      (f"scene field '{side}.degree_deg'", f"scene field '{side}.tilt_deg'"))
     return ft.plan_primitive(tip, prim).profile_x
 
 
@@ -267,7 +291,7 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, np.nd
         else:
             obj = gr.ConvexPolygon(_points(ospec.get("vertices_mm"), "object.vertices_mm", 3))
         scene = gr.scene_between(left_local, right_local, gap, obj, mu)
-    except (OverflowError, MorphtipError) as exc:
+    except (OverflowError, InvalidParams) as exc:
         raise ConfigError(f"invalid scene: {exc}") from exc
     return scene, left_local
 
@@ -275,32 +299,27 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, np.nd
 # ---------------------------------------------------------------------------
 # command plumbing
 
-def _fail(code: int, kind: str, message: str, **extra) -> None:
-    payload = {"error": {"code": kind, "message": message, **extra}}
-    click.echo(dumps(payload))
-    sys.exit(code)
+class _Commands(click.Group):
+    """The command group: the one place known failures become an error
+    JSON line on stdout and an exit code."""
 
-
-def _guarded(fn):
-    """Run a command body, mapping known failures to exit codes."""
-    try:
-        fn()
-    except ConfigError as exc:
-        _fail(2, "config", str(exc))
-    except MorphtipError as exc:
-        extra = {}
-        from .errors import Penetration, Unreachable
-
-        if isinstance(exc, Penetration) and exc.witness is not None:
-            extra["witness_mm"] = list(exc.witness)
-        if isinstance(exc, Unreachable) and exc.attainable is not None:
-            extra["attainable_deg"] = [math.degrees(v) for v in exc.attainable]
-        _fail(3, type(exc).__name__.lower(), str(exc), **extra)
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            code, error = 2, {"code": "config", "message": str(exc)}
+        except MorphtipError as exc:
+            code, error = 3, {"code": type(exc).__name__.lower(), "message": str(exc)}
+            if isinstance(exc, Penetration) and exc.witness is not None:
+                error["witness_mm"] = list(exc.witness)
+            if isinstance(exc, Unreachable) and exc.attainable is not None:
+                error["attainable_deg"] = [math.degrees(v) for v in exc.attainable]
+        click.echo(dumps({"error": error}))
+        sys.exit(code)
 
 
 def _fk_record(params: lk.LinkageParams, theta: float) -> dict:
-    phi = lk.forward_facet(params, theta)
-    bx, by = lk.slider_point(params, theta)
+    phi, bx, by = lk.facet_pose(params, theta)
     return {
         "theta_deg": math.degrees(theta),
         "phi_deg": math.degrees(phi),
@@ -310,7 +329,7 @@ def _fk_record(params: lk.LinkageParams, theta: float) -> dict:
     }
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main() -> None:
     """Shape-morphing fingertip kinematics and grasp analysis."""
 
@@ -327,11 +346,8 @@ _output_opt = click.option("--output", "output", default=None,
               help="Servo command in degrees.")
 def fk(config_path: str | None, theta_deg: float) -> None:
     """Facet angle and linkage points for a servo command."""
-    def body():
-        cfg = load_config(config_path)
-        record = _fk_record(cfg.tip.linkage, math.radians(theta_deg))
-        click.echo(dumps(record))
-    _guarded(body)
+    cfg = load_config(config_path)
+    click.echo(dumps(_fk_record(cfg.tip.linkage, math.radians(theta_deg))))
 
 
 @main.command()
@@ -340,47 +356,36 @@ def fk(config_path: str | None, theta_deg: float) -> None:
               help="Facet angle in degrees.")
 def ik(config_path: str | None, phi_deg: float) -> None:
     """Servo command that realizes a facet angle."""
-    def body():
-        cfg = load_config(config_path)
-        theta = lk.inverse_facet(cfg.tip.linkage, math.radians(phi_deg))
-        click.echo(dumps(_fk_record(cfg.tip.linkage, theta)))
-    _guarded(body)
+    cfg = load_config(config_path)
+    theta = lk.inverse_facet(cfg.tip.linkage, math.radians(phi_deg))
+    click.echo(dumps(_fk_record(cfg.tip.linkage, theta)))
 
 
 @main.command()
 @_config_opt
-@click.option("--primitive", type=click.Choice(_PRIMITIVES), required=True)
+@click.option("--primitive", type=click.Choice(_PRIMITIVES), required=True,
+              help="Morphing primitive to plan.")
 @click.option("--degree", "degree_deg", type=float, default=None,
               help="Facet angle in degrees (concave/convex).")
-@click.option("--tilt-x", "tilt_x_deg", type=float, default=0.0)
-@click.option("--tilt-y", "tilt_y_deg", type=float, default=0.0)
+@click.option("--tilt-x", "tilt_x_deg", type=float, default=0.0,
+              help="Tilt driven by the x facet pair in degrees (tilted-planar).")
+@click.option("--tilt-y", "tilt_y_deg", type=float, default=0.0,
+              help="Tilt driven by the y facet pair in degrees (tilted-planar).")
 def plan(config_path, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
     """Plan servo commands for a morphing primitive."""
-    def body():
-        cfg = load_config(config_path)
-        if primitive == "flat":
-            prim: ft.MorphPrimitive = ft.Flat()
-        elif primitive in ("concave", "convex"):
-            if degree_deg is None:
-                raise ConfigError("--degree is required for concave/convex")
-            d = math.radians(degree_deg)
-            try:
-                prim = ft.Concave(d) if primitive == "concave" else ft.Convex(d)
-            except MorphtipError as exc:
-                raise ConfigError(str(exc)) from exc
-        else:
-            prim = ft.TiltedPlanar(math.radians(tilt_x_deg), math.radians(tilt_y_deg))
-        state = ft.plan_primitive(cfg.tip, prim)
-        record = {
-            "primitive": primitive,
-            "theta_deg": [math.degrees(t) for t in state.thetas],
-            "phi_deg": [math.degrees(p) for p in state.phis],
-            "terrace_tilt_deg": [math.degrees(t) for t in state.terrace_tilt],
-            "profile_x_mm": [list(p) for p in state.profile_x],
-            "profile_y_mm": [list(p) for p in state.profile_y],
-        }
-        click.echo(dumps(record))
-    _guarded(body)
+    cfg = load_config(config_path)
+    prim = _primitive(primitive, degree_deg, (tilt_x_deg, tilt_y_deg),
+                      ("--degree", "--tilt-x/--tilt-y"))
+    state = ft.plan_primitive(cfg.tip, prim)
+    record = {
+        "primitive": primitive,
+        "theta_deg": [math.degrees(t) for t in state.thetas],
+        "phi_deg": [math.degrees(p) for p in state.phis],
+        "terrace_tilt_deg": [math.degrees(t) for t in state.terrace_tilt],
+        "profile_x_mm": [list(p) for p in state.profile_x],
+        "profile_y_mm": [list(p) for p in state.profile_y],
+    }
+    click.echo(dumps(record))
 
 
 @main.command()
@@ -393,34 +398,26 @@ def plan(config_path, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
 @click.option("--count", type=int, default=None, help="Number of rows.")
 def sweep(config_path, output, start_deg, step_deg, count) -> None:
     """Angular-stroke protocol: stepped servo sweep emitted as CSV."""
-    def body():
-        cfg = load_config(config_path)
-        spec = cfg.sweep
-        s0 = spec.start_deg if start_deg is None else start_deg
-        ds = spec.step_deg if step_deg is None else step_deg
-        n = spec.count if count is None else count
-        if n < 2:
-            raise ConfigError("sweep count must be at least 2")
-        if ds == 0.0:
-            raise ConfigError("sweep step must be nonzero")
-        rows = [SWEEP_HEADER]
-        phis = []
-        for i in range(n):
-            t_deg = s0 + i * ds
-            try:
-                rec = _fk_record(cfg.tip.linkage, math.radians(t_deg))
-            except MorphtipError as exc:
-                raise type(exc)(f"sweep aborts at step {i}: {exc}") from exc
-            phis.append(rec["phi_deg"])
-            rows.append(",".join([
-                str(i), fnum(rec["theta_deg"]), fnum(rec["phi_deg"]),
-                fnum(rec["B"][0]), fnum(rec["B"][1]),
-            ]))
-        diffs = np.diff(phis)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ConfigError("sweep output is not strictly monotone in phi")
-        _emit("\n".join(rows) + "\n", output if output is not None else cfg.out_path)
-    _guarded(body)
+    cfg = load_config(config_path)
+    given = {"start_deg": start_deg, "step_deg": step_deg, "count": count}
+    spec = replace(cfg.sweep, **{k: v for k, v in given.items() if v is not None})
+    rows = [SWEEP_HEADER]
+    phis = []
+    for i in range(spec.count):
+        t_deg = spec.start_deg + i * spec.step_deg
+        try:
+            rec = _fk_record(cfg.tip.linkage, math.radians(t_deg))
+        except MorphtipError as exc:
+            raise type(exc)(f"sweep aborts at step {i}: {exc}") from exc
+        phis.append(rec["phi_deg"])
+        rows.append(",".join([
+            str(i), fnum(rec["theta_deg"]), fnum(rec["phi_deg"]),
+            fnum(rec["B"][0]), fnum(rec["B"][1]),
+        ]))
+    diffs = np.diff(phis)
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ConfigError("sweep output is not strictly monotone in phi")
+    _emit("\n".join(rows) + "\n", output if output is not None else cfg.out_path)
 
 
 def _pointer_poses(psi_max: float, points_per_leg: int) -> list[tuple[float, float]]:
@@ -448,28 +445,25 @@ def _pointer_poses(psi_max: float, points_per_leg: int) -> list[tuple[float, flo
               help="Samples per segment between the eight anchor poses.")
 def trace_pointer(config_path, output, psi_max_deg, points_per_leg) -> None:
     """Pointer-top trajectory over the tilt configuration square."""
-    def body():
-        cfg = load_config(config_path)
-        if points_per_leg < 1:
-            raise ConfigError("points-per-leg must be at least 1")
-        psi_max = math.radians(psi_max_deg)
-        if psi_max != 0.0:
-            lo, hi = lk.attainable_tilt_range(cfg.tip.linkage)
-            if not lo <= -abs(psi_max) <= abs(psi_max) <= hi:
-                from .errors import Unreachable
-                raise Unreachable(
-                    f"tilt amplitude {psi_max_deg} deg outside the attainable range",
-                    attainable=(lo, hi),
-                )
-        rows = [POINTER_HEADER]
-        for i, (px, py) in enumerate(_pointer_poses(psi_max, points_per_leg)):
-            x, y, z = ft.pointer_top(cfg.tip, px, py)
-            rows.append(",".join([
-                str(i), fnum(math.degrees(px)), fnum(math.degrees(py)),
-                fnum(x), fnum(y), fnum(z),
-            ]))
-        _emit("\n".join(rows) + "\n", output if output is not None else cfg.out_path)
-    _guarded(body)
+    cfg = load_config(config_path)
+    if points_per_leg < 1:
+        raise ConfigError("points-per-leg must be at least 1")
+    psi_max = math.radians(psi_max_deg)
+    if psi_max != 0.0:
+        lo, hi = lk.attainable_tilt_range(cfg.tip.linkage)
+        if not lo <= -abs(psi_max) <= abs(psi_max) <= hi:
+            raise Unreachable(
+                f"tilt amplitude {psi_max_deg} deg outside the attainable range",
+                attainable=(lo, hi),
+            )
+    rows = [POINTER_HEADER]
+    for i, (px, py) in enumerate(_pointer_poses(psi_max, points_per_leg)):
+        x, y, z = ft.pointer_top(cfg.tip, px, py)
+        rows.append(",".join([
+            str(i), fnum(math.degrees(px)), fnum(math.degrees(py)),
+            fnum(x), fnum(y), fnum(z),
+        ]))
+    _emit("\n".join(rows) + "\n", output if output is not None else cfg.out_path)
 
 
 @main.command()
@@ -479,35 +473,33 @@ def trace_pointer(config_path, output, psi_max_deg, points_per_leg) -> None:
               help="Scene JSON file.")
 def grasp(config_path, output, scene_path) -> None:
     """Contact, pivot, closure and cradle report for a two-finger scene."""
-    def body():
-        cfg = load_config(config_path)
-        scene, left_local = load_scene(scene_path, cfg.tip)
-        contacts = gr.find_contacts(scene)
-        if contacts:
-            closure = gr.closure_classify(contacts, scene.mu).value
-            pivot = gr.pivot_feasible(contacts)
-        else:
-            closure = gr.Closure.NONE.value
-            pivot = False
-        cradle_sign = None
-        if isinstance(scene.obj, gr.Circle):
-            cradle_sign = _cradle_sign(left_local, scene.obj.radius)
-        record = {
-            "contacts": [
-                {
-                    "point_mm": [float(c.point[0]), float(c.point[1])],
-                    "normal": [float(c.normal[0]), float(c.normal[1])],
-                    "side": c.side,
-                    "segment": c.segment,
-                }
-                for c in contacts
-            ],
-            "pivot_feasible": pivot,
-            "closure_class": closure,
-            "cradle_curvature_sign": cradle_sign,
-        }
-        _emit(dumps(record) + "\n", output if output is not None else None)
-    _guarded(body)
+    cfg = load_config(config_path)
+    scene, left_local = load_scene(scene_path, cfg.tip)
+    contacts = gr.find_contacts(scene)
+    if contacts:
+        closure = gr.closure_classify(contacts, scene.mu).value
+        pivot = gr.pivot_feasible(contacts)
+    else:
+        closure = gr.Closure.NONE.value
+        pivot = False
+    cradle_sign = None
+    if isinstance(scene.obj, gr.Circle):
+        cradle_sign = _cradle_sign(left_local, scene.obj.radius)
+    record = {
+        "contacts": [
+            {
+                "point_mm": [float(c.point[0]), float(c.point[1])],
+                "normal": [float(c.normal[0]), float(c.normal[1])],
+                "side": c.side,
+                "segment": c.segment,
+            }
+            for c in contacts
+        ],
+        "pivot_feasible": pivot,
+        "closure_class": closure,
+        "cradle_curvature_sign": cradle_sign,
+    }
+    _emit(dumps(record) + "\n", output)
 
 
 def _cradle_sign(profile_local: np.ndarray, radius: float, delta: float = 0.1) -> int | None:
@@ -517,8 +509,6 @@ def _cradle_sign(profile_local: np.ndarray, radius: float, delta: float = 0.1) -
     left one: with a right profile that differs from the left, the sign
     describes the left fingertip alone.
     """
-    from .errors import Unsupported
-
     try:
         h0 = gr.cradle_height(profile_local, radius, 0.0)
         curv = (gr.cradle_height(profile_local, radius, delta)

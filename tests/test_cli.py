@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -230,6 +231,21 @@ class TestGrasp:
         assert rec["closure_class"] == "form_closure"
         assert rec["cradle_curvature_sign"] is None
 
+    @pytest.mark.parametrize("spec, plan_args", [
+        ({"primitive": "concave", "degree_deg": 95.0}, ["--primitive", "concave", "--degree", "95"]),
+        ({"primitive": "tilted-planar", "tilt_deg": [40.0, 0.0]},
+         ["--primitive", "tilted-planar", "--tilt-x", "40", "--tilt-y", "0"]),
+    ], ids=["concave", "tilted-planar"])
+    def test_unreachable_primitive_exits_3_as_plan_does(self, runner, tmp_path, spec, plan_args):
+        scene = scene_file(tmp_path, {"gap_mm": 20.0, "left": spec, "object": _CIRCLE})
+        from_scene = runner.invoke(main, ["grasp", "--scene", scene])
+        from_plan = runner.invoke(main, ["plan", *plan_args])
+        assert from_scene.exit_code == from_plan.exit_code == 3
+        assert from_scene.output == from_plan.output
+        err = json.loads(from_scene.output)["error"]
+        assert err["code"] == "unreachable"
+        assert len(err["attainable_deg"]) == 2
+
     def test_bad_scene_exits_2(self, runner, tmp_path):
         scene = scene_file(tmp_path, {"gap_mm": -1.0, "object": {"type": "circle", "radius_mm": 1.0}})
         result = runner.invoke(main, ["grasp", "--scene", scene])
@@ -245,7 +261,8 @@ class TestUnknownKeys:
         ({"fingertip": {"l_ab": 5.0}}, "fingertip.l_ab"),
         ({"sweep": {"count": 3, "stop_deg": 0.0}}, "sweep.stop_deg"),
         ({"output": {"fmt": "json"}}, "output.fmt"),
-    ], ids=["config-root", "fingertip", "sweep", "output"])
+        ({"output": {"format": "json"}}, "output.format"),
+    ], ids=["config-root", "fingertip", "sweep", "output", "output-format"])
     def test_config_key_exits_2(self, runner, tmp_path, config, field):
         result = runner.invoke(main, ["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
         assert result.exit_code == 2
@@ -257,7 +274,11 @@ class TestUnknownKeys:
         ({"gap_mm": 20.0, "left": {"primitive": "concave", "degree": 8.0}, "object": _CIRCLE},
          "left.degree"),
         ({"gap_mm": 20.0, "object": {**_CIRCLE, "radius": 10.0}}, "object.radius"),
-    ], ids=["scene-root", "profile-spec", "object"])
+        ({"gap_mm": 20.0, "left": {"primitive": "flat", "degree_deg": 5.0}, "object": _CIRCLE},
+         "left.degree_deg"),
+        ({"gap_mm": 20.0, "left": {"polyline_mm": [[0.0, 0.0], [1.0, 0.0]], "primitive": "flat"},
+          "object": _CIRCLE}, "left.primitive"),
+    ], ids=["scene-root", "profile-spec", "object", "flat-degree", "polyline-primitive"])
     def test_scene_key_exits_2(self, runner, tmp_path, scene, field):
         result = runner.invoke(main, ["grasp", "--scene", scene_file(tmp_path, scene)])
         assert result.exit_code == 2
@@ -274,7 +295,10 @@ class TestWrongTypes:
         ({"fingertip": {"l_oc_mm": "15"}}, "config field 'fingertip.l_oc_mm' must be a number"),
         ({"sweep": {"count": 2.5}}, "config field 'sweep.count' must be an integer"),
         ({"output": {"path": 1}}, "config field 'output.path' must be a string or null"),
-    ], ids=["oa_mm", "l_oc_mm", "count", "path"])
+        ({"fingertip": {"l_oc_mm": math.nan}},
+         "config field 'fingertip.l_oc_mm' must be a finite number"),
+        ({"sweep": {"start_deg": math.inf}}, "config field 'sweep.start_deg' must be a finite number"),
+    ], ids=["oa_mm", "l_oc_mm", "count", "path", "l_oc_mm-nan", "start_deg-inf"])
     def test_config_value_exits_2(self, runner, tmp_path, config, message):
         result = runner.invoke(main, ["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
         assert result.exit_code == 2
@@ -291,7 +315,11 @@ class TestWrongTypes:
          "scene field 'object.type' must be 'circle' or 'polygon'"),
         ({"gap_mm": 20.0, "object": {**_CIRCLE, "center_mm": [10.0]}},
          "scene field 'object.center_mm' must be a pair of numbers [x, y]"),
-    ], ids=["object", "polyline_mm", "degree_deg", "gap_mm", "type", "center_mm"])
+        ({"gap_mm": 20.0, "left": {"primitive": "convex", "degree_deg": 5.0}, "object": _CIRCLE},
+         "scene field 'left.degree_deg' must be a negative angle in degrees for convex"),
+        ({"gap_mm": math.nan, "object": _CIRCLE}, "scene field 'gap_mm' must be a finite number"),
+    ], ids=["object", "polyline_mm", "degree_deg", "gap_mm", "type", "center_mm",
+            "degree_deg-sign", "gap_mm-nan"])
     def test_scene_value_exits_2(self, runner, tmp_path, scene, message):
         result = runner.invoke(main, ["grasp", "--scene", scene_file(tmp_path, scene)])
         assert result.exit_code == 2
@@ -357,6 +385,34 @@ class TestPlan:
     def test_missing_degree_exits_2(self, runner):
         result = runner.invoke(main, ["plan", "--primitive", "concave"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["--primitive", "convex", "--degree", "5"],
+         "--degree must be a negative angle in degrees for convex"),
+        (["--primitive", "concave", "--degree", "-5"],
+         "--degree must be a positive angle in degrees for concave"),
+        (["--primitive", "tilted-planar", "--tilt-x", "nan"], "--tilt-x/--tilt-y must be finite"),
+    ], ids=["convex-sign", "concave-sign", "tilt-nan"])
+    def test_bad_primitive_value_names_the_option(self, runner, args, message):
+        result = runner.invoke(main, ["plan", *args])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"] == {"code": "config", "message": message}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("name", [None, *main.commands], ids=lambda n: n or "morphtip")
+    def test_help_lists_every_option(self, runner, name):
+        command = main if name is None else main.commands[name]
+        out = run_ok(runner, ([] if name is None else [name]) + ["--help"])
+        options = [p for p in command.params if isinstance(p, click.Option)]
+        for option in options:
+            assert option.help, option.opts
+            for opt in option.opts:
+                assert opt in out, opt
+        assert "--help" in out
+        if name is None:
+            for sub in main.commands:
+                assert sub in out
 
 
 class TestDeterminism:
