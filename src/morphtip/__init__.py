@@ -58,7 +58,6 @@ from .grasp import (
 )
 from .linkage import (
     LinkageParams,
-    SliderPolar,
     attainable_facet_range,
     attainable_tilt_range,
     forward_facet,
@@ -92,7 +91,6 @@ __all__ = [
     "ObjectXSection",
     "OutOfRange",
     "Penetration",
-    "SliderPolar",
     "TiltedPlanar",
     "Unreachable",
     "Unsupported",

@@ -93,8 +93,8 @@ class RunConfig:
 
 
 _CONFIG_SECTIONS = {
-    "fingertip": ("l_oc_mm", "l_ab_mm", "alpha0_deg", "oa_mm", "theta_min_deg",
-                  "theta_max_deg", "facet_len_mm", "spring_k", "rod_len_mm", "step_deg"),
+    "fingertip": ("l_oc_mm", "l_ab_mm", "alpha0_deg", "oa_x_mm", "theta_min_deg",
+                  "theta_max_deg", "facet_len_mm", "rod_len_mm"),
     "sweep": ("start_deg", "step_deg", "count"),
     "output": ("path",),
 }
@@ -130,7 +130,8 @@ def _is_number(value) -> bool:
 
 
 def _is_pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+    return (isinstance(value, list) and len(value) == 2
+            and all(_is_number(v) and math.isfinite(v) for v in value))
 
 
 def _number(d: dict, key: str, path: str, default=_REQUIRED, what: str = "config") -> float:
@@ -180,10 +181,6 @@ def load_config(path: str | None) -> RunConfig:
     out_path = o.get("path")
     if not (out_path is None or isinstance(out_path, str)):
         raise ConfigError("config field 'output.path' must be a string or null")
-    oa = f.get("oa_mm", [10.0, None])
-    if not (isinstance(oa, list) and len(oa) == 2 and _is_number(oa[0])
-            and (oa[1] is None or _is_number(oa[1]))):
-        raise ConfigError("config field 'fingertip.oa_mm' must be [x, y] numbers, y may be null")
     count = s.get("count", 13)
     try:
         if not (_is_number(count) and float(count).is_integer()):
@@ -192,17 +189,14 @@ def load_config(path: str | None) -> RunConfig:
             l_oc=_number(f, "l_oc_mm", "fingertip", 15.0),
             l_ab=_number(f, "l_ab_mm", "fingertip", 20.0),
             alpha0=math.radians(_number(f, "alpha0_deg", "fingertip", 30.0)),
-            oa_x=float(oa[0]),
-            oa_y=None if oa[1] is None else float(oa[1]),
+            oa_x=_number(f, "oa_x_mm", "fingertip", 10.0),
             theta_min=math.radians(_number(f, "theta_min_deg", "fingertip", -36.0)),
             theta_max=math.radians(_number(f, "theta_max_deg", "fingertip", 36.0)),
         )
         tip = ft.FingertipConfig(
             linkage=params,
             facet_len=_number(f, "facet_len_mm", "fingertip", 17.5),
-            spring_k=_number(f, "spring_k", "fingertip", 10.0),
             rod_len=_number(f, "rod_len_mm", "fingertip", 100.0),
-            step_deg=_number(f, "step_deg", "fingertip", 3.0),
         )
         sweep = SweepSpec(
             start_deg=_number(s, "start_deg", "sweep", 15.0),
@@ -249,7 +243,10 @@ def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> np.ndarray:
         raise ConfigError(f"scene field {side!r} must be a string or object")
     if "polyline_mm" in spec:
         _fields(spec, side, ("polyline_mm",), "scene")
-        return _points(spec["polyline_mm"], f"{side}.polyline_mm", 2)
+        points = _points(spec["polyline_mm"], f"{side}.polyline_mm", 2)
+        if not gr._polyline_is_simple(points):
+            raise ConfigError(f"scene field '{side}.polyline_mm' must not self-intersect")
+        return points
     kind = spec.get("primitive", "flat")
     if kind not in _PRIMITIVES:
         raise ConfigError(f"scene field '{side}.primitive' must be one of {', '.join(_PRIMITIVES)}")

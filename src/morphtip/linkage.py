@@ -23,15 +23,12 @@ objects are frozen, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 from .errors import InvalidParams, OutOfRange, Unreachable
 
 # Margin kept from a jam endpoint when clipping the operating range (rad).
 JAM_MARGIN = 1e-9
-# Tolerance on the derived flat-neutral servo mount height (mm).
-_NEUTRAL_TOL = 1e-9
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -43,23 +40,23 @@ def _require_finite(name: str, value: float) -> None:
 class LinkageParams:
     """Geometry of one slider-crank half-plane.
 
-    ``oa_y`` may be omitted (None); it is then derived from the
-    flat-neutral condition ``oa_y = -l_ab * cos(alpha0)``, which makes the
-    facet exactly horizontal at theta = 0.  An explicit value must satisfy
-    the same condition to within 1e-9 mm.
+    The servo mount height ``oa_y`` is not a parameter: it is derived from
+    the flat-neutral condition ``oa_y = -l_ab * cos(alpha0)``, which makes
+    the facet exactly horizontal at theta = 0.
 
     ``theta_min``/``theta_max`` bound the commanded servo stroke; the
     usable interval is additionally clipped by the jam limit, see
-    :func:`operating_range`.
+    :func:`operating_range`.  A stroke that lies entirely in the jam zone
+    is rejected here.
     """
 
     l_oc: float = 15.0
     l_ab: float = 20.0
     alpha0: float = math.radians(30.0)
     oa_x: float = 10.0
-    oa_y: float | None = None
     theta_min: float = math.radians(-36.0)
     theta_max: float = math.radians(36.0)
+    oa_y: float = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("l_oc", "l_ab", "alpha0", "oa_x", "theta_min", "theta_max"):
@@ -70,28 +67,13 @@ class LinkageParams:
             raise InvalidParams("alpha0 must lie strictly between 0 and pi/2")
         if self.theta_min >= self.theta_max:
             raise InvalidParams("theta_min must be below theta_max")
-        flat_y = -self.l_ab * math.cos(self.alpha0)
-        if self.oa_y is None:
-            object.__setattr__(self, "oa_y", flat_y)
-        else:
-            _require_finite("oa_y", self.oa_y)
-            if abs(self.oa_y - flat_y) > _NEUTRAL_TOL * max(1.0, self.l_ab):
-                raise InvalidParams(
-                    "servo mount height breaks the flat-neutral condition: "
-                    f"oa_y={self.oa_y!r}, required {flat_y!r}"
-                )
+        object.__setattr__(self, "oa_y", -self.l_ab * math.cos(self.alpha0))
         if self.oa_x + self.l_ab * math.sin(self.alpha0) - self.l_oc <= 0:
             raise InvalidParams(
                 "slider must sit outward of the hinge at neutral: "
                 "oa_x + l_ab*sin(alpha0) must exceed l_oc"
             )
-
-
-class SliderPolar(NamedTuple):
-    """Polar coordinates of the slider pivot as seen from the ball joint."""
-
-    angle: float
-    radius: float
+        operating_range(self)
 
 
 def slider_point(params: LinkageParams, theta: float) -> tuple[float, float]:
@@ -175,7 +157,7 @@ def _ray_command(params: LinkageParams, angle: float, origin: float,
     - oa_y*cos(angle)``; the closed form picks the branch that puts the
     slider on the ray rather than on its backward extension.
     """
-    if angle == 0.0 and params.oa_y == -params.l_ab * math.cos(params.alpha0):
+    if angle == 0.0:
         # Flat-neutral construction puts the slider on the horizontal at theta = 0.
         return 0.0 if lo <= 0.0 <= hi else None
     s, c = math.sin(angle), math.cos(angle)
@@ -219,8 +201,8 @@ def inverse_facet(params: LinkageParams, phi: float) -> float:
     return theta
 
 
-def planar_condition_angle(params: LinkageParams, theta: float) -> SliderPolar:
-    """Polar angle (and dependent radius) of the slider about the ball joint.
+def planar_condition_angle(params: LinkageParams, theta: float) -> float:
+    """Polar angle of the slider about the ball joint.
 
     The tilted-plane condition for an opposing pair is stated on this
     angle: the surface is a straight line exactly when the two slider rays
@@ -231,7 +213,7 @@ def planar_condition_angle(params: LinkageParams, theta: float) -> SliderPolar:
         raise OutOfRange(
             f"slider behind the ball joint (x = {bx:.6g} mm) at theta={theta:.6f} rad"
         )
-    return SliderPolar(math.atan2(by, bx), math.hypot(bx, by))
+    return math.atan2(by, bx)
 
 
 def _solve_slider_angle(params: LinkageParams, psi: float, lo: float, hi: float) -> float:
@@ -250,8 +232,8 @@ def _solve_slider_angle(params: LinkageParams, psi: float, lo: float, hi: float)
 def attainable_tilt_range(params: LinkageParams) -> tuple[float, float]:
     """Symmetric tilt interval solvable by an opposing pair."""
     lo, hi = operating_range(params)
-    up = planar_condition_angle(params, hi).angle
-    down = planar_condition_angle(params, lo).angle
+    up = planar_condition_angle(params, hi)
+    down = planar_condition_angle(params, lo)
     t = min(up, -down)
     return -t, t
 

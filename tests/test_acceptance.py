@@ -100,7 +100,7 @@ def test_criterion_3_planar_collinearity():
         assert residual < 1e-9
         if abs(tilt) > 1e-12:
             assert tp * tn < 0, "pair must have opposite signs for nonzero tilt"
-        assert planar_condition_angle(params, tp).angle == pytest.approx(
+        assert planar_condition_angle(params, tp) == pytest.approx(
             float(tilt), abs=1e-9
         )
     _report(3, f"planar collinearity (worst residual {worst:.2e})")

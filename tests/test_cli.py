@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from morphtip import FingertipConfig, forward_facet, inverse_facet, slider_point
-from morphtip.cli import main
+from morphtip.cli import _CONFIG_SECTIONS, main
 
 CFG = FingertipConfig()
 
@@ -113,7 +113,7 @@ class TestSweep:
     def test_config_file_overrides(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
-            "fingertip": {"oa_mm": [12.0, None]},
+            "fingertip": {"oa_x_mm": 12.0},
             "sweep": {"start_deg": 18.0, "step_deg": -3.0, "count": 13},
         }))
         out = run_ok(runner, ["sweep", "--config", str(cfg_path)])
@@ -262,7 +262,11 @@ class TestUnknownKeys:
         ({"sweep": {"count": 3, "stop_deg": 0.0}}, "sweep.stop_deg"),
         ({"output": {"fmt": "json"}}, "output.fmt"),
         ({"output": {"format": "json"}}, "output.format"),
-    ], ids=["config-root", "fingertip", "sweep", "output", "output-format"])
+        ({"fingertip": {"oa_mm": [10.0, None]}}, "fingertip.oa_mm"),
+        ({"fingertip": {"spring_k": 10.0}}, "fingertip.spring_k"),
+        ({"fingertip": {"step_deg": 3.0}}, "fingertip.step_deg"),
+    ], ids=["config-root", "fingertip", "sweep", "output", "output-format",
+            "oa_mm", "spring_k", "step_deg"])
     def test_config_key_exits_2(self, runner, tmp_path, config, field):
         result = runner.invoke(main, ["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
         assert result.exit_code == 2
@@ -290,8 +294,8 @@ class TestWrongTypes:
     """A value of the wrong JSON type exits 2 naming its field."""
 
     @pytest.mark.parametrize("config, message", [
-        ({"fingertip": {"oa_mm": 5}},
-         "config field 'fingertip.oa_mm' must be [x, y] numbers, y may be null"),
+        ({"fingertip": {"oa_x_mm": [10.0, None]}},
+         "config field 'fingertip.oa_x_mm' must be a number"),
         ({"fingertip": {"l_oc_mm": "15"}}, "config field 'fingertip.l_oc_mm' must be a number"),
         ({"sweep": {"count": 2.5}}, "config field 'sweep.count' must be an integer"),
         ({"output": {"path": 1}}, "config field 'output.path' must be a string or null"),
@@ -318,12 +322,91 @@ class TestWrongTypes:
         ({"gap_mm": 20.0, "left": {"primitive": "convex", "degree_deg": 5.0}, "object": _CIRCLE},
          "scene field 'left.degree_deg' must be a negative angle in degrees for convex"),
         ({"gap_mm": math.nan, "object": _CIRCLE}, "scene field 'gap_mm' must be a finite number"),
+        ({"gap_mm": 20.0, "object": {**_CIRCLE, "center_mm": [math.nan, 0.0]}},
+         "scene field 'object.center_mm' must be a pair of numbers [x, y]"),
+        ({"gap_mm": 20.0, "left": {"primitive": "tilted-planar", "tilt_deg": [math.inf, 0.0]},
+          "object": _CIRCLE},
+         "scene field 'left.tilt_deg' must be a pair of numbers [x, y]"),
+        ({"gap_mm": 20.0, "left": {"polyline_mm": [[0.0, 0.0], [math.nan, 1.0]]},
+          "object": _CIRCLE},
+         "scene field 'left.polyline_mm' must be a list of at least 2 [x, y] points"),
+        ({"gap_mm": 20.0, "object": {"type": "polygon",
+                                     "vertices_mm": [[0.0, 0.0], [1.0, 0.0], [0.0, -math.inf]]}},
+         "scene field 'object.vertices_mm' must be a list of at least 3 [x, y] points"),
+        ({"gap_mm": 20.0, "left": {"polyline_mm": [[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]},
+          "object": _CIRCLE},
+         "scene field 'left.polyline_mm' must not self-intersect"),
     ], ids=["object", "polyline_mm", "degree_deg", "gap_mm", "type", "center_mm",
-            "degree_deg-sign", "gap_mm-nan"])
+            "degree_deg-sign", "gap_mm-nan", "center_mm-nan", "tilt_deg-inf",
+            "polyline_mm-nan", "vertices_mm-inf", "polyline_mm-crossing"])
     def test_scene_value_exits_2(self, runner, tmp_path, scene, message):
         result = runner.invoke(main, ["grasp", "--scene", scene_file(tmp_path, scene)])
         assert result.exit_code == 2
         assert json.loads(result.output)["error"] == {"code": "config", "message": message}
+
+
+class TestJamOnlyStroke:
+    """A servo stroke wholly past the jam limit is a config error for every command."""
+
+    @pytest.mark.parametrize("args", [
+        ["fk", "--theta", "0"],
+        ["ik", "--phi", "0"],
+        ["plan", "--primitive", "concave", "--degree", "8"],
+        ["sweep"],
+        ["trace-pointer"],
+        ["grasp", "--scene", "scene.json"],
+    ], ids=lambda args: args[0])
+    def test_exits_2(self, runner, tmp_path, monkeypatch, args):
+        # The default geometry jams just above +15.5 deg.
+        cfg = scene_file(tmp_path, {"fingertip": {"theta_min_deg": 30.0, "theta_max_deg": 35.0}},
+                         "cfg.json")
+        scene_file(tmp_path, {"gap_mm": 20.0, "left": "concave", "object": _CIRCLE})
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, [*args, "--config", cfg])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"] == {
+            "code": "config",
+            "message": "invalid config: commanded servo stroke lies entirely in the jam zone",
+        }
+
+
+# One valid non-default value per config field, and a command whose output it changes.
+_FIELD_EFFECTS = {
+    ("fingertip", "l_oc_mm"): (14.0, ["fk", "--theta", "5"]),
+    ("fingertip", "l_ab_mm"): (21.0, ["fk", "--theta", "5"]),
+    ("fingertip", "alpha0_deg"): (32.0, ["fk", "--theta", "5"]),
+    ("fingertip", "oa_x_mm"): (11.0, ["fk", "--theta", "5"]),
+    ("fingertip", "theta_min_deg"): (-20.0, ["ik", "--phi", "-80"]),
+    ("fingertip", "theta_max_deg"): (10.0, ["ik", "--phi", "95"]),
+    ("fingertip", "facet_len_mm"): (20.0, ["plan", "--primitive", "concave", "--degree", "8"]),
+    ("fingertip", "rod_len_mm"): (90.0, ["trace-pointer"]),
+    ("sweep", "start_deg"): (12.0, ["sweep"]),
+    ("sweep", "step_deg"): (-2.0, ["sweep"]),
+    ("sweep", "count"): (5, ["sweep"]),
+    ("output", "path"): ("out.csv", ["sweep"]),
+}
+
+
+class TestNoDeadConfigField:
+    def test_every_field_changes_some_output(self, runner, tmp_path, monkeypatch):
+        fields = {(section, name) for section, names in _CONFIG_SECTIONS.items() for name in names}
+        assert fields == set(_FIELD_EFFECTS)
+        monkeypatch.chdir(tmp_path)
+        written = Path("out.csv")
+
+        def run(args):
+            result = runner.invoke(main, args)
+            text = written.read_text() if written.exists() else None
+            written.unlink(missing_ok=True)
+            return result.exit_code, result.output, text
+
+        for (section, name), (value, args) in _FIELD_EFFECTS.items():
+            cfg = scene_file(tmp_path, {section: {name: value}}, "cfg.json")
+            default = run(args)
+            changed = run([*args, "--config", cfg])
+            # A rejected value would change the output trivially.
+            assert changed[0] == default[0], (name, changed[1])
+            assert changed != default, name
 
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
