@@ -10,7 +10,8 @@ slider-crank linkages around a ball-jointed central terrace:
   tracing and quasi-static transitions;
 * :mod:`morphtip.grasp` - 2D cross-section analysis of two opposing
   fingertips: contacts, pivot pinch lines, form/force closure and the
-  passive-centering cradle landscape;
+  passive-centering cradle landscape (imported on first use of one of
+  its names, because importing it loads numpy);
 * :mod:`morphtip.cli` - the ``morphtip`` command with deterministic
   CSV/JSON output.
 """
@@ -41,21 +42,6 @@ from .fingertip import (
     terrace_equilibrium,
     transition_trajectory,
 )
-from .grasp import (
-    Circle,
-    Closure,
-    Contact,
-    ConvexPolygon,
-    GraspScene,
-    ObjectXSection,
-    closure_classify,
-    cradle_height,
-    find_contacts,
-    pivot_feasible,
-    place_left,
-    place_right,
-    scene_between,
-)
 from .linkage import (
     LinkageParams,
     attainable_facet_range,
@@ -70,6 +56,35 @@ from .linkage import (
 )
 
 __version__ = "0.1.0"
+
+# Names resolved by __getattr__ (PEP 562): importing grasp loads numpy,
+# which `import morphtip` and the linkage-only commands do without.
+_GRASP_EXPORTS = frozenset({
+    "Circle",
+    "Closure",
+    "Contact",
+    "ConvexPolygon",
+    "GraspScene",
+    "ObjectXSection",
+    "closure_classify",
+    "cradle_height",
+    "find_contacts",
+    "pivot_feasible",
+    "place_left",
+    "place_right",
+    "scene_between",
+})
+
+
+def __getattr__(name: str):
+    if name not in _GRASP_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import grasp
+
+    value = getattr(grasp, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
 
 __all__ = [
     "Circle",

@@ -7,6 +7,9 @@ so re-running a command on identical inputs is byte-identical.
 
 Exit codes: 0 success, 2 configuration or input parse error, 3 model or
 geometry error (jam, unreachable target, penetration).
+
+Only the grasp command loads :mod:`morphtip.grasp`, and numpy with it;
+every other command starts without numpy (see :func:`_grasp`).
 """
 
 from __future__ import annotations
@@ -15,14 +18,16 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
 from . import fingertip as ft
-from . import grasp as gr
 from . import linkage as lk
 from .errors import InvalidParams, MorphtipError, Penetration, Unreachable, Unsupported
+
+if TYPE_CHECKING:
+    from . import grasp as gr
 
 SWEEP_HEADER = "step,theta_deg,phi_deg,B_x_mm,B_y_mm"
 POINTER_HEADER = "index,psi_x_deg,psi_y_deg,x_mm,y_mm,z_mm"
@@ -51,10 +56,10 @@ def dumps(obj) -> str:
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fnum(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return fnum(obj)
     return json.dumps(obj)
 
 
@@ -129,9 +134,19 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """value is a JSON number that converts to a finite float.
+
+    An integer too large for a float is not one.
+    """
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_pair(value) -> bool:
-    return (isinstance(value, list) and len(value) == 2
-            and all(_is_number(v) and math.isfinite(v) for v in value))
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_finite, value))
 
 
 def _number(d: dict, key: str, path: str, default=_REQUIRED, what: str = "config") -> float:
@@ -148,10 +163,9 @@ def _number(d: dict, key: str, path: str, default=_REQUIRED, what: str = "config
         return default
     if not _is_number(d[key]):
         raise ConfigError(f"{what} field {name!r} must be a number")
-    value = float(d[key])
-    if not math.isfinite(value):
+    if not _is_finite(d[key]):
         raise ConfigError(f"{what} field {name!r} must be a finite number")
-    return value
+    return float(d[key])
 
 
 def _pair(value, name: str) -> tuple[float, float]:
@@ -161,11 +175,11 @@ def _pair(value, name: str) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
-def _points(value, name: str, least: int) -> np.ndarray:
-    """A scene's list of at least ``least`` [x, y] points, shape (n, 2)."""
+def _points(value, name: str, least: int) -> ft.Profile:
+    """A scene's list of at least ``least`` [x, y] points."""
     if not (isinstance(value, list) and len(value) >= least and all(map(_is_pair, value))):
         raise ConfigError(f"scene field {name!r} must be a list of at least {least} [x, y] points")
-    return np.array(value, dtype=float)
+    return tuple((float(x), float(y)) for x, y in value)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -183,7 +197,7 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError("config field 'output.path' must be a string or null")
     count = s.get("count", 13)
     try:
-        if not (_is_number(count) and float(count).is_integer()):
+        if not (_is_finite(count) and float(count).is_integer()):
             raise ConfigError("config field 'sweep.count' must be an integer")
         params = lk.LinkageParams(
             l_oc=_number(f, "l_oc_mm", "fingertip", 15.0),
@@ -208,8 +222,26 @@ def load_config(path: str | None) -> RunConfig:
     return RunConfig(tip=tip, sweep=sweep, out_path=out_path)
 
 
+def _finite(value: float | None, option: str) -> float | None:
+    """A float command option, which must be finite when it is given."""
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{option} must be finite")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # primitives and scenes
+
+def _grasp():
+    """The grasp module, imported on the first call.
+
+    grasp loads numpy, which only the scene path needs, so this module
+    imports it here rather than at the top.
+    """
+    from . import grasp
+
+    return grasp
+
 
 def _primitive(kind: str, degree_deg: float | None, tilt_deg: tuple[float, float],
                name: tuple[str, str]) -> ft.MorphPrimitive:
@@ -236,7 +268,7 @@ def _primitive(kind: str, degree_deg: float | None, tilt_deg: tuple[float, float
         raise ConfigError(f"{degree_name} must be a {sign} angle in degrees for {kind}") from exc
 
 
-def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> np.ndarray:
+def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> ft.Profile:
     if isinstance(spec, str):
         spec = {"primitive": spec}
     if not isinstance(spec, dict):
@@ -244,7 +276,7 @@ def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> np.ndarray:
     if "polyline_mm" in spec:
         _fields(spec, side, ("polyline_mm",), "scene")
         points = _points(spec["polyline_mm"], f"{side}.polyline_mm", 2)
-        if not gr._polyline_is_simple(points):
+        if not _grasp()._polyline_is_simple(points):
             raise ConfigError(f"scene field '{side}.polyline_mm' must not self-intersect")
         return points
     kind = spec.get("primitive", "flat")
@@ -256,11 +288,12 @@ def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> np.ndarray:
     tilt = _pair(spec.get("tilt_deg", [0.0, 0.0]), f"{side}.tilt_deg")
     prim = _primitive(kind, degree, tilt,
                       (f"scene field '{side}.degree_deg'", f"scene field '{side}.tilt_deg'"))
-    return ft.plan_primitive(tip, prim).profile_x
+    return ft.plan_primitive(tip, prim).profile_x_points
 
 
-def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, np.ndarray]:
+def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, ft.Profile]:
     """Parse a scene JSON file; also returns the left profile in its own frame."""
+    gr = _grasp()
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -344,7 +377,8 @@ _output_opt = click.option("--output", "output", default=None,
 def fk(config_path: str | None, theta_deg: float) -> None:
     """Facet angle and linkage points for a servo command."""
     cfg = load_config(config_path)
-    click.echo(dumps(_fk_record(cfg.tip.linkage, math.radians(theta_deg))))
+    theta = math.radians(_finite(theta_deg, "--theta"))
+    click.echo(dumps(_fk_record(cfg.tip.linkage, theta)))
 
 
 @main.command()
@@ -354,7 +388,7 @@ def fk(config_path: str | None, theta_deg: float) -> None:
 def ik(config_path: str | None, phi_deg: float) -> None:
     """Servo command that realizes a facet angle."""
     cfg = load_config(config_path)
-    theta = lk.inverse_facet(cfg.tip.linkage, math.radians(phi_deg))
+    theta = lk.inverse_facet(cfg.tip.linkage, math.radians(_finite(phi_deg, "--phi")))
     click.echo(dumps(_fk_record(cfg.tip.linkage, theta)))
 
 
@@ -379,8 +413,8 @@ def plan(config_path, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
         "theta_deg": [math.degrees(t) for t in state.thetas],
         "phi_deg": [math.degrees(p) for p in state.phis],
         "terrace_tilt_deg": [math.degrees(t) for t in state.terrace_tilt],
-        "profile_x_mm": [list(p) for p in state.profile_x],
-        "profile_y_mm": [list(p) for p in state.profile_y],
+        "profile_x_mm": state.profile_x_points,
+        "profile_y_mm": state.profile_y_points,
     }
     click.echo(dumps(record))
 
@@ -396,7 +430,8 @@ def plan(config_path, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
 def sweep(config_path, output, start_deg, step_deg, count) -> None:
     """Angular-stroke protocol: stepped servo sweep emitted as CSV."""
     cfg = load_config(config_path)
-    given = {"start_deg": start_deg, "step_deg": step_deg, "count": count}
+    given = {"start_deg": _finite(start_deg, "--start"), "step_deg": _finite(step_deg, "--step"),
+             "count": count}
     spec = replace(cfg.sweep, **{k: v for k, v in given.items() if v is not None})
     rows = [SWEEP_HEADER]
     phis = []
@@ -411,8 +446,8 @@ def sweep(config_path, output, start_deg, step_deg, count) -> None:
             str(i), fnum(rec["theta_deg"]), fnum(rec["phi_deg"]),
             fnum(rec["B"][0]), fnum(rec["B"][1]),
         ]))
-    diffs = np.diff(phis)
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+    diffs = [b - a for a, b in zip(phis, phis[1:])]
+    if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise ConfigError("sweep output is not strictly monotone in phi")
     _emit("\n".join(rows) + "\n", output if output is not None else cfg.out_path)
 
@@ -445,7 +480,7 @@ def trace_pointer(config_path, output, psi_max_deg, points_per_leg) -> None:
     cfg = load_config(config_path)
     if points_per_leg < 1:
         raise ConfigError("points-per-leg must be at least 1")
-    psi_max = math.radians(psi_max_deg)
+    psi_max = math.radians(_finite(psi_max_deg, "--psi-max"))
     if psi_max != 0.0:
         lo, hi = lk.attainable_tilt_range(cfg.tip.linkage)
         if not lo <= -abs(psi_max) <= abs(psi_max) <= hi:
@@ -472,6 +507,7 @@ def grasp(config_path, output, scene_path) -> None:
     """Contact, pivot, closure and cradle report for a two-finger scene."""
     cfg = load_config(config_path)
     scene, left_local = load_scene(scene_path, cfg.tip)
+    gr = _grasp()
     contacts = gr.find_contacts(scene)
     if contacts:
         closure = gr.closure_classify(contacts, scene.mu).value
@@ -499,17 +535,19 @@ def grasp(config_path, output, scene_path) -> None:
     _emit(dumps(record) + "\n", output)
 
 
-def _cradle_sign(profile_local: np.ndarray, radius: float, delta: float = 0.1) -> int | None:
+def _cradle_sign(profile_local: ft.Profile, radius: float, delta: float = 0.1) -> int | None:
     """Sign of the cradle-landscape curvature at the profile center.
 
     Only the profile passed in is used, and the grasp report passes the
     left one: with a right profile that differs from the left, the sign
     describes the left fingertip alone.
     """
+    height = _grasp().cradle_height
+    supports = [profile_local]
     try:
-        h0 = gr.cradle_height(profile_local, radius, 0.0)
-        curv = (gr.cradle_height(profile_local, radius, delta)
-                + gr.cradle_height(profile_local, radius, -delta) - 2.0 * h0)
+        h0 = height(supports, radius, 0.0)
+        curv = (height(supports, radius, delta)
+                + height(supports, radius, -delta) - 2.0 * h0)
     except Unsupported:
         return None
     if curv > 1e-9:

@@ -11,19 +11,34 @@ always recorded as the horizontal-terrace forward-kinematics readout; the
 small hinge displacement caused by terrace tilt is neglected, except that
 surface profiles hinge the facets on the tilted terrace so a planar pose
 draws as one straight line.
+
+No numpy is imported here until a call returns an array: the CLI's
+linkage-only commands start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Union
 
 from . import linkage
 from .errors import InvalidParams, OutOfRange
 from .linkage import LinkageParams
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# A cross-section polyline as (x, y) points; a fingertip plane has four.
+Profile = tuple[tuple[float, float], ...]
+
+
+def _np():
+    """numpy, imported on the first call that returns an array."""
+    import numpy
+
+    return numpy
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -114,15 +129,25 @@ class FingertipState:
     thetas / phis are ordered (+x, -x, +y, -y); phis are the
     horizontal-terrace forward-kinematics readouts of the thetas.
     terrace_tilt is (tilt driven by the x pair, tilt driven by the y pair).
-    profile_x / profile_y are the cross-section polylines of each plane,
-    four points ordered from the negative facet tip to the positive one.
+    profile_x_points / profile_y_points are the cross-section polylines of
+    each plane, stored as tuples of four (x, y) floats ordered from the
+    negative facet tip to the positive one.  profile_x / profile_y are the
+    same points as (4, 2) ndarrays, built on first access and cached.
     """
 
     thetas: tuple[float, float, float, float]
     phis: tuple[float, float, float, float]
     terrace_tilt: tuple[float, float]
-    profile_x: np.ndarray
-    profile_y: np.ndarray
+    profile_x_points: Profile
+    profile_y_points: Profile
+
+    @cached_property
+    def profile_x(self) -> np.ndarray:
+        return _np().array(self.profile_x_points)
+
+    @cached_property
+    def profile_y(self) -> np.ndarray:
+        return _np().array(self.profile_y_points)
 
 
 def terrace_equilibrium(
@@ -160,10 +185,11 @@ def surface_profile(
     straight line when the pair satisfies the tilted-plane condition.
     """
     pose = linkage.facet_pose  # raises OutOfRange on a jammed command
-    return _profile(cfg, pose(cfg.linkage, theta_pos), pose(cfg.linkage, theta_neg), psi)
+    points = _profile(cfg, pose(cfg.linkage, theta_pos), pose(cfg.linkage, theta_neg), psi)
+    return _np().array(points)
 
 
-def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> np.ndarray:
+def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> Profile:
     """surface_profile from the two facet poses ``(phi, bx, by)``."""
     if not math.isfinite(psi):
         raise InvalidParams("psi must be finite")
@@ -181,12 +207,12 @@ def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> np.nda
         return hx + f * gx / norm, hy + f * gy / norm
 
     # The mirrored half's slider is reflected into the common frame.
-    return np.array([tip(-cx, -cy, -neg[1], neg[2]), (-cx, -cy), (cx, cy),
-                     tip(cx, cy, pos[1], pos[2])])
+    return (tip(-cx, -cy, -neg[1], neg[2]), (-cx, -cy), (cx, cy),
+            tip(cx, cy, pos[1], pos[2]))
 
 
-def pointer_top(cfg: FingertipConfig, psi_x: float, psi_y: float) -> np.ndarray:
-    """Tip of the terrace-normal pointer rod, in 3D relative to the joint.
+def pointer_top(cfg: FingertipConfig, psi_x: float, psi_y: float) -> tuple[float, float, float]:
+    """Tip of the terrace-normal pointer rod, (x, y, z) relative to the joint.
 
     The terrace normal starts at +z and is rotated first about the x axis
     by psi_x, then about the y axis by psi_y (fixed composition order).
@@ -195,17 +221,12 @@ def pointer_top(cfg: FingertipConfig, psi_x: float, psi_y: float) -> np.ndarray:
         raise InvalidParams("tilt angles must be finite")
     if abs(psi_x) >= math.pi / 4 or abs(psi_y) >= math.pi / 4:
         raise InvalidParams("pointer tilts must stay below 45 degrees")
-    rx = np.array([
-        [1.0, 0.0, 0.0],
-        [0.0, math.cos(psi_x), -math.sin(psi_x)],
-        [0.0, math.sin(psi_x), math.cos(psi_x)],
-    ])
-    ry = np.array([
-        [math.cos(psi_y), 0.0, math.sin(psi_y)],
-        [0.0, 1.0, 0.0],
-        [-math.sin(psi_y), 0.0, math.cos(psi_y)],
-    ])
-    return ry @ rx @ np.array([0.0, 0.0, cfg.rod_len])
+    sx, cx = math.sin(psi_x), math.cos(psi_x)
+    sy, cy = math.sin(psi_y), math.cos(psi_y)
+    rod = cfg.rod_len
+    # Ry(psi_y) @ Rx(psi_x) @ (0, 0, rod), term for term as the matrix product
+    # rounds it; adding 0.0 turns the product's -0.0 into its +0.0.
+    return (sy * cx * rod + 0.0, 0.0 - sx * rod, cy * cx * rod)
 
 
 def _state(cfg: FingertipConfig, thetas: tuple[float, float, float, float],
@@ -221,8 +242,8 @@ def _state(cfg: FingertipConfig, thetas: tuple[float, float, float, float],
         thetas=thetas,
         phis=phis,  # type: ignore[arg-type]
         terrace_tilt=tilt,
-        profile_x=_profile(cfg, poses[0], poses[1], tilt[0]),
-        profile_y=_profile(cfg, poses[2], poses[3], tilt[1]),
+        profile_x_points=_profile(cfg, poses[0], poses[1], tilt[0]),
+        profile_y_points=_profile(cfg, poses[2], poses[3], tilt[1]),
     )
 
 
@@ -300,7 +321,7 @@ def pair_tilt_residuals(cfg: FingertipConfig, states: list[FingertipState]) -> n
     condition; mid-trajectory values are generally nonzero.
     """
     params = cfg.linkage
-    out = np.empty((len(states), 2))
+    out = _np().empty((len(states), 2))
     for i, st in enumerate(states):
         out[i, 0] = linkage.tilt_line_residual(params, st.thetas[0], st.thetas[1])
         out[i, 1] = linkage.tilt_line_residual(params, st.thetas[2], st.thetas[3])

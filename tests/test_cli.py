@@ -253,6 +253,8 @@ class TestGrasp:
 
 
 _CIRCLE = {"type": "circle", "radius_mm": 10.0}
+# A JSON integer with 401 digits: a number, but too large for a float.
+HUGE_INT = 10**400
 
 
 class TestUnknownKeys:
@@ -302,7 +304,11 @@ class TestWrongTypes:
         ({"fingertip": {"l_oc_mm": math.nan}},
          "config field 'fingertip.l_oc_mm' must be a finite number"),
         ({"sweep": {"start_deg": math.inf}}, "config field 'sweep.start_deg' must be a finite number"),
-    ], ids=["oa_mm", "l_oc_mm", "count", "path", "l_oc_mm-nan", "start_deg-inf"])
+        ({"fingertip": {"l_oc_mm": HUGE_INT}},
+         "config field 'fingertip.l_oc_mm' must be a finite number"),
+        ({"sweep": {"count": HUGE_INT}}, "config field 'sweep.count' must be an integer"),
+    ], ids=["oa_mm", "l_oc_mm", "count", "path", "l_oc_mm-nan", "start_deg-inf",
+            "l_oc_mm-huge", "count-huge"])
     def test_config_value_exits_2(self, runner, tmp_path, config, message):
         result = runner.invoke(main, ["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
         assert result.exit_code == 2
@@ -336,13 +342,36 @@ class TestWrongTypes:
         ({"gap_mm": 20.0, "left": {"polyline_mm": [[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]},
           "object": _CIRCLE},
          "scene field 'left.polyline_mm' must not self-intersect"),
+        ({"gap_mm": 20.0, "object": {**_CIRCLE, "center_mm": [HUGE_INT, 0.0]}},
+         "scene field 'object.center_mm' must be a pair of numbers [x, y]"),
+        ({"gap_mm": HUGE_INT, "object": _CIRCLE}, "scene field 'gap_mm' must be a finite number"),
     ], ids=["object", "polyline_mm", "degree_deg", "gap_mm", "type", "center_mm",
             "degree_deg-sign", "gap_mm-nan", "center_mm-nan", "tilt_deg-inf",
-            "polyline_mm-nan", "vertices_mm-inf", "polyline_mm-crossing"])
+            "polyline_mm-nan", "vertices_mm-inf", "polyline_mm-crossing",
+            "center_mm-huge", "gap_mm-huge"])
     def test_scene_value_exits_2(self, runner, tmp_path, scene, message):
         result = runner.invoke(main, ["grasp", "--scene", scene_file(tmp_path, scene)])
         assert result.exit_code == 2
         assert json.loads(result.output)["error"] == {"code": "config", "message": message}
+
+
+class TestNonFiniteOption:
+    """A NaN or infinite number option exits 2 naming the option."""
+
+    @pytest.mark.parametrize("args", [
+        ["fk", "--theta", "nan"],
+        ["fk", "--theta", "-inf"],
+        ["ik", "--phi", "inf"],
+        ["sweep", "--start", "nan"],
+        ["sweep", "--step", "inf"],
+        ["trace-pointer", "--psi-max", "nan"],
+        ["trace-pointer", "--psi-max", "inf"],
+    ], ids=" ".join)
+    def test_exits_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"] == {"code": "config",
+                                                      "message": f"{args[1]} must be finite"}
 
 
 class TestJamOnlyStroke:

@@ -1,6 +1,7 @@
 """Checks that need a fresh interpreter: what the CLI import loads, and the
 demos running end to end."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,15 +13,50 @@ import morphtip
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = json.loads((ROOT / "bench" / "golden" / "cli_cold.json").read_text())
+GRASP_COMMANDS = [cmd for cmd in GOLDEN["commands"] if cmd["args"][0] == "grasp"]
+NUMPY_FREE_COMMANDS = [cmd for cmd in GOLDEN["commands"] if cmd["args"][0] != "grasp"]
+
+# ``python -m morphtip ARGS`` that also writes, as the last stderr line,
+# which of numpy and morphtip.grasp the process loaded.
+CLI_PROBE = """
+import json, runpy, sys
+sys.argv = ["morphtip", *sys.argv[1:]]
+try:
+    runpy.run_module("morphtip", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(sorted({"numpy", "morphtip.grasp"} & set(sys.modules))), file=sys.stderr)
+"""
+
+EXPORTS_PROBE = """
+import morphtip
+import morphtip.grasp as gr
+missing = [name for name in morphtip.__all__ if getattr(morphtip, name, None) is None]
+assert not missing, missing
+assert morphtip.find_contacts is gr.find_contacts
+assert "find_contacts" in vars(morphtip)  # stored on first use
+from morphtip import *
+assert Circle is gr.Circle and closure_classify is gr.closure_classify
+assert not hasattr(morphtip, "no_such_name")
+"""
 
 
-def run_python(args: list[str]) -> subprocess.CompletedProcess:
+def run_python(args: list[str], cwd: Path = ROOT) -> subprocess.CompletedProcess:
     """Run the interpreter with the morphtip this suite imports on its path."""
     package_root = str(Path(morphtip.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_golden(cmd: dict, tmp_path: Path) -> list[str]:
+    """Run one golden command fresh; check its output and return what it loaded."""
+    for name, text in GOLDEN["files"].items():
+        (tmp_path / name).write_text(text)
+    proc = run_python(["-c", CLI_PROBE, *cmd["args"]], cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (cmd["exit"], cmd["stdout"]), proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 def test_cli_import_loads_no_scipy():
@@ -30,6 +66,32 @@ def test_cli_import_loads_no_scipy():
     )])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_golden_commands_split_into_eight_and_two():
+    assert len(NUMPY_FREE_COMMANDS) == 8
+    assert len(GRASP_COMMANDS) == 2
+
+
+@pytest.mark.parametrize("cmd", NUMPY_FREE_COMMANDS, ids=lambda cmd: cmd["id"])
+def test_command_without_a_scene_loads_no_numpy(tmp_path, cmd):
+    assert run_golden(cmd, tmp_path) == []
+
+
+@pytest.mark.parametrize("cmd", GRASP_COMMANDS, ids=lambda cmd: cmd["id"])
+def test_grasp_command_loads_grasp(tmp_path, cmd):
+    assert run_golden(cmd, tmp_path) == ["morphtip.grasp", "numpy"]
+
+
+def test_package_import_loads_no_numpy():
+    proc = run_python(["-c", "import morphtip, sys; print('numpy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_every_export_resolves():
+    proc = run_python(["-c", EXPORTS_PROBE])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_all_four_demos_are_found():

@@ -140,6 +140,54 @@ def assert_matches_enumeration(scene: GraspScene) -> None:
         assert np.max(np.abs(c.normal - normal)) <= 1e-12
 
 
+def lopsided_square_scene(phi_deg: float = 30.0, half_side: float = 20.0, mu: float = 0.0) -> GraspScene:
+    """A square seated on a concave left fingertip and pressed by a flat right one."""
+    phi = math.radians(phi_deg)
+    a = half_side
+    cx = a + (a - L_OC) * math.tan(phi)
+    sq = np.array([[cx - a, -a], [cx + a, -a], [cx + a, a], [cx - a, a]])
+    return scene_between(profile(Concave(phi)), profile(Flat()), cx + a, ConvexPolygon(sq), mu)
+
+
+def mirror_swapped(scene: GraspScene) -> GraspScene:
+    """The scene reflected about x = gap / 2, so the two fingertips trade sides."""
+
+    def flip(points: np.ndarray) -> np.ndarray:
+        return np.column_stack([scene.gap - points[:, 0], points[:, 1]])
+
+    obj = scene.obj
+    if isinstance(obj, Circle):
+        obj = Circle(obj.radius, (scene.gap - obj.center[0], obj.center[1]))
+    else:
+        obj = ConvexPolygon(flip(obj.vertices)[::-1])  # reversed: a reflection turns CCW to CW
+    return GraspScene(flip(scene.right_profile), flip(scene.left_profile), scene.gap, obj, scene.mu)
+
+
+def shifted(scene: GraspScene, dx: float) -> GraspScene:
+    """The scene with the object and both profiles moved by dx along the pinch line."""
+    move = np.array([dx, 0.0])
+    obj = scene.obj
+    if isinstance(obj, Circle):
+        obj = Circle(obj.radius, (obj.center[0] + dx, obj.center[1]))
+    else:
+        obj = ConvexPolygon(obj.vertices + move)
+    return GraspScene(scene.left_profile + move, scene.right_profile + move, scene.gap, obj,
+                      scene.mu)
+
+
+# Scene builders, by friction coefficient, whose closure class must not
+# depend on where the scene sits or on which side is called left.
+INVARIANCE_SCENES = {
+    "flat-pinch": lambda mu: flat_pinch_scene(mu=mu),
+    "flat-pinch-off-axis": lambda mu: flat_pinch_scene(mu=mu, c_y=4.0),
+    "concave-seat": lambda mu: concave_seat_scene(mu=mu),
+    "square-seat": lambda mu: square_seat_scene(mu=mu),
+    "square-seat-45deg": lambda mu: square_seat_scene(phi_deg=45.0, half_side=18.0, mu=mu),
+    "lopsided-square": lambda mu: lopsided_square_scene(mu=mu),
+}
+INVARIANCE_MUS = (0.0, 0.1, 0.3, 0.5, 1.0)
+
+
 def oracle_closed(contacts, mu: float) -> bool:
     return oracles.closed_by_wrench_sampling(
         [c.point for c in contacts], [c.normal for c in contacts], mu
@@ -444,6 +492,29 @@ class TestClosure:
     def test_empty_contacts_rejected(self):
         with pytest.raises(InvalidParams):
             closure_classify([], 0.0)
+
+    @pytest.mark.parametrize("name", INVARIANCE_SCENES)
+    def test_class_survives_a_mirror_swap(self, name):
+        for mu in INVARIANCE_MUS:
+            scene = INVARIANCE_SCENES[name](mu)
+            cts, swapped = find_contacts(scene), find_contacts(mirror_swapped(scene))
+            other = {"left": "right", "right": "left"}
+            assert sorted(other[c.side] for c in swapped) == sorted(c.side for c in cts)
+            assert closure_classify(swapped, mu) is closure_classify(cts, mu), mu
+
+    @pytest.mark.parametrize("name", INVARIANCE_SCENES)
+    @pytest.mark.parametrize("dx", [-40.0, 2.5, 150.0])
+    def test_class_survives_a_shift_along_the_pinch_line(self, name, dx):
+        for mu in INVARIANCE_MUS:
+            scene = INVARIANCE_SCENES[name](mu)
+            cts, moved = find_contacts(scene), find_contacts(shifted(scene, dx))
+            assert len(moved) == len(cts)
+            assert closure_classify(moved, mu) is closure_classify(cts, mu), mu
+
+    def test_invariance_scenes_cover_every_class(self):
+        classes = {closure_classify(find_contacts(make(mu)), mu)
+                   for make in INVARIANCE_SCENES.values() for mu in INVARIANCE_MUS}
+        assert classes == set(Closure)
 
 
 class TestPivot:
