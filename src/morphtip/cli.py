@@ -8,19 +8,22 @@ so re-running a command on identical inputs is byte-identical.
 Exit codes: 0 success, 2 configuration or input parse error, 3 model or
 geometry error (jam, unreachable target, penetration).
 
+The command line is read by :mod:`argparse` (see :func:`_parser`); a
+usage error exits 2 with its message on stderr and nothing on stdout.
 Only the grasp command loads :mod:`morphtip.grasp`, and numpy with it;
-every other command starts without numpy (see :func:`_grasp`).
+every other command starts on the standard library and morphtip's own
+modules alone (see :func:`_grasp`).
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
-
-import click
 
 from . import fingertip as ft
 from . import linkage as lk
@@ -65,7 +68,7 @@ def dumps(obj) -> str:
 
 def _emit(text: str, path: str | None) -> None:
     if path is None or path == "-":
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
@@ -327,26 +330,7 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, ft.Pr
 
 
 # ---------------------------------------------------------------------------
-# command plumbing
-
-class _Commands(click.Group):
-    """The command group: the one place known failures become an error
-    JSON line on stdout and an exit code."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except ConfigError as exc:
-            code, error = 2, {"code": "config", "message": str(exc)}
-        except MorphtipError as exc:
-            code, error = 3, {"code": type(exc).__name__.lower(), "message": str(exc)}
-            if isinstance(exc, Penetration) and exc.witness is not None:
-                error["witness_mm"] = list(exc.witness)
-            if isinstance(exc, Unreachable) and exc.attainable is not None:
-                error["attainable_deg"] = [math.degrees(v) for v in exc.attainable]
-        click.echo(dumps({"error": error}))
-        sys.exit(code)
-
+# commands
 
 def _fk_record(params: lk.LinkageParams, theta: float) -> dict:
     phi, bx, by = lk.facet_pose(params, theta)
@@ -359,49 +343,20 @@ def _fk_record(params: lk.LinkageParams, theta: float) -> dict:
     }
 
 
-@click.group(cls=_Commands)
-def main() -> None:
-    """Shape-morphing fingertip kinematics and grasp analysis."""
-
-
-_config_opt = click.option("--config", "config_path", default=None,
-                           type=click.Path(), help="JSON config file.")
-_output_opt = click.option("--output", "output", default=None,
-                           type=click.Path(), help="Write to file instead of stdout.")
-
-
-@main.command()
-@_config_opt
-@click.option("--theta", "theta_deg", type=float, required=True,
-              help="Servo command in degrees.")
 def fk(config_path: str | None, theta_deg: float) -> None:
     """Facet angle and linkage points for a servo command."""
     cfg = load_config(config_path)
     theta = math.radians(_finite(theta_deg, "--theta"))
-    click.echo(dumps(_fk_record(cfg.tip.linkage, theta)))
+    print(dumps(_fk_record(cfg.tip.linkage, theta)))
 
 
-@main.command()
-@_config_opt
-@click.option("--phi", "phi_deg", type=float, required=True,
-              help="Facet angle in degrees.")
 def ik(config_path: str | None, phi_deg: float) -> None:
     """Servo command that realizes a facet angle."""
     cfg = load_config(config_path)
     theta = lk.inverse_facet(cfg.tip.linkage, math.radians(_finite(phi_deg, "--phi")))
-    click.echo(dumps(_fk_record(cfg.tip.linkage, theta)))
+    print(dumps(_fk_record(cfg.tip.linkage, theta)))
 
 
-@main.command()
-@_config_opt
-@click.option("--primitive", type=click.Choice(_PRIMITIVES), required=True,
-              help="Morphing primitive to plan.")
-@click.option("--degree", "degree_deg", type=float, default=None,
-              help="Facet angle in degrees (concave/convex).")
-@click.option("--tilt-x", "tilt_x_deg", type=float, default=0.0,
-              help="Tilt driven by the x facet pair in degrees (tilted-planar).")
-@click.option("--tilt-y", "tilt_y_deg", type=float, default=0.0,
-              help="Tilt driven by the y facet pair in degrees (tilted-planar).")
 def plan(config_path, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
     """Plan servo commands for a morphing primitive."""
     cfg = load_config(config_path)
@@ -416,17 +371,9 @@ def plan(config_path, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
         "profile_x_mm": state.profile_x_points,
         "profile_y_mm": state.profile_y_points,
     }
-    click.echo(dumps(record))
+    print(dumps(record))
 
 
-@main.command()
-@_config_opt
-@_output_opt
-@click.option("--start", "start_deg", type=float, default=None,
-              help="First servo command in degrees.")
-@click.option("--step", "step_deg", type=float, default=None,
-              help="Servo increment per row in degrees.")
-@click.option("--count", type=int, default=None, help="Number of rows.")
 def sweep(config_path, output, start_deg, step_deg, count) -> None:
     """Angular-stroke protocol: stepped servo sweep emitted as CSV."""
     cfg = load_config(config_path)
@@ -468,13 +415,6 @@ def _pointer_poses(psi_max: float, points_per_leg: int) -> list[tuple[float, flo
     return poses
 
 
-@main.command("trace-pointer")
-@_config_opt
-@_output_opt
-@click.option("--psi-max", "psi_max_deg", type=float, default=5.0,
-              help="Tilt amplitude in degrees.")
-@click.option("--points-per-leg", type=int, default=4,
-              help="Samples per segment between the eight anchor poses.")
 def trace_pointer(config_path, output, psi_max_deg, points_per_leg) -> None:
     """Pointer-top trajectory over the tilt configuration square."""
     cfg = load_config(config_path)
@@ -498,11 +438,6 @@ def trace_pointer(config_path, output, psi_max_deg, points_per_leg) -> None:
     _emit("\n".join(rows) + "\n", output if output is not None else cfg.out_path)
 
 
-@main.command()
-@_config_opt
-@_output_opt
-@click.option("--scene", "scene_path", type=click.Path(), required=True,
-              help="Scene JSON file.")
 def grasp(config_path, output, scene_path) -> None:
     """Contact, pivot, closure and cradle report for a two-finger scene."""
     cfg = load_config(config_path)
@@ -543,11 +478,10 @@ def _cradle_sign(profile_local: ft.Profile, radius: float, delta: float = 0.1) -
     describes the left fingertip alone.
     """
     height = _grasp().cradle_height
-    supports = [profile_local]
     try:
-        h0 = height(supports, radius, 0.0)
-        curv = (height(supports, radius, delta)
-                + height(supports, radius, -delta) - 2.0 * h0)
+        h0 = height(profile_local, radius, 0.0)
+        curv = (height(profile_local, radius, delta)
+                + height(profile_local, radius, -delta) - 2.0 * h0)
     except Unsupported:
         return None
     if curv > 1e-9:
@@ -555,6 +489,117 @@ def _cradle_sign(profile_local: ft.Profile, radius: float, delta: float = 0.1) -
     if curv < -1e-9:
         return -1
     return 0
+
+
+# ---------------------------------------------------------------------------
+# command line
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line: one subcommand per command function above.
+
+    A subcommand is named after its function, with '-' for '_', and each
+    option's ``dest`` is the name of the function's parameter.  The
+    parser is built once per process: building it takes several times as
+    long as a command's own work.
+    """
+    parser = argparse.ArgumentParser(
+        prog="morphtip", description="Shape-morphing fingertip kinematics and grasp analysis.",
+        allow_abbrev=False, add_help=False)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(run, output: bool = False) -> argparse.ArgumentParser:
+        sub = commands.add_parser(run.__name__.replace("_", "-"), help=run.__doc__,
+                                  description=run.__doc__, allow_abbrev=False, add_help=False)
+        sub.set_defaults(run=run)
+        sub.add_argument("--config", dest="config_path", help="JSON config file.")
+        if output:
+            sub.add_argument("--output", help="Write to file instead of stdout.")
+        return sub
+
+    sub = command(fk)
+    sub.add_argument("--theta", dest="theta_deg", type=float, required=True,
+                     help="Servo command in degrees.")
+    sub = command(ik)
+    sub.add_argument("--phi", dest="phi_deg", type=float, required=True,
+                     help="Facet angle in degrees.")
+    sub = command(plan)
+    sub.add_argument("--primitive", choices=_PRIMITIVES, required=True,
+                     help="Morphing primitive to plan.")
+    sub.add_argument("--degree", dest="degree_deg", type=float, default=None,
+                     help="Facet angle in degrees (concave/convex).")
+    sub.add_argument("--tilt-x", dest="tilt_x_deg", type=float, default=0.0,
+                     help="Tilt driven by the x facet pair in degrees (tilted-planar).")
+    sub.add_argument("--tilt-y", dest="tilt_y_deg", type=float, default=0.0,
+                     help="Tilt driven by the y facet pair in degrees (tilted-planar).")
+    sub = command(sweep, output=True)
+    sub.add_argument("--start", dest="start_deg", type=float, default=None,
+                     help="First servo command in degrees.")
+    sub.add_argument("--step", dest="step_deg", type=float, default=None,
+                     help="Servo increment per row in degrees.")
+    sub.add_argument("--count", type=int, default=None, help="Number of rows.")
+    sub = command(trace_pointer, output=True)
+    sub.add_argument("--psi-max", dest="psi_max_deg", type=float, default=5.0,
+                     help="Tilt amplitude in degrees.")
+    sub.add_argument("--points-per-leg", type=int, default=4,
+                     help="Samples per segment between the eight anchor poses.")
+    sub = command(grasp, output=True)
+    sub.add_argument("--scene", dest="scene_path", required=True, help="Scene JSON file.")
+    for p in (parser, *commands.choices.values()):
+        p.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with each ``--option value`` pair written as ``--option=value``.
+
+    Every option but --help takes a value, and the token after it is that
+    value even when it starts with '-', such as ``--theta -inf`` or
+    ``--step -1e-3``; argparse alone would read those as unknown options.
+    After ``--`` every token is a positional argument, which no command
+    takes; a ``--`` with nothing after it is dropped.
+    """
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            rest = list(tokens)
+            out += [token, *rest] if rest else []
+        elif token.startswith("--") and "=" not in token and token != "--help":
+            value = next(tokens, None)
+            out.append(token if value is None else f"{token}={value}")
+        else:
+            out.append(token)
+    return out
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one command line (``sys.argv[1:]`` by default).
+
+    The one place known failures become an error JSON line on stdout and
+    an exit code; a usage error exits 2 through argparse, with nothing on
+    stdout.
+    """
+    args = vars(_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
+    run = args.pop("run")
+    try:
+        run(**args)
+    except ConfigError as exc:
+        code, error = 2, {"code": "config", "message": str(exc)}
+    except MorphtipError as exc:
+        code, error = 3, {"code": type(exc).__name__.lower(), "message": str(exc)}
+        if isinstance(exc, Penetration) and exc.witness is not None:
+            error["witness_mm"] = list(exc.witness)
+        if isinstance(exc, Unreachable) and exc.attainable is not None:
+            error["attainable_deg"] = [math.degrees(v) for v in exc.attainable]
+    else:
+        return
+    print(dumps({"error": error}))
+    sys.exit(code)
+
+
+# The in-process benchmark probe calls main.main(args=..., prog_name=..., standalone_mode=False).
+main.main = lambda args, **_: main(args)
 
 
 if __name__ == "__main__":

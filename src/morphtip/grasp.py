@@ -295,18 +295,21 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
 
 
 def cradle_height(
-    profiles: Union[np.ndarray, Sequence[np.ndarray]],
+    profiles: Union[np.ndarray, Sequence[Sequence[float]], Sequence[np.ndarray]],
     circle_radius: float,
     u: float,
 ) -> float:
     """Resting height of a circle dropped onto support profiles at offset u.
 
-    The profiles are treated as rigid supports in a y-up frame (a fingertip
-    cross-section from ``surface_profile`` is already in that frame);
-    gravity acts along -y and the circle's center is held at x = u.  The
-    returned value is the support function of the polyline(s): the lowest
-    non-penetrating center height.  h(u) sampled over u is the potential
-    landscape whose curvature decides passive centering.
+    ``profiles`` is one profile, as an (n, 2) array or a sequence of
+    (x, y) points such as ``FingertipState.profile_x_points``, or a
+    sequence of profiles.  The profiles are treated as rigid supports in
+    a y-up frame (a fingertip cross-section from ``surface_profile`` is
+    already in that frame); gravity acts along -y and the circle's center
+    is held at x = u.  The returned value is the support function of the
+    polyline(s): the lowest non-penetrating center height.  h(u) sampled
+    over u is the potential landscape whose curvature decides passive
+    centering.
 
     Raises Unsupported when nothing under x = u can carry the circle.
     """
@@ -316,6 +319,8 @@ def cradle_height(
         raise InvalidParams("u must be finite")
     if isinstance(profiles, np.ndarray):
         profile_list = [profiles]
+    elif len(profiles) > 0 and np.ndim(profiles[0]) == 1:  # one profile, as its points
+        profile_list = [np.asarray(profiles, dtype=float)]
     else:
         profile_list = [np.asarray(p, dtype=float) for p in profiles]
     best = -math.inf

@@ -11,10 +11,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import oracles
 import test_grasp as scenes
+from conftest import run_cli
 from morphtip import (
     Closure,
     Concave,
@@ -37,16 +37,14 @@ from morphtip import (
     terrace_equilibrium,
     tilt_line_residual,
 )
-from morphtip.cli import main
 
 _SUITE_T0 = time.perf_counter()
-_RUNNER = CliRunner()
 
 
 def _cli(args):
-    result = _RUNNER.invoke(main, args)
-    assert result.exit_code == 0, result.output
-    return result.output
+    code, out = run_cli(args)
+    assert code == 0, out
+    return out
 
 
 def _report(n, title):

@@ -1,28 +1,23 @@
+import argparse
 import json
 import math
 import re
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from morphtip import FingertipConfig, forward_facet, inverse_facet, slider_point
-from morphtip.cli import _CONFIG_SECTIONS, main
+from morphtip.cli import _CONFIG_SECTIONS, _parser
 
 CFG = FingertipConfig()
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def run_ok(runner, args):
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, result.output
-    return result.output
+def run_ok(args):
+    code, out = run_cli(args)
+    assert code == 0, out
+    return out
 
 
 def scene_file(tmp_path, payload, name="scene.json"):
@@ -32,19 +27,19 @@ def scene_file(tmp_path, payload, name="scene.json"):
 
 
 class TestFkIk:
-    def test_fk_neutral(self, runner):
-        rec = json.loads(run_ok(runner, ["fk", "--theta", "0"]))
+    def test_fk_neutral(self):
+        rec = json.loads(run_ok(["fk", "--theta", "0"]))
         assert rec["phi_deg"] == 0
         assert rec["B"] == [20, 0]
         assert rec["C"] == [15, 0]
         assert rec["CB"] == [5, 0]
 
-    def test_ik_neutral(self, runner):
-        rec = json.loads(run_ok(runner, ["ik", "--phi", "0"]))
+    def test_ik_neutral(self):
+        rec = json.loads(run_ok(["ik", "--phi", "0"]))
         assert rec["theta_deg"] == 0
 
-    def test_fk_matches_library(self, runner):
-        rec = json.loads(run_ok(runner, ["fk", "--theta", "9"]))
+    def test_fk_matches_library(self):
+        rec = json.loads(run_ok(["fk", "--theta", "9"]))
         theta = math.radians(9.0)
         phi = forward_facet(CFG.linkage, theta)
         bx, by = slider_point(CFG.linkage, theta)
@@ -53,29 +48,29 @@ class TestFkIk:
         assert rec["B"] == [fmt(bx), fmt(by)]
         assert rec["CB"] == [fmt(bx - 15.0), fmt(by)]
 
-    def test_ik_roundtrips_through_fk(self, runner):
-        fk_rec = json.loads(run_ok(runner, ["fk", "--theta", "9"]))
-        ik_rec = json.loads(run_ok(runner, ["ik", "--phi", str(fk_rec["phi_deg"])]))
+    def test_ik_roundtrips_through_fk(self):
+        fk_rec = json.loads(run_ok(["fk", "--theta", "9"]))
+        ik_rec = json.loads(run_ok(["ik", "--phi", str(fk_rec["phi_deg"])]))
         assert ik_rec["theta_deg"] == pytest.approx(9.0, abs=1e-6)
 
-    def test_fk_jam_exits_3(self, runner):
-        result = runner.invoke(main, ["fk", "--theta", "18"])
-        assert result.exit_code == 3
-        err = json.loads(result.output)["error"]
+    def test_fk_jam_exits_3(self):
+        code, out = run_cli(["fk", "--theta", "18"])
+        assert code == 3
+        err = json.loads(out)["error"]
         assert err["code"] == "outofrange"
 
-    def test_ik_unreachable_exits_3(self, runner):
-        result = runner.invoke(main, ["ik", "--phi", "120"])
-        assert result.exit_code == 3
-        err = json.loads(result.output)["error"]
+    def test_ik_unreachable_exits_3(self):
+        code, out = run_cli(["ik", "--phi", "120"])
+        assert code == 3
+        err = json.loads(out)["error"]
         assert err["code"] == "unreachable"
         lo, hi = err["attainable_deg"]
         assert lo < 0 < hi
 
 
 class TestSweep:
-    def test_default_13_rows(self, runner):
-        out = run_ok(runner, ["sweep"])
+    def test_default_13_rows(self):
+        out = run_ok(["sweep"])
         lines = out.strip().split("\n")
         assert lines[0] == "step,theta_deg,phi_deg,B_x_mm,B_y_mm"
         assert len(lines) == 14
@@ -88,57 +83,57 @@ class TestSweep:
         assert len(zero) == 1 and float(zero[0][2]) == 0.0
         assert phis[0] > 0 > phis[-1]
 
-    def test_two_row_sweep(self, runner):
-        out = run_ok(runner, ["sweep", "--start", "-3", "--step", "-3", "--count", "2"])
+    def test_two_row_sweep(self):
+        out = run_ok(["sweep", "--start", "-3", "--step", "-3", "--count", "2"])
         assert len(out.strip().split("\n")) == 3
 
-    def test_jam_reports_step_index(self, runner):
-        result = runner.invoke(main, ["sweep", "--start", "15", "--step", "3", "--count", "3"])
-        assert result.exit_code == 3
-        err = json.loads(result.output)["error"]
+    def test_jam_reports_step_index(self):
+        code, out = run_cli(["sweep", "--start", "15", "--step", "3", "--count", "3"])
+        assert code == 3
+        err = json.loads(out)["error"]
         assert "step 1" in err["message"]
 
-    def test_bad_count_exits_2(self, runner):
-        result = runner.invoke(main, ["sweep", "--count", "1"])
-        assert result.exit_code == 2
-        assert json.loads(result.output)["error"]["code"] == "config"
+    def test_bad_count_exits_2(self):
+        code, out = run_cli(["sweep", "--count", "1"])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "config"
 
-    def test_output_file(self, runner, tmp_path):
+    def test_output_file(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        run_ok(runner, ["sweep", "--output", str(path)])
+        run_ok(["sweep", "--output", str(path)])
         text = path.read_text()
         assert text.startswith("step,theta_deg")
         assert len(text.strip().split("\n")) == 14
 
-    def test_config_file_overrides(self, runner, tmp_path):
+    def test_config_file_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "fingertip": {"oa_x_mm": 12.0},
             "sweep": {"start_deg": 18.0, "step_deg": -3.0, "count": 13},
         }))
-        out = run_ok(runner, ["sweep", "--config", str(cfg_path)])
+        out = run_ok(["sweep", "--config", str(cfg_path)])
         lines = out.strip().split("\n")
         rows = [line.split(",") for line in lines[1:]]
         assert float(rows[0][1]) == 18.0 and float(rows[-1][1]) == -18.0
         phis = [float(r[2]) for r in rows]
         assert all(a > b for a, b in zip(phis, phis[1:]))
 
-    def test_broken_config_exits_2(self, runner, tmp_path):
+    def test_broken_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "broken.json"
         cfg_path.write_text("{not json")
-        result = runner.invoke(main, ["sweep", "--config", str(cfg_path)])
-        assert result.exit_code == 2
+        code, out = run_cli(["sweep", "--config", str(cfg_path)])
+        assert code == 2
 
-    def test_invalid_geometry_config_exits_2(self, runner, tmp_path):
+    def test_invalid_geometry_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "geom.json"
         cfg_path.write_text(json.dumps({"fingertip": {"l_oc_mm": -5.0}}))
-        result = runner.invoke(main, ["sweep", "--config", str(cfg_path)])
-        assert result.exit_code == 2
+        code, out = run_cli(["sweep", "--config", str(cfg_path)])
+        assert code == 2
 
 
 class TestTracePointer:
-    def test_zero_amplitude_stays_at_origin(self, runner):
-        out = run_ok(runner, ["trace-pointer", "--psi-max", "0", "--points-per-leg", "1"])
+    def test_zero_amplitude_stays_at_origin(self):
+        out = run_ok(["trace-pointer", "--psi-max", "0", "--points-per-leg", "1"])
         lines = out.strip().split("\n")
         assert lines[0] == "index,psi_x_deg,psi_y_deg,x_mm,y_mm,z_mm"
         for line in lines[1:]:
@@ -146,8 +141,8 @@ class TestTracePointer:
             assert float(x) == 0.0 and float(y) == 0.0
             assert float(z) == 100.0
 
-    def test_corners_at_5deg(self, runner):
-        out = run_ok(runner, ["trace-pointer", "--psi-max", "5", "--points-per-leg", "1"])
+    def test_corners_at_5deg(self):
+        out = run_ok(["trace-pointer", "--psi-max", "5", "--points-per-leg", "1"])
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         corner = math.radians(5.0)
         want_x = 100.0 * math.cos(corner) * math.sin(corner)
@@ -158,31 +153,31 @@ class TestTracePointer:
             assert abs(float(r[3])) == pytest.approx(want_x, abs=1e-7)
             assert abs(float(r[4])) == pytest.approx(want_y, abs=1e-7)
 
-    def test_loop_closes_byte_identically(self, runner):
-        out = run_ok(runner, ["trace-pointer", "--points-per-leg", "3"])
+    def test_loop_closes_byte_identically(self):
+        out = run_ok(["trace-pointer", "--points-per-leg", "3"])
         lines = out.strip().split("\n")
         first = lines[1].split(",", 1)[1]
         last = lines[-1].split(",", 1)[1]
         assert first == last
 
-    def test_unreachable_amplitude_exits_3(self, runner):
-        result = runner.invoke(main, ["trace-pointer", "--psi-max", "30"])
-        assert result.exit_code == 3
+    def test_unreachable_amplitude_exits_3(self):
+        code, out = run_cli(["trace-pointer", "--psi-max", "30"])
+        assert code == 3
 
 
 class TestGrasp:
-    def test_flat_pinch_report(self, runner, tmp_path):
+    def test_flat_pinch_report(self, tmp_path):
         scene = scene_file(tmp_path, {
             "gap_mm": 20.0, "mu": 0.0, "left": "flat",
             "object": {"type": "circle", "radius_mm": 10.0},
         })
-        rec = json.loads(run_ok(runner, ["grasp", "--scene", scene]))
+        rec = json.loads(run_ok(["grasp", "--scene", scene]))
         assert len(rec["contacts"]) == 2
         assert rec["pivot_feasible"] is True
         assert rec["closure_class"] == "none"
         assert rec["cradle_curvature_sign"] == 0
 
-    def test_concave_seat_report(self, runner, tmp_path):
+    def test_concave_seat_report(self, tmp_path):
         phi = math.radians(20.0)
         r = 88.0
         gap = 2.0 * (r - 15.0 * math.sin(phi)) / math.cos(phi)
@@ -191,33 +186,33 @@ class TestGrasp:
             "left": {"primitive": "concave", "degree_deg": 20.0},
             "object": {"type": "circle", "radius_mm": r},
         })
-        rec = json.loads(run_ok(runner, ["grasp", "--scene", scene]))
+        rec = json.loads(run_ok(["grasp", "--scene", scene]))
         assert len(rec["contacts"]) == 4
         assert rec["pivot_feasible"] is False
         assert rec["cradle_curvature_sign"] == 1
 
-    def test_empty_scene_all_false(self, runner, tmp_path):
+    def test_empty_scene_all_false(self, tmp_path):
         scene = scene_file(tmp_path, {
             "gap_mm": 60.0, "mu": 0.0, "left": "flat",
             "object": {"type": "circle", "radius_mm": 10.0},
         })
-        rec = json.loads(run_ok(runner, ["grasp", "--scene", scene]))
+        rec = json.loads(run_ok(["grasp", "--scene", scene]))
         assert rec["contacts"] == []
         assert rec["pivot_feasible"] is False
         assert rec["closure_class"] == "none"
 
-    def test_penetration_exits_3_with_witness(self, runner, tmp_path):
+    def test_penetration_exits_3_with_witness(self, tmp_path):
         scene = scene_file(tmp_path, {
             "gap_mm": 18.0, "mu": 0.0, "left": "flat",
             "object": {"type": "circle", "radius_mm": 10.0, "center_mm": [9.0, 0.0]},
         })
-        result = runner.invoke(main, ["grasp", "--scene", scene])
-        assert result.exit_code == 3
-        err = json.loads(result.output)["error"]
+        code, out = run_cli(["grasp", "--scene", scene])
+        assert code == 3
+        err = json.loads(out)["error"]
         assert err["code"] == "penetration"
         assert len(err["witness_mm"]) == 2
 
-    def test_polygon_scene(self, runner, tmp_path):
+    def test_polygon_scene(self, tmp_path):
         phi = math.radians(30.0)
         a = 20.0
         half_gap = a + (a - 15.0) * math.tan(phi)
@@ -227,7 +222,7 @@ class TestGrasp:
             "left": {"primitive": "concave", "degree_deg": 30.0},
             "object": {"type": "polygon", "vertices_mm": sq},
         })
-        rec = json.loads(run_ok(runner, ["grasp", "--scene", scene]))
+        rec = json.loads(run_ok(["grasp", "--scene", scene]))
         assert rec["closure_class"] == "form_closure"
         assert rec["cradle_curvature_sign"] is None
 
@@ -236,20 +231,20 @@ class TestGrasp:
         ({"primitive": "tilted-planar", "tilt_deg": [40.0, 0.0]},
          ["--primitive", "tilted-planar", "--tilt-x", "40", "--tilt-y", "0"]),
     ], ids=["concave", "tilted-planar"])
-    def test_unreachable_primitive_exits_3_as_plan_does(self, runner, tmp_path, spec, plan_args):
+    def test_unreachable_primitive_exits_3_as_plan_does(self, tmp_path, spec, plan_args):
         scene = scene_file(tmp_path, {"gap_mm": 20.0, "left": spec, "object": _CIRCLE})
-        from_scene = runner.invoke(main, ["grasp", "--scene", scene])
-        from_plan = runner.invoke(main, ["plan", *plan_args])
-        assert from_scene.exit_code == from_plan.exit_code == 3
-        assert from_scene.output == from_plan.output
-        err = json.loads(from_scene.output)["error"]
+        scene_code, scene_out = run_cli(["grasp", "--scene", scene])
+        plan_code, plan_out = run_cli(["plan", *plan_args])
+        assert scene_code == plan_code == 3
+        assert scene_out == plan_out
+        err = json.loads(scene_out)["error"]
         assert err["code"] == "unreachable"
         assert len(err["attainable_deg"]) == 2
 
-    def test_bad_scene_exits_2(self, runner, tmp_path):
+    def test_bad_scene_exits_2(self, tmp_path):
         scene = scene_file(tmp_path, {"gap_mm": -1.0, "object": {"type": "circle", "radius_mm": 1.0}})
-        result = runner.invoke(main, ["grasp", "--scene", scene])
-        assert result.exit_code == 2
+        code, out = run_cli(["grasp", "--scene", scene])
+        assert code == 2
 
 
 _CIRCLE = {"type": "circle", "radius_mm": 10.0}
@@ -269,10 +264,10 @@ class TestUnknownKeys:
         ({"fingertip": {"step_deg": 3.0}}, "fingertip.step_deg"),
     ], ids=["config-root", "fingertip", "sweep", "output", "output-format",
             "oa_mm", "spring_k", "step_deg"])
-    def test_config_key_exits_2(self, runner, tmp_path, config, field):
-        result = runner.invoke(main, ["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
-        assert result.exit_code == 2
-        err = json.loads(result.output)["error"]
+    def test_config_key_exits_2(self, tmp_path, config, field):
+        code, out = run_cli(["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
+        assert code == 2
+        err = json.loads(out)["error"]
         assert err == {"code": "config", "message": f"unknown config field {field!r}"}
 
     @pytest.mark.parametrize("scene, field", [
@@ -285,10 +280,10 @@ class TestUnknownKeys:
         ({"gap_mm": 20.0, "left": {"polyline_mm": [[0.0, 0.0], [1.0, 0.0]], "primitive": "flat"},
           "object": _CIRCLE}, "left.primitive"),
     ], ids=["scene-root", "profile-spec", "object", "flat-degree", "polyline-primitive"])
-    def test_scene_key_exits_2(self, runner, tmp_path, scene, field):
-        result = runner.invoke(main, ["grasp", "--scene", scene_file(tmp_path, scene)])
-        assert result.exit_code == 2
-        err = json.loads(result.output)["error"]
+    def test_scene_key_exits_2(self, tmp_path, scene, field):
+        code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
+        assert code == 2
+        err = json.loads(out)["error"]
         assert err == {"code": "config", "message": f"unknown scene field {field!r}"}
 
 
@@ -309,10 +304,10 @@ class TestWrongTypes:
         ({"sweep": {"count": HUGE_INT}}, "config field 'sweep.count' must be an integer"),
     ], ids=["oa_mm", "l_oc_mm", "count", "path", "l_oc_mm-nan", "start_deg-inf",
             "l_oc_mm-huge", "count-huge"])
-    def test_config_value_exits_2(self, runner, tmp_path, config, message):
-        result = runner.invoke(main, ["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
-        assert result.exit_code == 2
-        assert json.loads(result.output)["error"] == {"code": "config", "message": message}
+    def test_config_value_exits_2(self, tmp_path, config, message):
+        code, out = run_cli(["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "config", "message": message}
 
     @pytest.mark.parametrize("scene, message", [
         ({"gap_mm": 20.0, "object": "circle"}, "scene field 'object' must be a JSON object"),
@@ -349,10 +344,10 @@ class TestWrongTypes:
             "degree_deg-sign", "gap_mm-nan", "center_mm-nan", "tilt_deg-inf",
             "polyline_mm-nan", "vertices_mm-inf", "polyline_mm-crossing",
             "center_mm-huge", "gap_mm-huge"])
-    def test_scene_value_exits_2(self, runner, tmp_path, scene, message):
-        result = runner.invoke(main, ["grasp", "--scene", scene_file(tmp_path, scene)])
-        assert result.exit_code == 2
-        assert json.loads(result.output)["error"] == {"code": "config", "message": message}
+    def test_scene_value_exits_2(self, tmp_path, scene, message):
+        code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "config", "message": message}
 
 
 class TestNonFiniteOption:
@@ -367,10 +362,10 @@ class TestNonFiniteOption:
         ["trace-pointer", "--psi-max", "nan"],
         ["trace-pointer", "--psi-max", "inf"],
     ], ids=" ".join)
-    def test_exits_2(self, runner, args):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert json.loads(result.output)["error"] == {"code": "config",
+    def test_exits_2(self, args):
+        code, out = run_cli(args)
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "config",
                                                       "message": f"{args[1]} must be finite"}
 
 
@@ -385,15 +380,15 @@ class TestJamOnlyStroke:
         ["trace-pointer"],
         ["grasp", "--scene", "scene.json"],
     ], ids=lambda args: args[0])
-    def test_exits_2(self, runner, tmp_path, monkeypatch, args):
+    def test_exits_2(self, tmp_path, monkeypatch, args):
         # The default geometry jams just above +15.5 deg.
         cfg = scene_file(tmp_path, {"fingertip": {"theta_min_deg": 30.0, "theta_max_deg": 35.0}},
                          "cfg.json")
         scene_file(tmp_path, {"gap_mm": 20.0, "left": "concave", "object": _CIRCLE})
         monkeypatch.chdir(tmp_path)
-        result = runner.invoke(main, [*args, "--config", cfg])
-        assert result.exit_code == 2
-        assert json.loads(result.output)["error"] == {
+        code, out = run_cli([*args, "--config", cfg])
+        assert code == 2
+        assert json.loads(out)["error"] == {
             "code": "config",
             "message": "invalid config: commanded servo stroke lies entirely in the jam zone",
         }
@@ -417,17 +412,17 @@ _FIELD_EFFECTS = {
 
 
 class TestNoDeadConfigField:
-    def test_every_field_changes_some_output(self, runner, tmp_path, monkeypatch):
+    def test_every_field_changes_some_output(self, tmp_path, monkeypatch):
         fields = {(section, name) for section, names in _CONFIG_SECTIONS.items() for name in names}
         assert fields == set(_FIELD_EFFECTS)
         monkeypatch.chdir(tmp_path)
         written = Path("out.csv")
 
         def run(args):
-            result = runner.invoke(main, args)
+            code, out = run_cli(args)
             text = written.read_text() if written.exists() else None
             written.unlink(missing_ok=True)
-            return result.exit_code, result.output, text
+            return code, out, text
 
         for (section, name), (value, args) in _FIELD_EFFECTS.items():
             cfg = scene_file(tmp_path, {section: {name: value}}, "cfg.json")
@@ -454,36 +449,36 @@ def readme_cli_lines() -> list[list[str]]:
 
 
 class TestReadmeExamples:
-    def test_config_file_example_runs(self, runner, tmp_path):
+    def test_config_file_example_runs(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(readme_json("### Config file"))
-        run_ok(runner, ["fk", "--config", str(path), "--theta", "9"])
+        run_ok(["fk", "--config", str(path), "--theta", "9"])
 
-    def test_scene_file_example_seats_the_circle(self, runner, tmp_path):
+    def test_scene_file_example_seats_the_circle(self, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text(readme_json("### Scene file"))
-        rec = json.loads(run_ok(runner, ["grasp", "--scene", str(path)]))
+        rec = json.loads(run_ok(["grasp", "--scene", str(path)]))
         assert len(rec["contacts"]) == 4
 
     @pytest.mark.parametrize("args", readme_cli_lines(), ids=" ".join)
-    def test_cli_line_runs(self, runner, tmp_path, monkeypatch, args):
+    def test_cli_line_runs(self, tmp_path, monkeypatch, args):
         # Run where the README's own scene file is, and where sweep.csv may go.
         (tmp_path / "scene.json").write_text(readme_json("### Scene file"))
         monkeypatch.chdir(tmp_path)
-        run_ok(runner, args)
+        run_ok(args)
 
 
 class TestPlan:
-    def test_concave_plan(self, runner):
-        rec = json.loads(run_ok(runner, ["plan", "--primitive", "concave", "--degree", "8"]))
+    def test_concave_plan(self):
+        rec = json.loads(run_ok(["plan", "--primitive", "concave", "--degree", "8"]))
         assert len(set(rec["theta_deg"])) == 1
         assert rec["theta_deg"][0] > 0
         for phi in rec["phi_deg"]:
             assert phi == pytest.approx(8.0, abs=1e-6)
         assert rec["terrace_tilt_deg"] == [0, 0]
 
-    def test_tilted_planar_plan(self, runner):
-        rec = json.loads(run_ok(runner, [
+    def test_tilted_planar_plan(self):
+        rec = json.loads(run_ok([
             "plan", "--primitive", "tilted-planar", "--tilt-x", "5",
         ]))
         assert rec["theta_deg"][0] > 0 > rec["theta_deg"][1]
@@ -494,9 +489,9 @@ class TestPlan:
         rel = prof - prof[0]
         assert np.max(np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])) < 1e-6
 
-    def test_missing_degree_exits_2(self, runner):
-        result = runner.invoke(main, ["plan", "--primitive", "concave"])
-        assert result.exit_code == 2
+    def test_missing_degree_exits_2(self):
+        code, out = run_cli(["plan", "--primitive", "concave"])
+        assert code == 2
 
     @pytest.mark.parametrize("args, message", [
         (["--primitive", "convex", "--degree", "5"],
@@ -505,30 +500,75 @@ class TestPlan:
          "--degree must be a positive angle in degrees for concave"),
         (["--primitive", "tilted-planar", "--tilt-x", "nan"], "--tilt-x/--tilt-y must be finite"),
     ], ids=["convex-sign", "concave-sign", "tilt-nan"])
-    def test_bad_primitive_value_names_the_option(self, runner, args, message):
-        result = runner.invoke(main, ["plan", *args])
-        assert result.exit_code == 2
-        assert json.loads(result.output)["error"] == {"code": "config", "message": message}
+    def test_bad_primitive_value_names_the_option(self, args, message):
+        code, out = run_cli(["plan", *args])
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "config", "message": message}
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each command, by name."""
+    (action,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 class TestHelp:
-    @pytest.mark.parametrize("name", [None, *main.commands], ids=lambda n: n or "morphtip")
-    def test_help_lists_every_option(self, runner, name):
-        command = main if name is None else main.commands[name]
-        out = run_ok(runner, ([] if name is None else [name]) + ["--help"])
-        options = [p for p in command.params if isinstance(p, click.Option)]
+    @pytest.mark.parametrize("name", [None, *subcommands()], ids=lambda n: n or "morphtip")
+    def test_help_lists_every_option(self, name):
+        command = _parser() if name is None else subcommands()[name]
+        out = run_ok(([] if name is None else [name]) + ["--help"])
+        options = [a for a in command._actions if a.option_strings]
         for option in options:
-            assert option.help, option.opts
-            for opt in option.opts:
+            assert option.help, option.option_strings
+            for opt in option.option_strings:
                 assert opt in out, opt
         assert "--help" in out
         if name is None:
-            for sub in main.commands:
+            for sub in subcommands():
                 assert sub in out
 
 
+class TestUsage:
+    """How the command line itself is read, before any command runs."""
+
+    @pytest.mark.parametrize("args", [
+        [],
+        ["bogus"],
+        ["fk"],
+        ["fk", "--the", "9"],
+        ["fk", "--theta", "abc"],
+        ["fk", "--theta", "9", "extra"],
+        ["sweep", "--count", "2.5"],
+        ["plan", "--primitive", "bogus"],
+        ["fk", "--theta", "9", "-h"],
+        ["fk", "--", "--theta", "9"],
+        ["fk", "--theta"],
+    ], ids=lambda args: " ".join(args) or "no-command")
+    def test_error_exits_2_with_empty_stdout(self, args):
+        assert run_cli(args) == (2, "")
+
+    @pytest.mark.parametrize("args, theta_deg", [
+        (["fk", "--theta=9"], 9),
+        (["fk", "--theta", "9", "--theta", "10"], 10),
+        (["fk", "--theta", "-1e-3"], -0.001),
+        (["fk", "--theta", "-5."], -5),
+        (["fk", "--theta", "9", "--"], 9),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_option_value_forms(self, args, theta_deg):
+        code, out = run_cli(args)
+        assert code == 0, out
+        assert json.loads(out)["theta_deg"] == theta_deg
+
+    @pytest.mark.parametrize("args", [["--help"], *([name, "--help"] for name in subcommands())],
+                             ids=" ".join)
+    def test_help_exits_0_on_stdout(self, args):
+        code, out = run_cli(args)
+        assert code == 0
+        assert "--help" in out
+
+
 class TestDeterminism:
-    def test_every_command_is_byte_identical_across_runs(self, runner, tmp_path):
+    def test_every_command_is_byte_identical_across_runs(self, tmp_path):
         scene = scene_file(tmp_path, {
             "gap_mm": 20.0, "mu": 0.5, "left": "flat",
             "object": {"type": "circle", "radius_mm": 10.0},
@@ -543,18 +583,18 @@ class TestDeterminism:
             ["grasp", "--scene", scene],
         ]
         for args in commands:
-            first = run_ok(runner, args)
-            second = run_ok(runner, args)
+            first = run_ok(args)
+            second = run_ok(args)
             assert first == second, args
 
-    def test_file_output_is_byte_identical(self, runner, tmp_path):
+    def test_file_output_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_ok(runner, ["sweep", "--output", str(p1)])
-        run_ok(runner, ["sweep", "--output", str(p2)])
+        run_ok(["sweep", "--output", str(p1)])
+        run_ok(["sweep", "--output", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_csv_round_trips_the_schema(self, runner):
-        out = run_ok(runner, ["sweep"])
+    def test_csv_round_trips_the_schema(self):
+        out = run_ok(["sweep"])
         lines = out.strip().split("\n")
         header = lines[0].split(",")
         assert header == ["step", "theta_deg", "phi_deg", "B_x_mm", "B_y_mm"]
@@ -564,8 +604,8 @@ class TestDeterminism:
             for cell in cells[1:]:
                 float(cell)
 
-    def test_json_round_trips_the_schema(self, runner):
-        rec = json.loads(run_ok(runner, ["fk", "--theta", "3"]))
+    def test_json_round_trips_the_schema(self):
+        rec = json.loads(run_ok(["fk", "--theta", "3"]))
         assert list(rec.keys()) == ["theta_deg", "phi_deg", "B", "C", "CB"]
 
 
@@ -576,9 +616,9 @@ class TestGolden:
     """Each recorded command prints its recorded bytes and exit code."""
 
     @pytest.mark.parametrize("cmd", GOLDEN["commands"], ids=lambda cmd: cmd["id"])
-    def test_command(self, runner, tmp_path, monkeypatch, cmd):
+    def test_command(self, tmp_path, monkeypatch, cmd):
         for name, text in GOLDEN["files"].items():
             (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
-        result = runner.invoke(main, cmd["args"])
-        assert (result.exit_code, result.stdout) == (cmd["exit"], cmd["stdout"])
+        code, out = run_cli(cmd["args"])
+        assert (code, out) == (cmd["exit"], cmd["stdout"])

@@ -1,6 +1,7 @@
 """Checks that need a fresh interpreter: what the CLI import loads, and the
-demos running end to end."""
+demos running end to end; and the benchmark's in-process run of the CLI."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -18,14 +19,15 @@ GRASP_COMMANDS = [cmd for cmd in GOLDEN["commands"] if cmd["args"][0] == "grasp"
 NUMPY_FREE_COMMANDS = [cmd for cmd in GOLDEN["commands"] if cmd["args"][0] != "grasp"]
 
 # ``python -m morphtip ARGS`` that also writes, as the last stderr line,
-# which of numpy and morphtip.grasp the process loaded.
+# which of click, numpy and morphtip.grasp the process loaded.
 CLI_PROBE = """
 import json, runpy, sys
 sys.argv = ["morphtip", *sys.argv[1:]]
 try:
     runpy.run_module("morphtip", run_name="__main__", alter_sys=True)
 finally:
-    print(json.dumps(sorted({"numpy", "morphtip.grasp"} & set(sys.modules))), file=sys.stderr)
+    print(json.dumps(sorted({"click", "numpy", "morphtip.grasp"} & set(sys.modules))),
+          file=sys.stderr)
 """
 
 EXPORTS_PROBE = """
@@ -68,6 +70,12 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_click():
+    proc = run_python(["-c", "import morphtip.cli, sys; print('click' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_golden_commands_split_into_eight_and_two():
     assert len(NUMPY_FREE_COMMANDS) == 8
     assert len(GRASP_COMMANDS) == 2
@@ -92,6 +100,18 @@ def test_package_import_loads_no_numpy():
 def test_every_export_resolves():
     proc = run_python(["-c", EXPORTS_PROBE])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_runs_every_golden_command_in_process(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_cold", ROOT / "bench" / "cold.py")
+    cold = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, cold)  # dataclasses look their module up
+    spec.loader.exec_module(cold)
+    for name, text in GOLDEN["files"].items():
+        (tmp_path / name).write_text(text)
+    failed, records = cold.in_process_commands(GOLDEN, tmp_path, 1)
+    assert failed == 0
+    assert len(records) == sum(cmd["stdout"].startswith("{") for cmd in GOLDEN["commands"])
 
 
 def test_all_four_demos_are_found():

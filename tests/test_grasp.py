@@ -415,6 +415,19 @@ class TestCradle:
         with pytest.raises(InvalidParams):
             cradle_height(profile(Flat()), -1.0, 0.0)
 
+    @pytest.mark.parametrize("prim", [Flat(), Concave(math.radians(20.0)), Convex(math.radians(-20.0))],
+                             ids=["flat", "concave", "convex"])
+    def test_profile_as_points_reads_as_its_array(self, prim):
+        state = plan_primitive(CFG, prim)
+        points = state.profile_x_points
+        for r, u in [(5.0, 0.0), (20.0, 3.0), (88.0, -0.1), (70.0, 12.5)]:
+            want = cradle_height(state.profile_x, r, u)
+            assert cradle_height(points, r, u) == want
+            assert cradle_height([list(p) for p in points], r, u) == want
+            assert cradle_height([points], r, u) == want
+        with pytest.raises(Unsupported):
+            cradle_height(points, 3.0, 100.0)
+
 
 class TestSceneValidation:
     def test_self_intersecting_profile_rejected(self):
