@@ -86,24 +86,18 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "Circle",
-    "Closure",
+__all__ = sorted([
     "Concave",
-    "Contact",
     "Convex",
-    "ConvexPolygon",
     "DegenerateContacts",
     "ExternalLoad",
     "FingertipConfig",
     "FingertipState",
     "Flat",
-    "GraspScene",
     "InvalidParams",
     "LinkageParams",
     "MorphPrimitive",
     "MorphtipError",
-    "ObjectXSection",
     "OutOfRange",
     "Penetration",
     "TiltedPlanar",
@@ -111,20 +105,13 @@ __all__ = [
     "Unsupported",
     "attainable_facet_range",
     "attainable_tilt_range",
-    "closure_classify",
-    "cradle_height",
-    "find_contacts",
     "forward_facet",
     "inverse_facet",
     "operating_range",
     "pair_tilt_residuals",
-    "pivot_feasible",
-    "place_left",
-    "place_right",
     "plan_primitive",
     "planar_condition_angle",
     "pointer_top",
-    "scene_between",
     "slider_point",
     "solve_planar_pair",
     "state_from_thetas",
@@ -132,4 +119,5 @@ __all__ = [
     "terrace_equilibrium",
     "tilt_line_residual",
     "transition_trajectory",
-]
+    *_GRASP_EXPORTS,
+])

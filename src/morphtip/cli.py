@@ -34,6 +34,8 @@ if TYPE_CHECKING:
 
 SWEEP_HEADER = "step,theta_deg,phi_deg,B_x_mm,B_y_mm"
 POINTER_HEADER = "index,psi_x_deg,psi_y_deg,x_mm,y_mm,z_mm"
+# Offset (mm) of the two cradle samples either side of the profile center.
+CRADLE_DELTA = 0.1
 
 
 class ConfigError(Exception):
@@ -305,7 +307,11 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, ft.Pr
     _fields(raw, "", _SCENE_FIELDS, "scene")
     try:
         gap = _number(raw, "gap_mm", "", what="scene")
+        if gap <= 0.0:
+            raise ConfigError("scene field 'gap_mm' must be positive")
         mu = _number(raw, "mu", "", 0.0, "scene")
+        if mu < 0.0:
+            raise ConfigError("scene field 'mu' must be non-negative")
         left_local = _profile_from_spec(raw.get("left", "flat"), "left", tip)
         right_local = (
             _profile_from_spec(raw["right"], "right", tip) if "right" in raw else left_local
@@ -319,10 +325,17 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, ft.Pr
         _fields(ospec, "object", _OBJECT_FIELDS[kind], "scene")
         if kind == "circle":
             center = _pair(ospec.get("center_mm", [gap / 2.0, 0.0]), "object.center_mm")
-            obj: gr.ObjectXSection = gr.Circle(
-                radius=_number(ospec, "radius_mm", "object", what="scene"), center=center)
+            radius = _number(ospec, "radius_mm", "object", what="scene")
+            if radius <= 0.0:
+                raise ConfigError("scene field 'object.radius_mm' must be positive")
+            obj: gr.ObjectXSection = gr.Circle(radius, center)
         else:
-            obj = gr.ConvexPolygon(_points(ospec.get("vertices_mm"), "object.vertices_mm", 3))
+            vertices = _points(ospec.get("vertices_mm"), "object.vertices_mm", 3)
+            try:  # _points has checked all but the shape
+                obj = gr.ConvexPolygon(vertices)
+            except InvalidParams as exc:
+                raise ConfigError("scene field 'object.vertices_mm' must be a strictly convex "
+                                  "polygon in counter-clockwise order") from exc
         scene = gr.scene_between(left_local, right_local, gap, obj, mu)
     except (OverflowError, InvalidParams) as exc:
         raise ConfigError(f"invalid scene: {exc}") from exc
@@ -470,7 +483,7 @@ def grasp(config_path, output, scene_path) -> None:
     _emit(dumps(record) + "\n", output)
 
 
-def _cradle_sign(profile_local: ft.Profile, radius: float, delta: float = 0.1) -> int | None:
+def _cradle_sign(profile_local: ft.Profile, radius: float) -> int | None:
     """Sign of the cradle-landscape curvature at the profile center.
 
     Only the profile passed in is used, and the grasp report passes the
@@ -480,8 +493,8 @@ def _cradle_sign(profile_local: ft.Profile, radius: float, delta: float = 0.1) -
     height = _grasp().cradle_height
     try:
         h0 = height(profile_local, radius, 0.0)
-        curv = (height(profile_local, radius, delta)
-                + height(profile_local, radius, -delta) - 2.0 * h0)
+        curv = (height(profile_local, radius, CRADLE_DELTA)
+                + height(profile_local, radius, -CRADLE_DELTA) - 2.0 * h0)
     except Unsupported:
         return None
     if curv > 1e-9:

@@ -39,6 +39,20 @@ _PLANE_TOL = 1e-12
 PIVOT_ANGLE_TOL = 1e-3
 
 
+def _point_array(points, name: str, least: int) -> np.ndarray:
+    """points as a float array of at least ``least`` finite (x, y) rows.
+
+    ``points`` is any (n, 2) array-like; anything else is InvalidParams
+    naming it.
+    """
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < least:
+        raise InvalidParams(f"{name} must have at least {least} points of shape (n, 2)")
+    if not np.isfinite(arr).all():
+        raise InvalidParams(f"{name} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class Circle:
     """Circular object cross-section."""
@@ -68,11 +82,7 @@ class ConvexPolygon:
     centroid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        verts = np.asarray(self.vertices, dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-            raise InvalidParams("polygon needs at least 3 points of shape (n, 2)")
-        if not np.all(np.isfinite(verts)):
-            raise InvalidParams("polygon vertices must be finite")
+        verts = _point_array(self.vertices, "polygon vertices", 3)
         edges = np.roll(verts, -1, axis=0) - verts
         turn = np.roll(edges, -1, axis=0)
         cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
@@ -117,12 +127,8 @@ class GraspScene:
 
     def __post_init__(self) -> None:
         for name in ("left_profile", "right_profile"):
-            poly = np.asarray(getattr(self, name), dtype=float)
-            if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 2:
-                raise InvalidParams(f"{name} must be a polyline of shape (n, 2)")
-            if not np.all(np.isfinite(poly)):
-                raise InvalidParams(f"{name} must be finite")
-            if not _polyline_is_simple(poly):
+            poly = _point_array(getattr(self, name), name, 2)
+            if not _polyline_is_simple(poly.tolist()):
                 raise InvalidParams(f"{name} must not self-intersect")
             object.__setattr__(self, name, poly)
         if not (math.isfinite(self.gap) and self.gap > 0):
@@ -137,18 +143,32 @@ class Closure(Enum):
     FORM_CLOSURE = "form_closure"
 
 
-def _polyline_is_simple(poly: np.ndarray) -> bool:
-    """True when no two non-adjacent segments of the polyline intersect."""
+def _polyline_is_simple(points: Sequence[Sequence[float]]) -> bool:
+    """True when the polyline through ``points`` does not touch itself.
+
+    Segments that are not neighbours share no point, and neighbours share
+    only their joint: a segment that turns straight back along the one
+    before it overlaps that one.
+    """
 
     def orient(a, b, c) -> float:
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    segs = [(poly[i], poly[i + 1]) for i in range(len(poly) - 1)]
-    for i in range(len(segs)):
-        for j in range(i + 2, len(segs)):
-            (a, b), (c, d) = segs[i], segs[j]
-            if (orient(a, b, c) * orient(a, b, d) < 0
-                    and orient(c, d, a) * orient(c, d, b) < 0):
+    def on(a, b, c) -> bool:  # c, on the line through a and b, lies on segment ab
+        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+    for a, b, c in zip(points, points[1:], points[2:]):
+        back = (b[0] - a[0]) * (c[0] - b[0]) + (b[1] - a[1]) * (c[1] - b[1]) < 0
+        if back and orient(a, b, c) == 0:  # bc turns straight back along ab
+            return False
+    segs = list(zip(points[:-1], points[1:]))
+    for i, (a, b) in enumerate(segs):
+        for c, d in segs[i + 2:]:
+            ends = ((a, b, c), (a, b, d), (c, d, a), (c, d, b))
+            o = [orient(*e) for e in ends]
+            if (o[0] * o[1] < 0 and o[2] * o[3] < 0) or any(
+                    turn == 0 and on(*e) for turn, e in zip(o, ends)):
                 return False
     return True
 
@@ -294,56 +314,50 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
     return kept
 
 
-def cradle_height(
-    profiles: Union[np.ndarray, Sequence[Sequence[float]], Sequence[np.ndarray]],
-    circle_radius: float,
-    u: float,
-) -> float:
-    """Resting height of a circle dropped onto support profiles at offset u.
+def cradle_height(profile: Union[np.ndarray, Sequence[Sequence[float]]], circle_radius: float,
+                  u: float) -> float:
+    """Resting height of a circle dropped onto a support profile at offset u.
 
-    ``profiles`` is one profile, as an (n, 2) array or a sequence of
-    (x, y) points such as ``FingertipState.profile_x_points``, or a
-    sequence of profiles.  The profiles are treated as rigid supports in
-    a y-up frame (a fingertip cross-section from ``surface_profile`` is
+    ``profile`` is one polyline of at least two finite (x, y) points, as
+    an (n, 2) array-like: an ndarray, ``FingertipState.profile_x_points``
+    or a list of [x, y] pairs.  It is treated as a rigid support in a
+    y-up frame (a fingertip cross-section from ``surface_profile`` is
     already in that frame); gravity acts along -y and the circle's center
     is held at x = u.  The returned value is the support function of the
-    polyline(s): the lowest non-penetrating center height.  h(u) sampled
+    polyline: the lowest non-penetrating center height.  h(u) sampled
     over u is the potential landscape whose curvature decides passive
     centering.
 
-    Raises Unsupported when nothing under x = u can carry the circle.
+    Raises InvalidParams for a radius that is not positive and finite, a
+    u that is not finite, or a profile of another shape, of fewer than
+    two points or with a non-finite coordinate; raises Unsupported when
+    nothing under x = u can carry the circle.
     """
     if not (math.isfinite(circle_radius) and circle_radius > 0):
         raise InvalidParams("circle_radius must be positive and finite")
     if not math.isfinite(u):
         raise InvalidParams("u must be finite")
-    if isinstance(profiles, np.ndarray):
-        profile_list = [profiles]
-    elif len(profiles) > 0 and np.ndim(profiles[0]) == 1:  # one profile, as its points
-        profile_list = [np.asarray(profiles, dtype=float)]
-    else:
-        profile_list = [np.asarray(p, dtype=float) for p in profiles]
+    points = _point_array(profile, "profile", 2).tolist()
+    r = circle_radius
     best = -math.inf
-    for profile in profile_list:
-        for a, b in zip(profile[:-1], profile[1:]):
-            seg = b - a
-            seg_len = float(np.hypot(*seg))
-            if seg_len > 0.0:
-                n = np.array([-seg[1], seg[0]]) / seg_len
-                if n[1] < 0:
-                    n = -n
-                if n[1] > 1e-12:
-                    # Tangency on the segment interior, touching from above.
-                    x_t = u - circle_radius * n[0]
-                    if seg[0] != 0.0:
-                        t = (x_t - a[0]) / seg[0]
-                        if 0.0 <= t <= 1.0:
-                            y_t = a[1] + t * seg[1]
-                            best = max(best, y_t + circle_radius * n[1])
-            for p in (a, b):
-                dx = u - p[0]
-                if abs(dx) <= circle_radius:
-                    best = max(best, p[1] + math.sqrt(circle_radius**2 - dx * dx))
+    # Each vertex b adds its cap and each segment ab its interior tangency,
+    # touching from above; the first b is vertex 0 itself, with no segment.
+    ax, ay = points[0]
+    for bx, by in points:
+        dx = u - bx
+        if abs(dx) <= r:
+            best = max(best, by + math.sqrt(r**2 - dx * dx))
+        sx, sy = bx - ax, by - ay
+        if sx != 0.0:
+            # (nx, ny) is the segment's upward unit normal; abs() of a
+            # complex is the C library's hypot, as in fingertip._profile.
+            seg_len = math.copysign(abs(complex(sx, sy)), sx)
+            nx, ny = -sy / seg_len, sx / seg_len
+            if ny > 1e-12:
+                t = (u - r * nx - ax) / sx
+                if 0.0 <= t <= 1.0:
+                    best = max(best, ay + t * sy + r * ny)
+        ax, ay = bx, by
     if best == -math.inf:
         raise Unsupported(f"circle of radius {circle_radius} falls through at u={u}")
     return best

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's solution paths: facet
 angles and surface profiles are re-derived from the raw vector chain, inverse kinematics comes
-from bisection on that chain, minima come from grid refinement, and
+from bisection on that chain, minima come from grid refinement, cradle
+heights from bisecting an exact point-to-segment distance test, and
 closure is decided by sampling external wrenches against dual-cone
 certificates, or by Qhull, instead of the library's facet test.
 """
@@ -222,6 +223,58 @@ def _closest_on_segment(p, a, b):
 
 def distance_to_segment(p, a, b) -> float:
     return _closest_on_segment(p, a, b)[0]
+
+
+def _within(p, a, b, r: float) -> bool:
+    """True when point p lies within r of segment ab, decided exactly.
+
+    The test runs in rational arithmetic: where a circle only grazes a
+    vertex, the distance grows with the square of the height, and a
+    rounded distance would hold the test true for about sqrt(eps) * r
+    above the true top end.
+    """
+    # Imported here, like SciPy below: the benchmark imports this module
+    # and never calls this oracle.
+    from fractions import Fraction
+
+    (px, py), (ax, ay), (bx, by) = ((Fraction(x), Fraction(y)) for x, y in (p, a, b))
+    dx, dy = bx - ax, by - ay
+    dd = dx * dx + dy * dy
+    t = min(1, max(0, ((px - ax) * dx + (py - ay) * dy) / dd)) if dd else 0
+    ex, ey = px - ax - t * dx, py - ay - t * dy
+    return ex * ex + ey * ey <= Fraction(r) ** 2
+
+
+def cradle_by_bisection(profile, r: float, u: float) -> float | None:
+    """Resting height of a circle of radius r held at x = u over a polyline.
+
+    Each segment carries the circle up to the top end of the heights h at
+    which (u, h) lies within r of it.  That end is found by bisecting the
+    distance test upward from the segment point nearest to the line
+    x = u, where the test holds if it holds anywhere.  Returns the
+    highest end over all segments, or None when no segment comes within r.
+    """
+    best = None
+    for a, b in zip(profile[:-1], profile[1:]):
+        (ax, ay), (bx, by) = a, b
+        if ax != bx and min(ax, bx) <= u <= max(ax, bx):
+            lo = ay + (u - ax) / (bx - ax) * (by - ay)
+        else:
+            near = min(abs(u - ax), abs(u - bx))
+            lo = max(y for x, y in (a, b) if abs(u - x) == near)
+        if not _within((u, lo), a, b, r):
+            continue
+        hi = lo + r + abs(by - ay) + 1.0  # farther than r from every point of ab
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if _within((u, mid), a, b, r):
+                lo = mid
+            else:
+                hi = mid
+        best = lo if best is None else max(best, lo)
+    return best
 
 
 def _edge_lines(verts):

@@ -6,7 +6,19 @@ import math
 
 from hypothesis import assume, strategies as st
 
-from morphtip import FingertipConfig, LinkageParams
+from morphtip import (
+    Concave,
+    Convex,
+    FingertipConfig,
+    FingertipState,
+    Flat,
+    LinkageParams,
+    TiltedPlanar,
+    attainable_tilt_range,
+    forward_facet,
+    operating_range,
+    plan_primitive,
+)
 
 
 @st.composite
@@ -44,6 +56,30 @@ def fingertip_configs(draw) -> FingertipConfig:
         spring_k=draw(st.floats(5.0, 20.0)),
         step_deg=draw(st.floats(2.0, 5.0)),
     )
+
+
+@st.composite
+def primitive_states(draw) -> FingertipState:
+    """A random geometry planned into a random primitive it can reach.
+
+    Concave and convex depths are a fraction of the facet angle at the
+    end of the jam-free stroke, and tilts a fraction of the attainable
+    tilt, of either sign.
+    """
+    cfg = draw(fingertip_configs())
+    p = cfg.linkage
+    kind = draw(st.sampled_from(("flat", "concave", "convex", "tilted-planar")))
+    if kind == "flat":
+        prim = Flat()
+    elif kind == "tilted-planar":
+        tilt = attainable_tilt_range(p)[1]
+        prim = TiltedPlanar(draw(st.floats(-0.9, 0.9)) * tilt, draw(st.floats(-0.9, 0.9)) * tilt)
+    else:
+        lo, hi = operating_range(p)
+        frac = draw(st.floats(0.05, 1.0))
+        prim = (Concave(frac * forward_facet(p, hi)) if kind == "concave"
+                else Convex(frac * forward_facet(p, lo)))
+    return plan_primitive(cfg, prim)
 
 
 # Fractions of an interval, ends included.

@@ -340,10 +340,27 @@ class TestWrongTypes:
         ({"gap_mm": 20.0, "object": {**_CIRCLE, "center_mm": [HUGE_INT, 0.0]}},
          "scene field 'object.center_mm' must be a pair of numbers [x, y]"),
         ({"gap_mm": HUGE_INT, "object": _CIRCLE}, "scene field 'gap_mm' must be a finite number"),
+        ({"gap_mm": 20.0, "left": {"polyline_mm": [[-10.0, 0.0], [10.0, 0.0], [0.0, 0.0]]},
+          "object": _CIRCLE},
+         "scene field 'left.polyline_mm' must not self-intersect"),
+        ({"gap_mm": 20.0,
+          "left": {"polyline_mm": [[-10.0, 0.0], [10.0, 0.0], [10.0, 5.0], [0.0, 0.0]]},
+          "object": _CIRCLE},
+         "scene field 'left.polyline_mm' must not self-intersect"),
+        ({"gap_mm": -40.0, "object": _CIRCLE}, "scene field 'gap_mm' must be positive"),
+        ({"gap_mm": 20.0, "mu": -1.0, "object": _CIRCLE}, "scene field 'mu' must be non-negative"),
+        ({"gap_mm": 20.0, "object": {**_CIRCLE, "radius_mm": -5.0}},
+         "scene field 'object.radius_mm' must be positive"),
+        ({"gap_mm": 20.0, "object": {"type": "polygon",  # clockwise
+                                     "vertices_mm": [[0, 0], [0, 5], [5, 5], [5, 0]]}},
+         "scene field 'object.vertices_mm' must be a strictly convex polygon "
+         "in counter-clockwise order"),
     ], ids=["object", "polyline_mm", "degree_deg", "gap_mm", "type", "center_mm",
             "degree_deg-sign", "gap_mm-nan", "center_mm-nan", "tilt_deg-inf",
             "polyline_mm-nan", "vertices_mm-inf", "polyline_mm-crossing",
-            "center_mm-huge", "gap_mm-huge"])
+            "center_mm-huge", "gap_mm-huge", "polyline_mm-folds-back",
+            "polyline_mm-ends-on-first", "gap_mm-negative", "mu-negative",
+            "radius_mm-negative", "vertices_mm-clockwise"])
     def test_scene_value_exits_2(self, tmp_path, scene, message):
         code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
         assert code == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from strategies import primitive_states
 from morphtip import (
     Circle,
     Closure,
@@ -17,7 +18,9 @@ from morphtip import (
     GraspScene,
     InvalidParams,
     Penetration,
+    TiltedPlanar,
     Unsupported,
+    attainable_tilt_range,
     closure_classify,
     cradle_height,
     find_contacts,
@@ -365,6 +368,22 @@ class TestContactsAgainstEnumeration:
         assert_matches_enumeration(scene_between(left_local, right_local, gap, Circle(r, (c_x, c_y)), 0.0))
 
 
+@st.composite
+def star_polylines(draw) -> list[list[float]]:
+    """A simple polyline of 2-7 points, in general neither x- nor y-monotone.
+
+    The points wind once around a centre at increasing angles, with less
+    than a half-turn between neighbours and less than a full turn in
+    all, so each segment keeps to its own wedge and only neighbours meet.
+    """
+    n = draw(st.integers(2, 7))
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    angles = draw(st.floats(0.0, 2.0 * math.pi)) + np.concatenate([[0.0], np.cumsum(steps)])
+    radii = draw(st.lists(st.floats(2.0, 40.0), min_size=n, max_size=n))
+    cx, cy = draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))
+    return [[cx + rad * math.cos(a), cy + rad * math.sin(a)] for rad, a in zip(radii, angles)]
+
+
 class TestCradle:
     def test_concave_strict_minimum(self):
         phi = math.radians(20.0)
@@ -404,13 +423,6 @@ class TestCradle:
         with pytest.raises(Unsupported):
             cradle_height(prof, 3.0, 100.0)
 
-    def test_supports_profile_pair(self):
-        left = profile(Concave(math.radians(20.0)))
-        right = left + np.array([80.0, 0.0])
-        h = cradle_height([left, right], 50.0, 40.0)
-        # resting on the two inner facet tips
-        assert h > 0
-
     def test_bad_radius_rejected(self):
         with pytest.raises(InvalidParams):
             cradle_height(profile(Flat()), -1.0, 0.0)
@@ -424,9 +436,34 @@ class TestCradle:
             want = cradle_height(state.profile_x, r, u)
             assert cradle_height(points, r, u) == want
             assert cradle_height([list(p) for p in points], r, u) == want
-            assert cradle_height([points], r, u) == want
+            with pytest.raises(InvalidParams):
+                cradle_height([points], r, u)
         with pytest.raises(Unsupported):
             cradle_height(points, 3.0, 100.0)
+
+    @pytest.mark.parametrize("bad", [
+        [[0.0, 0.0], [math.nan, 1.0], [5.0, 0.0]],
+        [[0.0, 0.0], [math.inf, 1.0], [5.0, 0.0]],
+        [[0.0, 0.0], [1.0, -math.inf]],
+        [0.0, 1.0, 2.0],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        [[0.0, 0.0]],
+        [],
+    ], ids=["nan", "inf", "-inf", "1-d", "3-columns", "one-point", "empty"])
+    def test_malformed_profile_rejected(self, bad):
+        with pytest.raises(InvalidParams):
+            cradle_height(bad, 2.0, 0.0)
+
+    @settings(max_examples=200)
+    @given(st.one_of(primitive_states().map(lambda s: s.profile_x_points), star_polylines()),
+           st.floats(0.5, 80.0), st.floats(-60.0, 60.0))
+    def test_matches_bisection(self, points, r, u):
+        want = oracles.cradle_by_bisection(points, r, u)
+        if want is None:
+            with pytest.raises(Unsupported):
+                cradle_height(points, r, u)
+        else:
+            assert abs(cradle_height(points, r, u) - want) <= 1e-9
 
 
 class TestSceneValidation:
@@ -436,6 +473,27 @@ class TestSceneValidation:
         with pytest.raises(InvalidParams):
             GraspScene(left_profile=bow, right_profile=flat, gap=20.0,
                        obj=Circle(5.0, (10.0, 0.0)), mu=0.0)
+
+    @pytest.mark.parametrize("touching", [
+        [[-10.0, 0.0], [10.0, 0.0], [0.0, 0.0]],
+        [[-10.0, 0.0], [10.0, 0.0], [10.0, 5.0], [0.0, 0.0]],
+        [[0.0, 0.0], [10.0, 0.0], [10.0, 5.0], [5.0, 5.0], [5.0, 0.0]],
+        [[0.0, 0.0], [0.0, 5.0], [0.0, 2.0]],
+    ], ids=["folds-back", "ends-on-first", "corner-on-first", "folds-back-vertical"])
+    def test_self_touching_profile_rejected(self, touching):
+        flat = profile(Flat())
+        with pytest.raises(InvalidParams, match="must not self-intersect"):
+            GraspScene(left_profile=np.array(touching), right_profile=flat, gap=40.0,
+                       obj=Circle(5.0, (20.0, 0.0)), mu=0.0)
+
+    def test_collinear_primitive_profiles_accepted(self):
+        # Flat and tilted-planar profiles are four collinear points.
+        lo, hi = attainable_tilt_range(CFG.linkage)
+        prims = [Flat()] + [TiltedPlanar(float(t), 0.0) for t in np.linspace(lo, hi, 41)]
+        for prim in prims:
+            prof = profile(prim)
+            scene = scene_between(prof, prof, 80.0, Circle(5.0, (40.0, 0.0)), 0.0)
+            assert np.array_equal(scene.left_profile, place_left(prof))
 
     def test_negative_gap_rejected(self):
         flat = profile(Flat())
