@@ -21,8 +21,9 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 from . import fingertip as ft
@@ -90,9 +91,9 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.count < 2:
-            raise ConfigError("sweep count must be at least 2")
+            raise InvalidParams("count must be at least 2", field="count")
         if self.step_deg == 0.0:
-            raise ConfigError("sweep step must be nonzero")
+            raise InvalidParams("step_deg must be nonzero", field="step_deg")
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,14 @@ _CONFIG_SECTIONS = {
     "sweep": ("start_deg", "step_deg", "count"),
     "output": ("path",),
 }
+# The library argument of each fingertip field is the field's name less its
+# unit suffix (see _arg); the linkage takes those it has, the fingertip the rest.
+_LINKAGE_ARGS = {f.name for f in fields(lk.LinkageParams)}
 _SCENE_FIELDS = ("gap_mm", "mu", "left", "right", "object")
+# The scene field that gives each argument of the scene's library classes.
+_SCENE_PATHS = {"gap": "gap_mm", "mu": "mu", "radius": "object.radius_mm",
+                "center": "object.center_mm", "vertices": "object.vertices_mm",
+                "left_profile": "left", "right_profile": "right"}
 # A profile spec is a polyline_mm alone, or a primitive with its own fields.
 _PRIMITIVE_FIELDS = {"flat": (), "concave": ("degree_deg",), "convex": ("degree_deg",),
                      "tilted-planar": ("tilt_deg",)}
@@ -132,9 +140,6 @@ def _fields(d, path: str, known, what: str = "config") -> dict:
     return d
 
 
-_REQUIRED = object()
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -154,18 +159,15 @@ def _is_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_finite, value))
 
 
-def _number(d: dict, key: str, path: str, default=_REQUIRED, what: str = "config") -> float:
-    """d[key] as a float, or ``default`` when the key is absent.
+def _number(d: dict, key: str, path: str, what: str = "config") -> float:
+    """d[key] as a float.
 
-    ``path`` names d as in :func:`_fields`.  A missing key without a
-    default, or a value that is not a finite JSON number, is an error
-    naming the field.
+    ``path`` names d as in :func:`_fields`.  A missing key, or a value
+    that is not a finite JSON number, is an error naming the field.
     """
     name = (path + "." if path else "") + key
     if key not in d:
-        if default is _REQUIRED:
-            raise ConfigError(f"{what} field {name!r} is required")
-        return default
+        raise ConfigError(f"{what} field {name!r} is required")
     if not _is_number(d[key]):
         raise ConfigError(f"{what} field {name!r} must be a number")
     if not _is_finite(d[key]):
@@ -187,7 +189,26 @@ def _points(value, name: str, least: int) -> ft.Profile:
     return tuple((float(x), float(y)) for x, y in value)
 
 
+def _arg(key: str) -> str:
+    """The library argument a fingertip field gives: its name less the unit suffix."""
+    return key.rpartition("_")[0]
+
+
+def _restated(exc: InvalidParams, names: dict[str, str]) -> str:
+    """exc's message with each library argument name in it replaced by ``names[name]``.
+
+    The message starts with ``exc.field``; a condition over several
+    arguments names the others after it, and they are replaced too.
+    """
+    return re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc))
+
+
 def load_config(path: str | None) -> RunConfig:
+    """The run configuration a config file gives; None gives the defaults.
+
+    The library's classes supply the default of every field the file
+    leaves out, and check every value the file gives.
+    """
     raw: dict = {}
     if path is not None:
         try:
@@ -200,31 +221,25 @@ def load_config(path: str | None) -> RunConfig:
     out_path = o.get("path")
     if not (out_path is None or isinstance(out_path, str)):
         raise ConfigError("config field 'output.path' must be a string or null")
-    count = s.get("count", 13)
+    if "count" in s and not (_is_finite(s["count"]) and float(s["count"]).is_integer()):
+        raise ConfigError("config field 'sweep.count' must be an integer")
+    linkage: dict = {}
+    tip: dict = {}
+    for key in f:
+        value = _number(f, key, "fingertip")
+        args = linkage if _arg(key) in _LINKAGE_ARGS else tip
+        args[_arg(key)] = math.radians(value) if key.endswith("_deg") else value
+    sweep = {key: int(value) if key == "count" else _number(s, key, "sweep")
+             for key, value in s.items()}
     try:
-        if not (_is_finite(count) and float(count).is_integer()):
-            raise ConfigError("config field 'sweep.count' must be an integer")
-        params = lk.LinkageParams(
-            l_oc=_number(f, "l_oc_mm", "fingertip", 15.0),
-            l_ab=_number(f, "l_ab_mm", "fingertip", 20.0),
-            alpha0=math.radians(_number(f, "alpha0_deg", "fingertip", 30.0)),
-            oa_x=_number(f, "oa_x_mm", "fingertip", 10.0),
-            theta_min=math.radians(_number(f, "theta_min_deg", "fingertip", -36.0)),
-            theta_max=math.radians(_number(f, "theta_max_deg", "fingertip", 36.0)),
-        )
-        tip = ft.FingertipConfig(
-            linkage=params,
-            facet_len=_number(f, "facet_len_mm", "fingertip", 17.5),
-            rod_len=_number(f, "rod_len_mm", "fingertip", 100.0),
-        )
-        sweep = SweepSpec(
-            start_deg=_number(s, "start_deg", "sweep", 15.0),
-            step_deg=_number(s, "step_deg", "sweep", -3.0),
-            count=int(count),
-        )
-    except (OverflowError, InvalidParams) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-    return RunConfig(tip=tip, sweep=sweep, out_path=out_path)
+        return RunConfig(tip=ft.FingertipConfig(linkage=lk.LinkageParams(**linkage), **tip),
+                         sweep=SweepSpec(**sweep), out_path=out_path)
+    except InvalidParams as exc:
+        if exc.field is None:  # the jam-only stroke, a condition on the whole geometry
+            raise ConfigError(f"invalid config: {exc}") from exc
+        names = {_arg(key): repr(f"fingertip.{key}") for key in _CONFIG_SECTIONS["fingertip"]}
+        names.update((key, repr(f"sweep.{key}")) for key in _CONFIG_SECTIONS["sweep"])
+        raise ConfigError(f"config field {_restated(exc, names)}") from exc
 
 
 def _finite(value: float | None, option: str) -> float | None:
@@ -305,40 +320,28 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, ft.Pr
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read scene {path}: {exc}") from exc
     _fields(raw, "", _SCENE_FIELDS, "scene")
+    gap = _number(raw, "gap_mm", "", what="scene")
+    mu = _number(raw, "mu", "", "scene") if "mu" in raw else 0.0
+    left_local = _profile_from_spec(raw.get("left", "flat"), "left", tip)
+    right_local = _profile_from_spec(raw["right"], "right", tip) if "right" in raw else left_local
+    ospec = raw.get("object")
+    if not isinstance(ospec, dict):
+        raise ConfigError("scene field 'object' must be a JSON object")
+    kind = ospec.get("type")
+    if not isinstance(kind, str) or kind not in _OBJECT_FIELDS:
+        raise ConfigError("scene field 'object.type' must be 'circle' or 'polygon'")
+    _fields(ospec, "object", _OBJECT_FIELDS[kind], "scene")
+    if kind == "circle":
+        center = _pair(ospec.get("center_mm", [gap / 2.0, 0.0]), "object.center_mm")
+        shape, args = gr.Circle, (_number(ospec, "radius_mm", "object", what="scene"), center)
+    else:
+        vertices = _points(ospec.get("vertices_mm"), "object.vertices_mm", 3)
+        shape, args = gr.ConvexPolygon, (vertices,)
     try:
-        gap = _number(raw, "gap_mm", "", what="scene")
-        if gap <= 0.0:
-            raise ConfigError("scene field 'gap_mm' must be positive")
-        mu = _number(raw, "mu", "", 0.0, "scene")
-        if mu < 0.0:
-            raise ConfigError("scene field 'mu' must be non-negative")
-        left_local = _profile_from_spec(raw.get("left", "flat"), "left", tip)
-        right_local = (
-            _profile_from_spec(raw["right"], "right", tip) if "right" in raw else left_local
-        )
-        ospec = raw.get("object")
-        if not isinstance(ospec, dict):
-            raise ConfigError("scene field 'object' must be a JSON object")
-        kind = ospec.get("type")
-        if not isinstance(kind, str) or kind not in _OBJECT_FIELDS:
-            raise ConfigError("scene field 'object.type' must be 'circle' or 'polygon'")
-        _fields(ospec, "object", _OBJECT_FIELDS[kind], "scene")
-        if kind == "circle":
-            center = _pair(ospec.get("center_mm", [gap / 2.0, 0.0]), "object.center_mm")
-            radius = _number(ospec, "radius_mm", "object", what="scene")
-            if radius <= 0.0:
-                raise ConfigError("scene field 'object.radius_mm' must be positive")
-            obj: gr.ObjectXSection = gr.Circle(radius, center)
-        else:
-            vertices = _points(ospec.get("vertices_mm"), "object.vertices_mm", 3)
-            try:  # _points has checked all but the shape
-                obj = gr.ConvexPolygon(vertices)
-            except InvalidParams as exc:
-                raise ConfigError("scene field 'object.vertices_mm' must be a strictly convex "
-                                  "polygon in counter-clockwise order") from exc
-        scene = gr.scene_between(left_local, right_local, gap, obj, mu)
-    except (OverflowError, InvalidParams) as exc:
-        raise ConfigError(f"invalid scene: {exc}") from exc
+        scene = gr.scene_between(left_local, right_local, gap, shape(*args), mu)
+    except InvalidParams as exc:
+        names = {arg: repr(path) for arg, path in _SCENE_PATHS.items()}
+        raise ConfigError(f"scene field {_restated(exc, names)}") from exc
     return scene, left_local
 
 
@@ -392,7 +395,10 @@ def sweep(config_path, output, start_deg, step_deg, count) -> None:
     cfg = load_config(config_path)
     given = {"start_deg": _finite(start_deg, "--start"), "step_deg": _finite(step_deg, "--step"),
              "count": count}
-    spec = replace(cfg.sweep, **{k: v for k, v in given.items() if v is not None})
+    try:
+        spec = replace(cfg.sweep, **{k: v for k, v in given.items() if v is not None})
+    except InvalidParams as exc:
+        raise ConfigError(_restated(exc, {"step_deg": "--step", "count": "--count"})) from exc
     rows = [SWEEP_HEADER]
     phis = []
     for i in range(spec.count):

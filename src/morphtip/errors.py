@@ -6,7 +6,17 @@ class MorphtipError(Exception):
 
 
 class InvalidParams(MorphtipError):
-    """Construction parameters violate a geometric or numeric invariant."""
+    """Construction parameters violate a geometric or numeric invariant.
+
+    ``field`` is the argument at fault, when one is: the message starts
+    with its name, and a condition over several arguments names the
+    others after it, each as it is spelled in the call.  A condition on
+    the parameters as a whole has no ``field``.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class OutOfRange(MorphtipError):

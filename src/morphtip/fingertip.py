@@ -43,7 +43,7 @@ def _np():
 
 def _require_positive(name: str, value: float) -> None:
     if not math.isfinite(value) or value <= 0:
-        raise InvalidParams(f"{name} must be positive and finite, got {value!r}")
+        raise InvalidParams(f"{name} must be positive and finite, got {value!r}", field=name)
 
 
 @dataclass(frozen=True)

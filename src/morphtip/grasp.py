@@ -47,24 +47,28 @@ def _point_array(points, name: str, least: int) -> np.ndarray:
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < least:
-        raise InvalidParams(f"{name} must have at least {least} points of shape (n, 2)")
+        raise InvalidParams(f"{name} must have at least {least} points of shape (n, 2)",
+                            field=name)
     if not np.isfinite(arr).all():
-        raise InvalidParams(f"{name} must be finite")
+        raise InvalidParams(f"{name} must be finite", field=name)
     return arr
 
 
 @dataclass(frozen=True)
 class Circle:
-    """Circular object cross-section."""
+    """Circular object cross-section.
+
+    The radius's square must be finite, as :func:`cradle_height` takes it.
+    """
 
     radius: float
     center: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise InvalidParams("circle radius must be positive and finite")
+        if not (self.radius > 0 and math.isfinite(self.radius * self.radius)):
+            raise InvalidParams("radius must be positive and its square finite", field="radius")
         if not all(math.isfinite(c) for c in self.center):
-            raise InvalidParams("circle center must be finite")
+            raise InvalidParams("center must be finite", field="center")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +86,13 @@ class ConvexPolygon:
     centroid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        verts = _point_array(self.vertices, "polygon vertices", 3)
+        verts = _point_array(self.vertices, "vertices", 3)
         edges = np.roll(verts, -1, axis=0) - verts
         turn = np.roll(edges, -1, axis=0)
         cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
         if np.any(cross <= 0):
-            raise InvalidParams("polygon must be strictly convex and counter-clockwise")
+            raise InvalidParams("vertices must be a strictly convex polygon in "
+                                "counter-clockwise order", field="vertices")
         normals = np.column_stack([-edges[:, 1], edges[:, 0]])  # CCW: left-hand normal points inward
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         object.__setattr__(self, "vertices", verts)
@@ -129,12 +134,12 @@ class GraspScene:
         for name in ("left_profile", "right_profile"):
             poly = _point_array(getattr(self, name), name, 2)
             if not _polyline_is_simple(poly.tolist()):
-                raise InvalidParams(f"{name} must not self-intersect")
+                raise InvalidParams(f"{name} must not self-intersect", field=name)
             object.__setattr__(self, name, poly)
         if not (math.isfinite(self.gap) and self.gap > 0):
-            raise InvalidParams("gap must be positive and finite")
+            raise InvalidParams("gap must be positive and finite", field="gap")
         if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise InvalidParams("friction coefficient must be non-negative")
+            raise InvalidParams("mu must be non-negative and finite", field="mu")
 
 
 class Closure(Enum):
@@ -328,15 +333,16 @@ def cradle_height(profile: Union[np.ndarray, Sequence[Sequence[float]]], circle_
     over u is the potential landscape whose curvature decides passive
     centering.
 
-    Raises InvalidParams for a radius that is not positive and finite, a
-    u that is not finite, or a profile of another shape, of fewer than
-    two points or with a non-finite coordinate; raises Unsupported when
-    nothing under x = u can carry the circle.
+    Raises InvalidParams for a radius that is not positive or whose
+    square is not finite, a u that is not finite, or a profile of another
+    shape, of fewer than two points or with a non-finite coordinate;
+    raises Unsupported when nothing under x = u can carry the circle.
     """
-    if not (math.isfinite(circle_radius) and circle_radius > 0):
-        raise InvalidParams("circle_radius must be positive and finite")
+    if not (circle_radius > 0 and math.isfinite(circle_radius * circle_radius)):
+        raise InvalidParams("circle_radius must be positive and its square finite",
+                            field="circle_radius")
     if not math.isfinite(u):
-        raise InvalidParams("u must be finite")
+        raise InvalidParams("u must be finite", field="u")
     points = _point_array(profile, "profile", 2).tolist()
     r = circle_radius
     best = -math.inf

@@ -33,7 +33,7 @@ JAM_MARGIN = 1e-9
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise InvalidParams(f"{name} must be finite, got {value!r}")
+        raise InvalidParams(f"{name} must be finite, got {value!r}", field=name)
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,18 @@ class LinkageParams:
     def __post_init__(self) -> None:
         for name in ("l_oc", "l_ab", "alpha0", "oa_x", "theta_min", "theta_max"):
             _require_finite(name, getattr(self, name))
-        if self.l_oc <= 0 or self.l_ab <= 0:
-            raise InvalidParams("link lengths l_oc and l_ab must be positive")
+        for name in ("l_oc", "l_ab"):
+            if getattr(self, name) <= 0:
+                raise InvalidParams(f"{name} must be positive", field=name)
         if not 0.0 < self.alpha0 < math.pi / 2:
-            raise InvalidParams("alpha0 must lie strictly between 0 and pi/2")
+            raise InvalidParams("alpha0 must lie strictly between 0 and a right angle",
+                                field="alpha0")
         if self.theta_min >= self.theta_max:
-            raise InvalidParams("theta_min must be below theta_max")
+            raise InvalidParams("theta_min must be below theta_max", field="theta_min")
         object.__setattr__(self, "oa_y", -self.l_ab * math.cos(self.alpha0))
         if self.oa_x + self.l_ab * math.sin(self.alpha0) - self.l_oc <= 0:
-            raise InvalidParams(
-                "slider must sit outward of the hinge at neutral: "
-                "oa_x + l_ab*sin(alpha0) must exceed l_oc"
-            )
+            raise InvalidParams("oa_x must exceed l_oc - l_ab*sin(alpha0): the slider must "
+                                "sit outward of the hinge at neutral", field="oa_x")
         operating_range(self)
 
 

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli
 from morphtip import FingertipConfig, forward_facet, inverse_facet, slider_point
-from morphtip.cli import _CONFIG_SECTIONS, _parser
+from morphtip.cli import _CONFIG_SECTIONS, RunConfig, SweepSpec, _parser, load_config
 
 CFG = FingertipConfig()
 
@@ -97,6 +98,15 @@ class TestSweep:
         code, out = run_cli(["sweep", "--count", "1"])
         assert code == 2
         assert json.loads(out)["error"]["code"] == "config"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--count", "1"], "--count must be at least 2"),
+        (["--step", "0"], "--step must be nonzero"),
+    ], ids=["count", "step"])
+    def test_bad_option_names_it(self, args, message):
+        code, out = run_cli(["sweep", *args])
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "config", "message": message}
 
     def test_output_file(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -302,8 +312,26 @@ class TestWrongTypes:
         ({"fingertip": {"l_oc_mm": HUGE_INT}},
          "config field 'fingertip.l_oc_mm' must be a finite number"),
         ({"sweep": {"count": HUGE_INT}}, "config field 'sweep.count' must be an integer"),
+        ({"fingertip": {"l_oc_mm": -1.0}}, "config field 'fingertip.l_oc_mm' must be positive"),
+        ({"fingertip": {"l_ab_mm": 0.0}}, "config field 'fingertip.l_ab_mm' must be positive"),
+        ({"fingertip": {"alpha0_deg": 95.0}},
+         "config field 'fingertip.alpha0_deg' must lie strictly between 0 and a right angle"),
+        ({"fingertip": {"theta_min_deg": 40.0}},
+         "config field 'fingertip.theta_min_deg' must be below 'fingertip.theta_max_deg'"),
+        ({"fingertip": {"oa_x_mm": -20.0}},
+         "config field 'fingertip.oa_x_mm' must exceed 'fingertip.l_oc_mm' - "
+         "'fingertip.l_ab_mm'*sin('fingertip.alpha0_deg'): "
+         "the slider must sit outward of the hinge at neutral"),
+        ({"fingertip": {"facet_len_mm": 0.0}},
+         "config field 'fingertip.facet_len_mm' must be positive and finite, got 0.0"),
+        ({"fingertip": {"rod_len_mm": -3.0}},
+         "config field 'fingertip.rod_len_mm' must be positive and finite, got -3.0"),
+        ({"sweep": {"count": 1}}, "config field 'sweep.count' must be at least 2"),
+        ({"sweep": {"step_deg": 0.0}}, "config field 'sweep.step_deg' must be nonzero"),
     ], ids=["oa_mm", "l_oc_mm", "count", "path", "l_oc_mm-nan", "start_deg-inf",
-            "l_oc_mm-huge", "count-huge"])
+            "l_oc_mm-huge", "count-huge", "l_oc_mm-negative", "l_ab_mm-zero",
+            "alpha0_deg-obtuse", "theta_min_deg-above-max", "oa_x_mm-inside-hinge",
+            "facet_len_mm-zero", "rod_len_mm-negative", "count-one", "step_deg-zero"])
     def test_config_value_exits_2(self, tmp_path, config, message):
         code, out = run_cli(["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
         assert code == 2
@@ -347,20 +375,22 @@ class TestWrongTypes:
           "left": {"polyline_mm": [[-10.0, 0.0], [10.0, 0.0], [10.0, 5.0], [0.0, 0.0]]},
           "object": _CIRCLE},
          "scene field 'left.polyline_mm' must not self-intersect"),
-        ({"gap_mm": -40.0, "object": _CIRCLE}, "scene field 'gap_mm' must be positive"),
-        ({"gap_mm": 20.0, "mu": -1.0, "object": _CIRCLE}, "scene field 'mu' must be non-negative"),
+        ({"gap_mm": -40.0, "object": _CIRCLE}, "scene field 'gap_mm' must be positive and finite"),
+        ({"gap_mm": 20.0, "mu": -1.0, "object": _CIRCLE}, "scene field 'mu' must be non-negative and finite"),
         ({"gap_mm": 20.0, "object": {**_CIRCLE, "radius_mm": -5.0}},
-         "scene field 'object.radius_mm' must be positive"),
+         "scene field 'object.radius_mm' must be positive and its square finite"),
         ({"gap_mm": 20.0, "object": {"type": "polygon",  # clockwise
                                      "vertices_mm": [[0, 0], [0, 5], [5, 5], [5, 0]]}},
          "scene field 'object.vertices_mm' must be a strictly convex polygon "
          "in counter-clockwise order"),
+        ({"gap_mm": 20.0, "object": {**_CIRCLE, "radius_mm": 1e200, "center_mm": [10.0, 1e201]}},
+         "scene field 'object.radius_mm' must be positive and its square finite"),
     ], ids=["object", "polyline_mm", "degree_deg", "gap_mm", "type", "center_mm",
             "degree_deg-sign", "gap_mm-nan", "center_mm-nan", "tilt_deg-inf",
             "polyline_mm-nan", "vertices_mm-inf", "polyline_mm-crossing",
             "center_mm-huge", "gap_mm-huge", "polyline_mm-folds-back",
             "polyline_mm-ends-on-first", "gap_mm-negative", "mu-negative",
-            "radius_mm-negative", "vertices_mm-clockwise"])
+            "radius_mm-negative", "vertices_mm-clockwise", "radius_mm-square-overflows"])
     def test_scene_value_exits_2(self, tmp_path, scene, message):
         code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
         assert code == 2
@@ -409,6 +439,36 @@ class TestJamOnlyStroke:
             "code": "config",
             "message": "invalid config: commanded servo stroke lies entirely in the jam zone",
         }
+
+
+JAM_MESSAGE = "invalid config: commanded servo stroke lies entirely in the jam zone"
+# A library argument name or a radian bound: no config error may show one.
+_LIBRARY_TEXT = re.compile(
+    r"\b(l_oc|l_ab|alpha0|oa_x|theta_min|theta_max|facet_len|rod_len)\b|pi/2| rad")
+_EDGE_VALUES = st.sampled_from([1e308, -1e308, 0.0, 1e-9, -1e-9, 90.0, -90.0])
+
+
+class TestFingertipFieldRange:
+    """Any finite value of one fingertip field runs, or is an error naming the field."""
+
+    @settings(max_examples=200)
+    @given(key=st.sampled_from(_CONFIG_SECTIONS["fingertip"]),
+           value=st.one_of(_EDGE_VALUES, st.floats(allow_nan=False, allow_infinity=False)))
+    def test_exit_2_names_the_field(self, tmp_path_factory, key, value):
+        cfg = tmp_path_factory.getbasetemp() / "range-cfg.json"
+        cfg.write_text(json.dumps({"fingertip": {key: value}}))
+        for args in (["fk", "--theta", "5"], ["plan", "--primitive", "concave", "--degree", "8"],
+                     ["trace-pointer"]):
+            code, out = run_cli([*args, "--config", str(cfg)])
+            assert code in (0, 2, 3), (args, out)
+            if code == 0:
+                continue
+            assert out.count("\n") == 1
+            error = json.loads(out)["error"]
+            if code == 2:
+                message = error["message"]
+                assert message == JAM_MESSAGE or repr(f"fingertip.{key}") in message, message
+                assert not _LIBRARY_TEXT.search(message), message
 
 
 # One valid non-default value per config field, and a command whose output it changes.
@@ -470,6 +530,12 @@ class TestReadmeExamples:
         path = tmp_path / "cfg.json"
         path.write_text(readme_json("### Config file"))
         run_ok(["fk", "--config", str(path), "--theta", "9"])
+
+    def test_config_file_example_gives_the_library_defaults(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(readme_json("### Config file"))
+        defaults = RunConfig(tip=FingertipConfig(), sweep=SweepSpec())
+        assert load_config(str(path)) == load_config(None) == defaults
 
     def test_scene_file_example_seats_the_circle(self, tmp_path):
         path = tmp_path / "scene.json"

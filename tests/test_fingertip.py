@@ -46,6 +46,17 @@ def max_line_deviation(points: np.ndarray) -> float:
     return float(np.max(np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])))
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("facet_len", 0.0), ("rod_len", -3.0), ("spring_k", float("nan")), ("step_deg", 0.0),
+    ])
+    def test_bad_scalars_rejected(self, field, value):
+        with pytest.raises(InvalidParams) as exc:
+            FingertipConfig(**{field: value})
+        assert exc.value.field == field
+        assert str(exc.value).startswith(field + " ")
+
+
 class TestTerraceEquilibrium:
     def test_symmetric_actuation_is_level(self):
         for phi in (0.0, 0.2, -0.35):

@@ -427,6 +427,15 @@ class TestCradle:
         with pytest.raises(InvalidParams):
             cradle_height(profile(Flat()), -1.0, 0.0)
 
+    def test_radius_whose_square_overflows_rejected(self):
+        # 1e200 is finite, but r**2 would raise OverflowError.
+        with pytest.raises(InvalidParams) as exc:
+            cradle_height(profile(Flat()), 1e200, 0.0)
+        assert exc.value.field == "circle_radius"
+        with pytest.raises(InvalidParams) as exc:
+            Circle(1e200, (10.0, 1e201))
+        assert exc.value.field == "radius"
+
     @pytest.mark.parametrize("prim", [Flat(), Concave(math.radians(20.0)), Convex(math.radians(-20.0))],
                              ids=["flat", "concave", "convex"])
     def test_profile_as_points_reads_as_its_array(self, prim):

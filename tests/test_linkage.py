@@ -53,11 +53,13 @@ class TestParams:
     @pytest.mark.parametrize("field,value", [
         ("l_oc", -1.0), ("l_ab", 0.0), ("alpha0", 0.0),
         ("alpha0", math.pi / 2), ("l_ab", float("nan")),
-        ("oa_x", float("inf")),
+        ("oa_x", float("inf")), ("theta_min", math.radians(40.0)), ("oa_x", -20.0),
     ])
     def test_bad_scalars_rejected(self, field, value):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams) as exc:
             LinkageParams(**{field: value})
+        assert exc.value.field == field
+        assert str(exc.value).startswith(field + " ")
 
 
 class TestForward:
