@@ -9,8 +9,6 @@ Run: python3 demos/02_morphing_primitives.py
 
 import math
 
-import numpy as np
-
 from morphtip import (
     Concave,
     Convex,
@@ -45,10 +43,11 @@ show("Convex(-15 deg)", plan_primitive(cfg, Convex(math.radians(-15.0))))
 st = plan_primitive(cfg, TiltedPlanar(math.radians(5.0)))
 show("TiltedPlanar(5 deg)", st)
 
-dev = np.abs(np.cross(st.profile_x[-1] - st.profile_x[0],
-                      st.profile_x[1:3] - st.profile_x[0])) / np.hypot(
-    *(st.profile_x[-1] - st.profile_x[0]))
-print(f"\ntilted-planar profile deviation from a straight line: {dev.max():.2e} mm")
+# Distance of the two hinges from the line through the two facet tips.
+(x0, y0), hinge_neg, hinge_pos, (x3, y3) = st.profile_x_points
+ex, ey = x3 - x0, y3 - y0
+dev = max(abs(ex * (y - y0) - ey * (x - x0)) for x, y in (hinge_neg, hinge_pos)) / math.hypot(ex, ey)
+print(f"\ntilted-planar profile deviation from a straight line: {dev:.2e} mm")
 
 print()
 print("=" * 76)

@@ -47,10 +47,13 @@ class ConfigError(Exception):
 # deterministic formatting
 
 def fnum(x: float) -> str:
-    """Format a float to 9 significant digits, locale-independent."""
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(float(x), ".9g")
+    """Format a finite float to 9 significant digits, locale-independent.
+
+    A non-finite number is refused with ValueError: it has no JSON form.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"cannot format the non-finite number {x!r}")
+    return format(float(x) + 0.0, ".9g")  # adding 0.0 turns -0.0 into 0.0
 
 
 def dumps(obj) -> str:
@@ -273,19 +276,16 @@ def _primitive(kind: str, degree_deg: float | None, tilt_deg: tuple[float, float
     degree_name, tilt_name = name
     if kind == "flat":
         return ft.Flat()
-    if kind == "tilted-planar":
-        try:
-            return ft.TiltedPlanar(math.radians(tilt_deg[0]), math.radians(tilt_deg[1]))
-        except InvalidParams as exc:
-            raise ConfigError(f"{tilt_name} must be finite") from exc
-    if degree_deg is None:
+    if kind != "tilted-planar" and degree_deg is None:
         raise ConfigError(f"{degree_name} is required for concave/convex")
-    shape = ft.Concave if kind == "concave" else ft.Convex
     try:
-        return shape(math.radians(degree_deg))
+        if kind == "tilted-planar":
+            return ft.TiltedPlanar(math.radians(tilt_deg[0]), math.radians(tilt_deg[1]))
+        return (ft.Concave if kind == "concave" else ft.Convex)(math.radians(degree_deg))
     except InvalidParams as exc:
-        sign = "positive" if kind == "concave" else "negative"
-        raise ConfigError(f"{degree_name} must be a {sign} angle in degrees for {kind}") from exc
+        names = {"depth": degree_name, "tilt_x": tilt_name, "tilt_y": tilt_name}
+        unit = f" in degrees for {kind}" if exc.field == "depth" else ""
+        raise ConfigError(_restated(exc, names) + unit) from exc
 
 
 def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> ft.Profile:
@@ -463,26 +463,14 @@ def grasp(config_path, output, scene_path) -> None:
     scene, left_local = load_scene(scene_path, cfg.tip)
     gr = _grasp()
     contacts = gr.find_contacts(scene)
-    if contacts:
-        closure = gr.closure_classify(contacts, scene.mu).value
-        pivot = gr.pivot_feasible(contacts)
-    else:
-        closure = gr.Closure.NONE.value
-        pivot = False
+    closure = (gr.closure_classify(contacts, scene.mu) if contacts else gr.Closure.NONE).value
     cradle_sign = None
     if isinstance(scene.obj, gr.Circle):
         cradle_sign = _cradle_sign(left_local, scene.obj.radius)
     record = {
-        "contacts": [
-            {
-                "point_mm": [float(c.point[0]), float(c.point[1])],
-                "normal": [float(c.normal[0]), float(c.normal[1])],
-                "side": c.side,
-                "segment": c.segment,
-            }
-            for c in contacts
-        ],
-        "pivot_feasible": pivot,
+        "contacts": [{"point_mm": [px, py], "normal": [nx, ny], "side": c.side, "segment": c.segment}
+                     for c, (px, py, nx, ny) in zip(contacts, gr._contact_floats(contacts))],
+        "pivot_feasible": gr.pivot_feasible(contacts),
         "closure_class": closure,
         "cradle_curvature_sign": cradle_sign,
     }

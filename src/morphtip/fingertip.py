@@ -53,6 +53,7 @@ class FingertipConfig:
     facet_len is the hinge-to-tip facet extent, so the plate diameter is
     2 * (l_oc + facet_len).  spring_k is the leaf-spring stiffness per
     crease in N*mm/rad; rod_len the pointer rod used for tilt tracing.
+    A facet_len so large that a facet tip could overflow is rejected.
     """
 
     linkage: LinkageParams = LinkageParams()
@@ -66,6 +67,7 @@ class FingertipConfig:
         _require_positive("spring_k", self.spring_k)
         _require_positive("rod_len", self.rod_len)
         _require_positive("step_deg", self.step_deg)
+        linkage._require_finite_points(self.linkage, self.facet_len)
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class Concave:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.depth) or self.depth <= 0:
-            raise InvalidParams("Concave depth must be a positive angle (rad)")
+            raise InvalidParams("depth must be a positive angle", field="depth")
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class Convex:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.depth) or self.depth >= 0:
-            raise InvalidParams("Convex depth must be a negative angle (rad)")
+            raise InvalidParams("depth must be a negative angle", field="depth")
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,9 @@ class TiltedPlanar:
     tilt_y: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tilt_x) and math.isfinite(self.tilt_y)):
-            raise InvalidParams("tilt angles must be finite")
+        for name in ("tilt_x", "tilt_y"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite", field=name)
 
 
 MorphPrimitive = Union[Flat, Concave, Convex, TiltedPlanar]
@@ -118,8 +121,9 @@ class ExternalLoad:
     tau_y: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau_x) and math.isfinite(self.tau_y)):
-            raise InvalidParams("load torques must be finite")
+        for name in ("tau_x", "tau_y"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite", field=name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +170,7 @@ def terrace_equilibrium(
     for name, value in (("phi_pos", phi_pos), ("phi_neg", phi_neg),
                         ("load_torque", load_torque)):
         if not math.isfinite(value):
-            raise InvalidParams(f"{name} must be finite, got {value!r}")
+            raise InvalidParams(f"{name} must be finite, got {value!r}", field=name)
     _require_positive("spring_k", spring_k)
     return (phi_pos - phi_neg) / 2.0 + load_torque / (2.0 * spring_k)
 
@@ -192,7 +196,7 @@ def surface_profile(
 def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> Profile:
     """surface_profile from the two facet poses ``(phi, bx, by)``."""
     if not math.isfinite(psi):
-        raise InvalidParams("psi must be finite")
+        raise InvalidParams("psi must be finite", field="psi")
     f = cfg.facet_len
     cx = cfg.linkage.l_oc * math.cos(psi)
     cy = cfg.linkage.l_oc * math.sin(psi)

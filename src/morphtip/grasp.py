@@ -8,7 +8,9 @@ outward height) is placed with :func:`scene_between`.
 The model is rigid-body, first-order and quasi-static: contacts are
 frictionless points or friction cones in the plane, closure is decided on
 wrench rays, and the passive-centering claim is checked as a gravitational
-support landscape of a circle over the profile.
+support landscape of a circle over the profile.  Closure and pivot verdicts
+are computed on plain Python floats, with an early-exit facet test; contact
+finding still runs on numpy arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence, Union
 
@@ -369,72 +370,87 @@ def cradle_height(profile: Union[np.ndarray, Sequence[Sequence[float]]], circle_
     return best
 
 
-def _wrench_rays(points: np.ndarray, normals: np.ndarray, mu: float) -> np.ndarray:
-    """Unit wrench rays (fx, fy, tau/rho) of the contact set, one row each.
+def _contact_floats(contacts: Sequence[Contact]) -> list[tuple[float, float, float, float]]:
+    """Each contact's point and normal as Python floats, ``(px, py, nx, ny)``.
 
+    Points and normals may be ndarrays or tuples.
+    """
+    return [(float(c.point[0]), float(c.point[1]), float(c.normal[0]), float(c.normal[1]))
+            for c in contacts]
+
+
+def _wrench_rays(rows: list[tuple[float, float, float, float]],
+                 mu: float) -> list[tuple[float, float, float]]:
+    """Unit wrench rays (fx, fy, tau/rho) of the contact set, as 3-tuples.
+
+    ``rows`` are the contacts as :func:`_contact_floats` reads them.
     mu = 0 gives one normal ray per contact; mu > 0 gives the two friction
-    cone edges.  Torque is taken about the mean contact point and scaled by
-    the contact spread so all three wrench components are commensurate.
+    cone edges, n + mu*t then n - mu*t with t = (-n_y, n_x).  Torque is
+    taken about the mean contact point and scaled by the contact spread so
+    all three wrench components are commensurate.
     """
-    r = points - points.mean(axis=0)
-    rho = max(1.0, float(np.max(np.hypot(r[:, 0], r[:, 1]))))
-    if mu > 0.0:
-        tangent = normals[:, ::-1] * (-mu, mu)  # mu * (-n_y, n_x)
-        forces = np.stack([normals + tangent, normals - tangent], axis=1).reshape(-1, 2)
-        r = np.repeat(r, 2, axis=0)
-    else:
-        forces = normals
-    w = np.empty((len(forces), 3))
-    w[:, :2] = forces
-    w[:, 2] = (r[:, 0] * forces[:, 1] - r[:, 1] * forces[:, 0]) / rho
-    w /= np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
-    return w
+    mx, my = rows[0][0], rows[0][1]
+    for px, py, _, _ in rows[1:]:
+        mx, my = mx + px, my + py
+    mx, my = mx / len(rows), my / len(rows)
+    # abs() of a complex is the C library's hypot, as in fingertip._profile.
+    rho = max(1.0, max(abs(complex(px - mx, py - my)) for px, py, _, _ in rows))
+    rays = []
+    for px, py, nx, ny in rows:
+        rx, ry = px - mx, py - my
+        forces = (((nx - ny * mu, ny + nx * mu), (nx + ny * mu, ny - nx * mu)) if mu > 0.0
+                  else ((nx, ny),))
+        for fx, fy in forces:
+            tz = (rx * fy - ry * fx) / rho
+            # fx*fx + tz*tz first, then fy*fy: the order numpy's einsum sums three
+            # terms in, so rays and verdicts match an array version bit for bit.
+            norm = math.sqrt((fx * fx + tz * tz) + fy * fy)
+            rays.append((fx / norm, fy / norm, tz / norm))
+    return rays
 
 
-@lru_cache(maxsize=64)
-def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (i, j, k) over every ray triple i < j < k of m rays."""
-    idx = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
-    idx.flags.writeable = False
-    return idx[:, 0], idx[:, 1], idx[:, 2]
+def _origin_strictly_inside(rays: Sequence[Sequence[float]]) -> bool:
+    """True when the origin lies at least HULL_TOL inside conv(rays) in 3D.
 
-
-def _hull_margin(rays: np.ndarray) -> float:
-    """Smallest offset of the origin inside the supporting planes of conv(rays).
-
-    A plane through three rays is supporting when no ray lies strictly
-    beyond it; these are exactly the facet planes of the hull.  The value
-    is positive only when the origin is strictly inside a full-dimensional
-    hull, and is then the Ferrari-Canny epsilon of the ray set.  A plane
-    holding every ray is supporting on both sides, so a flat ray set gives
-    at most 0; -inf means no three rays span a plane.
+    This is the facet test of Ferrari and Canny ("Planning optimal
+    grasps", 1992): a plane through three rays is supporting when no ray
+    lies strictly beyond it, and these are exactly the facet planes of the
+    hull.  The origin is inside when it lies at least HULL_TOL within
+    every one of them, which is the rays positively spanning the whole
+    wrench space with a Ferrari-Canny epsilon of at least HULL_TOL.  The
+    scan drops a plane as soon as rays lie on both of its sides and
+    answers False at the first supporting plane the origin is not that
+    far inside.  A plane holding every ray is supporting on both sides,
+    so a flat ray set is not closed; nor is a set in which no three rays
+    span a plane.
     """
-    i, j, k = _triples(len(rays))
-    # Triples run along the columns: a, u, v and the plane normals n are 3 x T.
-    a = rays.T[:, i]
-    u = rays.T[:, j] - a
-    v = rays.T[:, k] - a
-    n = u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]
-    norm = np.sqrt(np.einsum("it,it->t", n, n))
-    d = np.einsum("it,it->t", n, a)
-    beyond = rays @ n - d
-    spans = norm > _PLANE_TOL
-    slack = _PLANE_TOL * norm
-    offset = d / np.maximum(norm, _PLANE_TOL)
-    offsets = np.concatenate([
-        offset[spans & (beyond.max(axis=0) <= slack)],
-        -offset[spans & (beyond.min(axis=0) >= -slack)],
-    ])
-    return float(offsets.min()) if len(offsets) else -math.inf
-
-
-def _origin_strictly_inside(rays: np.ndarray) -> bool:
-    """True when the origin lies strictly inside conv(rays) in 3D.
-
-    Equivalent to the rays positively spanning the whole wrench space.
-    Degenerate ray sets (hull not full-dimensional) count as not closed.
-    """
-    return _hull_margin(rays) >= HULL_TOL
+    spanned = False
+    for (ax, ay, az), (bx, by, bz), (cx, cy, cz) in combinations(rays, 3):
+        ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+        if norm <= _PLANE_TOL:
+            continue
+        d = nx * ax + ny * ay + nz * az
+        hi, lo = d + _PLANE_TOL * norm, d - _PLANE_TOL * norm
+        above = below = False
+        for wx, wy, wz in rays:
+            height = nx * wx + ny * wy + nz * wz
+            if height > hi:
+                if below:
+                    break
+                above = True
+            elif height < lo:
+                if above:
+                    break
+                below = True
+        else:
+            # Rays all below the plane put the origin d/norm inside it;
+            # rays all above, -d/norm.
+            if (not above and d / norm < HULL_TOL) or (not below and -d / norm < HULL_TOL):
+                return False
+            spanned = True
+    return spanned
 
 
 def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
@@ -444,21 +460,22 @@ def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     the planar wrench space (origin strictly inside their convex hull).
     FORCE_CLOSURE: the friction-cone edge wrenches do.  Form closure is
     the stronger verdict and implies force closure for any mu >= 0;
-    boundary cases are graded conservatively as not closed.
+    boundary cases are graded conservatively as not closed.  The verdict
+    is decided on Python floats; contacts may hold ndarray or tuple points
+    and normals.
     """
     if len(contacts) == 0:
         raise InvalidParams("closure classification needs at least one contact")
     if not (math.isfinite(mu) and mu >= 0.0):
         raise InvalidParams("friction coefficient must be non-negative")
-    pts = np.array([c.point for c in contacts])
-    spread = np.max(np.hypot(*(pts - pts[0]).T)) if len(pts) > 1 else 0.0
-    if len(contacts) > 1 and spread <= DEDUP_TOL:
+    rows = _contact_floats(contacts)
+    x0, y0 = rows[0][0], rows[0][1]
+    if len(rows) > 1 and max(abs(complex(px - x0, py - y0)) for px, py, _, _ in rows) <= DEDUP_TOL:
         raise DegenerateContacts("all contacts coincide; wrench basis is degenerate")
-    normals = np.array([c.normal for c in contacts], dtype=float)
     # Fewer than four wrench rays never span the 3-D wrench space.
-    if len(contacts) >= 4 and _origin_strictly_inside(_wrench_rays(pts, normals, 0.0)):
+    if len(rows) >= 4 and _origin_strictly_inside(_wrench_rays(rows, 0.0)):
         return Closure.FORM_CLOSURE
-    if mu > 0.0 and len(contacts) >= 2 and _origin_strictly_inside(_wrench_rays(pts, normals, mu)):
+    if mu > 0.0 and len(rows) >= 2 and _origin_strictly_inside(_wrench_rays(rows, mu)):
         return Closure.FORCE_CLOSURE
     return Closure.NONE
 
@@ -474,17 +491,15 @@ def pivot_feasible(contacts: Sequence[Contact]) -> bool:
     right = [c for c in contacts if c.side == "right"]
     if len(left) != 1 or len(right) != 1:
         return False
-    nl, nr = left[0].normal, right[0].normal
-    if _angle_between(nl, -nr) > PIVOT_ANGLE_TOL:
+    (lx, ly, nx, ny), (rx, ry, mx, my) = _contact_floats(left + right)
+    if _angle_between(nx, ny, -mx, -my) > PIVOT_ANGLE_TOL:
         return False
-    dp = right[0].point - left[0].point
-    span = float(np.hypot(*dp))
+    dx, dy = rx - lx, ry - ly
+    span = abs(complex(dx, dy))
     if span < 1e-9:
         return True
-    return _angle_between(dp / span, nl) <= PIVOT_ANGLE_TOL
+    return _angle_between(dx / span, dy / span, nx, ny) <= PIVOT_ANGLE_TOL
 
 
-def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    cross = abs(u[0] * v[1] - u[1] * v[0])
-    dot = float(u @ v)
-    return math.atan2(cross, dot)
+def _angle_between(ux: float, uy: float, vx: float, vy: float) -> float:
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)

@@ -47,7 +47,8 @@ class LinkageParams:
     ``theta_min``/``theta_max`` bound the commanded servo stroke; the
     usable interval is additionally clipped by the jam limit, see
     :func:`operating_range`.  A stroke that lies entirely in the jam zone
-    is rejected here.
+    is rejected here, as are lengths so large that a point of the
+    mechanism could overflow (see :func:`_require_finite_points`).
     """
 
     l_oc: float = 15.0
@@ -70,10 +71,26 @@ class LinkageParams:
         if self.theta_min >= self.theta_max:
             raise InvalidParams("theta_min must be below theta_max", field="theta_min")
         object.__setattr__(self, "oa_y", -self.l_ab * math.cos(self.alpha0))
+        _require_finite_points(self)
         if self.oa_x + self.l_ab * math.sin(self.alpha0) - self.l_oc <= 0:
             raise InvalidParams("oa_x must exceed l_oc - l_ab*sin(alpha0): the slider must "
                                 "sit outward of the hinge at neutral", field="oa_x")
         operating_range(self)
+
+
+def _require_finite_points(params: LinkageParams, facet_len: float = 1.0) -> None:
+    """Reject lengths so large that a point placed from them may overflow.
+
+    Over the whole stroke, every coordinate of the slider, and of the
+    vector to it from either hinge, is at most ``|oa_x| + 2*l_ab + l_oc``;
+    a fingertip scales that vector by ``facet_len``.  The error names
+    ``facet_len`` when it exceeds that bound, else the largest length.
+    """
+    reach = abs(params.oa_x) + 2.0 * params.l_ab + params.l_oc
+    if not math.isfinite(facet_len * reach):
+        name = ("facet_len" if facet_len > reach else
+                max(("l_oc", "l_ab", "oa_x"), key=lambda n: abs(getattr(params, n))))
+        raise InvalidParams(f"{name} is too large: its points must be finite", field=name)
 
 
 def slider_point(params: LinkageParams, theta: float) -> tuple[float, float]:

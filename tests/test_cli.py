@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli
 from morphtip import FingertipConfig, forward_facet, inverse_facet, slider_point
-from morphtip.cli import _CONFIG_SECTIONS, RunConfig, SweepSpec, _parser, load_config
+from morphtip.cli import _CONFIG_SECTIONS, RunConfig, SweepSpec, _parser, dumps, fnum, load_config
 
 CFG = FingertipConfig()
 
@@ -416,6 +416,26 @@ class TestNonFiniteOption:
                                                       "message": f"{args[1]} must be finite"}
 
 
+class TestOverflowingGeometry:
+    """Lengths whose points would overflow exit 2 naming the field, not print inf."""
+
+    @pytest.mark.parametrize("key", ["facet_len_mm", "l_ab_mm"])
+    def test_exits_2_naming_the_field(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fingertip": {key: 1e308}}))
+        code, out = run_cli(["plan", "--primitive", "concave", "--degree", "8", "--config", str(cfg)])
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == (
+            f"config field 'fingertip.{key}' is too large: its points must be finite")
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_formatting_refuses_non_finite_numbers(self, value):
+        with pytest.raises(ValueError):
+            fnum(value)
+        with pytest.raises(ValueError):
+            dumps({"x": [1.0, value]})
+
+
 class TestJamOnlyStroke:
     """A servo stroke wholly past the jam limit is a config error for every command."""
 
@@ -448,8 +468,22 @@ _LIBRARY_TEXT = re.compile(
 _EDGE_VALUES = st.sampled_from([1e308, -1e308, 0.0, 1e-9, -1e-9, 90.0, -90.0])
 
 
+def assert_finite_output(out: str) -> None:
+    """out is one strict JSON record, or CSV, with every number finite."""
+    if out.startswith("{"):
+        def refuse(name):
+            raise AssertionError(f"{name} in {out}")
+
+        json.loads(out, parse_constant=refuse)
+        numbers = [float(x) for x in re.findall(r"-?\d[\d.e+-]*", out)]
+    else:
+        numbers = [float(cell) for line in out.splitlines()[1:] for cell in line.split(",")]
+    assert all(map(math.isfinite, numbers)), out
+
+
 class TestFingertipFieldRange:
-    """Any finite value of one fingertip field runs, or is an error naming the field."""
+    """Any finite value of one fingertip field runs, or is an error naming the field,
+    and a run prints finite numbers only."""
 
     @settings(max_examples=200)
     @given(key=st.sampled_from(_CONFIG_SECTIONS["fingertip"]),
@@ -462,6 +496,7 @@ class TestFingertipFieldRange:
             code, out = run_cli([*args, "--config", str(cfg)])
             assert code in (0, 2, 3), (args, out)
             if code == 0:
+                assert_finite_output(out)
                 continue
             assert out.count("\n") == 1
             error = json.loads(out)["error"]

@@ -12,6 +12,7 @@ from morphtip import (
     FingertipConfig,
     Flat,
     InvalidParams,
+    LinkageParams,
     TiltedPlanar,
     Unreachable,
     attainable_tilt_range,
@@ -55,6 +56,27 @@ class TestConfig:
             FingertipConfig(**{field: value})
         assert exc.value.field == field
         assert str(exc.value).startswith(field + " ")
+
+    @pytest.mark.parametrize("facet_len,lengths,field", [
+        (1e308, {}, "facet_len"),
+        (17.5, {"l_ab": 5e307}, "l_ab"),
+        (1e155, {"oa_x": 1e154}, "facet_len"),
+        (1e153, {"oa_x": 1e156}, "oa_x"),
+    ])
+    def test_facet_tips_that_overflow_rejected(self, facet_len, lengths, field):
+        with pytest.raises(InvalidParams) as exc:
+            FingertipConfig(linkage=LinkageParams(**lengths), facet_len=facet_len)
+        assert exc.value.field == field
+        assert str(exc.value) == f"{field} is too large: its points must be finite"
+
+    @pytest.mark.parametrize("facet_len,lengths", [(1e306, {}), (17.5, {"l_ab": 3e306})])
+    def test_largest_accepted_lengths_give_finite_profiles(self, facet_len, lengths):
+        cfg = FingertipConfig(linkage=LinkageParams(**lengths), facet_len=facet_len)
+        lo, hi = operating_range(cfg.linkage)
+        for prim in (Flat(), Concave(forward_facet(cfg.linkage, hi)),
+                     Convex(forward_facet(cfg.linkage, lo)), TiltedPlanar(0.01, -0.01)):
+            state = plan_primitive(cfg, prim)
+            assert np.isfinite(state.profile_x).all() and np.isfinite(state.profile_y).all()
 
 
 class TestTerraceEquilibrium:
@@ -157,6 +179,24 @@ class TestPlanPrimitive:
             Concave(-0.1)
         with pytest.raises(InvalidParams):
             Convex(0.1)
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: Concave(-0.1), "depth"),
+        (lambda: Convex(0.1), "depth"),
+        (lambda: Convex(math.nan), "depth"),
+        (lambda: TiltedPlanar(math.nan), "tilt_x"),
+        (lambda: TiltedPlanar(0.1, -math.inf), "tilt_y"),
+        (lambda: ExternalLoad(math.inf), "tau_x"),
+        (lambda: ExternalLoad(0.0, math.nan), "tau_y"),
+        (lambda: terrace_equilibrium(0.0, math.nan, 10.0), "phi_neg"),
+        (lambda: terrace_equilibrium(0.0, 0.0, 10.0, math.inf), "load_torque"),
+    ])
+    def test_rejection_names_the_argument(self, make, field):
+        with pytest.raises(InvalidParams) as exc:
+            make()
+        assert exc.value.field == field
+        assert str(exc.value).startswith(field + " ")
+        assert "rad" not in str(exc.value).split()
 
 
 class TestSurfaceProfile:

@@ -120,5 +120,6 @@ def test_all_four_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_0(demo):
-    proc = run_python([str(demo)])
+    # Warnings are errors here, as in the suite itself.
+    proc = run_python(["-W", "error", str(demo)])
     assert proc.returncode == 0, proc.stderr

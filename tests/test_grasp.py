@@ -10,6 +10,7 @@ from morphtip import (
     Circle,
     Closure,
     Concave,
+    Contact,
     Convex,
     ConvexPolygon,
     DegenerateContacts,
@@ -28,6 +29,7 @@ from morphtip import (
     plan_primitive,
     scene_between,
 )
+from morphtip import grasp
 from morphtip.grasp import (
     CONTACT_TOL,
     DEDUP_TOL,
@@ -613,6 +615,72 @@ class TestPivot:
         assert not pivot_feasible([])
 
 
+def as_tuples(contacts) -> list[Contact]:
+    """The contacts with their points and normals as tuples of floats."""
+    return [Contact(point=tuple(c.point.tolist()), normal=tuple(c.normal.tolist()),
+                    side=c.side, segment=c.segment) for c in contacts]
+
+
+class TestVerdictsOnFloats:
+    def test_closure_and_pivot_make_no_numpy_call(self, monkeypatch):
+        cases = [(square_seat_scene(), 0.5, Closure.FORM_CLOSURE, False),
+                 (concave_seat_scene(), 0.5, Closure.FORCE_CLOSURE, False),
+                 (flat_pinch_scene(), 0.0, Closure.NONE, True)]
+        contacts = [as_tuples(find_contacts(scene)) for scene, *_ in cases]
+        monkeypatch.setattr(grasp, "np", None)  # any np.<name> now raises
+        for cts, (_, mu, closure, pivot) in zip(contacts, cases):
+            assert closure_classify(cts, mu) is closure
+            assert pivot_feasible(cts) is pivot
+        with pytest.raises(DegenerateContacts):
+            closure_classify([contacts[0][0]] * 2, 0.5)
+
+
+@st.composite
+def contact_sets(draw):
+    """(points, normals, sides, mu, pinch): 2-8 contacts, up to 16 wrench rays.
+
+    Points lie within 30 mm of the origin and normals point anywhere; mu is
+    0 or in [0.02, 1], so friction doubles the rays.  When ``pinch`` is set
+    the first two contacts, one per side, sit on a line along their own
+    opposed normals, as the contacts of a pivot pinch do.
+    """
+    n = draw(st.integers(2, 8))
+    mu = draw(st.one_of(st.just(0.0), st.floats(0.02, 1.0)))
+    coord = st.floats(-30.0, 30.0)
+    points = [(draw(coord), draw(coord)) for _ in range(n)]
+    normals = [(math.cos(a), math.sin(a)) for a in draw(
+        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=n, max_size=n))]
+    sides = draw(st.lists(st.sampled_from(("left", "right")), min_size=n, max_size=n))
+    pinch = draw(st.booleans())
+    if pinch:
+        (x, y), (c, s), length = points[0], normals[0], draw(st.floats(1.0, 60.0))
+        points[1], normals[1] = (x + length * c, y + length * s), (-c, -s)
+        sides[:2] = ["left", "right"]
+    return points, normals, sides, mu, pinch
+
+
+class TestClosureOverRandomContactSets:
+    @settings(max_examples=300)
+    @given(contact_sets())
+    def test_verdicts_match_wrench_sampling_for_arrays_and_tuples(self, case):
+        points, normals, sides, mu, pinch = case
+        assume(max(math.dist(p, points[0]) for p in points) > DEDUP_TOL)
+        arrays = [Contact(point=np.array(p), normal=np.array(n), side=side, segment=0)
+                  for p, n, side in zip(points, normals, sides)]
+        tuples = [Contact(point=p, normal=n, side=side, segment=0)
+                  for p, n, side in zip(points, normals, sides)]
+        verdict = closure_classify(arrays, mu)
+        assert closure_classify(tuples, mu) is verdict
+        assert (verdict is not Closure.NONE) == oracles.closed_by_wrench_sampling(
+            points, normals, mu)
+        assert (verdict is Closure.FORM_CLOSURE) == oracles.closed_by_wrench_sampling(
+            points, normals, 0.0)
+        pivot = pivot_feasible(arrays)
+        assert pivot_feasible(tuples) is pivot
+        if pinch and len(points) == 2:
+            assert pivot
+
+
 class TestOracleAgreement:
     def test_classifier_agrees_with_wrench_sampling_on_100_scenes(self):
         rng = np.random.default_rng(20260809)
@@ -699,7 +767,7 @@ class TestFacetTestAgainstQhull:
     @given(ray_sets())
     def test_matches_qhull_verdict(self, case):
         kind, rays = case
-        verdict = _origin_strictly_inside(rays)
+        verdict = _origin_strictly_inside([tuple(ray) for ray in rays.tolist()])
         assert verdict == oracles.closed_by_qhull(rays, HULL_TOL)
         if kind != "free":
             assert not verdict

@@ -61,6 +61,25 @@ class TestParams:
         assert exc.value.field == field
         assert str(exc.value).startswith(field + " ")
 
+    @pytest.mark.parametrize("lengths,field", [
+        ({"l_ab": 1e308}, "l_ab"),
+        ({"oa_x": 1.7e308, "l_ab": 1e307}, "oa_x"),
+        ({"l_oc": 1e308, "oa_x": 1e308}, "l_oc"),
+        ({"oa_x": 1e308, "l_ab": 9e307}, "oa_x"),
+    ])
+    def test_lengths_whose_points_overflow_rejected(self, lengths, field):
+        with pytest.raises(InvalidParams) as exc:
+            LinkageParams(**lengths)
+        assert exc.value.field == field
+        assert str(exc.value) == f"{field} is too large: its points must be finite"
+
+    @pytest.mark.parametrize("lengths", [{"l_ab": 8e307}, {"oa_x": 1.7e308}])
+    def test_largest_accepted_lengths_place_finite_points(self, lengths):
+        p = LinkageParams(**lengths)
+        for theta in np.linspace(*operating_range(p), 101):
+            assert all(map(math.isfinite, slider_point(p, theta)))
+            assert math.isfinite(forward_facet(p, theta))
+
 
 class TestForward:
     def test_neutral_is_exactly_flat(self, params):
