@@ -37,6 +37,9 @@ SWEEP_HEADER = "step,theta_deg,phi_deg,B_x_mm,B_y_mm"
 POINTER_HEADER = "index,psi_x_deg,psi_y_deg,x_mm,y_mm,z_mm"
 # Offset (mm) of the two cradle samples either side of the profile center.
 CRADLE_DELTA = 0.1
+# Largest sweep count and trace-pointer points per leg: a CSV is built in
+# memory before it is written, so its length is bounded before any row.
+MAX_COUNT = 100_000
 
 
 class ConfigError(Exception):
@@ -95,6 +98,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.count < 2:
             raise InvalidParams("count must be at least 2", field="count")
+        if self.count > MAX_COUNT:
+            raise InvalidParams(f"count must be at most {MAX_COUNT}", field="count")
         if self.step_deg == 0.0:
             raise InvalidParams("step_deg must be nonzero", field="step_deg")
 
@@ -206,20 +211,23 @@ def _restated(exc: InvalidParams, names: dict[str, str]) -> str:
     return re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc))
 
 
+def _read_root(path: str, what: str, known) -> dict:
+    """The JSON object of a ``what`` file, once its keys are all in ``known``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    return _fields(raw, "", known, what)
+
+
 def load_config(path: str | None) -> RunConfig:
     """The run configuration a config file gives; None gives the defaults.
 
     The library's classes supply the default of every field the file
     leaves out, and check every value the file gives.
     """
-    raw: dict = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _fields(raw, "", _CONFIG_SECTIONS)
+    raw = {} if path is None else _read_root(path, "config", _CONFIG_SECTIONS)
     f, s, o = (_fields(raw.get(name, {}), name, known) for name, known in _CONFIG_SECTIONS.items())
     out_path = o.get("path")
     if not (out_path is None or isinstance(out_path, str)):
@@ -314,12 +322,7 @@ def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> ft.Profile:
 def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, ft.Profile]:
     """Parse a scene JSON file; also returns the left profile in its own frame."""
     gr = _grasp()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read scene {path}: {exc}") from exc
-    _fields(raw, "", _SCENE_FIELDS, "scene")
+    raw = _read_root(path, "scene", _SCENE_FIELDS)
     gap = _number(raw, "gap_mm", "", what="scene")
     mu = _number(raw, "mu", "", "scene") if "mu" in raw else 0.0
     left_local = _profile_from_spec(raw.get("left", "flat"), "left", tip)
@@ -439,6 +442,8 @@ def trace_pointer(config_path, output, psi_max_deg, points_per_leg) -> None:
     cfg = load_config(config_path)
     if points_per_leg < 1:
         raise ConfigError("points-per-leg must be at least 1")
+    if points_per_leg > MAX_COUNT:
+        raise ConfigError(f"points-per-leg must be at most {MAX_COUNT}")
     psi_max = math.radians(_finite(psi_max_deg, "--psi-max"))
     if psi_max != 0.0:
         lo, hi = lk.attainable_tilt_range(cfg.tip.linkage)

@@ -204,10 +204,10 @@ def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> Profil
     def tip(hx: float, hy: float, sx: float, sy: float) -> tuple[float, float]:
         gx, gy = sx - hx, sy - hy
         # abs() of a complex is the C library's hypot, the same function that
-        # np.hypot calls; math.hypot rounds differently in the last bit.
+        # np.hypot calls; math.hypot rounds differently in the last bit.  The
+        # norm is never zero: facet_pose keeps the slider's x beyond l_oc, and
+        # l_oc*cos(psi) <= l_oc, so gx is nonzero at any terrace tilt.
         norm = abs(complex(gx, gy))
-        if norm <= 0.0:
-            raise OutOfRange("slider coincides with the hinge: mechanism jam")
         return hx + f * gx / norm, hy + f * gy / norm
 
     # The mirrored half's slider is reflected into the common frame.

@@ -126,14 +126,24 @@ def facet_pose(params: LinkageParams, theta: float) -> tuple[float, float, float
     One slider evaluation serves both; raises what :func:`forward_facet`
     raises.
     """
+    return _slider_ray(params, theta, params.l_oc,
+                       "slider inside the hinge (guide x = {x:.6g} mm) at theta={theta:.6f} rad: "
+                       "mechanism jam")
+
+
+def _slider_ray(params: LinkageParams, theta: float, origin: float,
+                behind: str) -> tuple[float, float, float]:
+    """Angle of the ray from ``(origin, 0)`` through the slider, and the slider.
+
+    Returns ``(angle, bx, by)``.  A slider not outward of the origin
+    raises OutOfRange with ``behind`` formatted on its x offset ``x`` and
+    ``theta``.
+    """
     bx, by = slider_point(params, theta)
-    gx = bx - params.l_oc
-    if gx <= 0.0:
-        raise OutOfRange(
-            f"slider inside the hinge (guide x = {gx:.6g} mm) at "
-            f"theta={theta:.6f} rad: mechanism jam"
-        )
-    return math.atan2(by, gx), bx, by
+    dx = bx - origin
+    if dx <= 0.0:
+        raise OutOfRange(behind.format(x=dx, theta=theta))
+    return math.atan2(by, dx), bx, by
 
 
 def operating_range(params: LinkageParams) -> tuple[float, float]:
@@ -171,8 +181,19 @@ def _ray_command(params: LinkageParams, angle: float, origin: float,
     The ray leaves ``(origin, 0)`` at ``angle`` from the horizontal.  The
     direction condition ``B_y*cos(angle) - (B_x - origin)*sin(angle) = 0``
     reduces to ``l_ab*cos(alpha0 - theta + angle) = (oa_x - origin)*sin(angle)
-    - oa_y*cos(angle)``; the closed form picks the branch that puts the
-    slider on the ray rather than on its backward extension.
+    - oa_y*cos(angle)``; the closed form takes the root farther along the
+    ray.  That root always puts the slider on the ray, not on its backward
+    extension, so no direction check is needed:
+
+    * every root ``[lo, hi]`` admits has a crank angle strictly inside
+      (0, pi), on the outward half of the crank circle (``JAM_MARGIN``
+      against 1e-12 of slack);
+    * an origin inside the crank circle has only that root ahead of it;
+    * an origin outside it (both origins sit on y = 0 at x <= l_oc) lies
+      left of the servo axis, since ``oa_x + l_ab*sin(alpha0) > l_oc``,
+      and above it by ``l_ab*cos(alpha0) < l_ab``; so both tangent points
+      from it fall on the inward half, and every line through it leaves
+      the circle on the outward half.
     """
     if angle == 0.0:
         # Flat-neutral construction puts the slider on the horizontal at theta = 0.
@@ -186,14 +207,14 @@ def _ray_command(params: LinkageParams, angle: float, origin: float,
     slack = 1e-12
     if theta < lo - slack or theta > hi + slack:
         return None
-    theta = min(max(theta, lo), hi)
-    # [lo, hi] keeps the crank angle inside (0, pi), as slider_point requires.
-    a = params.alpha0 - theta
-    bx = params.oa_x + params.l_ab * math.sin(a) - origin
-    by = params.oa_y + params.l_ab * math.cos(a)
-    if bx * c + by * s <= 0.0:
-        return None
-    return theta
+    return min(max(theta, lo), hi)
+
+
+def _unreachable(what: str, angle: float, attainable: tuple[float, float]) -> Unreachable:
+    """The error for a ray angle outside its attainable interval."""
+    lo, hi = attainable
+    return Unreachable(f"{what} {angle:.6f} rad not attainable; "
+                       f"reachable interval is [{lo:.6f}, {hi:.6f}] rad", attainable=attainable)
 
 
 def inverse_facet(params: LinkageParams, phi: float) -> float:
@@ -209,12 +230,7 @@ def inverse_facet(params: LinkageParams, phi: float) -> float:
     lo, hi = operating_range(params)
     theta = _ray_command(params, phi, params.l_oc, lo, hi)
     if theta is None:
-        a_lo, a_hi = attainable_facet_range(params)
-        raise Unreachable(
-            f"facet angle {phi:.6f} rad not attainable; "
-            f"reachable interval is [{a_lo:.6f}, {a_hi:.6f}] rad",
-            attainable=(a_lo, a_hi),
-        )
+        raise _unreachable("facet angle", phi, attainable_facet_range(params))
     return theta
 
 
@@ -225,24 +241,15 @@ def planar_condition_angle(params: LinkageParams, theta: float) -> float:
     angle: the surface is a straight line exactly when the two slider rays
     are anti-collinear through the ball joint.
     """
-    bx, by = slider_point(params, theta)
-    if bx <= 0.0:
-        raise OutOfRange(
-            f"slider behind the ball joint (x = {bx:.6g} mm) at theta={theta:.6f} rad"
-        )
-    return math.atan2(by, bx)
+    return _slider_ray(params, theta, 0.0,
+                       "slider behind the ball joint (x = {x:.6g} mm) at theta={theta:.6f} rad")[0]
 
 
 def _solve_slider_angle(params: LinkageParams, psi: float, lo: float, hi: float) -> float:
     """Servo command placing the slider ray (from the ball joint) at polar angle psi."""
     theta = _ray_command(params, psi, 0.0, lo, hi)
     if theta is None:
-        t_lo, t_hi = attainable_tilt_range(params)
-        raise Unreachable(
-            f"tilt {psi:.6f} rad not attainable; "
-            f"reachable interval is [{t_lo:.6f}, {t_hi:.6f}] rad",
-            attainable=(t_lo, t_hi),
-        )
+        raise _unreachable("tilt", psi, attainable_tilt_range(params))
     return theta
 
 

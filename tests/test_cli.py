@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli
 from morphtip import FingertipConfig, forward_facet, inverse_facet, slider_point
-from morphtip.cli import _CONFIG_SECTIONS, RunConfig, SweepSpec, _parser, dumps, fnum, load_config
+from morphtip import InvalidParams
+from morphtip.cli import (_CONFIG_SECTIONS, MAX_COUNT, RunConfig, SweepSpec, _parser, dumps, fnum,
+                          load_config)
 
 CFG = FingertipConfig()
 
@@ -60,6 +62,11 @@ class TestFkIk:
         err = json.loads(out)["error"]
         assert err["code"] == "outofrange"
 
+    def test_fk_jam_output(self):
+        assert run_cli(["fk", "--theta", "20"]) == (3, (
+            '{"error": {"code": "outofrange", "message": "slider inside the hinge '
+            '(guide x = -1.52704 mm) at theta=0.349066 rad: mechanism jam"}}\n'))
+
     def test_ik_unreachable_exits_3(self):
         code, out = run_cli(["ik", "--phi", "120"])
         assert code == 3
@@ -107,6 +114,20 @@ class TestSweep:
         code, out = run_cli(["sweep", *args])
         assert code == 2
         assert json.loads(out)["error"] == {"code": "config", "message": message}
+
+    @pytest.mark.parametrize("args", [
+        ["--count", str(MAX_COUNT + 1)],
+        ["--step", "1e-9", "--count", "100000000000000000000"],
+    ], ids=["one-past", "huge"])
+    def test_count_above_the_maximum_exits_2(self, args):
+        assert run_cli(["sweep", *args]) == (2, (
+            '{"error": {"code": "config", "message": "--count must be at most 100000"}}\n'))
+
+    def test_spec_accepts_counts_up_to_the_maximum(self):
+        assert SweepSpec(count=MAX_COUNT).count == MAX_COUNT
+        with pytest.raises(InvalidParams) as exc:
+            SweepSpec(count=MAX_COUNT + 1)
+        assert exc.value.field == "count"
 
     def test_output_file(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -173,6 +194,17 @@ class TestTracePointer:
     def test_unreachable_amplitude_exits_3(self):
         code, out = run_cli(["trace-pointer", "--psi-max", "30"])
         assert code == 3
+
+    @pytest.mark.parametrize("points, message", [
+        ("0", "points-per-leg must be at least 1"),
+        ("-3", "points-per-leg must be at least 1"),
+        (str(MAX_COUNT + 1), "points-per-leg must be at most 100000"),
+        ("100000000000000000000", "points-per-leg must be at most 100000"),
+    ], ids=["zero", "negative", "one-past", "huge"])
+    def test_points_per_leg_out_of_range_exits_2(self, points, message):
+        code, out = run_cli(["trace-pointer", "--points-per-leg", points])
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "config", "message": message}
 
 
 class TestGrasp:
@@ -250,6 +282,36 @@ class TestGrasp:
         err = json.loads(scene_out)["error"]
         assert err["code"] == "unreachable"
         assert len(err["attainable_deg"]) == 2
+
+    def test_unstable_cradle_report(self, tmp_path):
+        # A ridge under a small circle: the cradle landscape curves down.
+        scene = scene_file(tmp_path, {
+            "gap_mm": 60.0, "left": {"polyline_mm": [[-10.0, 0.0], [0.0, 5.0], [10.0, 0.0]]},
+            "object": {"type": "circle", "radius_mm": 2.0, "center_mm": [30.0, 0.0]},
+        })
+        assert run_ok(["grasp", "--scene", scene]) == (
+            '{"contacts": [], "pivot_feasible": false, "closure_class": "none", '
+            '"cradle_curvature_sign": -1}\n')
+
+    def test_cradle_off_the_profile_is_null(self, tmp_path):
+        # The profile does not reach under the profile center.
+        scene = scene_file(tmp_path, {
+            "gap_mm": 60.0, "left": {"polyline_mm": [[5.0, 0.0], [10.0, 0.0]]},
+            "object": {"type": "circle", "radius_mm": 1.0},
+        })
+        assert json.loads(run_ok(["grasp", "--scene", scene]))["cradle_curvature_sign"] is None
+
+    def test_polyline_of_the_flat_profile_reports_as_flat(self, tmp_path):
+        circle = {"type": "circle", "radius_mm": 10.0}
+        # The default flat profile: hinges at l_oc = 15, facets 17.5 long.
+        flat = [[-32.5, 0.0], [-15.0, 0.0], [15.0, 0.0], [32.5, 0.0]]
+        by_points = scene_file(tmp_path, {"gap_mm": 20.0, "mu": 0.5, "left": {"polyline_mm": flat},
+                                          "object": circle}, "points.json")
+        by_name = scene_file(tmp_path, {"gap_mm": 20.0, "mu": 0.5, "left": "flat", "object": circle},
+                             "flat.json")
+        out = run_ok(["grasp", "--scene", by_points])
+        assert out == run_ok(["grasp", "--scene", by_name])
+        assert json.loads(out)["closure_class"] == "force_closure"
 
     def test_bad_scene_exits_2(self, tmp_path):
         scene = scene_file(tmp_path, {"gap_mm": -1.0, "object": {"type": "circle", "radius_mm": 1.0}})
@@ -395,6 +457,32 @@ class TestWrongTypes:
         code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
         assert code == 2
         assert json.loads(out)["error"] == {"code": "config", "message": message}
+
+
+class TestUnreadableFile:
+    """A config or scene file that cannot be read, or whose root is not a JSON
+    object, exits 2 naming what it is."""
+
+    @pytest.mark.parametrize("args, what", [
+        (["fk", "--theta", "1", "--config"], "config"),
+        (["grasp", "--scene"], "scene"),
+    ], ids=["config", "scene"])
+    def test_missing_file(self, tmp_path, args, what):
+        path = str(tmp_path / "missing.json")
+        assert run_cli([*args, path]) == (2, dumps({"error": {
+            "code": "config",
+            "message": f"cannot read {what} {path}: [Errno 2] No such file or directory: {path!r}",
+        }}) + "\n")
+
+    @pytest.mark.parametrize("args, what", [
+        (["fk", "--theta", "1", "--config"], "config"),
+        (["grasp", "--scene"], "scene"),
+    ], ids=["config", "scene"])
+    def test_root_not_an_object(self, tmp_path, args, what):
+        code, out = run_cli([*args, scene_file(tmp_path, [1, 2])])
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "config",
+                                            "message": f"{what} root must be a JSON object"}
 
 
 class TestNonFiniteOption:
@@ -606,6 +694,12 @@ class TestPlan:
         d = d / np.hypot(*d)
         rel = prof - prof[0]
         assert np.max(np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])) < 1e-6
+
+    def test_unreachable_tilt_output(self):
+        assert run_cli(["plan", "--primitive", "tilted-planar", "--tilt-x", "9"]) == (3, (
+            '{"error": {"code": "unreachable", "message": "tilt 0.157080 rad not attainable; '
+            'reachable interval is [-0.135459, 0.135459] rad", '
+            '"attainable_deg": [-7.76124388, 7.76124388]}}\n'))
 
     def test_missing_degree_exits_2(self):
         code, out = run_cli(["plan", "--primitive", "concave"])

@@ -123,6 +123,12 @@ class TestForward:
         with pytest.raises(InvalidParams):
             forward_facet(params, float("nan"))
 
+    def test_jam_message(self, params):
+        with pytest.raises(OutOfRange) as exc:
+            forward_facet(params, math.radians(20.0))
+        assert str(exc.value) == ("slider inside the hinge (guide x = -1.52704 mm) at "
+                                  "theta=0.349066 rad: mechanism jam")
+
     def test_monotone_over_operating_range(self, params):
         lo, hi = operating_range(params)
         grid = np.linspace(lo, hi, 10_000)
@@ -180,6 +186,13 @@ class TestInverse:
         lo, hi = exc.value.attainable
         assert lo < 0 < hi
 
+    def test_unreachable_message_and_interval(self, params):
+        with pytest.raises(Unreachable) as exc:
+            inverse_facet(params, 2.0)
+        assert str(exc.value) == ("facet angle 2.000000 rad not attainable; "
+                                  "reachable interval is [-0.605454, 1.570796] rad")
+        assert exc.value.attainable == attainable_facet_range(params)
+
     def test_unreachable_below_scanned_min(self, params):
         phi_min, _ = oracles.attainable_phi_by_scan(params)
         with pytest.raises(Unreachable):
@@ -231,6 +244,21 @@ class TestPlanar:
         with pytest.raises(Unreachable):
             solve_planar_pair(params, hi + 0.1)
 
+    def test_unreachable_tilt_message_and_interval(self, params):
+        with pytest.raises(Unreachable) as exc:
+            solve_planar_pair(params, 0.5)
+        assert str(exc.value) == ("tilt 0.500000 rad not attainable; "
+                                  "reachable interval is [-0.135459, 0.135459] rad")
+        assert exc.value.attainable == attainable_tilt_range(params)
+
+    def test_slider_behind_the_ball_joint_raises(self):
+        # The servo axis sits behind the ball joint, so a 45-degree command swings
+        # the slider behind it while the crank stays inside its half-turn.
+        p = LinkageParams(l_oc=5.0, l_ab=20.0, alpha0=math.radians(60.0), oa_x=-10.0)
+        with pytest.raises(OutOfRange) as exc:
+            planar_condition_angle(p, math.radians(45.0))
+        assert str(exc.value) == "slider behind the ball joint (x = -4.82362 mm) at theta=0.785398 rad"
+
     def test_tilt_range_matches_scan(self, params):
         lo, hi = operating_range(params)
         grid = np.linspace(lo, hi, 100_000)
@@ -281,6 +309,57 @@ class TestRandomGeometries:
             assert abs(rays[0] - tilt) <= 1e-9
             assert abs(rays[1] + tilt) <= 1e-9
             assert tilt_line_residual(params, tp, tn) < 1e-9
+
+
+def _along_and_across(params, theta: float, origin: float, angle: float) -> tuple[float, float]:
+    """Slider offset from ``(origin, 0)`` along the ray at angle, and across it
+    relative to its length, from the raw vector chain."""
+    a = params.alpha0 - theta
+    dx = params.oa_x + params.l_ab * math.sin(a) - origin
+    dy = -params.l_ab * math.cos(params.alpha0) + params.l_ab * math.cos(a)
+    c, s = math.cos(angle), math.sin(angle)
+    return dx * c + dy * s, abs(dy * c - dx * s) / math.hypot(dx, dy)
+
+
+class TestRayDirection:
+    """A returned command puts the slider ahead on the requested ray, never on
+    its backward extension; angles are drawn over the whole circle and over
+    (a little past) the attainable interval."""
+
+    @given(linkage_params(), st.lists(st.floats(-math.pi, math.pi), max_size=6),
+           st.lists(st.floats(-0.1, 1.1), max_size=6))
+    def test_inverse_facet(self, params, angles, fracs):
+        lo, hi = operating_range(params)
+        a_lo, a_hi = attainable_facet_range(params)
+        wide = (lo - 1e-7, hi + 1e-7)
+        for phi in angles + [a_lo + f * (a_hi - a_lo) for f in fracs]:
+            attainable = a_lo < phi < a_hi
+            try:
+                theta = inverse_facet(params, phi)
+            except Unreachable:
+                assert not attainable, phi
+                continue
+            assert lo <= theta <= hi
+            along, across = _along_and_across(params, theta, params.l_oc, phi)
+            assert along > 0.0 and across <= 1e-9, (phi, theta)
+            if attainable:
+                assert abs(theta - oracles.inverse_facet_by_bisection(params, phi, *wide)) <= 1e-9
+
+    @given(linkage_params(), st.lists(st.floats(-math.pi, math.pi), max_size=6),
+           st.lists(st.floats(-1.1, 1.1), max_size=6))
+    def test_solve_planar_pair(self, params, angles, fracs):
+        lo, hi = operating_range(params)
+        t = attainable_tilt_range(params)[1]
+        for tilt in angles + [f * t for f in fracs]:
+            try:
+                pair = solve_planar_pair(params, tilt)
+            except Unreachable:
+                assert not abs(tilt) < t, tilt
+                continue
+            for theta, ray in zip(pair, (tilt, -tilt)):
+                assert lo <= theta <= hi
+                along, across = _along_and_across(params, theta, 0.0, ray)
+                assert along > 0.0 and across <= 1e-9, (tilt, theta)
 
 
 def test_slider_point_neutral(params):
