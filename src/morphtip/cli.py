@@ -403,18 +403,16 @@ def sweep(config_path, output, start_deg, step_deg, count) -> None:
     except InvalidParams as exc:
         raise ConfigError(_restated(exc, {"step_deg": "--step", "count": "--count"})) from exc
     rows = [SWEEP_HEADER]
-    phis = []
+    phis = []  # as printed: the CSV itself must be strictly monotone
     for i in range(spec.count):
-        t_deg = spec.start_deg + i * spec.step_deg
+        theta = math.radians(spec.start_deg + i * spec.step_deg)
         try:
-            rec = _fk_record(cfg.tip.linkage, math.radians(t_deg))
+            phi, bx, by = lk.facet_pose(cfg.tip.linkage, theta)
         except MorphtipError as exc:
             raise type(exc)(f"sweep aborts at step {i}: {exc}") from exc
-        phis.append(rec["phi_deg"])
-        rows.append(",".join([
-            str(i), fnum(rec["theta_deg"]), fnum(rec["phi_deg"]),
-            fnum(rec["B"][0]), fnum(rec["B"][1]),
-        ]))
+        cells = [fnum(math.degrees(theta)), fnum(math.degrees(phi)), fnum(bx), fnum(by)]
+        phis.append(float(cells[1]))
+        rows.append(",".join([str(i), *cells]))
     diffs = [b - a for a, b in zip(phis, phis[1:])]
     if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise ConfigError("sweep output is not strictly monotone in phi")
@@ -454,7 +452,10 @@ def trace_pointer(config_path, output, psi_max_deg, points_per_leg) -> None:
             )
     rows = [POINTER_HEADER]
     for i, (px, py) in enumerate(_pointer_poses(psi_max, points_per_leg)):
-        x, y, z = ft.pointer_top(cfg.tip, px, py)
+        try:
+            x, y, z = ft.pointer_top(cfg.tip, px, py)
+        except InvalidParams as exc:  # an attainable tilt the pointer model refuses
+            raise ConfigError(_restated(exc, {"psi_x": "--psi-max", "psi_y": "--psi-max"})) from exc
         rows.append(",".join([
             str(i), fnum(math.degrees(px)), fnum(math.degrees(py)),
             fnum(x), fnum(y), fnum(z),

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 from . import linkage
-from .errors import InvalidParams, OutOfRange
+from .errors import InvalidParams
 from .linkage import LinkageParams
 
 if TYPE_CHECKING:
@@ -221,10 +221,11 @@ def pointer_top(cfg: FingertipConfig, psi_x: float, psi_y: float) -> tuple[float
     The terrace normal starts at +z and is rotated first about the x axis
     by psi_x, then about the y axis by psi_y (fixed composition order).
     """
-    if not (math.isfinite(psi_x) and math.isfinite(psi_y)):
-        raise InvalidParams("tilt angles must be finite")
-    if abs(psi_x) >= math.pi / 4 or abs(psi_y) >= math.pi / 4:
-        raise InvalidParams("pointer tilts must stay below 45 degrees")
+    for name, value in (("psi_x", psi_x), ("psi_y", psi_y)):
+        if not math.isfinite(value):
+            raise InvalidParams(f"{name} must be finite", field=name)
+        if abs(value) >= math.pi / 4:
+            raise InvalidParams(f"{name} must stay below 45 degrees", field=name)
     sx, cx = math.sin(psi_x), math.cos(psi_x)
     sy, cy = math.sin(psi_y), math.cos(psi_y)
     rod = cfg.rod_len
@@ -264,29 +265,28 @@ def state_from_thetas(
     return _state(cfg, thetas, None, load)
 
 
-def plan_primitive(cfg: FingertipConfig, prim: MorphPrimitive) -> FingertipState:
-    """Servo plan realizing a morphing primitive.
+def _commands(params: LinkageParams, prim: MorphPrimitive) -> tuple[tuple[float, ...], tuple[float, float]]:
+    """Servo commands and terrace tilt ``(thetas, tilt)`` that realize a primitive.
 
     Concave/Convex actuate all four servos identically; TiltedPlanar
-    solves each pair for the anti-collinear slider condition and the
-    terrace is carried with the prescribed tilt.
+    solves each pair for the anti-collinear slider condition and carries
+    the terrace with the prescribed tilt.
     """
-    params = cfg.linkage
     if isinstance(prim, Flat):
-        thetas = (0.0, 0.0, 0.0, 0.0)
-        tilt = (0.0, 0.0)
-    elif isinstance(prim, (Concave, Convex)):
+        return (0.0, 0.0, 0.0, 0.0), (0.0, 0.0)
+    if isinstance(prim, (Concave, Convex)):
         theta = linkage.inverse_facet(params, prim.depth)
-        thetas = (theta, theta, theta, theta)
-        tilt = (0.0, 0.0)
-    elif isinstance(prim, TiltedPlanar):
+        return (theta, theta, theta, theta), (0.0, 0.0)
+    if isinstance(prim, TiltedPlanar):
         xp, xn = linkage.solve_planar_pair(params, prim.tilt_x)
         yp, yn = linkage.solve_planar_pair(params, prim.tilt_y)
-        thetas = (xp, xn, yp, yn)
-        tilt = (prim.tilt_x, prim.tilt_y)
-    else:
-        raise InvalidParams(f"unknown primitive {prim!r}")
-    return _state(cfg, thetas, tilt)
+        return (xp, xn, yp, yn), (prim.tilt_x, prim.tilt_y)
+    raise InvalidParams(f"prim must be a morphing primitive, got {prim!r}", field="prim")
+
+
+def plan_primitive(cfg: FingertipConfig, prim: MorphPrimitive) -> FingertipState:
+    """Servo plan realizing a morphing primitive (see :func:`_commands`)."""
+    return _state(cfg, *_commands(cfg.linkage, prim))
 
 
 def transition_trajectory(
@@ -300,22 +300,22 @@ def transition_trajectory(
     motion per servo per step; the terrace settles to the zero-load
     spring equilibrium at every step.  Returns the full state sequence
     including both endpoints (a single state if there is no motion).
+
+    No step can jam.  Both end commands are plans that ``facet_pose``
+    accepts: Flat's zero is the flat-neutral pose, even when the stroke
+    excludes it, and every other plan lies in the operating range
+    ``[lo, hi]``.  The commands ``facet_pose`` accepts (crank in (0, pi),
+    slider outward of the hinge) form one open interval that contains 0
+    and all of ``[lo, hi]``, with ``JAM_MARGIN`` of slack at each end
+    that the jam limits; so every command between the two ends is
+    accepted too.
     """
-    t0 = plan_primitive(cfg, start).thetas
-    t1 = plan_primitive(cfg, end).thetas
+    t0 = _commands(cfg.linkage, start)[0]
+    t1 = _commands(cfg.linkage, end)[0]
     span = max(abs(b - a) for a, b in zip(t0, t1))
-    step = math.radians(cfg.step_deg)
-    n = max(0, math.ceil(span / step - 1e-12))
-    if n == 0:
-        return [state_from_thetas(cfg, t0)]
-    states = []
-    for i in range(n + 1):
-        thetas = tuple(a + (b - a) * (i / n) for a, b in zip(t0, t1))
-        try:
-            states.append(state_from_thetas(cfg, thetas))
-        except OutOfRange as exc:
-            raise OutOfRange(f"trajectory jams at step {i}: {exc}") from exc
-    return states
+    n = math.ceil(span / math.radians(cfg.step_deg) - 1e-12)  # 0 when nothing moves
+    return [state_from_thetas(cfg, tuple(a + (b - a) * (i / max(n, 1)) for a, b in zip(t0, t1)))
+            for i in range(n + 1)]
 
 
 def pair_tilt_residuals(cfg: FingertipConfig, states: list[FingertipState]) -> np.ndarray:

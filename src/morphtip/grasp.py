@@ -465,9 +465,9 @@ def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     and normals.
     """
     if len(contacts) == 0:
-        raise InvalidParams("closure classification needs at least one contact")
+        raise InvalidParams("contacts must hold at least one contact", field="contacts")
     if not (math.isfinite(mu) and mu >= 0.0):
-        raise InvalidParams("friction coefficient must be non-negative")
+        raise InvalidParams("mu must be non-negative and finite", field="mu")
     rows = _contact_floats(contacts)
     x0, y0 = rows[0][0], rows[0][1]
     if len(rows) > 1 and max(abs(complex(px - x0, py - y0)) for px, py, _, _ in rows) <= DEDUP_TOL:

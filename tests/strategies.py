@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from hypothesis import assume, strategies as st
 
@@ -13,6 +14,7 @@ from morphtip import (
     FingertipState,
     Flat,
     LinkageParams,
+    MorphPrimitive,
     TiltedPlanar,
     attainable_tilt_range,
     forward_facet,
@@ -56,6 +58,48 @@ def fingertip_configs(draw) -> FingertipConfig:
         spring_k=draw(st.floats(5.0, 20.0)),
         step_deg=draw(st.floats(2.0, 5.0)),
     )
+
+
+@st.composite
+def zero_free_configs(draw) -> FingertipConfig:
+    """fingertip_configs whose servo stroke excludes 0, on either side.
+
+    The stroke keeps one end of the jam-free interval and moves the other
+    end to a fraction of it, so Flat's zero command lies outside it.
+    """
+    cfg = draw(fingertip_configs())
+    lo, hi = operating_range(cfg.linkage)
+    f = draw(st.floats(0.05, 0.8))
+    stroke = {"theta_min": f * hi} if draw(st.booleans()) else {"theta_max": f * lo}
+    return replace(cfg, linkage=replace(cfg.linkage, **stroke))
+
+
+@st.composite
+def plannable_primitives(draw, cfg: FingertipConfig) -> MorphPrimitive:
+    """A random primitive that ``cfg`` can plan.
+
+    Flat always; Concave (Convex) when the operating range reaches above
+    (below) 0, at the facet angle of a command in that part of the range;
+    TiltedPlanar when 0 lies inside the range, at a fraction of the
+    attainable tilt.
+    """
+    p = cfg.linkage
+    lo, hi = operating_range(p)
+    # Flat comes last: Hypothesis leans toward the first choice.
+    kinds = ["concave"] * (hi > 0.0) + ["convex"] * (lo < 0.0)
+    kinds += ["tilted-planar"] * (lo < 0.0 < hi) + ["flat"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "flat":
+        return Flat()
+    if kind == "tilted-planar":
+        tilt = attainable_tilt_range(p)[1]
+        return TiltedPlanar(draw(st.floats(-1.0, 1.0)) * tilt, draw(st.floats(-1.0, 1.0)) * tilt)
+    frac = draw(st.floats(0.05, 1.0))
+    if kind == "concave":
+        near = max(lo, 0.0)
+        return Concave(forward_facet(p, near + frac * (hi - near)))
+    near = min(hi, 0.0)
+    return Convex(forward_facet(p, near + frac * (lo - near)))
 
 
 @st.composite

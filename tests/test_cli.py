@@ -123,6 +123,22 @@ class TestSweep:
         assert run_cli(["sweep", *args]) == (2, (
             '{"error": {"code": "config", "message": "--count must be at most 100000"}}\n'))
 
+    @pytest.mark.parametrize("source", ["options", "config"])
+    def test_rows_equal_as_printed_exit_2(self, tmp_path, source):
+        # A 1e-12 degree step moves phi below the 9 printed digits.
+        args = (["--step", "-1e-12", "--count", "3"] if source == "options" else
+                ["--config", scene_file(tmp_path, {"sweep": {"step_deg": -1e-12, "count": 3}},
+                                       "config.json")])
+        code, out = run_cli(["sweep", *args])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "code": "config", "message": "sweep output is not strictly monotone in phi"}
+
+    def test_unwritable_output_exits_2(self, tmp_path):
+        code, out = run_cli(["sweep", "--output", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("output path not writable: ")
+
     def test_spec_accepts_counts_up_to_the_maximum(self):
         assert SweepSpec(count=MAX_COUNT).count == MAX_COUNT
         with pytest.raises(InvalidParams) as exc:
@@ -194,6 +210,25 @@ class TestTracePointer:
     def test_unreachable_amplitude_exits_3(self):
         code, out = run_cli(["trace-pointer", "--psi-max", "30"])
         assert code == 3
+
+    @pytest.mark.parametrize("psi_max", ["30", "50"])
+    def test_unreachable_amplitude_reports_the_attainable_range(self, psi_max):
+        code, out = run_cli(["trace-pointer", "--psi-max", psi_max])
+        assert code == 3
+        err = json.loads(out)["error"]
+        assert err["code"] == "unreachable"
+        assert err["attainable_deg"] == [-7.76124388, 7.76124388]
+
+    def test_attainable_amplitude_past_the_pointer_limit_names_the_option(self, tmp_path):
+        # This geometry attains tilts of +-88.8 degrees; the pointer model stops at 45.
+        config = {"fingertip": {"l_oc_mm": 1, "l_ab_mm": 58, "alpha0_deg": 84, "oa_x_mm": -15,
+                                "theta_min_deg": -100, "theta_max_deg": 160}}
+        path = scene_file(tmp_path, config, "config.json")
+        code, out = run_cli(["trace-pointer", "--config", path, "--psi-max", "50"])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "code": "config", "message": "--psi-max must stay below 45 degrees"}
+        run_ok(["trace-pointer", "--config", path, "--psi-max", "44"])
 
     @pytest.mark.parametrize("points, message", [
         ("0", "points-per-leg must be at least 1"),
@@ -447,12 +482,17 @@ class TestWrongTypes:
          "in counter-clockwise order"),
         ({"gap_mm": 20.0, "object": {**_CIRCLE, "radius_mm": 1e200, "center_mm": [10.0, 1e201]}},
          "scene field 'object.radius_mm' must be positive and its square finite"),
+        ({"gap_mm": 20.0, "left": 5, "object": _CIRCLE},
+         "scene field 'left' must be a string or object"),
+        ({"gap_mm": 20.0, "left": {"primitive": "bogus"}, "object": _CIRCLE},
+         "scene field 'left.primitive' must be one of flat, concave, convex, tilted-planar"),
     ], ids=["object", "polyline_mm", "degree_deg", "gap_mm", "type", "center_mm",
             "degree_deg-sign", "gap_mm-nan", "center_mm-nan", "tilt_deg-inf",
             "polyline_mm-nan", "vertices_mm-inf", "polyline_mm-crossing",
             "center_mm-huge", "gap_mm-huge", "polyline_mm-folds-back",
             "polyline_mm-ends-on-first", "gap_mm-negative", "mu-negative",
-            "radius_mm-negative", "vertices_mm-clockwise", "radius_mm-square-overflows"])
+            "radius_mm-negative", "vertices_mm-clockwise", "radius_mm-square-overflows",
+            "left-number", "primitive-unknown"])
     def test_scene_value_exits_2(self, tmp_path, scene, message):
         code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
         assert code == 2

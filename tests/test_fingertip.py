@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from morphtip import (
@@ -26,7 +26,7 @@ from morphtip import (
     terrace_equilibrium,
     transition_trajectory,
 )
-from strategies import fingertip_configs
+from strategies import fingertip_configs, plannable_primitives, zero_free_configs
 
 # Frozen from the rotation-composition oracle at 5 degrees, 100 mm rod.
 CORNER_X = 8.682408883346517
@@ -190,6 +190,12 @@ class TestPlanPrimitive:
         (lambda: ExternalLoad(0.0, math.nan), "tau_y"),
         (lambda: terrace_equilibrium(0.0, math.nan, 10.0), "phi_neg"),
         (lambda: terrace_equilibrium(0.0, 0.0, 10.0, math.inf), "load_torque"),
+        (lambda: plan_primitive(FingertipConfig(), "concave"), "prim"),
+        (lambda: pointer_top(FingertipConfig(), math.nan, 0.0), "psi_x"),
+        (lambda: pointer_top(FingertipConfig(), 0.0, math.inf), "psi_y"),
+        (lambda: pointer_top(FingertipConfig(), -0.8, 0.0), "psi_x"),
+        (lambda: pointer_top(FingertipConfig(), 0.0, math.pi / 4), "psi_y"),
+        (lambda: surface_profile(FingertipConfig(), 0.0, 0.0, math.nan), "psi"),
     ])
     def test_rejection_names_the_argument(self, make, field):
         with pytest.raises(InvalidParams) as exc:
@@ -366,3 +372,28 @@ class TestStatesOverRandomGeometries:
             ph = state.phis
             assert state.terrace_tilt == (terrace_equilibrium(ph[0], ph[1], cfg.spring_k),
                                         terrace_equilibrium(ph[2], ph[3], cfg.spring_k))
+
+
+@st.composite
+def transition_ends(draw):
+    """A geometry, its stroke sometimes excluding 0, and two primitives it can plan."""
+    cfg = draw(st.one_of(fingertip_configs(), zero_free_configs()))
+    return cfg, draw(plannable_primitives(cfg)), draw(plannable_primitives(cfg))
+
+
+class TestTransitionsOverRandomGeometries:
+    """No ramp between two plannable primitives jams, overshoots or strides."""
+
+    @settings(max_examples=300)
+    @given(transition_ends())
+    def test_ramp_joins_its_plans_in_bounded_steps(self, ends):
+        cfg, start, end = ends
+        t0, t1 = plan_primitive(cfg, start).thetas, plan_primitive(cfg, end).thetas
+        states = transition_trajectory(cfg, start, end)
+        assert states[0].thetas == t0
+        assert max(abs(a - b) for a, b in zip(states[-1].thetas, t1)) <= 1e-12
+        step = math.radians(cfg.step_deg)
+        for before, after in zip(states, states[1:]):
+            assert max(abs(a - b) for a, b in zip(before.thetas, after.thetas)) <= step + 1e-12
+        span = max(abs(a - b) for a, b in zip(t0, t1))
+        assert len(states) == math.ceil(span / step - 1e-12) + 1

@@ -114,6 +114,29 @@ def test_benchmark_runs_every_golden_command_in_process(tmp_path, monkeypatch):
     assert len(records) == sum(cmd["stdout"].startswith("{") for cmd in GOLDEN["commands"])
 
 
+def test_benchmark_checks_pass_on_every_seed_1_input(monkeypatch):
+    # The benchmark's own correctness checks, on the pools its run would build.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # restores sys.path, which worker.py extends
+    bench_modules = {"bench_worker", "inputs", "tracing", "workloads", "report"} - set(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location("bench_worker", ROOT / "bench" / "worker.py")
+        worker = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = worker  # dataclasses look their module up
+        spec.loader.exec_module(worker)
+        api = worker.tracing.Api()
+        checked = 0
+        for workload in worker.IN_PROCESS:
+            op, _, check = worker.workloads.WORKLOADS[workload]
+            pool, _ = worker.build(workload, 1)
+            for i, inp in enumerate(pool):
+                assert check(inp, op(api, inp)) == [], (workload, i)
+            checked += len(pool)
+        assert checked == 800
+    finally:
+        for name in bench_modules:
+            sys.modules.pop(name, None)
+
+
 def test_all_four_demos_are_found():
     assert len(DEMOS) == 4
 

@@ -438,6 +438,11 @@ class TestCradle:
             Circle(1e200, (10.0, 1e201))
         assert exc.value.field == "radius"
 
+    def test_non_finite_offset_rejected(self):
+        with pytest.raises(InvalidParams, match="^u must be finite$") as exc:
+            cradle_height(profile(Flat()), 1.0, math.nan)
+        assert exc.value.field == "u"
+
     @pytest.mark.parametrize("prim", [Flat(), Concave(math.radians(20.0)), Convex(math.radians(-20.0))],
                              ids=["flat", "concave", "convex"])
     def test_profile_as_points_reads_as_its_array(self, prim):
@@ -517,6 +522,11 @@ class TestSceneValidation:
         with pytest.raises(InvalidParams):
             scene_between(flat, flat, 20.0, Circle(5.0, (10.0, 0.0)), -0.2)
 
+    def test_non_finite_circle_center_rejected(self):
+        with pytest.raises(InvalidParams, match="^center must be finite$") as exc:
+            Circle(1.0, (math.nan, 0.0))
+        assert exc.value.field == "center"
+
     def test_non_convex_polygon_rejected(self):
         arrow = np.array([[0.0, 0.0], [4.0, 1.0], [8.0, 0.0], [4.0, 6.0]])
         with pytest.raises(InvalidParams):
@@ -575,6 +585,17 @@ class TestClosure:
         with pytest.raises(InvalidParams):
             closure_classify([], 0.0)
 
+    @pytest.mark.parametrize("empty, mu, field, message", [
+        (True, 0.0, "contacts", "contacts must hold at least one contact"),
+        (False, -0.2, "mu", "mu must be non-negative and finite"),
+        (False, math.nan, "mu", "mu must be non-negative and finite"),
+    ], ids=["no-contacts", "mu-negative", "mu-nan"])
+    def test_rejection_names_the_argument(self, empty, mu, field, message):
+        cts = [] if empty else find_contacts(flat_pinch_scene())
+        with pytest.raises(InvalidParams, match=f"^{message}$") as exc:
+            closure_classify(cts, mu)
+        assert exc.value.field == field
+
     @pytest.mark.parametrize("name", INVARIANCE_SCENES)
     def test_class_survives_a_mirror_swap(self, name):
         for mu in INVARIANCE_MUS:
@@ -613,6 +634,12 @@ class TestPivot:
 
     def test_no_contacts_no_pivot(self):
         assert not pivot_feasible([])
+
+    def test_coincident_opposed_contacts_pivot(self):
+        # No line joins the two points, so the normals alone decide.
+        left = Contact(point=(5.0, 0.0), normal=(1.0, 0.0), side="left", segment=0)
+        right = Contact(point=(5.0, 0.0), normal=(-1.0, 0.0), side="right", segment=0)
+        assert pivot_feasible([left, right])
 
 
 def as_tuples(contacts) -> list[Contact]:
