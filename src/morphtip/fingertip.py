@@ -74,6 +74,8 @@ class FingertipConfig:
 class Flat:
     """All facets level with the terrace."""
 
+    depth = 0.0  # the facet angle, as for Concave/Convex; not a field
+
 
 @dataclass(frozen=True)
 class Concave:
@@ -236,19 +238,29 @@ def pointer_top(cfg: FingertipConfig, psi_x: float, psi_y: float) -> tuple[float
 
 def _state(cfg: FingertipConfig, thetas: tuple[float, float, float, float],
            tilt: tuple[float, float] | None, load: ExternalLoad = ExternalLoad()) -> FingertipState:
-    """State of four servo commands; a tilt of None settles the terrace under load."""
+    """State of four servo commands; a tilt of None settles the terrace under load.
+
+    Each distinct command is posed once, in first-seen order, so the first
+    command that jams is the one reported.  A y plane that repeats the x
+    plane's commands and tilt repeats its profile; the sign of a zero tilt
+    is compared too, as it is the sign of the hinges' zero coordinates.
+    """
     params = cfg.linkage
-    poses = [linkage.facet_pose(params, t) for t in thetas]
-    phis = (poses[0][0], poses[1][0], poses[2][0], poses[3][0])
+    pose = {t: linkage.facet_pose(params, t) for t in dict.fromkeys(thetas)}
+    px, nx, py, ny = [pose[t] for t in thetas]
+    phis = (px[0], nx[0], py[0], ny[0])
     if tilt is None:
         tilt = (terrace_equilibrium(phis[0], phis[1], cfg.spring_k, load.tau_x),
                 terrace_equilibrium(phis[2], phis[3], cfg.spring_k, load.tau_y))
+    profile_x = _profile(cfg, px, nx, tilt[0])
+    same = ((thetas[2:], tilt[1]) == (thetas[:2], tilt[0])
+            and math.copysign(1.0, tilt[1]) == math.copysign(1.0, tilt[0]))
     return FingertipState(
         thetas=thetas,
-        phis=phis,  # type: ignore[arg-type]
+        phis=phis,
         terrace_tilt=tilt,
-        profile_x_points=_profile(cfg, poses[0], poses[1], tilt[0]),
-        profile_y_points=_profile(cfg, poses[2], poses[3], tilt[1]),
+        profile_x_points=profile_x,
+        profile_y_points=profile_x if same else _profile(cfg, py, ny, tilt[1]),
     )
 
 
@@ -268,13 +280,11 @@ def state_from_thetas(
 def _commands(params: LinkageParams, prim: MorphPrimitive) -> tuple[tuple[float, ...], tuple[float, float]]:
     """Servo commands and terrace tilt ``(thetas, tilt)`` that realize a primitive.
 
-    Concave/Convex actuate all four servos identically; TiltedPlanar
+    Flat/Concave/Convex actuate all four servos identically; TiltedPlanar
     solves each pair for the anti-collinear slider condition and carries
     the terrace with the prescribed tilt.
     """
-    if isinstance(prim, Flat):
-        return (0.0, 0.0, 0.0, 0.0), (0.0, 0.0)
-    if isinstance(prim, (Concave, Convex)):
+    if isinstance(prim, (Flat, Concave, Convex)):
         theta = linkage.inverse_facet(params, prim.depth)
         return (theta, theta, theta, theta), (0.0, 0.0)
     if isinstance(prim, TiltedPlanar):
@@ -301,14 +311,11 @@ def transition_trajectory(
     spring equilibrium at every step.  Returns the full state sequence
     including both endpoints (a single state if there is no motion).
 
-    No step can jam.  Both end commands are plans that ``facet_pose``
-    accepts: Flat's zero is the flat-neutral pose, even when the stroke
-    excludes it, and every other plan lies in the operating range
-    ``[lo, hi]``.  The commands ``facet_pose`` accepts (crank in (0, pi),
-    slider outward of the hinge) form one open interval that contains 0
-    and all of ``[lo, hi]``, with ``JAM_MARGIN`` of slack at each end
-    that the jam limits; so every command between the two ends is
-    accepted too.
+    No step can jam.  Both end commands are plans, which lie in the
+    operating range ``[lo, hi]``, and so does every command between
+    them; ``facet_pose`` accepts all of ``[lo, hi]``, with ``JAM_MARGIN``
+    of slack at each end that the jam limits, far above the rounding of
+    the interpolation.
     """
     t0 = _commands(cfg.linkage, start)[0]
     t1 = _commands(cfg.linkage, end)[0]

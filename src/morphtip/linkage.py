@@ -45,10 +45,12 @@ class LinkageParams:
     the facet exactly horizontal at theta = 0.
 
     ``theta_min``/``theta_max`` bound the commanded servo stroke; the
-    usable interval is additionally clipped by the jam limit, see
-    :func:`operating_range`.  A stroke that lies entirely in the jam zone
-    is rejected here, as are lengths so large that a point of the
-    mechanism could overflow (see :func:`_require_finite_points`).
+    usable interval ``operating_range`` is additionally clipped by the jam
+    limit and derived here too, see :func:`operating_range`; ``repr`` and
+    equality leave it out, as the fields fix it.  A stroke that lies
+    entirely in the jam zone is rejected here, as are lengths so large
+    that a point of the mechanism could overflow (see
+    :func:`_require_finite_points`).
     """
 
     l_oc: float = 15.0
@@ -58,6 +60,7 @@ class LinkageParams:
     theta_min: float = math.radians(-36.0)
     theta_max: float = math.radians(36.0)
     oa_y: float = field(init=False)
+    operating_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("l_oc", "l_ab", "alpha0", "oa_x", "theta_min", "theta_max"):
@@ -75,7 +78,7 @@ class LinkageParams:
         if self.oa_x + self.l_ab * math.sin(self.alpha0) - self.l_oc <= 0:
             raise InvalidParams("oa_x must exceed l_oc - l_ab*sin(alpha0): the slider must "
                                 "sit outward of the hinge at neutral", field="oa_x")
-        operating_range(self)
+        object.__setattr__(self, "operating_range", _clip_to_jam_free(self))
 
 
 def _require_finite_points(params: LinkageParams, facet_len: float = 1.0) -> None:
@@ -152,8 +155,14 @@ def operating_range(params: LinkageParams) -> tuple[float, float]:
     Jam-free means the slider stays outward of the hinge
     (``sin(alpha0 - theta) > (l_oc - oa_x) / l_ab``) and the crank stays in
     the modeled half-turn.  Jam-limited endpoints are pulled in by
-    ``JAM_MARGIN`` so every theta in the returned interval is valid.
+    ``JAM_MARGIN`` so every theta in the returned interval is valid.  The
+    interval is derived once, when the params are built.
     """
+    return params.operating_range
+
+
+def _clip_to_jam_free(params: LinkageParams) -> tuple[float, float]:
+    """:func:`operating_range` from the fields; a stroke wholly in the jam zone raises."""
     s0 = (params.l_oc - params.oa_x) / params.l_ab
     if s0 > 0.0:
         edge = math.asin(min(1.0, s0))
@@ -170,7 +179,7 @@ def operating_range(params: LinkageParams) -> tuple[float, float]:
 
 def attainable_facet_range(params: LinkageParams) -> tuple[float, float]:
     """Facet angles reachable over the operating range (phi is monotone)."""
-    lo, hi = operating_range(params)
+    lo, hi = params.operating_range
     return forward_facet(params, lo), forward_facet(params, hi)
 
 
@@ -227,7 +236,7 @@ def inverse_facet(params: LinkageParams, phi: float) -> float:
     phi lies outside the image of the operating range.
     """
     _require_finite("phi", phi)
-    lo, hi = operating_range(params)
+    lo, hi = params.operating_range
     theta = _ray_command(params, phi, params.l_oc, lo, hi)
     if theta is None:
         raise _unreachable("facet angle", phi, attainable_facet_range(params))
@@ -254,8 +263,17 @@ def _solve_slider_angle(params: LinkageParams, psi: float, lo: float, hi: float)
 
 
 def attainable_tilt_range(params: LinkageParams) -> tuple[float, float]:
-    """Symmetric tilt interval solvable by an opposing pair."""
-    lo, hi = operating_range(params)
+    """Symmetric tilt interval solvable by an opposing pair.
+
+    A planar pair drives its two slider rays to opposite angles, and the
+    ray angle rises with theta through 0 at theta = 0; so an operating
+    range that excludes 0 attains no tilt, and raises Unreachable with no
+    interval attached.
+    """
+    lo, hi = params.operating_range
+    if not lo <= 0.0 <= hi:
+        raise Unreachable(f"no tilt is attainable: the operating range [{lo:.6f}, {hi:.6f}] rad "
+                          "excludes the flat-neutral command 0")
     up = planar_condition_angle(params, hi)
     down = planar_condition_angle(params, lo)
     t = min(up, -down)
@@ -271,7 +289,7 @@ def solve_planar_pair(params: LinkageParams, phi_tilt: float) -> tuple[float, fl
     The two commands have opposite signs for a nonzero tilt.
     """
     _require_finite("phi_tilt", phi_tilt)
-    lo, hi = operating_range(params)
+    lo, hi = params.operating_range
     theta_pos = _solve_slider_angle(params, phi_tilt, lo, hi)
     theta_neg = _solve_slider_angle(params, -phi_tilt, lo, hi)
     return theta_pos, theta_neg

@@ -107,6 +107,21 @@ def spring_energy(psi: float, phi_pos: float, phi_neg: float, k: float, tau: flo
     return 0.5 * k * ((phi_pos - psi) ** 2 + (phi_neg + psi) ** 2) - tau * psi
 
 
+def operating_range_closed_form(params, margin: float) -> tuple[float, float]:
+    """Commanded stroke clipped to where the slider stays outward of the hinge.
+
+    The slider's x is ``oa_x + l_ab*sin(a)`` at crank angle ``a = alpha0 -
+    theta``, beyond ``l_oc`` for ``a`` in ``(edge, pi - edge)`` with ``edge =
+    asin((l_oc - oa_x)/l_ab)`` (0 when that ratio is not positive: then
+    only the half-turn bounds ``a``).  Each end that this limit sets is
+    pulled in by ``margin``.
+    """
+    s0 = (params.l_oc - params.oa_x) / params.l_ab
+    edge = math.asin(s0) if s0 > 0.0 else 0.0
+    return (max(params.theta_min, params.alpha0 - math.pi + edge + margin),
+            min(params.theta_max, params.alpha0 - edge - margin))
+
+
 def attainable_phi_by_scan(params, n: int = 200_001) -> tuple[float, float]:
     """Brute-force attainable facet interval over the commanded stroke."""
     thetas = np.linspace(params.theta_min, params.theta_max, n)

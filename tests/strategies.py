@@ -78,16 +78,16 @@ def zero_free_configs(draw) -> FingertipConfig:
 def plannable_primitives(draw, cfg: FingertipConfig) -> MorphPrimitive:
     """A random primitive that ``cfg`` can plan.
 
-    Flat always; Concave (Convex) when the operating range reaches above
-    (below) 0, at the facet angle of a command in that part of the range;
-    TiltedPlanar when 0 lies inside the range, at a fraction of the
-    attainable tilt.
+    Concave (Convex) when the operating range reaches above (below) 0, at
+    the facet angle of a command in that part of the range; TiltedPlanar
+    when 0 lies inside the range, at a fraction of the attainable tilt;
+    Flat when the range holds 0.
     """
     p = cfg.linkage
     lo, hi = operating_range(p)
     # Flat comes last: Hypothesis leans toward the first choice.
     kinds = ["concave"] * (hi > 0.0) + ["convex"] * (lo < 0.0)
-    kinds += ["tilted-planar"] * (lo < 0.0 < hi) + ["flat"]
+    kinds += ["tilted-planar"] * (lo < 0.0 < hi) + ["flat"] * (lo <= 0.0 <= hi)
     kind = draw(st.sampled_from(kinds))
     if kind == "flat":
         return Flat()
@@ -103,8 +103,8 @@ def plannable_primitives(draw, cfg: FingertipConfig) -> MorphPrimitive:
 
 
 @st.composite
-def primitive_states(draw) -> FingertipState:
-    """A random geometry planned into a random primitive it can reach.
+def planned_primitives(draw) -> tuple[FingertipConfig, FingertipState]:
+    """A random geometry and its plan of a random primitive it can reach.
 
     Concave and convex depths are a fraction of the facet angle at the
     end of the jam-free stroke, and tilts a fraction of the attainable
@@ -123,7 +123,7 @@ def primitive_states(draw) -> FingertipState:
         frac = draw(st.floats(0.05, 1.0))
         prim = (Concave(frac * forward_facet(p, hi)) if kind == "concave"
                 else Convex(frac * forward_facet(p, lo)))
-    return plan_primitive(cfg, prim)
+    return cfg, plan_primitive(cfg, prim)
 
 
 # Fractions of an interval, ends included.

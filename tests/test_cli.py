@@ -589,6 +589,30 @@ class TestJamOnlyStroke:
         }
 
 
+# The default geometry with a stroke from +5 deg: it excludes the flat-neutral command 0.
+_NO_FLAT = ('{"error": {"code": "unreachable", "message": "facet angle 0.000000 rad not attainable; '
+            'reachable interval is [0.229258, 1.570796] rad", '
+            '"attainable_deg": [13.1355297, 89.9999995]}}\n')
+_NO_TILT = ('{"error": {"code": "unreachable", "message": "no tilt is attainable: the operating '
+            'range [0.087266, 0.270919] rad excludes the flat-neutral command 0"}}\n')
+
+
+class TestStrokeExcludingZero:
+    """A stroke without 0 plans no Flat and no tilt, and says so without an inverted interval."""
+
+    @pytest.mark.parametrize("args, out", [
+        (["plan", "--primitive", "flat"], _NO_FLAT),
+        (["grasp", "--scene", "scene.json"], _NO_FLAT),
+        (["plan", "--primitive", "tilted-planar", "--tilt-x", "0"], _NO_TILT),
+        (["trace-pointer", "--psi-max", "1"], _NO_TILT),
+    ], ids=["plan-flat", "grasp-flat", "plan-tilted-planar", "trace-pointer"])
+    def test_exits_3(self, tmp_path, monkeypatch, args, out):
+        cfg = scene_file(tmp_path, {"fingertip": {"theta_min_deg": 5.0}}, "cfg.json")
+        scene_file(tmp_path, {"gap_mm": 20.0, "left": "flat", "right": "flat", "object": _CIRCLE})
+        monkeypatch.chdir(tmp_path)
+        assert run_cli([*args, "--config", cfg]) == (3, out)
+
+
 JAM_MESSAGE = "invalid config: commanded servo stroke lies entirely in the jam zone"
 # A library argument name or a radian bound: no config error may show one.
 _LIBRARY_TEXT = re.compile(

@@ -15,6 +15,7 @@ from morphtip import (
     LinkageParams,
     TiltedPlanar,
     Unreachable,
+    attainable_facet_range,
     attainable_tilt_range,
     forward_facet,
     operating_range,
@@ -26,7 +27,8 @@ from morphtip import (
     terrace_equilibrium,
     transition_trajectory,
 )
-from strategies import fingertip_configs, plannable_primitives, zero_free_configs
+from strategies import (fingertip_configs, plannable_primitives, planned_primitives,
+                        zero_free_configs)
 
 # Frozen from the rotation-composition oracle at 5 degrees, 100 mm rod.
 CORNER_X = 8.682408883346517
@@ -122,6 +124,13 @@ class TestPlanPrimitive:
         assert st.phis == (0.0, 0.0, 0.0, 0.0)
         assert st.terrace_tilt == (0.0, 0.0)
 
+    @given(zero_free_configs())
+    def test_flat_outside_the_stroke_is_unreachable(self, cfg):
+        with pytest.raises(Unreachable) as exc:
+            plan_primitive(cfg, Flat())
+        assert str(exc.value).startswith("facet angle 0.000000 rad not attainable; ")
+        assert exc.value.attainable == attainable_facet_range(cfg.linkage)
+
     def test_concave_8deg(self, cfg):
         depth = math.radians(8.0)
         st = plan_primitive(cfg, Concave(depth))
@@ -169,6 +178,13 @@ class TestPlanPrimitive:
         b = plan_primitive(cfg, TiltedPlanar(math.radians(5.0), math.radians(2.0)))
         assert a.thetas[:2] == b.thetas[:2]
         assert a.thetas[2:] != b.thetas[2:]
+
+    def test_zero_tilts_keep_their_sign(self, cfg):
+        # A tilt of -0.0 puts the hinges' zero coordinates at -0.0.
+        for tilt_x, tilt_y in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)):
+            st = plan_primitive(cfg, TiltedPlanar(tilt_x, tilt_y))
+            for points, psi in ((st.profile_x_points, tilt_x), (st.profile_y_points, tilt_y)):
+                assert np.array(points).tobytes() == surface_profile(cfg, 0.0, 0.0, psi).tobytes()
 
     def test_unreachable_depth_propagates(self, cfg):
         with pytest.raises(Unreachable):
@@ -397,3 +413,26 @@ class TestTransitionsOverRandomGeometries:
             assert max(abs(a - b) for a, b in zip(before.thetas, after.thetas)) <= step + 1e-12
         span = max(abs(a - b) for a, b in zip(t0, t1))
         assert len(states) == math.ceil(span / step - 1e-12) + 1
+
+
+def assert_posed_once(cfg, state):
+    """Each facet readout is its own command's and each plane draws its own profile."""
+    th, tilt = state.thetas, state.terrace_tilt
+    assert state.phis == tuple(forward_facet(cfg.linkage, theta) for theta in th)
+    for points, pos, neg, psi in ((state.profile_x_points, th[0], th[1], tilt[0]),
+                                  (state.profile_y_points, th[2], th[3], tilt[1])):
+        assert np.array(points).tobytes() == surface_profile(cfg, pos, neg, psi).tobytes()
+
+
+class TestPosedOnce:
+    """A state posing each distinct command once matches posing every plane apart."""
+
+    @given(planned_primitives())
+    def test_plans(self, planned):
+        assert_posed_once(*planned)
+
+    @given(transition_ends())
+    def test_ramp_states(self, ends):
+        cfg, start, end = ends
+        for state in transition_trajectory(cfg, start, end):
+            assert_posed_once(cfg, state)

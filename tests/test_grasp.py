@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from strategies import primitive_states
+from strategies import planned_primitives
 from morphtip import (
     Circle,
     Closure,
@@ -471,7 +471,8 @@ class TestCradle:
             cradle_height(bad, 2.0, 0.0)
 
     @settings(max_examples=200)
-    @given(st.one_of(primitive_states().map(lambda s: s.profile_x_points), star_polylines()),
+    @given(st.one_of(planned_primitives().map(lambda plan: plan[1].profile_x_points),
+                     star_polylines()),
            st.floats(0.5, 80.0), st.floats(-60.0, 60.0))
     def test_matches_bisection(self, points, r, u):
         want = oracles.cradle_by_bisection(points, r, u)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from strategies import fractions, linkage_params
+from strategies import fractions, linkage_params, zero_free_configs
 from morphtip import (
     InvalidParams,
     LinkageParams,
@@ -79,6 +80,34 @@ class TestParams:
         for theta in np.linspace(*operating_range(p), 101):
             assert all(map(math.isfinite, slider_point(p, theta)))
             assert math.isfinite(forward_facet(p, theta))
+
+
+zero_free_linkages = zero_free_configs().map(lambda cfg: cfg.linkage)
+# Geometries from the shared screen, and ones whose stroke excludes 0.
+any_stroke = st.one_of(linkage_params(), zero_free_linkages)
+
+
+class TestStoredOperatingRange:
+    """The range is derived once from the fields, like oa_y, and is not itself one."""
+
+    @given(any_stroke, fractions)
+    def test_equals_the_closed_form_also_after_replace(self, p, f):
+        assert operating_range(p) == oracles.operating_range_closed_form(p, 1e-9)
+        lo, hi = operating_range(p)
+        q = replace(p, theta_min=lo + 0.9 * f * (hi - lo))
+        assert operating_range(q) == oracles.operating_range_closed_form(q, 1e-9)
+        assert operating_range(q) == (q.theta_min, hi)
+
+    @given(any_stroke)
+    def test_is_no_argument_and_not_in_repr_or_equality(self, p):
+        with pytest.raises(TypeError):
+            LinkageParams(operating_range=p.operating_range)
+        with pytest.raises(ValueError):
+            replace(p, operating_range=p.operating_range)
+        assert "operating_range" not in repr(p)
+        q = replace(p)
+        object.__setattr__(q, "operating_range", (0.0, 0.0))
+        assert q == p and hash(q) == hash(p)
 
 
 class TestForward:
@@ -250,6 +279,17 @@ class TestPlanar:
         assert str(exc.value) == ("tilt 0.500000 rad not attainable; "
                                   "reachable interval is [-0.135459, 0.135459] rad")
         assert exc.value.attainable == attainable_tilt_range(params)
+
+    @given(zero_free_linkages, st.floats(-0.5, 0.5))
+    def test_a_stroke_excluding_zero_attains_no_tilt(self, p, tilt):
+        lo, hi = operating_range(p)
+        message = (f"no tilt is attainable: the operating range [{lo:.6f}, {hi:.6f}] rad "
+                   "excludes the flat-neutral command 0")
+        for solve in (lambda: attainable_tilt_range(p), lambda: solve_planar_pair(p, tilt)):
+            with pytest.raises(Unreachable) as exc:
+                solve()
+            assert str(exc.value) == message
+            assert exc.value.attainable is None
 
     def test_slider_behind_the_ball_joint_raises(self):
         # The servo axis sits behind the ball joint, so a 45-degree command swings
