@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 
 # A cross-section polyline as (x, y) points; a fingertip plane has four.
 Profile = tuple[tuple[float, float], ...]
+# Most states one transition ramp may hold, the CLI's bound on CSV rows.
+MAX_STATES = 100_000
 
 
 def _np():
@@ -273,7 +275,15 @@ def state_from_thetas(
 
     The terrace tilt of each pair comes from the spring-energy argmin of
     the pair's facet readouts plus the external torque on that axis.
+    ``thetas`` must be four finite commands (+x, -x, +y, -y), else
+    InvalidParams names it.
     """
+    try:
+        ok = len(thetas) == 4 and all(math.isfinite(t) for t in thetas)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidParams("thetas must be four finite servo commands", field="thetas")
     return _state(cfg, thetas, None, load)
 
 
@@ -315,13 +325,20 @@ def transition_trajectory(
     operating range ``[lo, hi]``, and so does every command between
     them; ``facet_pose`` accepts all of ``[lo, hi]``, with ``JAM_MARGIN``
     of slack at each end that the jam limits, far above the rounding of
-    the interpolation.
+    the interpolation.  A ramp of more than MAX_STATES states is
+    InvalidParams naming step_deg, raised before any state is built.
     """
     t0 = _commands(cfg.linkage, start)[0]
     t1 = _commands(cfg.linkage, end)[0]
     span = max(abs(b - a) for a, b in zip(t0, t1))
-    n = math.ceil(span / math.radians(cfg.step_deg) - 1e-12)  # 0 when nothing moves
-    return [state_from_thetas(cfg, tuple(a + (b - a) * (i / max(n, 1)) for a, b in zip(t0, t1)))
+    step = math.radians(cfg.step_deg)
+    # n steps make n + 1 states; a step that rounds to 0 rad makes endlessly many.
+    steps = span / step - 1e-12 if step > 0.0 else math.inf
+    if steps > MAX_STATES - 1:
+        raise InvalidParams(f"step_deg {cfg.step_deg!r} makes a ramp of more than "
+                            f"{MAX_STATES} states", field="step_deg")
+    n = math.ceil(steps)  # 0 when nothing moves
+    return [_state(cfg, tuple(a + (b - a) * (i / max(n, 1)) for a, b in zip(t0, t1)), None)
             for i in range(n + 1)]
 
 

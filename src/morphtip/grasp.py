@@ -8,9 +8,10 @@ outward height) is placed with :func:`scene_between`.
 The model is rigid-body, first-order and quasi-static: contacts are
 frictionless points or friction cones in the plane, closure is decided on
 wrench rays, and the passive-centering claim is checked as a gravitational
-support landscape of a circle over the profile.  Closure and pivot verdicts
-are computed on plain Python floats, with an early-exit facet test; contact
-finding still runs on numpy arrays.
+support landscape of a circle over the profile.  Contacts, closure and
+pivot verdicts are computed on plain Python floats: contacts in one scan
+over both profiles' segments, closure with an early-exit facet test.
+numpy holds the scene's arrays and each contact's point and normal.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ HULL_TOL = 1e-9
 # Rounding slack when testing that no wrench ray lies beyond a triple's
 # plane, and the smallest triple cross product that still spans a plane.
 _PLANE_TOL = 1e-12
+# A feature whose line lies farther than this from a point is not within
+# CONTACT_TOL of it: the second CONTACT_TOL is slack for the rounding of the
+# line distance, a few ulps of the coordinates, far below it up to 1e6 mm.
+_NEAR = 2.0 * CONTACT_TOL
 # Anti-parallelism tolerance for the pivot pinch line (rad).
 PIVOT_ANGLE_TOL = 1e-3
 
@@ -208,92 +213,71 @@ def scene_between(
     )
 
 
-def _closest_on_segments(points: np.ndarray, starts: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closest point on every segment to every point, and its distance.
+def _closest(px: float, py: float, ax: float, ay: float, dx: float,
+             dy: float) -> tuple[float, float, float]:
+    """Closest point to (px, py) on the segment from (ax, ay) along (dx, dy).
 
-    Segment i runs from ``starts[i]`` to ``starts[i] + dirs[i]``.  Returns
-    the closest points, shape (segments, points, 2), and the distances,
-    shape (segments, points).  A zero-length segment is its start point.
+    Returns the point and its distance (Ericson, *Real-Time Collision
+    Detection*, 2005, 5.1.2).  A zero-length segment is its start point.
     """
-    rel = points - starts[:, None]
-    along = rel[..., 0] * dirs[:, None, 0] + rel[..., 1] * dirs[:, None, 1]
-    dd = np.einsum("ij,ij->i", dirs, dirs)[:, None]
-    t = np.divide(along, dd, out=np.zeros_like(along), where=dd != 0.0)
-    t.clip(0.0, 1.0, out=t)
-    q = starts[:, None] + t[..., None] * dirs[:, None]
-    gap = points - q
-    return q, np.hypot(gap[..., 0], gap[..., 1])
+    dd = dx * dx + dy * dy
+    t = ((px - ax) * dx + (py - ay) * dy) / dd if dd != 0.0 else 0.0
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    qx, qy = ax + t * dx, ay + t * dy
+    # abs() of a complex is the C library's hypot, as in fingertip._profile.
+    return qx, qy, abs(complex(px - qx, py - qy))
 
 
-def _circle_contacts(starts: np.ndarray, dirs: np.ndarray, labels: list[tuple[str, int]],
-                     circle: Circle) -> list[Contact]:
-    center = np.asarray(circle.center, dtype=float)
-    q, dist = _closest_on_segments(center[None], starts, dirs)
-    q, dist = q[:, 0], dist[:, 0]
-    over = np.flatnonzero(dist < circle.radius - PENETRATION_TOL)
-    if len(over):
-        g = over[0]
-        raise Penetration(
-            f"circle overlaps the {labels[g][0]} profile by {circle.radius - dist[g]:.3g} mm",
-            witness=(float(q[g, 0]), float(q[g, 1])),
-        )
-    touch = np.flatnonzero((np.abs(dist - circle.radius) <= CONTACT_TOL) & (dist > 0))
-    return [Contact(point=q[g], normal=(center - q[g]) / dist[g], side=labels[g][0], segment=labels[g][1])
-            for g in touch]
+def _polygon_depth(ax: float, ay: float, dx: float, dy: float,
+                   features: list) -> tuple[float, float] | None:
+    """Where along a segment it lies deepest inside a convex polygon, and how deep.
+
+    ``features`` holds each edge's (start, direction, inward normal).
+    Returns (t, depth) for the point (ax + t*dx, ay + t*dy).  Along the
+    segment the inward distance to edge line j is c + t*s, t in [0, 1];
+    the depth is the peak of their lower envelope.  A Cyrus-Beck clip
+    (1978) against the polygon shrunk by PENETRATION_TOL/2 first answers
+    None for a segment that cannot reach PENETRATION_TOL.
+    """
+    lo, hi, lines = 0.0, 1.0, []
+    for (vx, vy), _, (nx, ny) in features:
+        c = (ax - vx) * nx + (ay - vy) * ny
+        s = dx * nx + dy * ny
+        inner = c - 0.5 * PENETRATION_TOL
+        if s > 0.0:
+            lo = max(lo, -inner / s)
+        elif s < 0.0:
+            hi = min(hi, -inner / s)
+        elif inner < 0.0:
+            return None
+        if lo > hi:
+            return None
+        lines.append((c, s))
+    rising = [(c, s) for c, s in lines if s > 0.0]
+    # The lower envelope of the rising lines falls below a falling line q
+    # at q's last crossing with one of them.  The envelope of all lines
+    # peaks at the earliest such point over the falling lines, or at t = 0
+    # (1) when no line rises (falls); flat lines only cap the peak.
+    t = math.inf
+    for cq, sq in lines:
+        if sq < 0.0:
+            t = min(t, max(((cq - cp) / (sp - sq) for cp, sp in rising), default=-math.inf))
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    return t, min(c + t * s for c, s in lines)
 
 
-def _polygon_contacts(starts: np.ndarray, dirs: np.ndarray, ends: np.ndarray,
-                      labels: list[tuple[str, int]], poly: ConvexPolygon) -> list[Contact]:
-    verts, normals = poly.vertices, poly.normals
-    # Along segment i the inward distance to edge line j is c + t*s, t in
-    # [0, 1]; the segment's depth is the maximum of their lower envelope.
-    rel = starts[:, None] - verts
-    c = rel[..., 0] * normals[:, 0] + rel[..., 1] * normals[:, 1]
-    s = dirs @ normals.T
-    cp, sp = c.T[:, :, None], s.T[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # [p, i, q]: the t at which edge lines p and q cross along segment i.
-        cross = (c - cp) / (sp - s)
-    # The lower envelope of the rising lines (s > 0) falls below a falling
-    # line q at q's last crossing with one of them.  The envelope of all
-    # lines peaks at the earliest such point over the falling lines, or at
-    # t = 0 (1) when no line rises (falls); flat lines only cap the peak.
-    drop = np.where(sp > 0, cross, -np.inf).max(axis=0)
-    t = np.where(s < 0, drop, np.inf).min(axis=1).clip(0.0, 1.0)
-    depth = np.min(c + t[:, None] * s, axis=1)
-    over = np.flatnonzero(depth > PENETRATION_TOL)
-    if len(over):
-        g = over[0]
-        witness = starts[g] + t[g] * dirs[g]
-        raise Penetration(
-            f"polygon overlaps the {labels[g][0]} profile by {depth[g]:.3g} mm",
-            witness=(float(witness[0]), float(witness[1])),
-        )
-    seg_len = np.hypot(dirs[:, 0], dirs[:, 1])
-    live = seg_len > 0.0
-    # Object vertex resting on a profile segment.
-    q, dist = _closest_on_segments(verts, starts, dirs)
-    on_segment = (dist <= CONTACT_TOL) & live[:, None]
-    # Profile corner (segment start, then end) resting on an object edge:
-    # the first edge it touches.  A corner more than CONTACT_TOL inside the
-    # polygon is at least that far from every edge, so it never counts.
-    corners = np.stack([starts, ends], axis=1)
-    _, edge_dist = _closest_on_segments(corners.reshape(-1, 2), verts, poly.edges)
-    on_edge = (edge_dist <= CONTACT_TOL).T.reshape(len(starts), 2, -1)
-    edge = on_edge.argmax(axis=2)
-    at_corner = on_edge.any(axis=2) & live[:, None]
-    out = []
-    for g in np.flatnonzero(on_segment.any(axis=1) | at_corner.any(axis=1)):
-        side, i = labels[g]
-        for j in np.flatnonzero(on_segment[g]):
-            n = np.array([-dirs[g, 1], dirs[g, 0]]) / seg_len[g]
-            if float(n @ (poly.centroid - q[g, j])) < 0:
-                n = -n
-            out.append(Contact(point=q[g, j], normal=n, side=side, segment=i))
-        for end in np.flatnonzero(at_corner[g]):
-            out.append(Contact(point=corners[g, end], normal=normals[edge[g, end]],
-                               side=side, segment=i))
-    return out
+def _resting_edge(px: float, py: float, features: list) -> tuple[float, float] | None:
+    """Inward normal of the first object edge within CONTACT_TOL of (px, py).
+
+    ``features`` holds each edge's (start, direction, inward normal).  An
+    edge whose line lies farther than _NEAR is skipped before the
+    closest-point test.  None when no edge is that close.
+    """
+    for (vx, vy), (ex, ey), (mx, my) in features:
+        if (-_NEAR <= (px - vx) * mx + (py - vy) * my <= _NEAR
+                and _closest(px, py, vx, vy, ex, ey)[2] <= CONTACT_TOL):
+            return mx, my
+    return None
 
 
 def find_contacts(scene: GraspScene) -> list[Contact]:
@@ -301,23 +285,63 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
 
     Raises Penetration when the object overlaps a profile by more than
     PENETRATION_TOL (the pose is not quasi-statically valid); the first
-    offending segment, left profile before right, is reported.
+    offending segment, left profile before right, is reported.  One scan
+    over both profiles' segments does the work on Python floats.
     """
-    profiles = (("left", scene.left_profile), ("right", scene.right_profile))
-    # Both profiles' segments in scan order, with (side, index) labels.
-    starts = np.concatenate([p[:-1] for _, p in profiles])
-    ends = np.concatenate([p[1:] for _, p in profiles])
-    labels = [(side, i) for side, p in profiles for i in range(len(p) - 1)]
-    if isinstance(scene.obj, Circle):
-        raw = _circle_contacts(starts, ends - starts, labels, scene.obj)
+    obj = scene.obj
+    circle = isinstance(obj, Circle)
+    if circle:
+        cx, cy = float(obj.center[0]), float(obj.center[1])
+        r = obj.radius
     else:
-        raw = _polygon_contacts(starts, ends - starts, ends, labels, scene.obj)
-    kept: list[Contact] = []
+        features = list(zip(obj.vertices.tolist(), obj.edges.tolist(), obj.normals.tolist()))
+        gx, gy = obj.centroid.tolist()
+    raw = []  # (px, py, nx, ny, side, segment) in scan order
+    for side, profile in (("left", scene.left_profile), ("right", scene.right_profile)):
+        points = profile.tolist()
+        if not circle:
+            # Each profile point's resting edge, read by both its segments.
+            rests = [_resting_edge(px, py, features) for px, py in points]
+        for i, ((ax, ay), (bx, by)) in enumerate(zip(points, points[1:])):
+            dx, dy = bx - ax, by - ay
+            if circle:
+                qx, qy, dist = _closest(cx, cy, ax, ay, dx, dy)
+                if dist < r - PENETRATION_TOL:
+                    raise Penetration(f"circle overlaps the {side} profile by {r - dist:.3g} mm",
+                                      witness=(qx, qy))
+                if abs(dist - r) <= CONTACT_TOL and dist > 0:
+                    raw.append((qx, qy, (cx - qx) / dist, (cy - qy) / dist, side, i))
+                continue
+            deepest = _polygon_depth(ax, ay, dx, dy, features)
+            if deepest is not None and deepest[1] > PENETRATION_TOL:
+                t, depth = deepest
+                raise Penetration(f"polygon overlaps the {side} profile by {depth:.3g} mm",
+                                  witness=(ax + t * dx, ay + t * dy))
+            if dx == 0.0 and dy == 0.0:
+                continue
+            seg_len = abs(complex(dx, dy))
+            nx, ny = -dy / seg_len, dx / seg_len
+            # Object vertex resting on the segment; n is flipped to point
+            # into the object.
+            for (vx, vy), _, _ in features:
+                if -_NEAR <= (vx - ax) * nx + (vy - ay) * ny <= _NEAR:
+                    qx, qy, dist = _closest(vx, vy, ax, ay, dx, dy)
+                    if dist <= CONTACT_TOL:
+                        flip = nx * (gx - qx) + ny * (gy - qy) < 0
+                        raw.append((qx, qy, -nx if flip else nx, -ny if flip else ny, side, i))
+            # Segment start, then end, resting on an object edge.  A corner
+            # more than CONTACT_TOL inside the polygon is at least that far
+            # from every edge, so it never counts.
+            for k in (i, i + 1):
+                if rests[k] is not None:
+                    raw.append((*points[k], *rests[k], side, i))
+    kept: list[tuple] = []
     for c in raw:
-        if all(float(np.hypot(*(c.point - k.point))) > DEDUP_TOL for k in kept):
+        if all(abs(complex(c[0] - k[0], c[1] - k[1])) > DEDUP_TOL for k in kept):
             kept.append(c)
-    kept.sort(key=lambda c: (c.side, c.segment, float(c.point[0]), float(c.point[1])))
-    return kept
+    kept.sort(key=lambda c: (c[4], c[5], c[0], c[1]))
+    return [Contact(point=np.array((px, py)), normal=np.array((nx, ny)), side=side, segment=i)
+            for px, py, nx, ny, side, i in kept]
 
 
 def cradle_height(profile: Union[np.ndarray, Sequence[Sequence[float]]], circle_radius: float,

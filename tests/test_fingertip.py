@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from morphtip import fingertip
 from morphtip import (
     Concave,
     Convex,
@@ -336,6 +338,24 @@ class TestTrajectory:
         with pytest.raises(Unreachable):
             transition_trajectory(cfg, Flat(), Concave(1.6))
 
+    def test_tiny_step_raises_before_building_a_state(self):
+        cfg = FingertipConfig(step_deg=1e-9)
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams) as exc:
+            transition_trajectory(cfg, Flat(), Concave(math.radians(20.0)))
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.field == "step_deg"
+        assert str(exc.value) == "step_deg 1e-09 makes a ramp of more than 100000 states"
+
+    def test_state_bound_is_inclusive(self, cfg, monkeypatch):
+        phi_hi = forward_facet(cfg.linkage, math.radians(15.0))
+        phi_lo = forward_facet(cfg.linkage, math.radians(-21.0))
+        monkeypatch.setattr(fingertip, "MAX_STATES", 13)
+        assert len(transition_trajectory(cfg, Concave(phi_hi), Convex(phi_lo))) == 13
+        monkeypatch.setattr(fingertip, "MAX_STATES", 12)
+        with pytest.raises(InvalidParams, match="more than 12 states"):
+            transition_trajectory(cfg, Concave(phi_hi), Convex(phi_lo))
+
 
 class TestStateFromThetas:
     def test_equilibrium_tilt_from_asymmetric_actuation(self, cfg):
@@ -353,6 +373,14 @@ class TestStateFromThetas:
         assert st0.terrace_tilt == (0.0, 0.0)
         assert st1.terrace_tilt[0] == pytest.approx(1.0)
         assert st1.terrace_tilt[1] == 0.0
+
+    @pytest.mark.parametrize("thetas", [(0.0, 0.0), (0.0,) * 5, (), 0.0, None, "abcd",
+                                        (0.0, 0.0, math.nan, 0.0), (0.0, -math.inf, 0.0, 0.0)])
+    def test_other_than_four_finite_commands_rejected(self, cfg, thetas):
+        with pytest.raises(InvalidParams) as exc:
+            state_from_thetas(cfg, thetas)
+        assert exc.value.field == "thetas"
+        assert str(exc.value) == "thetas must be four finite servo commands"
 
 
 class TestStatesOverRandomGeometries:

@@ -1,4 +1,7 @@
 import math
+import time
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -262,6 +265,26 @@ class TestFindContacts:
             assert cb.point == pytest.approx(ca.point + shift, abs=1e-9)
             assert cb.normal == pytest.approx(ca.normal, abs=1e-12)
             assert (ca.side, ca.segment) == (cb.side, cb.segment)
+
+    def test_memory_stays_linear_in_the_vertex_count(self):
+        # The scan holds each vertex a fixed number of times; a grid of
+        # segments x edges x edges would need about 96 MB here.
+        flat = profile(Flat())
+        ang = 2.0 * np.pi * np.arange(1000) / 1000
+        r = 12.0
+        poly = ConvexPolygon(np.column_stack([r + r * np.cos(ang), r * np.sin(ang)]))
+        scene = scene_between(flat, flat, 2 * r, poly, 0.0)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            cts = find_contacts(scene)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(c.side, c.segment) for c in cts] == [("left", 1), ("right", 1)]
+        assert peak < 1_000_000
+        assert elapsed < 1.0
 
     def test_edge_on_edge_square_between_flats(self):
         # square face flush on both flat profiles: two contacts per side
@@ -661,6 +684,27 @@ class TestVerdictsOnFloats:
             assert pivot_feasible(cts) is pivot
         with pytest.raises(DegenerateContacts):
             closure_classify([contacts[0][0]] * 2, 0.5)
+
+    def test_find_contacts_calls_only_np_array(self, monkeypatch):
+        scenes = (flat_pinch_scene(), concave_seat_scene(), square_seat_scene())
+        flat = profile(Flat())
+        overlapping = (
+            scene_between(flat, flat, 18.0, Circle(10.0, (9.0, 0.0)), 0.0),
+            scene_between(flat, flat, 30.0, ConvexPolygon(
+                np.array([[-1.0, -5.0], [9.0, -5.0], [9.0, 5.0], [-1.0, 5.0]])), 0.0),
+        )
+
+        def rows(scene):
+            return [(c.point.tobytes(), c.normal.tobytes(), c.side, c.segment)
+                    for c in find_contacts(scene)]
+
+        expected = [rows(scene) for scene in scenes]
+        assert [len(want) for want in expected] == [2, 4, 4]
+        monkeypatch.setattr(grasp, "np", types.SimpleNamespace(array=np.array))
+        assert [rows(scene) for scene in scenes] == expected
+        for scene in overlapping:
+            with pytest.raises(Penetration):
+                find_contacts(scene)
 
 
 @st.composite
