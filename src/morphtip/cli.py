@@ -8,6 +8,11 @@ so re-running a command on identical inputs is byte-identical.
 Exit codes: 0 success, 2 configuration or input parse error, 3 model or
 geometry error (jam, unreachable target, penetration).
 
+:data:`_FIELDS` is the one place a field of a config or scene file is
+declared: its path in the file, its kind, the library argument it gives,
+its unit and its least length.  One walker, :func:`_walk`, reads both
+files by it, and a library error is restated by it in the file's paths.
+
 The command line is read by :mod:`argparse` (see :func:`_parser`); a
 usage error exits 2 with its message on stderr and nothing on stdout.
 Only the grasp command loads :mod:`morphtip.grasp`, and numpy with it;
@@ -23,8 +28,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import fingertip as ft
 from . import linkage as lk
@@ -40,6 +46,10 @@ CRADLE_DELTA = 0.1
 # Largest sweep count and trace-pointer points per leg: a CSV is built in
 # memory before it is written, so its length is bounded before any row.
 MAX_COUNT = 100_000
+# Most [x, y] points a scene's polyline_mm or vertices_mm may list: the
+# check that a polyline does not cross itself costs O(n^2), and a grasp
+# makes it up to three times per profile.
+MAX_POINTS = 256
 
 
 class ConfigError(Exception):
@@ -82,7 +92,7 @@ def _emit(text: str, path: str | None) -> None:
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"output path not writable: {exc}") from exc
 
 
@@ -111,95 +121,207 @@ class RunConfig:
     out_path: str | None = None
 
 
-_CONFIG_SECTIONS = {
-    "fingertip": ("l_oc_mm", "l_ab_mm", "alpha0_deg", "oa_x_mm", "theta_min_deg",
-                  "theta_max_deg", "facet_len_mm", "rod_len_mm"),
-    "sweep": ("start_deg", "step_deg", "count"),
-    "output": ("path",),
-}
-# The library argument of each fingertip field is the field's name less its
-# unit suffix (see _arg); the linkage takes those it has, the fingertip the rest.
-_LINKAGE_ARGS = {f.name for f in fields(lk.LinkageParams)}
-_SCENE_FIELDS = ("gap_mm", "mu", "left", "right", "object")
-# The scene field that gives each argument of the scene's library classes.
-_SCENE_PATHS = {"gap": "gap_mm", "mu": "mu", "radius": "object.radius_mm",
-                "center": "object.center_mm", "vertices": "object.vertices_mm",
-                "left_profile": "left", "right_profile": "right"}
-# A profile spec is a polyline_mm alone, or a primitive with its own fields.
-_PRIMITIVE_FIELDS = {"flat": (), "concave": ("degree_deg",), "convex": ("degree_deg",),
-                     "tilted-planar": ("tilt_deg",)}
-_PRIMITIVES = tuple(_PRIMITIVE_FIELDS)
-_OBJECT_FIELDS = {"circle": ("type", "radius_mm", "center_mm"),
-                  "polygon": ("type", "vertices_mm")}
+class _Field(NamedTuple):
+    """How :func:`_walk` reads one field of a config or scene file.
 
-
-def _fields(d, path: str, known, what: str = "config") -> dict:
-    """d itself, once it is a JSON object whose keys are all in ``known``.
-
-    ``path`` names d in error messages (``fingertip``, ``object``; empty
-    for the root).
+    ``kind`` is a key of :data:`_READERS`; or "object", a JSON object of
+    further fields; or "spec", an object that may also be given as the
+    name of its variant.  The value goes, read, to the argument ``arg``
+    of the library call ``call``; ``deg`` converts it from the file's
+    degrees to the library's radians.  ``least`` is the fewest [x, y]
+    points a points field takes.  ``only`` names the variants of its
+    object that take the field, all when empty; an enum field names its
+    object's variant, and its ``only`` lists the values it takes.
+    ``default`` is read in place of an absent field: None leaves the
+    argument to the library, and every reader refuses _REQUIRED.
     """
-    if not isinstance(d, dict):
-        where = f"field {path!r}" if path else "root"
-        raise ConfigError(f"{what} {where} must be a JSON object")
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"unknown {what} field {(path + '.' if path else '') + key!r}")
-    return d
+
+    kind: str
+    call: str = ""
+    arg: str = ""
+    deg: bool = False
+    least: int = 0
+    only: tuple[str, ...] = ()
+    default: object = None
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_REQUIRED = object()
+_PRIMITIVES = ("flat", "concave", "convex", "tilted-planar")
+
+
+def _profile_fields(side: str, default: str | None) -> dict[str, _Field]:
+    """A scene profile spec: a primitive, by name or as an object, or a polyline_mm alone."""
+    return {
+        side: _Field("spec", "scene", f"{side}_profile", default=default),
+        f"{side}.primitive": _Field("enum", side, "kind", only=_PRIMITIVES, default="flat"),
+        f"{side}.degree_deg": _Field("number", side, "depth", deg=True, only=("concave", "convex"),
+                                     default=_REQUIRED),
+        f"{side}.tilt_deg": _Field("pair", side, "tilt", deg=True, only=("tilted-planar",)),
+        f"{side}.polyline_mm": _Field("points", side, "polyline", least=2, only=("polyline",)),
+    }
+
+
+# Every field of a config file and of a scene file, by its path in the file.
+# The fields of an object that are objects are read in this order.
+_FIELDS = {
+    "config": {
+        "output": _Field("object"),
+        "output.path": _Field("string-or-null", "run", "out_path"),
+        "sweep": _Field("object"),
+        "sweep.start_deg": _Field("number", "sweep", "start_deg"),
+        "sweep.step_deg": _Field("number", "sweep", "step_deg"),
+        "sweep.count": _Field("integer", "sweep", "count"),
+        "fingertip": _Field("object"),
+        "fingertip.l_oc_mm": _Field("number", "linkage", "l_oc"),
+        "fingertip.l_ab_mm": _Field("number", "linkage", "l_ab"),
+        "fingertip.alpha0_deg": _Field("number", "linkage", "alpha0", deg=True),
+        "fingertip.oa_x_mm": _Field("number", "linkage", "oa_x"),
+        "fingertip.theta_min_deg": _Field("number", "linkage", "theta_min", deg=True),
+        "fingertip.theta_max_deg": _Field("number", "linkage", "theta_max", deg=True),
+        "fingertip.facet_len_mm": _Field("number", "tip", "facet_len"),
+        "fingertip.rod_len_mm": _Field("number", "tip", "rod_len"),
+    },
+    "scene": {
+        "gap_mm": _Field("number", "scene", "gap", default=_REQUIRED),
+        "mu": _Field("number", "scene", "mu", default=0.0),
+        **_profile_fields("left", "flat"),
+        **_profile_fields("right", None),  # absent, it mirrors left
+        "object": _Field("object", default=_REQUIRED),
+        "object.type": _Field("enum", "object", "type", only=("circle", "polygon")),
+        "object.radius_mm": _Field("number", "object", "radius", only=("circle",), default=_REQUIRED),
+        "object.center_mm": _Field("pair", "object", "center", only=("circle",)),
+        "object.vertices_mm": _Field("points", "object", "vertices", least=3, only=("polygon",),
+                                     default=_REQUIRED),
+    },
+}
 
 
 def _is_finite(value) -> bool:
     """value is a JSON number that converts to a finite float.
 
-    An integer too large for a float is not one.
+    An integer too large for a float is not one.  JSON numbers read as
+    int or float, and true and false as bool, which is not one either.
     """
     try:
-        return _is_number(value) and math.isfinite(value)
+        return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:
         return False
 
 
-def _is_pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_finite, value))
+# The reader of each kind of value: it returns the value as the library takes
+# it, or raises a ConfigError saying what the value must be.
+
+def _number(value, f: _Field) -> float:
+    if not _is_finite(value):
+        raise ConfigError("is required" if value is _REQUIRED else "must be a finite number"
+                          if type(value) in (int, float) else "must be a number")
+    return (math.radians if f.deg else float)(value)
 
 
-def _number(d: dict, key: str, path: str, what: str = "config") -> float:
-    """d[key] as a float.
+def _integer(value, f: _Field) -> int:
+    if not (_is_finite(value) and float(value).is_integer()):
+        raise ConfigError("must be an integer")
+    return int(value)
 
-    ``path`` names d as in :func:`_fields`.  A missing key, or a value
-    that is not a finite JSON number, is an error naming the field.
+
+def _string_or_null(value, f: _Field) -> str | None:
+    if not (value is None or isinstance(value, str)):
+        raise ConfigError("must be a string or null")
+    return value
+
+
+def _pair(value, f: _Field) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_finite, value))):
+        raise ConfigError("must be a pair of numbers [x, y]")
+    return tuple(map(math.radians if f.deg else float, value))
+
+
+def _points(value, f: _Field) -> ft.Profile:
+    shape = ConfigError(f"must be a list of at least {f.least} [x, y] points")
+    if not (isinstance(value, list) and len(value) >= f.least):
+        raise shape
+    if len(value) > MAX_POINTS:  # before the points are read: a long list is refused at once
+        raise ConfigError(f"must have at most {MAX_POINTS} points")
+    try:
+        return tuple(_pair(point, f) for point in value)
+    except ConfigError:
+        raise shape from None
+
+
+def _enum(value, f: _Field) -> str:
+    if value not in f.only:
+        names = " or ".join(map(repr, f.only)) if len(f.only) == 2 else "one of " + ", ".join(f.only)
+        raise ConfigError(f"must be {names}")
+    return value
+
+
+_READERS = {"number": _number, "integer": _integer, "string-or-null": _string_or_null,
+            "pair": _pair, "points": _points, "enum": _enum}
+
+
+def _walk(node, path: str, what: str, args: dict[str, dict]) -> None:
+    """Read ``node``, the JSON object at ``path`` of a ``what`` file, into ``args``.
+
+    JSON objects arrive as tuples of (key, value) pairs, so a key given
+    twice is seen.  An object's enum field names its variant, and the
+    variant says which keys the object takes; a field of a variant the
+    enum does not offer (a profile's polyline_mm) names that variant by
+    being there.  Unknown keys are refused before any value is read;
+    then values are read in file order, then absent fields and objects
+    in table order.  Each value goes to ``args[call][arg]``.
     """
-    name = (path + "." if path else "") + key
-    if key not in d:
-        raise ConfigError(f"{what} field {name!r} is required")
-    if not _is_number(d[key]):
-        raise ConfigError(f"{what} field {name!r} must be a number")
-    if not _is_finite(d[key]):
-        raise ConfigError(f"{what} field {name!r} must be a finite number")
-    return float(d[key])
+    table = _FIELDS[what]
+    spec = path in table and table[path].kind == "spec"
+    rows = {p.rpartition(".")[2]: f for p, f in table.items() if p.rpartition(".")[0] == path}
+    enum = next((key for key, f in rows.items() if f.kind == "enum"), None)
+    if spec and isinstance(node, str):
+        node = ((enum, node),)
+    if not isinstance(node, tuple):
+        where = f"field {path!r}" if path else "root"
+        raise ConfigError(f"{what} {where} must be a {'string or object' if spec else 'JSON object'}")
+    prefix = f"{path}." if path else ""
+    given: dict = {}
+    for key, value in node:
+        if key in given:
+            raise ConfigError(f"duplicate {what} field {prefix + key!r}")
+        given[key] = value
+
+    def read(key: str):
+        f = rows[key]
+        value = given.get(key, f.default)
+        if f.kind in ("object", "spec"):
+            return _walk(value, prefix + key, what, args)
+        try:
+            args[f.call][f.arg] = value = _READERS[f.kind](value, f)
+        except ConfigError as exc:
+            raise ConfigError(f"{what} field {prefix + key!r} {exc}") from None
+        return value
+
+    offered = rows[enum].only if enum else ()
+    named = [f.only[0] for key, f in rows.items() if key in given and set(f.only) - set(offered)]
+    variant = named[0] if named else enum and read(enum)
+    known = [key for key, f in rows.items() if not f.only or variant in f.only]
+    for key in given:
+        if key not in known:
+            raise ConfigError(f"unknown {what} field {prefix + key!r}")
+    values = [key for key in given if rows[key].kind not in ("object", "spec")]
+    for key in (*values, *(key for key in known if key not in values)):
+        if key != enum and (key in given or rows[key].default is not None):
+            read(key)
 
 
-def _pair(value, name: str) -> tuple[float, float]:
-    """A scene's [x, y] number pair."""
-    if not _is_pair(value):
-        raise ConfigError(f"scene field {name!r} must be a pair of numbers [x, y]")
-    return float(value[0]), float(value[1])
-
-
-def _points(value, name: str, least: int) -> ft.Profile:
-    """A scene's list of at least ``least`` [x, y] points."""
-    if not (isinstance(value, list) and len(value) >= least and all(map(_is_pair, value))):
-        raise ConfigError(f"scene field {name!r} must be a list of at least {least} [x, y] points")
-    return tuple((float(x), float(y)) for x, y in value)
-
-
-def _arg(key: str) -> str:
-    """The library argument a fingertip field gives: its name less the unit suffix."""
-    return key.rpartition("_")[0]
+def _read(path: str | None, what: str) -> dict[str, dict]:
+    """The library arguments a ``what`` file gives, by call; no file is an empty object."""
+    raw = ()
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh, object_pairs_hook=tuple)
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+            raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    args: dict[str, dict] = defaultdict(dict)
+    _walk(raw, "", what, args)
+    return args
 
 
 def _restated(exc: InvalidParams, names: dict[str, str]) -> str:
@@ -211,14 +333,12 @@ def _restated(exc: InvalidParams, names: dict[str, str]) -> str:
     return re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc))
 
 
-def _read_root(path: str, what: str, known) -> dict:
-    """The JSON object of a ``what`` file, once its keys are all in ``known``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    return _fields(raw, "", known, what)
+def _file_error(exc: InvalidParams, what: str, *calls: str) -> ConfigError:
+    """exc, raised by one of ``calls``, with each argument named by the ``what`` field giving it."""
+    if exc.field is None:  # the jam-only stroke, a condition on the whole geometry
+        return ConfigError(f"invalid {what}: {exc}")
+    names = {f.arg: repr(path) for path, f in _FIELDS[what].items() if f.call in calls}
+    return ConfigError(f"{what} field {_restated(exc, names)}")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -227,30 +347,12 @@ def load_config(path: str | None) -> RunConfig:
     The library's classes supply the default of every field the file
     leaves out, and check every value the file gives.
     """
-    raw = {} if path is None else _read_root(path, "config", _CONFIG_SECTIONS)
-    f, s, o = (_fields(raw.get(name, {}), name, known) for name, known in _CONFIG_SECTIONS.items())
-    out_path = o.get("path")
-    if not (out_path is None or isinstance(out_path, str)):
-        raise ConfigError("config field 'output.path' must be a string or null")
-    if "count" in s and not (_is_finite(s["count"]) and float(s["count"]).is_integer()):
-        raise ConfigError("config field 'sweep.count' must be an integer")
-    linkage: dict = {}
-    tip: dict = {}
-    for key in f:
-        value = _number(f, key, "fingertip")
-        args = linkage if _arg(key) in _LINKAGE_ARGS else tip
-        args[_arg(key)] = math.radians(value) if key.endswith("_deg") else value
-    sweep = {key: int(value) if key == "count" else _number(s, key, "sweep")
-             for key, value in s.items()}
+    args = _read(path, "config")
     try:
-        return RunConfig(tip=ft.FingertipConfig(linkage=lk.LinkageParams(**linkage), **tip),
-                         sweep=SweepSpec(**sweep), out_path=out_path)
+        tip = ft.FingertipConfig(linkage=lk.LinkageParams(**args["linkage"]), **args["tip"])
+        return RunConfig(tip=tip, sweep=SweepSpec(**args["sweep"]), **args["run"])
     except InvalidParams as exc:
-        if exc.field is None:  # the jam-only stroke, a condition on the whole geometry
-            raise ConfigError(f"invalid config: {exc}") from exc
-        names = {_arg(key): repr(f"fingertip.{key}") for key in _CONFIG_SECTIONS["fingertip"]}
-        names.update((key, repr(f"sweep.{key}")) for key in _CONFIG_SECTIONS["sweep"])
-        raise ConfigError(f"config field {_restated(exc, names)}") from exc
+        raise _file_error(exc, "config", "linkage", "tip", "sweep") from exc
 
 
 def _finite(value: float | None, option: str) -> float | None:
@@ -274,78 +376,52 @@ def _grasp():
     return grasp
 
 
-def _primitive(kind: str, degree_deg: float | None, tilt_deg: tuple[float, float],
-               name: tuple[str, str]) -> ft.MorphPrimitive:
+def _primitive(kind: str, depth: float | None = None, tilt: tuple[float, float] = (0.0, 0.0), *,
+               names: dict[str, str]) -> ft.MorphPrimitive:
     """The morphing primitive of a plan command or a scene profile spec.
 
-    ``name`` says how the input calls the degree and the tilt; a value
-    the primitive's constructor rejects is an input error naming it.
+    ``depth`` and ``tilt`` are in radians.  ``names`` says how the input
+    calls each argument of the primitive (``depth``, ``tilt_x``,
+    ``tilt_y``); a value the primitive's constructor rejects is an input
+    error naming it.
     """
-    degree_name, tilt_name = name
     if kind == "flat":
         return ft.Flat()
-    if kind != "tilted-planar" and degree_deg is None:
-        raise ConfigError(f"{degree_name} is required for concave/convex")
+    if kind != "tilted-planar" and depth is None:
+        raise ConfigError(f"{names['depth']} is required for concave/convex")
     try:
         if kind == "tilted-planar":
-            return ft.TiltedPlanar(math.radians(tilt_deg[0]), math.radians(tilt_deg[1]))
-        return (ft.Concave if kind == "concave" else ft.Convex)(math.radians(degree_deg))
+            return ft.TiltedPlanar(*tilt)
+        return (ft.Concave if kind == "concave" else ft.Convex)(depth)
     except InvalidParams as exc:
-        names = {"depth": degree_name, "tilt_x": tilt_name, "tilt_y": tilt_name}
         unit = f" in degrees for {kind}" if exc.field == "depth" else ""
         raise ConfigError(_restated(exc, names) + unit) from exc
 
 
-def _profile_from_spec(spec, side: str, tip: ft.FingertipConfig) -> ft.Profile:
-    if isinstance(spec, str):
-        spec = {"primitive": spec}
-    if not isinstance(spec, dict):
-        raise ConfigError(f"scene field {side!r} must be a string or object")
-    if "polyline_mm" in spec:
-        _fields(spec, side, ("polyline_mm",), "scene")
-        points = _points(spec["polyline_mm"], f"{side}.polyline_mm", 2)
-        if not _grasp()._polyline_is_simple(points):
-            raise ConfigError(f"scene field '{side}.polyline_mm' must not self-intersect")
-        return points
-    kind = spec.get("primitive", "flat")
-    if kind not in _PRIMITIVES:
-        raise ConfigError(f"scene field '{side}.primitive' must be one of {', '.join(_PRIMITIVES)}")
-    _fields(spec, side, ("primitive", *_PRIMITIVE_FIELDS[kind]), "scene")
-    degree = (_number(spec, "degree_deg", side, what="scene")
-              if kind in ("concave", "convex") else None)
-    tilt = _pair(spec.get("tilt_deg", [0.0, 0.0]), f"{side}.tilt_deg")
-    prim = _primitive(kind, degree, tilt,
-                      (f"scene field '{side}.degree_deg'", f"scene field '{side}.tilt_deg'"))
-    return ft.plan_primitive(tip, prim).profile_x_points
+def _profile(spec: dict, side: str, tip: ft.FingertipConfig) -> ft.Profile:
+    """The profile a scene's left or right spec gives, in its fingertip's own frame."""
+    names = {f.arg: f"scene field {path!r}" for path, f in _FIELDS["scene"].items() if f.call == side}
+    if "polyline" not in spec:
+        return ft.plan_primitive(tip, _primitive(**spec, names=names)).profile_x_points
+    if not _grasp()._polyline_is_simple(spec["polyline"]):
+        raise ConfigError(f"{names['polyline']} must not self-intersect")
+    return spec["polyline"]
 
 
 def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, ft.Profile]:
     """Parse a scene JSON file; also returns the left profile in its own frame."""
     gr = _grasp()
-    raw = _read_root(path, "scene", _SCENE_FIELDS)
-    gap = _number(raw, "gap_mm", "", what="scene")
-    mu = _number(raw, "mu", "", "scene") if "mu" in raw else 0.0
-    left_local = _profile_from_spec(raw.get("left", "flat"), "left", tip)
-    right_local = _profile_from_spec(raw["right"], "right", tip) if "right" in raw else left_local
-    ospec = raw.get("object")
-    if not isinstance(ospec, dict):
-        raise ConfigError("scene field 'object' must be a JSON object")
-    kind = ospec.get("type")
-    if not isinstance(kind, str) or kind not in _OBJECT_FIELDS:
-        raise ConfigError("scene field 'object.type' must be 'circle' or 'polygon'")
-    _fields(ospec, "object", _OBJECT_FIELDS[kind], "scene")
-    if kind == "circle":
-        center = _pair(ospec.get("center_mm", [gap / 2.0, 0.0]), "object.center_mm")
-        shape, args = gr.Circle, (_number(ospec, "radius_mm", "object", what="scene"), center)
-    else:
-        vertices = _points(ospec.get("vertices_mm"), "object.vertices_mm", 3)
-        shape, args = gr.ConvexPolygon, (vertices,)
+    args = _read(path, "scene")
+    left = _profile(args["left"], "left", tip)
+    right = _profile(args["right"], "right", tip) if args["right"] else left
+    obj, scene = args["object"], args["scene"]
+    circle = obj.pop("type") == "circle"
     try:
-        scene = gr.scene_between(left_local, right_local, gap, shape(*args), mu)
+        shape = (gr.Circle(**{"center": (scene["gap"] / 2.0, 0.0), **obj}) if circle
+                 else gr.ConvexPolygon(**obj))
+        return gr.scene_between(left, right, obj=shape, **scene), left
     except InvalidParams as exc:
-        names = {arg: repr(path) for arg, path in _SCENE_PATHS.items()}
-        raise ConfigError(f"scene field {_restated(exc, names)}") from exc
-    return scene, left_local
+        raise _file_error(exc, "scene", "scene", "object") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +455,10 @@ def ik(config_path: str | None, phi_deg: float) -> None:
 def plan(config_path, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
     """Plan servo commands for a morphing primitive."""
     cfg = load_config(config_path)
-    prim = _primitive(primitive, degree_deg, (tilt_x_deg, tilt_y_deg),
-                      ("--degree", "--tilt-x/--tilt-y"))
+    depth = None if degree_deg is None else math.radians(degree_deg)
+    tilt = "--tilt-x/--tilt-y"
+    prim = _primitive(primitive, depth, (math.radians(tilt_x_deg), math.radians(tilt_y_deg)),
+                      names={"depth": "--degree", "tilt_x": tilt, "tilt_y": tilt})
     state = ft.plan_primitive(cfg.tip, prim)
     record = {
         "primitive": primitive,

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import run_cli
 from morphtip import FingertipConfig, forward_facet, inverse_facet, slider_point
 from morphtip import InvalidParams
-from morphtip.cli import (_CONFIG_SECTIONS, MAX_COUNT, RunConfig, SweepSpec, _parser, dumps, fnum,
+from morphtip.cli import (_FIELDS, MAX_COUNT, MAX_POINTS, RunConfig, SweepSpec, _parser, dumps, fnum,
                           load_config)
 
 CFG = FingertipConfig()
+# The (section, field) pairs of a config file, in the order of its field table.
+CONFIG_FIELDS = [tuple(path.split(".")) for path in _FIELDS["config"] if "." in path]
 
 
 def run_ok(args):
@@ -138,6 +141,11 @@ class TestSweep:
         code, out = run_cli(["sweep", "--output", str(tmp_path / "missing" / "x.csv")])
         assert code == 2
         assert json.loads(out)["error"]["message"].startswith("output path not writable: ")
+
+    def test_nul_in_output_path_exits_2(self, tmp_path):
+        config = scene_file(tmp_path, {"output": {"path": "\u0000x"}}, "cfg.json")
+        assert run_cli(["sweep", "--config", config]) == (2, (
+            '{"error": {"code": "config", "message": "output path not writable: embedded null byte"}}\n'))
 
     def test_spec_accepts_counts_up_to_the_maximum(self):
         assert SweepSpec(count=MAX_COUNT).count == MAX_COUNT
@@ -359,6 +367,49 @@ _CIRCLE = {"type": "circle", "radius_mm": 10.0}
 HUGE_INT = 10**400
 
 
+def _arc(n):
+    """n points, 1 mm apart in x, of a shallow arc whose apex is the origin.
+
+    Its points are not collinear: on a straight polyline the self-crossing
+    check tests every pair of segments in full, several times slower.
+    """
+    return [[i - n // 2, -((i - n // 2) ** 2) / 1e4] for i in range(n)]
+
+
+def _round(n):
+    """n vertices, counter-clockwise, of a polygon seated between flat tips 20 mm apart."""
+    return [[10.0 + 10.0 * math.cos(2 * math.pi * i / n), 10.0 * math.sin(2 * math.pi * i / n)]
+            for i in range(n)]
+
+
+class TestPointCap:
+    """A polyline_mm or vertices_mm lists at most MAX_POINTS points, and a longer
+    list is refused before any point is read or any polyline checked."""
+
+    @pytest.mark.parametrize("scene", [
+        {"gap_mm": 20.0, "left": {"polyline_mm": _arc(MAX_POINTS)}, "object": _CIRCLE},
+        {"gap_mm": 20.0, "object": {"type": "polygon", "vertices_mm": _round(MAX_POINTS)}},
+    ], ids=["polyline_mm", "vertices_mm"])
+    def test_at_the_cap_runs(self, tmp_path, scene):
+        assert json.loads(run_ok(["grasp", "--scene", scene_file(tmp_path, scene)]))["contacts"]
+
+    @pytest.mark.parametrize("scene, field", [
+        ({"gap_mm": 20.0, "left": {"polyline_mm": _arc(MAX_POINTS + 1)}, "object": _CIRCLE},
+         "left.polyline_mm"),
+        ({"gap_mm": 20.0, "right": {"polyline_mm": _arc(MAX_POINTS + 1)}, "object": _CIRCLE},
+         "right.polyline_mm"),
+        ({"gap_mm": 20.0, "object": {"type": "polygon", "vertices_mm": _round(MAX_POINTS + 1)}},
+         "object.vertices_mm"),
+    ], ids=["left", "right", "vertices_mm"])
+    def test_one_past_the_cap_exits_2_at_once(self, tmp_path, scene, field):
+        path = scene_file(tmp_path, scene)
+        start = time.perf_counter()
+        code, out = run_cli(["grasp", "--scene", path])
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(out)["error"]) == (2, {
+            "code": "config", "message": f"scene field {field!r} must have at most 256 points"})
+
+
 class TestUnknownKeys:
     @pytest.mark.parametrize("config, field", [
         ({"fingertips": {}}, "fingertips"),
@@ -392,6 +443,64 @@ class TestUnknownKeys:
         assert code == 2
         err = json.loads(out)["error"]
         assert err == {"code": "config", "message": f"unknown scene field {field!r}"}
+
+
+class TestDuplicateKeys:
+    """A key given twice in one JSON object exits 2 naming it, wherever the object is."""
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"fingertip": {"l_oc_mm": "x"}, "fingertip": {}}', "fingertip"),
+        ('{"sweep": {"count": 3, "count": 4}}', "sweep.count"),
+        ('{"output": {"path": null, "path": "x.csv"}}', "output.path"),
+    ], ids=["section", "sweep", "output"])
+    def test_config_key_exits_2(self, tmp_path, text, field):
+        (tmp_path / "cfg.json").write_text(text)
+        code, out = run_cli(["sweep", "--config", str(tmp_path / "cfg.json")])
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "config",
+                                            "message": f"duplicate config field {field!r}"}
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"gap_mm": 20, "gap_mm": -5, "object": {"type": "circle", "radius_mm": 10}}', "gap_mm"),
+        ('{"gap_mm": 20, "object": {"type": "circle", "radius_mm": 10, "radius_mm": 11}}',
+         "object.radius_mm"),
+        ('{"gap_mm": 20, "left": {"primitive": "concave", "primitive": "flat"}, '
+         '"object": {"type": "circle", "radius_mm": 10}}', "left.primitive"),
+    ], ids=["scene-root", "object", "profile-spec"])
+    def test_scene_key_exits_2(self, tmp_path, text, field):
+        (tmp_path / "scene.json").write_text(text)
+        code, out = run_cli(["grasp", "--scene", str(tmp_path / "scene.json")])
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "config",
+                                            "message": f"duplicate scene field {field!r}"}
+
+
+class TestFirstFault:
+    """Of two faults in one file, the one reported is fixed: values before the
+    library's checks, a section's values in file order, unknown keys before
+    values, and a scene's left before its right and its object."""
+
+    @pytest.mark.parametrize("config, message", [
+        ({"sweep": {"count": 2.5}, "fingertip": {"l_oc_mm": "x"}},
+         "config field 'sweep.count' must be an integer"),
+        ({"fingertip": {"l_ab_mm": "x", "l_oc_mm": "y"}},
+         "config field 'fingertip.l_ab_mm' must be a number"),
+        ({"fingertip": {"l_oc_mm": -1, "bogus": 1}}, "unknown config field 'fingertip.bogus'"),
+    ], ids=["count-before-fingertip", "file-order", "unknown-first"])
+    def test_config(self, tmp_path, config, message):
+        code, out = run_cli(["sweep", "--config", scene_file(tmp_path, config, "cfg.json")])
+        assert (code, json.loads(out)["error"]) == (2, {"code": "config", "message": message})
+
+    @pytest.mark.parametrize("scene, message", [
+        ({"object": _CIRCLE, "gap_mm": "x", "mu": "y"}, "scene field 'gap_mm' must be a number"),
+        ({"gap_mm": 20, "right": 5, "left": 6, "object": 7},
+         "scene field 'left' must be a string or object"),
+        ({"gap_mm": -20, "left": {"primitive": "convex", "degree_deg": 5}, "object": _CIRCLE},
+         "scene field 'left.degree_deg' must be a negative angle in degrees for convex"),
+    ], ids=["gap-before-mu", "left-before-right", "profile-before-gap-range"])
+    def test_scene(self, tmp_path, scene, message):
+        code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
+        assert (code, json.loads(out)["error"]) == (2, {"code": "config", "message": message})
 
 
 class TestWrongTypes:
@@ -518,6 +627,24 @@ class TestUnreadableFile:
         (["fk", "--theta", "1", "--config"], "config"),
         (["grasp", "--scene"], "scene"),
     ], ids=["config", "scene"])
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"a": ' * 100_000 + b"1" + b"}" * 100_000,
+    ], ids=["not-utf-8", "deep-array", "deep-object"])
+    def test_unparsable_file(self, tmp_path, args, what, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out = run_cli([*args, str(path)])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "config"
+        assert error["message"].startswith(f"cannot read {what} {path}: ")
+
+    @pytest.mark.parametrize("args, what", [
+        (["fk", "--theta", "1", "--config"], "config"),
+        (["grasp", "--scene"], "scene"),
+    ], ids=["config", "scene"])
     def test_root_not_an_object(self, tmp_path, args, what):
         code, out = run_cli([*args, scene_file(tmp_path, [1, 2])])
         assert code == 2
@@ -638,7 +765,7 @@ class TestFingertipFieldRange:
     and a run prints finite numbers only."""
 
     @settings(max_examples=200)
-    @given(key=st.sampled_from(_CONFIG_SECTIONS["fingertip"]),
+    @given(key=st.sampled_from([name for section, name in CONFIG_FIELDS if section == "fingertip"]),
            value=st.one_of(_EDGE_VALUES, st.floats(allow_nan=False, allow_infinity=False)))
     def test_exit_2_names_the_field(self, tmp_path_factory, key, value):
         cfg = tmp_path_factory.getbasetemp() / "range-cfg.json"
@@ -677,8 +804,7 @@ _FIELD_EFFECTS = {
 
 class TestNoDeadConfigField:
     def test_every_field_changes_some_output(self, tmp_path, monkeypatch):
-        fields = {(section, name) for section, names in _CONFIG_SECTIONS.items() for name in names}
-        assert fields == set(_FIELD_EFFECTS)
+        assert set(CONFIG_FIELDS) == set(_FIELD_EFFECTS)
         monkeypatch.chdir(tmp_path)
         written = Path("out.csv")
 
