@@ -10,114 +10,41 @@ slider-crank linkages around a ball-jointed central terrace:
   tracing and quasi-static transitions;
 * :mod:`morphtip.grasp` - 2D cross-section analysis of two opposing
   fingertips: contacts, pivot pinch lines, form/force closure and the
-  passive-centering cradle landscape (imported on first use of one of
-  its names, because importing it loads numpy);
+  passive-centering cradle landscape;
 * :mod:`morphtip.cli` - the ``morphtip`` command with deterministic
   CSV/JSON output.
+
+Each public name is stated once, in :data:`_EXPORTS`, under the module
+that defines it, and is imported from there on first use (PEP 562).  So
+``import morphtip`` loads none of the modules above, and numpy, which
+only :mod:`morphtip.grasp` loads, stays out until a grasp name is used.
 """
 
-from .errors import (
-    DegenerateContacts,
-    InvalidParams,
-    MorphtipError,
-    OutOfRange,
-    Penetration,
-    Unreachable,
-    Unsupported,
-)
-from .fingertip import (
-    Concave,
-    Convex,
-    ExternalLoad,
-    FingertipConfig,
-    FingertipState,
-    Flat,
-    MorphPrimitive,
-    TiltedPlanar,
-    pair_tilt_residuals,
-    plan_primitive,
-    pointer_top,
-    state_from_thetas,
-    surface_profile,
-    terrace_equilibrium,
-    transition_trajectory,
-)
-from .linkage import (
-    LinkageParams,
-    attainable_facet_range,
-    attainable_tilt_range,
-    forward_facet,
-    inverse_facet,
-    operating_range,
-    planar_condition_angle,
-    slider_point,
-    solve_planar_pair,
-    tilt_line_residual,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-# Names resolved by __getattr__ (PEP 562): importing grasp loads numpy,
-# which `import morphtip` and the linkage-only commands do without.
-_GRASP_EXPORTS = frozenset({
-    "Circle",
-    "Closure",
-    "Contact",
-    "ConvexPolygon",
-    "GraspScene",
-    "ObjectXSection",
-    "closure_classify",
-    "cradle_height",
-    "find_contacts",
-    "pivot_feasible",
-    "place_left",
-    "place_right",
-    "scene_between",
-})
+_EXPORTS = {
+    "errors": ("DegenerateContacts", "InvalidParams", "MorphtipError", "OutOfRange", "Penetration",
+               "Unreachable", "Unsupported"),
+    "fingertip": ("Concave", "Convex", "ExternalLoad", "FingertipConfig", "FingertipState", "Flat",
+                  "MorphPrimitive", "TiltedPlanar", "pair_tilt_residuals", "plan_primitive",
+                  "pointer_top", "state_from_thetas", "surface_profile", "terrace_equilibrium",
+                  "transition_trajectory"),
+    "linkage": ("LinkageParams", "attainable_facet_range", "attainable_tilt_range", "forward_facet",
+                "inverse_facet", "operating_range", "planar_condition_angle", "slider_point",
+                "solve_planar_pair", "tilt_line_residual"),
+    "grasp": ("Circle", "Closure", "Contact", "ConvexPolygon", "GraspScene", "ObjectXSection",
+              "closure_classify", "cradle_height", "find_contacts", "pivot_feasible", "place_left",
+              "place_right", "scene_between"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name not in _GRASP_EXPORTS:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import grasp
-
-    value = getattr(grasp, name)
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
     globals()[name] = value  # later lookups skip this function
     return value
-
-
-__all__ = sorted([
-    "Concave",
-    "Convex",
-    "DegenerateContacts",
-    "ExternalLoad",
-    "FingertipConfig",
-    "FingertipState",
-    "Flat",
-    "InvalidParams",
-    "LinkageParams",
-    "MorphPrimitive",
-    "MorphtipError",
-    "OutOfRange",
-    "Penetration",
-    "TiltedPlanar",
-    "Unreachable",
-    "Unsupported",
-    "attainable_facet_range",
-    "attainable_tilt_range",
-    "forward_facet",
-    "inverse_facet",
-    "operating_range",
-    "pair_tilt_residuals",
-    "plan_primitive",
-    "planar_condition_angle",
-    "pointer_top",
-    "slider_point",
-    "solve_planar_pair",
-    "state_from_thetas",
-    "surface_profile",
-    "terrace_equilibrium",
-    "tilt_line_residual",
-    "transition_trajectory",
-    *_GRASP_EXPORTS,
-])

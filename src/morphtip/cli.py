@@ -48,7 +48,7 @@ CRADLE_DELTA = 0.1
 MAX_COUNT = 100_000
 # Most [x, y] points a scene's polyline_mm or vertices_mm may list: the
 # check that a polyline does not cross itself costs O(n^2), and a grasp
-# makes it up to three times per profile.
+# makes it once per placed profile.
 MAX_POINTS = 256
 
 
@@ -152,12 +152,12 @@ _PRIMITIVES = ("flat", "concave", "convex", "tilted-planar")
 def _profile_fields(side: str, default: str | None) -> dict[str, _Field]:
     """A scene profile spec: a primitive, by name or as an object, or a polyline_mm alone."""
     return {
-        side: _Field("spec", "scene", f"{side}_profile", default=default),
+        side: _Field("spec", default=default),
         f"{side}.primitive": _Field("enum", side, "kind", only=_PRIMITIVES, default="flat"),
         f"{side}.degree_deg": _Field("number", side, "depth", deg=True, only=("concave", "convex"),
                                      default=_REQUIRED),
         f"{side}.tilt_deg": _Field("pair", side, "tilt", deg=True, only=("tilted-planar",)),
-        f"{side}.polyline_mm": _Field("points", side, "polyline", least=2, only=("polyline",)),
+        f"{side}.polyline_mm": _Field("points", side, f"{side}_profile", least=2, only=("polyline",)),
     }
 
 
@@ -399,17 +399,25 @@ def _primitive(kind: str, depth: float | None = None, tilt: tuple[float, float] 
 
 
 def _profile(spec: dict, side: str, tip: ft.FingertipConfig) -> ft.Profile:
-    """The profile a scene's left or right spec gives, in its fingertip's own frame."""
+    """The profile a scene's left or right spec gives, in its fingertip's own frame.
+
+    That is its polyline_mm as read, or else its primitive's planned profile.
+    """
+    if f"{side}_profile" in spec:
+        return spec[f"{side}_profile"]
     names = {f.arg: f"scene field {path!r}" for path, f in _FIELDS["scene"].items() if f.call == side}
-    if "polyline" not in spec:
-        return ft.plan_primitive(tip, _primitive(**spec, names=names)).profile_x_points
-    if not _grasp()._polyline_is_simple(spec["polyline"]):
-        raise ConfigError(f"{names['polyline']} must not self-intersect")
-    return spec["polyline"]
+    return ft.plan_primitive(tip, _primitive(**spec, names=names)).profile_x_points
 
 
 def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, ft.Profile]:
-    """Parse a scene JSON file; also returns the left profile in its own frame."""
+    """Parse a scene JSON file; also returns the left profile in its own frame.
+
+    The library checks the values once the file is read, and its errors
+    are restated in the file's field paths.  An error in a placed profile
+    names its side's polyline_mm, the one kind of profile that can touch
+    itself (a planned primitive's points only advance along x); as
+    ``GraspScene`` makes that check, it comes after the object's checks.
+    """
     gr = _grasp()
     args = _read(path, "scene")
     left = _profile(args["left"], "left", tip)
@@ -421,7 +429,7 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, ft.Pr
                  else gr.ConvexPolygon(**obj))
         return gr.scene_between(left, right, obj=shape, **scene), left
     except InvalidParams as exc:
-        raise _file_error(exc, "scene", "scene", "object") from exc
+        raise _file_error(exc, "scene", "scene", "object", "left", "right") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +556,13 @@ def grasp(config_path, output, scene_path) -> None:
     gr = _grasp()
     contacts = gr.find_contacts(scene)
     closure = (gr.closure_classify(contacts, scene.mu) if contacts else gr.Closure.NONE).value
-    cradle_sign = None
-    if isinstance(scene.obj, gr.Circle):
-        cradle_sign = _cradle_sign(left_local, scene.obj.radius)
     record = {
-        "contacts": [{"point_mm": [px, py], "normal": [nx, ny], "side": c.side, "segment": c.segment}
-                     for c, (px, py, nx, ny) in zip(contacts, gr._contact_floats(contacts))],
+        "contacts": [{"point_mm": c.point.tolist(), "normal": c.normal.tolist(), "side": c.side,
+                      "segment": c.segment} for c in contacts],
         "pivot_feasible": gr.pivot_feasible(contacts),
         "closure_class": closure,
-        "cradle_curvature_sign": cradle_sign,
+        "cradle_curvature_sign": (_cradle_sign(left_local, scene.obj.radius)
+                                  if isinstance(scene.obj, gr.Circle) else None),
     }
     _emit(dumps(record) + "\n", output)
 

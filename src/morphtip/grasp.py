@@ -12,6 +12,11 @@ support landscape of a circle over the profile.  Contacts, closure and
 pivot verdicts are computed on plain Python floats: contacts in one scan
 over both profiles' segments, closure with an early-exit facet test.
 numpy holds the scene's arrays and each contact's point and normal.
+
+Inputs are read, derived and checked on construction: :class:`Circle`,
+:class:`ConvexPolygon` and :class:`GraspScene` (whose profiles must not
+touch themselves, a check made once per profile) refuse a bad one with
+InvalidParams naming it, and :func:`find_contacts` scans what they store.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ def _point_array(points, name: str, least: int) -> np.ndarray:
     """points as a float array of at least ``least`` finite (x, y) rows.
 
     ``points`` is any (n, 2) array-like; anything else is InvalidParams
-    naming it.
+    naming it.  This is the one reader of every profile and polygon.
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < least:
@@ -65,6 +70,7 @@ class Circle:
     """Circular object cross-section.
 
     The radius's square must be finite, as :func:`cradle_height` takes it.
+    ``center`` is read as one finite (x, y) pair and stored as two floats.
     """
 
     radius: float
@@ -73,23 +79,29 @@ class Circle:
     def __post_init__(self) -> None:
         if not (self.radius > 0 and math.isfinite(self.radius * self.radius)):
             raise InvalidParams("radius must be positive and its square finite", field="radius")
-        if not all(math.isfinite(c) for c in self.center):
+        try:  # a pair of numbers: [1.0] and "ab" are not, nor is [[1.0], [2.0]]
+            cx, cy = np.asarray(self.center, dtype=float).tolist()
+            finite = math.isfinite(cx) and math.isfinite(cy)
+        except (TypeError, ValueError):
+            raise InvalidParams("center must be a pair of numbers (x, y)", field="center") from None
+        if not finite:
             raise InvalidParams("center must be finite", field="center")
+        object.__setattr__(self, "center", (cx, cy))
 
 
 @dataclass(frozen=True, eq=False)
 class ConvexPolygon:
     """Convex polygon cross-section, vertices counter-clockwise.
 
-    ``edges[j]`` runs from vertex j to vertex j + 1 and ``normals[j]`` is
-    that edge's unit inward normal; they and the centroid are computed
-    once, on construction, and are read-only.
+    ``features[j]`` is ``(vx, vy, ex, ey, nx, ny)``: vertex j, the edge
+    from it to vertex j + 1 and that edge's unit inward normal.  They and
+    the ``(x, y)`` centroid are derived once, on construction, as the
+    Python floats :func:`find_contacts` scans.
     """
 
     vertices: np.ndarray
-    edges: np.ndarray = field(init=False, repr=False)
-    normals: np.ndarray = field(init=False, repr=False)
-    centroid: np.ndarray = field(init=False, repr=False)
+    features: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
+    centroid: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         verts = _point_array(self.vertices, "vertices", 3)
@@ -102,10 +114,9 @@ class ConvexPolygon:
         normals = np.column_stack([-edges[:, 1], edges[:, 0]])  # CCW: left-hand normal points inward
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         object.__setattr__(self, "vertices", verts)
-        # Contacts share rows of ``normals``; read-only arrays keep that safe.
-        for name, value in (("edges", edges), ("normals", normals), ("centroid", verts.mean(axis=0))):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "features",
+                           tuple(map(tuple, np.column_stack([verts, edges, normals]).tolist())))
+        object.__setattr__(self, "centroid", tuple(verts.mean(axis=0).tolist()))
 
 
 ObjectXSection = Union[Circle, ConvexPolygon]
@@ -128,7 +139,11 @@ class Contact:
 
 @dataclass(frozen=True, eq=False)
 class GraspScene:
-    """Two placed fingertip profiles, a gap, an object and friction."""
+    """Two placed fingertip profiles, a gap, an object and friction.
+
+    Each profile is read as an (n, 2) float array of at least two finite
+    points and checked, once, not to touch itself.
+    """
 
     left_profile: np.ndarray
     right_profile: np.ndarray
@@ -185,14 +200,20 @@ def _polyline_is_simple(points: Sequence[Sequence[float]]) -> bool:
 
 
 def place_left(profile_local: np.ndarray) -> np.ndarray:
-    """Place a fingertip profile facing +x with its ball joint at origin."""
-    p = np.asarray(profile_local, dtype=float)
+    """Place a fingertip profile facing +x with its ball joint at origin.
+
+    ``profile_local`` is read as :class:`GraspScene` reads a profile.
+    """
+    p = _point_array(profile_local, "profile_local", 2)
     return np.column_stack([p[:, 1], p[:, 0]])
 
 
 def place_right(profile_local: np.ndarray, gap: float) -> np.ndarray:
-    """Place the mirrored fingertip facing -x with its ball joint at (gap, 0)."""
-    p = np.asarray(profile_local, dtype=float)
+    """Place the mirrored fingertip facing -x with its ball joint at (gap, 0).
+
+    ``profile_local`` is read as :class:`GraspScene` reads a profile.
+    """
+    p = _point_array(profile_local, "profile_local", 2)
     return np.column_stack([gap - p[:, 1], p[:, 0]])
 
 
@@ -205,8 +226,8 @@ def scene_between(
 ) -> GraspScene:
     """Build a scene from two profiles given in their own fingertip frames."""
     return GraspScene(
-        left_profile=place_left(left_local),
-        right_profile=place_right(right_local, gap),
+        left_profile=place_left(_point_array(left_local, "left_local", 2)),
+        right_profile=place_right(_point_array(right_local, "right_local", 2), gap),
         gap=gap,
         obj=obj,
         mu=mu,
@@ -229,10 +250,10 @@ def _closest(px: float, py: float, ax: float, ay: float, dx: float,
 
 
 def _polygon_depth(ax: float, ay: float, dx: float, dy: float,
-                   features: list) -> tuple[float, float] | None:
+                   features: tuple) -> tuple[float, float] | None:
     """Where along a segment it lies deepest inside a convex polygon, and how deep.
 
-    ``features`` holds each edge's (start, direction, inward normal).
+    ``features`` are the polygon's, as :class:`ConvexPolygon` holds them.
     Returns (t, depth) for the point (ax + t*dx, ay + t*dy).  Along the
     segment the inward distance to edge line j is c + t*s, t in [0, 1];
     the depth is the peak of their lower envelope.  A Cyrus-Beck clip
@@ -240,7 +261,7 @@ def _polygon_depth(ax: float, ay: float, dx: float, dy: float,
     None for a segment that cannot reach PENETRATION_TOL.
     """
     lo, hi, lines = 0.0, 1.0, []
-    for (vx, vy), _, (nx, ny) in features:
+    for vx, vy, _, _, nx, ny in features:
         c = (ax - vx) * nx + (ay - vy) * ny
         s = dx * nx + dy * ny
         inner = c - 0.5 * PENETRATION_TOL
@@ -266,14 +287,14 @@ def _polygon_depth(ax: float, ay: float, dx: float, dy: float,
     return t, min(c + t * s for c, s in lines)
 
 
-def _resting_edge(px: float, py: float, features: list) -> tuple[float, float] | None:
+def _resting_edge(px: float, py: float, features: tuple) -> tuple[float, float] | None:
     """Inward normal of the first object edge within CONTACT_TOL of (px, py).
 
-    ``features`` holds each edge's (start, direction, inward normal).  An
-    edge whose line lies farther than _NEAR is skipped before the
+    ``features`` are the polygon's, as :class:`ConvexPolygon` holds them.
+    An edge whose line lies farther than _NEAR is skipped before the
     closest-point test.  None when no edge is that close.
     """
-    for (vx, vy), (ex, ey), (mx, my) in features:
+    for vx, vy, ex, ey, mx, my in features:
         if (-_NEAR <= (px - vx) * mx + (py - vy) * my <= _NEAR
                 and _closest(px, py, vx, vy, ex, ey)[2] <= CONTACT_TOL):
             return mx, my
@@ -291,11 +312,9 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
     obj = scene.obj
     circle = isinstance(obj, Circle)
     if circle:
-        cx, cy = float(obj.center[0]), float(obj.center[1])
-        r = obj.radius
+        (cx, cy), r = obj.center, obj.radius
     else:
-        features = list(zip(obj.vertices.tolist(), obj.edges.tolist(), obj.normals.tolist()))
-        gx, gy = obj.centroid.tolist()
+        features, (gx, gy) = obj.features, obj.centroid
     raw = []  # (px, py, nx, ny, side, segment) in scan order
     for side, profile in (("left", scene.left_profile), ("right", scene.right_profile)):
         points = profile.tolist()
@@ -323,7 +342,7 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
             nx, ny = -dy / seg_len, dx / seg_len
             # Object vertex resting on the segment; n is flipped to point
             # into the object.
-            for (vx, vy), _, _ in features:
+            for vx, vy, _, _, _, _ in features:
                 if -_NEAR <= (vx - ax) * nx + (vy - ay) * ny <= _NEAR:
                     qx, qy, dist = _closest(vx, vy, ax, ay, dx, dy)
                     if dist <= CONTACT_TOL:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli
 from morphtip import FingertipConfig, forward_facet, inverse_facet, slider_point
-from morphtip import InvalidParams
+from morphtip import InvalidParams, grasp
 from morphtip.cli import (_FIELDS, MAX_COUNT, MAX_POINTS, RunConfig, SweepSpec, _parser, dumps, fnum,
                           load_config)
 
@@ -393,6 +393,22 @@ class TestPointCap:
     def test_at_the_cap_runs(self, tmp_path, scene):
         assert json.loads(run_ok(["grasp", "--scene", scene_file(tmp_path, scene)]))["contacts"]
 
+    def test_a_polyline_is_checked_once_per_placed_profile(self, tmp_path, monkeypatch):
+        # Straight, the costliest case for the check; right mirrors left.
+        straight = [[float(x), 0.0] for x in range(MAX_POINTS)]
+        path = scene_file(tmp_path, {"gap_mm": 20.0, "left": {"polyline_mm": straight},
+                                     "object": _CIRCLE})
+        calls = []
+        simple = grasp._polyline_is_simple
+
+        def counted(points):
+            calls.append(len(points))
+            return simple(points)
+
+        monkeypatch.setattr(grasp, "_polyline_is_simple", counted)
+        assert len(json.loads(run_ok(["grasp", "--scene", path]))["contacts"]) == 2
+        assert calls == [MAX_POINTS, MAX_POINTS]
+
     @pytest.mark.parametrize("scene, field", [
         ({"gap_mm": 20.0, "left": {"polyline_mm": _arc(MAX_POINTS + 1)}, "object": _CIRCLE},
          "left.polyline_mm"),
@@ -478,7 +494,9 @@ class TestDuplicateKeys:
 class TestFirstFault:
     """Of two faults in one file, the one reported is fixed: values before the
     library's checks, a section's values in file order, unknown keys before
-    values, and a scene's left before its right and its object."""
+    values, and a scene's left before its right and its object.  A polyline
+    that touches itself is a library check on the placed profiles, made
+    after the object is built, so a bad object is reported first."""
 
     @pytest.mark.parametrize("config, message", [
         ({"sweep": {"count": 2.5}, "fingertip": {"l_oc_mm": "x"}},
@@ -497,7 +515,11 @@ class TestFirstFault:
          "scene field 'left' must be a string or object"),
         ({"gap_mm": -20, "left": {"primitive": "convex", "degree_deg": 5}, "object": _CIRCLE},
          "scene field 'left.degree_deg' must be a negative angle in degrees for convex"),
-    ], ids=["gap-before-mu", "left-before-right", "profile-before-gap-range"])
+        ({"gap_mm": 20, "left": {"polyline_mm": [[-10.0, 0.0], [10.0, 0.0], [0.0, 0.0]]},
+          "object": {**_CIRCLE, "radius_mm": -5.0}},
+         "scene field 'object.radius_mm' must be positive and its square finite"),
+    ], ids=["gap-before-mu", "left-before-right", "profile-before-gap-range",
+            "object-before-self-touching-polyline"])
     def test_scene(self, tmp_path, scene, message):
         code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
         assert (code, json.loads(out)["error"]) == (2, {"code": "config", "message": message})

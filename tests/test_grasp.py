@@ -47,6 +47,18 @@ CFG = FingertipConfig()
 L_OC = CFG.linkage.l_oc
 
 
+# Profiles that are not (n, 2) arrays of at least two finite points.
+MALFORMED_PROFILES = [
+    pytest.param([[0.0, 0.0], [math.nan, 1.0], [5.0, 0.0]], id="nan"),
+    pytest.param([[0.0, 0.0], [math.inf, 1.0], [5.0, 0.0]], id="inf"),
+    pytest.param([[0.0, 0.0], [1.0, -math.inf]], id="-inf"),
+    pytest.param([0.0, 1.0, 2.0], id="1-d"),
+    pytest.param([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], id="3-columns"),
+    pytest.param([[0.0, 0.0]], id="one-point"),
+    pytest.param([], id="empty"),
+]
+
+
 def profile(prim) -> np.ndarray:
     return plan_primitive(CFG, prim).profile_x
 
@@ -480,15 +492,7 @@ class TestCradle:
         with pytest.raises(Unsupported):
             cradle_height(points, 3.0, 100.0)
 
-    @pytest.mark.parametrize("bad", [
-        [[0.0, 0.0], [math.nan, 1.0], [5.0, 0.0]],
-        [[0.0, 0.0], [math.inf, 1.0], [5.0, 0.0]],
-        [[0.0, 0.0], [1.0, -math.inf]],
-        [0.0, 1.0, 2.0],
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-        [[0.0, 0.0]],
-        [],
-    ], ids=["nan", "inf", "-inf", "1-d", "3-columns", "one-point", "empty"])
+    @pytest.mark.parametrize("bad", MALFORMED_PROFILES)
     def test_malformed_profile_rejected(self, bad):
         with pytest.raises(InvalidParams):
             cradle_height(bad, 2.0, 0.0)
@@ -550,6 +554,32 @@ class TestSceneValidation:
         with pytest.raises(InvalidParams, match="^center must be finite$") as exc:
             Circle(1.0, (math.nan, 0.0))
         assert exc.value.field == "center"
+
+    @pytest.mark.parametrize("center", [(1.0,), (1.0, 2.0, 3.0), "ab", "12", [[1.0], [2.0]], None],
+                             ids=["one", "three", "letters", "digits", "column", "none"])
+    def test_circle_center_that_is_not_a_pair_rejected(self, center):
+        with pytest.raises(InvalidParams, match=r"^center must be a pair of numbers \(x, y\)$") as exc:
+            Circle(1.0, center)
+        assert exc.value.field == "center"
+
+    def test_circle_center_is_read_as_a_pair_of_floats(self):
+        for center in ((1, 2), [1.0, 2.0], np.array([1.0, 2.0]), (np.float32(1.0), np.int64(2))):
+            c = Circle(1.0, center)
+            assert c.center == (1.0, 2.0) and all(type(v) is float for v in c.center)
+
+    @pytest.mark.parametrize("bad", MALFORMED_PROFILES)
+    @pytest.mark.parametrize("place, field", [
+        (lambda p: scene_between(p, profile(Flat()), 20.0, Circle(5.0, (10.0, 0.0)), 0.0),
+         "left_local"),
+        (lambda p: scene_between(profile(Flat()), p, 20.0, Circle(5.0, (10.0, 0.0)), 0.0),
+         "right_local"),
+        (place_left, "profile_local"),
+        (lambda p: place_right(p, 20.0), "profile_local"),
+    ], ids=["scene_between-left", "scene_between-right", "place_left", "place_right"])
+    def test_malformed_local_profile_rejected(self, place, field, bad):
+        with pytest.raises(InvalidParams) as exc:
+            place(bad)
+        assert exc.value.field == field
 
     def test_non_convex_polygon_rejected(self):
         arrow = np.array([[0.0, 0.0], [4.0, 1.0], [8.0, 0.0], [4.0, 6.0]])

@@ -1,0 +1,54 @@
+"""The repository's own tools, on inline samples."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+code_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(code_lines)
+
+SAMPLE = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment keeps its line
+
+# A comment line.
+
+
+class Box:
+    """Class docstring."""
+
+    size = 1
+
+    def area(self):
+        """Function docstring."""
+        text = """a string that is
+        not a docstring"""
+        return (self.size
+                * self.size)
+
+
+def bare():
+    "A one-line docstring in plain quotes."
+'''
+
+
+def test_counts_code_and_skips_blanks_comments_and_docstrings():
+    # import, class, size, def, text (2 lines), return (2 lines), def bare.
+    assert code_lines.count(SAMPLE) == 9
+
+
+def test_docstring_lines_are_those_of_module_class_and_function_docstrings():
+    assert code_lines.docstring_lines(ast.parse(SAMPLE)) == {1, 2, 10, 15, 23}
+
+
+def test_main_prints_each_file_and_the_total(tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(SAMPLE)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n# note\n")
+    code_lines.main([str(tmp_path / "pkg")])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["9", "1", "10"]
+    assert lines[-1].split()[1] == "total"
