@@ -15,9 +15,12 @@ files by it, and a library error is restated by it in the file's paths.
 
 The command line is read by :mod:`argparse` (see :func:`_parser`); a
 usage error exits 2 with its message on stderr and nothing on stdout.
-Only the grasp command loads :mod:`morphtip.grasp`, and numpy with it;
+:func:`main` loads the config file, once, and passes the
+:class:`RunConfig` to the command.  The grasp command reaches
+:mod:`morphtip.grasp` through the package's own lazy names
+(``mt.find_contacts``), so only it loads that module, and numpy with it;
 every other command starts on the standard library and morphtip's own
-modules alone (see :func:`_grasp`).
+modules alone.
 """
 
 from __future__ import annotations
@@ -30,14 +33,13 @@ import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
+
+import morphtip as mt
 
 from . import fingertip as ft
 from . import linkage as lk
 from .errors import InvalidParams, MorphtipError, Penetration, Unreachable, Unsupported
-
-if TYPE_CHECKING:
-    from . import grasp as gr
 
 SWEEP_HEADER = "step,theta_deg,phi_deg,B_x_mm,B_y_mm"
 POINTER_HEADER = "index,psi_x_deg,psi_y_deg,x_mm,y_mm,z_mm"
@@ -365,17 +367,6 @@ def _finite(value: float | None, option: str) -> float | None:
 # ---------------------------------------------------------------------------
 # primitives and scenes
 
-def _grasp():
-    """The grasp module, imported on the first call.
-
-    grasp loads numpy, which only the scene path needs, so this module
-    imports it here rather than at the top.
-    """
-    from . import grasp
-
-    return grasp
-
-
 def _primitive(kind: str, depth: float | None = None, tilt: tuple[float, float] = (0.0, 0.0), *,
                names: dict[str, str]) -> ft.MorphPrimitive:
     """The morphing primitive of a plan command or a scene profile spec.
@@ -409,25 +400,26 @@ def _profile(spec: dict, side: str, tip: ft.FingertipConfig) -> ft.Profile:
     return ft.plan_primitive(tip, _primitive(**spec, names=names)).profile_x_points
 
 
-def load_scene(path: str, tip: ft.FingertipConfig) -> tuple[gr.GraspScene, ft.Profile]:
-    """Parse a scene JSON file; also returns the left profile in its own frame.
+def load_scene(path: str, tip: ft.FingertipConfig) -> mt.GraspScene:
+    """Parse a scene JSON file into the scene it describes.
 
     The library checks the values once the file is read, and its errors
     are restated in the file's field paths.  An error in a placed profile
     names its side's polyline_mm, the one kind of profile that can touch
     itself (a planned primitive's points only advance along x); as
     ``GraspScene`` makes that check, it comes after the object's checks.
+    A mirrored profile whose points the gap would put out of float range
+    names gap_mm.
     """
-    gr = _grasp()
     args = _read(path, "scene")
     left = _profile(args["left"], "left", tip)
     right = _profile(args["right"], "right", tip) if args["right"] else left
     obj, scene = args["object"], args["scene"]
     circle = obj.pop("type") == "circle"
     try:
-        shape = (gr.Circle(**{"center": (scene["gap"] / 2.0, 0.0), **obj}) if circle
-                 else gr.ConvexPolygon(**obj))
-        return gr.scene_between(left, right, obj=shape, **scene), left
+        shape = (mt.Circle(**{"center": (scene["gap"] / 2.0, 0.0), **obj}) if circle
+                 else mt.ConvexPolygon(**obj))
+        return mt.scene_between(left, right, obj=shape, **scene)
     except InvalidParams as exc:
         raise _file_error(exc, "scene", "scene", "object", "left", "right") from exc
 
@@ -446,23 +438,20 @@ def _fk_record(params: lk.LinkageParams, theta: float) -> dict:
     }
 
 
-def fk(config_path: str | None, theta_deg: float) -> None:
+def fk(cfg: RunConfig, theta_deg: float) -> None:
     """Facet angle and linkage points for a servo command."""
-    cfg = load_config(config_path)
     theta = math.radians(_finite(theta_deg, "--theta"))
     print(dumps(_fk_record(cfg.tip.linkage, theta)))
 
 
-def ik(config_path: str | None, phi_deg: float) -> None:
+def ik(cfg: RunConfig, phi_deg: float) -> None:
     """Servo command that realizes a facet angle."""
-    cfg = load_config(config_path)
     theta = lk.inverse_facet(cfg.tip.linkage, math.radians(_finite(phi_deg, "--phi")))
     print(dumps(_fk_record(cfg.tip.linkage, theta)))
 
 
-def plan(config_path, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
+def plan(cfg: RunConfig, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
     """Plan servo commands for a morphing primitive."""
-    cfg = load_config(config_path)
     depth = None if degree_deg is None else math.radians(degree_deg)
     tilt = "--tilt-x/--tilt-y"
     prim = _primitive(primitive, depth, (math.radians(tilt_x_deg), math.radians(tilt_y_deg)),
@@ -479,9 +468,8 @@ def plan(config_path, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
     print(dumps(record))
 
 
-def sweep(config_path, output, start_deg, step_deg, count) -> None:
+def sweep(cfg: RunConfig, output, start_deg, step_deg, count) -> None:
     """Angular-stroke protocol: stepped servo sweep emitted as CSV."""
-    cfg = load_config(config_path)
     given = {"start_deg": _finite(start_deg, "--start"), "step_deg": _finite(step_deg, "--step"),
              "count": count}
     try:
@@ -521,9 +509,8 @@ def _pointer_poses(psi_max: float, points_per_leg: int) -> list[tuple[float, flo
     return poses
 
 
-def trace_pointer(config_path, output, psi_max_deg, points_per_leg) -> None:
+def trace_pointer(cfg: RunConfig, output, psi_max_deg, points_per_leg) -> None:
     """Pointer-top trajectory over the tilt configuration square."""
-    cfg = load_config(config_path)
     if points_per_leg < 1:
         raise ConfigError("points-per-leg must be at least 1")
     if points_per_leg > MAX_COUNT:
@@ -549,20 +536,18 @@ def trace_pointer(config_path, output, psi_max_deg, points_per_leg) -> None:
     _emit("\n".join(rows) + "\n", output if output is not None else cfg.out_path)
 
 
-def grasp(config_path, output, scene_path) -> None:
+def grasp(cfg: RunConfig, output, scene_path) -> None:
     """Contact, pivot, closure and cradle report for a two-finger scene."""
-    cfg = load_config(config_path)
-    scene, left_local = load_scene(scene_path, cfg.tip)
-    gr = _grasp()
-    contacts = gr.find_contacts(scene)
-    closure = (gr.closure_classify(contacts, scene.mu) if contacts else gr.Closure.NONE).value
+    scene = load_scene(scene_path, cfg.tip)
+    contacts = mt.find_contacts(scene)
+    closure = (mt.closure_classify(contacts, scene.mu) if contacts else mt.Closure.NONE).value
     record = {
         "contacts": [{"point_mm": c.point.tolist(), "normal": c.normal.tolist(), "side": c.side,
                       "segment": c.segment} for c in contacts],
-        "pivot_feasible": gr.pivot_feasible(contacts),
+        "pivot_feasible": mt.pivot_feasible(contacts),
         "closure_class": closure,
-        "cradle_curvature_sign": (_cradle_sign(left_local, scene.obj.radius)
-                                  if isinstance(scene.obj, gr.Circle) else None),
+        "cradle_curvature_sign": (_cradle_sign(scene.left_profile[:, ::-1], scene.obj.radius)
+                                  if isinstance(scene.obj, mt.Circle) else None),
     }
     _emit(dumps(record) + "\n", output)
 
@@ -571,10 +556,12 @@ def _cradle_sign(profile_local: ft.Profile, radius: float) -> int | None:
     """Sign of the cradle-landscape curvature at the profile center.
 
     Only the profile passed in is used, and the grasp report passes the
-    left one: with a right profile that differs from the left, the sign
-    describes the left fingertip alone.
+    left one, read back into its own frame from the scene (swapping the
+    columns of ``scene.left_profile`` exactly undoes ``place_left``): with
+    a right profile that differs from the left, the sign describes the
+    left fingertip alone.
     """
-    height = _grasp().cradle_height
+    height = mt.cradle_height
     try:
         h0 = height(profile_local, radius, 0.0)
         curv = (height(profile_local, radius, CRADLE_DELTA)
@@ -596,7 +583,8 @@ def _parser() -> argparse.ArgumentParser:
     """The command line: one subcommand per command function above.
 
     A subcommand is named after its function, with '-' for '_', and each
-    option's ``dest`` is the name of the function's parameter.  The
+    option's ``dest`` is the name of the function's parameter; --config's
+    is ``config_path``, which :func:`main` loads into the first one.  The
     parser is built once per process: building it takes several times as
     long as a command's own work.
     """
@@ -675,12 +663,13 @@ def main(argv: list[str] | None = None) -> None:
 
     The one place known failures become an error JSON line on stdout and
     an exit code; a usage error exits 2 through argparse, with nothing on
-    stdout.
+    stdout.  The config file is loaded here, once, before the command
+    checks any of its options, and the command gets the RunConfig.
     """
     args = vars(_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
     run = args.pop("run")
     try:
-        run(**args)
+        run(load_config(args.pop("config_path")), **args)
     except ConfigError as exc:
         code, error = 2, {"code": "config", "message": str(exc)}
     except MorphtipError as exc:

@@ -53,13 +53,18 @@ PIVOT_ANGLE_TOL = 1e-3
 def _point_array(points, name: str, least: int) -> np.ndarray:
     """points as a float array of at least ``least`` finite (x, y) rows.
 
-    ``points`` is any (n, 2) array-like; anything else is InvalidParams
-    naming it.  This is the one reader of every profile and polygon.
+    ``points`` is any (n, 2) array-like; anything else, ragged or not
+    numbers included, is InvalidParams naming it.  This is the one reader
+    of every profile and polygon.
     """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < least:
-        raise InvalidParams(f"{name} must have at least {least} points of shape (n, 2)",
-                            field=name)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except OverflowError:  # an integer too large for a float
+        raise InvalidParams(f"{name} must be finite", field=name) from None
+    except (TypeError, ValueError):  # ragged, or not numbers
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < least:
+        raise InvalidParams(f"{name} must have at least {least} points of shape (n, 2)", field=name)
     if not np.isfinite(arr).all():
         raise InvalidParams(f"{name} must be finite", field=name)
     return arr
@@ -108,7 +113,8 @@ class ConvexPolygon:
         edges = np.roll(verts, -1, axis=0) - verts
         turn = np.roll(edges, -1, axis=0)
         cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
-        if np.any(cross <= 0):
+        # An edge whose squared length underflows to 0 has no direction either.
+        if np.any(cross <= 0) or not (edges * edges).sum(axis=1).all():
             raise InvalidParams("vertices must be a strictly convex polygon in "
                                 "counter-clockwise order", field="vertices")
         normals = np.column_stack([-edges[:, 1], edges[:, 0]])  # CCW: left-hand normal points inward
@@ -142,7 +148,8 @@ class GraspScene:
     """Two placed fingertip profiles, a gap, an object and friction.
 
     Each profile is read as an (n, 2) float array of at least two finite
-    points and checked, once, not to touch itself.
+    points and checked, once, not to touch itself; a segment of zero
+    length counts as touching itself.
     """
 
     left_profile: np.ndarray
@@ -174,7 +181,10 @@ def _polyline_is_simple(points: Sequence[Sequence[float]]) -> bool:
 
     Segments that are not neighbours share no point, and neighbours share
     only their joint: a segment that turns straight back along the one
-    before it overlaps that one.
+    before it overlaps that one.  A segment whose squared length is 0 (a
+    repeated point, or two points so close that the square underflows)
+    has no direction and is refused too.  Two segments whose bounding
+    boxes are apart share no point, so they skip the orientation tests.
     """
 
     def orient(a, b, c) -> float:
@@ -189,8 +199,13 @@ def _polyline_is_simple(points: Sequence[Sequence[float]]) -> bool:
         if back and orient(a, b, c) == 0:  # bc turns straight back along ab
             return False
     segs = list(zip(points[:-1], points[1:]))
-    for i, (a, b) in enumerate(segs):
-        for c, d in segs[i + 2:]:
+    boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])) for a, b in segs]
+    for i, ((a, b), (x0, x1, y0, y1)) in enumerate(zip(segs, boxes)):
+        if (b[0] - a[0]) * (b[0] - a[0]) + (b[1] - a[1]) * (b[1] - a[1]) == 0.0:
+            return False
+        for (c, d), (u0, u1, v0, v1) in zip(segs[i + 2:], boxes[i + 2:]):
+            if u0 > x1 or u1 < x0 or v0 > y1 or v1 < y0:
+                continue
             ends = ((a, b, c), (a, b, d), (c, d, a), (c, d, b))
             o = [orient(*e) for e in ends]
             if (o[0] * o[1] < 0 and o[2] * o[3] < 0) or any(
@@ -199,22 +214,36 @@ def _polyline_is_simple(points: Sequence[Sequence[float]]) -> bool:
     return True
 
 
+def _place(profile_local, name: str, gap: float | None = None) -> np.ndarray:
+    """The profile ``name``, read as :class:`GraspScene` reads one, placed in the scene.
+
+    Without ``gap`` it faces +x with its ball joint at the origin; with
+    it, it is mirrored to face -x with its ball joint at (gap, 0), and a
+    gap that puts a point out of float range is InvalidParams naming it.
+    """
+    p = _point_array(profile_local, name, 2)
+    with np.errstate(over="ignore"):
+        x = p[:, 1] if gap is None else gap - p[:, 1]
+    if not np.isfinite(x).all():
+        raise InvalidParams("gap must keep the mirrored profile's points finite", field="gap")
+    return np.column_stack([x, p[:, 0]])
+
+
 def place_left(profile_local: np.ndarray) -> np.ndarray:
     """Place a fingertip profile facing +x with its ball joint at origin.
 
     ``profile_local`` is read as :class:`GraspScene` reads a profile.
     """
-    p = _point_array(profile_local, "profile_local", 2)
-    return np.column_stack([p[:, 1], p[:, 0]])
+    return _place(profile_local, "profile_local")
 
 
 def place_right(profile_local: np.ndarray, gap: float) -> np.ndarray:
     """Place the mirrored fingertip facing -x with its ball joint at (gap, 0).
 
-    ``profile_local`` is read as :class:`GraspScene` reads a profile.
+    ``profile_local`` is read as :class:`GraspScene` reads a profile; a
+    gap that puts a placed point out of float range is InvalidParams.
     """
-    p = _point_array(profile_local, "profile_local", 2)
-    return np.column_stack([gap - p[:, 1], p[:, 0]])
+    return _place(profile_local, "profile_local", gap)
 
 
 def scene_between(
@@ -224,10 +253,14 @@ def scene_between(
     obj: ObjectXSection,
     mu: float,
 ) -> GraspScene:
-    """Build a scene from two profiles given in their own fingertip frames."""
+    """Build a scene from two profiles given in their own fingertip frames.
+
+    Each local profile is read once, as :func:`place_left` and
+    :func:`place_right` read theirs, and an error names it.
+    """
     return GraspScene(
-        left_profile=place_left(_point_array(left_local, "left_local", 2)),
-        right_profile=place_right(_point_array(right_local, "right_local", 2), gap),
+        left_profile=_place(left_local, "left_local"),
+        right_profile=_place(right_local, "right_local", gap),
         gap=gap,
         obj=obj,
         mu=mu,
@@ -239,10 +272,12 @@ def _closest(px: float, py: float, ax: float, ay: float, dx: float,
     """Closest point to (px, py) on the segment from (ax, ay) along (dx, dy).
 
     Returns the point and its distance (Ericson, *Real-Time Collision
-    Detection*, 2005, 5.1.2).  A zero-length segment is its start point.
+    Detection*, 2005, 5.1.2).  ``dx*dx + dy*dy`` is never 0: a profile
+    segment or polygon edge of squared length 0 is refused when its
+    :class:`GraspScene` or :class:`ConvexPolygon` is built.
     """
     dd = dx * dx + dy * dy
-    t = ((px - ax) * dx + (py - ay) * dy) / dd if dd != 0.0 else 0.0
+    t = ((px - ax) * dx + (py - ay) * dy) / dd
     t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
     qx, qy = ax + t * dx, ay + t * dy
     # abs() of a complex is the C library's hypot, as in fingertip._profile.
@@ -336,8 +371,6 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
                 t, depth = deepest
                 raise Penetration(f"polygon overlaps the {side} profile by {depth:.3g} mm",
                                   witness=(ax + t * dx, ay + t * dy))
-            if dx == 0.0 and dy == 0.0:
-                continue
             seg_len = abs(complex(dx, dy))
             nx, ny = -dy / seg_len, dx / seg_len
             # Object vertex resting on the segment; n is flipped to point

@@ -183,9 +183,8 @@ def attainable_facet_range(params: LinkageParams) -> tuple[float, float]:
     return forward_facet(params, lo), forward_facet(params, hi)
 
 
-def _ray_command(params: LinkageParams, angle: float, origin: float,
-                 lo: float, hi: float) -> float | None:
-    """Servo command in [lo, hi] that puts the slider on a ray, or None.
+def _ray_command(params: LinkageParams, angle: float, origin: float) -> float | None:
+    """Servo command in the operating range that puts the slider on a ray, or None.
 
     The ray leaves ``(origin, 0)`` at ``angle`` from the horizontal.  The
     direction condition ``B_y*cos(angle) - (B_x - origin)*sin(angle) = 0``
@@ -194,9 +193,9 @@ def _ray_command(params: LinkageParams, angle: float, origin: float,
     ray.  That root always puts the slider on the ray, not on its backward
     extension, so no direction check is needed:
 
-    * every root ``[lo, hi]`` admits has a crank angle strictly inside
-      (0, pi), on the outward half of the crank circle (``JAM_MARGIN``
-      against 1e-12 of slack);
+    * every root the operating range ``[lo, hi]`` admits has a crank
+      angle strictly inside (0, pi), on the outward half of the crank
+      circle (``JAM_MARGIN`` against 1e-12 of slack);
     * an origin inside the crank circle has only that root ahead of it;
     * an origin outside it (both origins sit on y = 0 at x <= l_oc) lies
       left of the servo axis, since ``oa_x + l_ab*sin(alpha0) > l_oc``,
@@ -204,6 +203,7 @@ def _ray_command(params: LinkageParams, angle: float, origin: float,
       from it fall on the inward half, and every line through it leaves
       the circle on the outward half.
     """
+    lo, hi = params.operating_range
     if angle == 0.0:
         # Flat-neutral construction puts the slider on the horizontal at theta = 0.
         return 0.0 if lo <= 0.0 <= hi else None
@@ -236,8 +236,7 @@ def inverse_facet(params: LinkageParams, phi: float) -> float:
     phi lies outside the image of the operating range.
     """
     _require_finite("phi", phi)
-    lo, hi = params.operating_range
-    theta = _ray_command(params, phi, params.l_oc, lo, hi)
+    theta = _ray_command(params, phi, params.l_oc)
     if theta is None:
         raise _unreachable("facet angle", phi, attainable_facet_range(params))
     return theta
@@ -254,9 +253,9 @@ def planar_condition_angle(params: LinkageParams, theta: float) -> float:
                        "slider behind the ball joint (x = {x:.6g} mm) at theta={theta:.6f} rad")[0]
 
 
-def _solve_slider_angle(params: LinkageParams, psi: float, lo: float, hi: float) -> float:
+def _solve_slider_angle(params: LinkageParams, psi: float) -> float:
     """Servo command placing the slider ray (from the ball joint) at polar angle psi."""
-    theta = _ray_command(params, psi, 0.0, lo, hi)
+    theta = _ray_command(params, psi, 0.0)
     if theta is None:
         raise _unreachable("tilt", psi, attainable_tilt_range(params))
     return theta
@@ -289,10 +288,7 @@ def solve_planar_pair(params: LinkageParams, phi_tilt: float) -> tuple[float, fl
     The two commands have opposite signs for a nonzero tilt.
     """
     _require_finite("phi_tilt", phi_tilt)
-    lo, hi = params.operating_range
-    theta_pos = _solve_slider_angle(params, phi_tilt, lo, hi)
-    theta_neg = _solve_slider_angle(params, -phi_tilt, lo, hi)
-    return theta_pos, theta_neg
+    return _solve_slider_angle(params, phi_tilt), _solve_slider_angle(params, -phi_tilt)
 
 
 def tilt_line_residual(params: LinkageParams, theta_pos: float, theta_neg: float) -> float:

@@ -5,7 +5,9 @@ angles and surface profiles are re-derived from the raw vector chain, inverse ki
 from bisection on that chain, minima come from grid refinement, cradle
 heights from bisecting an exact point-to-segment distance test, and
 closure is decided by sampling external wrenches against dual-cone
-certificates, or by Qhull, instead of the library's facet test.
+certificates, or by Qhull, instead of the library's facet test.  A
+polyline touches itself by exact parametric segment intersection in
+rational arithmetic, instead of the library's orientation tests.
 """
 
 from __future__ import annotations
@@ -222,6 +224,55 @@ def closed_by_wrench_sampling(
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     violations = (-g) @ certs.T > 1e-9
     return not bool(np.any(violations))
+
+
+# ---------------------------------------------------------------------------
+# self-touching polyline oracle
+
+def _shared_span(a, b, c, d):
+    """Where segment cd meets segment ab, as ``(lo, hi)`` along ab, or None.
+
+    Points of ab are ``a + s*(b - a)``, s in [0, 1]; the meet is the
+    interval of s it covers (a point when lo == hi).  Points are
+    Fractions, and ab has nonzero length.
+    """
+    rx, ry, qx, qy = b[0] - a[0], b[1] - a[1], d[0] - c[0], d[1] - c[1]
+    wx, wy = c[0] - a[0], c[1] - a[1]
+    denom = rx * qy - ry * qx
+    if denom != 0:  # the lines cross at one point: is it on both segments?
+        s, t = (wx * qy - wy * qx) / denom, (wx * ry - wy * rx) / denom
+        return (s, s) if 0 <= s <= 1 and 0 <= t <= 1 else None
+    if wx * ry - wy * rx != 0:  # parallel lines apart
+        return None
+    rr = rx * rx + ry * ry
+    t0 = (wx * rx + wy * ry) / rr
+    t1 = ((d[0] - a[0]) * rx + (d[1] - a[1]) * ry) / rr
+    lo, hi = max(0, min(t0, t1)), min(1, max(t0, t1))
+    return (lo, hi) if lo <= hi else None
+
+
+def polyline_touches_itself(points) -> bool:
+    """True when the polyline through ``points`` touches itself, decided exactly.
+
+    In rational arithmetic, every pair of segments is met by a parametric
+    line intersection: segments that are not neighbours may share no
+    point, neighbours only their joint (the end of the first, s = 1), and
+    a segment of zero length touches itself.
+    """
+    # Imported here, as in _within: the benchmark imports this module and
+    # never calls this oracle.
+    from fractions import Fraction
+
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    segs = list(zip(pts, pts[1:]))
+    if any(a == b for a, b in segs):
+        return True
+    for i, (a, b) in enumerate(segs):
+        for j in range(i + 1, len(segs)):
+            span = _shared_span(a, b, *segs[j])
+            if span is not None and (j > i + 1 or span != (1, 1)):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,16 @@ class TestGrasp:
         assert out == run_ok(["grasp", "--scene", by_name])
         assert json.loads(out)["closure_class"] == "force_closure"
 
+    def test_mirrored_profile_out_of_float_range_names_the_gap(self, tmp_path, capsys):
+        # right mirrors left, and gap - y overflows for the first point.
+        path = scene_file(tmp_path, {
+            "gap_mm": 1e308, "left": {"polyline_mm": [[0.0, -1e308], [1.0, 0.0]]},
+            "object": {"type": "circle", "radius_mm": 1.0, "center_mm": [0.0, 0.0]}})
+        assert run_cli(["grasp", "--scene", path]) == (2, (
+            '{"error": {"code": "config", "message": "scene field \'gap_mm\' must keep the '
+            'mirrored profile\'s points finite"}}\n'))
+        assert capsys.readouterr().err == ""
+
     def test_bad_scene_exits_2(self, tmp_path):
         scene = scene_file(tmp_path, {"gap_mm": -1.0, "object": {"type": "circle", "radius_mm": 1.0}})
         code, out = run_cli(["grasp", "--scene", scene])
@@ -603,6 +613,8 @@ class TestWrongTypes:
           "left": {"polyline_mm": [[-10.0, 0.0], [10.0, 0.0], [10.0, 5.0], [0.0, 0.0]]},
           "object": _CIRCLE},
          "scene field 'left.polyline_mm' must not self-intersect"),
+        ({"gap_mm": 20.0, "left": {"polyline_mm": [[-10.0, 0.0], [-10.0, 0.0]]}, "object": _CIRCLE},
+         "scene field 'left.polyline_mm' must not self-intersect"),
         ({"gap_mm": -40.0, "object": _CIRCLE}, "scene field 'gap_mm' must be positive and finite"),
         ({"gap_mm": 20.0, "mu": -1.0, "object": _CIRCLE}, "scene field 'mu' must be non-negative and finite"),
         ({"gap_mm": 20.0, "object": {**_CIRCLE, "radius_mm": -5.0}},
@@ -621,9 +633,9 @@ class TestWrongTypes:
             "degree_deg-sign", "gap_mm-nan", "center_mm-nan", "tilt_deg-inf",
             "polyline_mm-nan", "vertices_mm-inf", "polyline_mm-crossing",
             "center_mm-huge", "gap_mm-huge", "polyline_mm-folds-back",
-            "polyline_mm-ends-on-first", "gap_mm-negative", "mu-negative",
-            "radius_mm-negative", "vertices_mm-clockwise", "radius_mm-square-overflows",
-            "left-number", "primitive-unknown"])
+            "polyline_mm-ends-on-first", "polyline_mm-repeated-point", "gap_mm-negative",
+            "mu-negative", "radius_mm-negative", "vertices_mm-clockwise",
+            "radius_mm-square-overflows", "left-number", "primitive-unknown"])
     def test_scene_value_exits_2(self, tmp_path, scene, message):
         code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
         assert code == 2

@@ -53,12 +53,18 @@ def run_python(args: list[str], cwd: Path = ROOT) -> subprocess.CompletedProcess
 
 
 def run_golden(cmd: dict, tmp_path: Path) -> list[str]:
-    """Run one golden command fresh; check its output and return what it loaded."""
+    """Run one golden command fresh; check its output and return what it loaded.
+
+    The probe's own line is all the command may write to stderr: no
+    warning or traceback.
+    """
     for name, text in GOLDEN["files"].items():
         (tmp_path / name).write_text(text)
     proc = run_python(["-c", CLI_PROBE, *cmd["args"]], cwd=tmp_path)
     assert (proc.returncode, proc.stdout) == (cmd["exit"], cmd["stdout"]), proc.stderr
-    return json.loads(proc.stderr.splitlines()[-1])
+    *rest, loaded = proc.stderr.splitlines()
+    assert rest == []
+    return json.loads(loaded)
 
 
 def test_cli_import_loads_no_scipy():

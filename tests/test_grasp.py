@@ -56,6 +56,9 @@ MALFORMED_PROFILES = [
     pytest.param([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], id="3-columns"),
     pytest.param([[0.0, 0.0]], id="one-point"),
     pytest.param([], id="empty"),
+    pytest.param([[0.0, 0.0], [1.0]], id="ragged"),
+    pytest.param("ab", id="non-numeric"),
+    pytest.param([[0.0, 0.0], [10**400, 0.0]], id="int-too-large"),
 ]
 
 
@@ -497,6 +500,14 @@ class TestCradle:
         with pytest.raises(InvalidParams):
             cradle_height(bad, 2.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [[[0, 0], [1]], "ab", [[0, 0], [1j, 0]], {"x": 1}],
+                             ids=["ragged", "letters", "complex", "dict"])
+    def test_points_that_are_not_numbers_name_the_shape(self, bad):
+        with pytest.raises(InvalidParams,
+                           match=r"^profile must have at least 2 points of shape \(n, 2\)$") as exc:
+            cradle_height(bad, 1.0, 0.0)
+        assert exc.value.field == "profile"
+
     @settings(max_examples=200)
     @given(st.one_of(planned_primitives().map(lambda plan: plan[1].profile_x_points),
                      star_polylines()),
@@ -523,12 +534,24 @@ class TestSceneValidation:
         [[-10.0, 0.0], [10.0, 0.0], [10.0, 5.0], [0.0, 0.0]],
         [[0.0, 0.0], [10.0, 0.0], [10.0, 5.0], [5.0, 5.0], [5.0, 0.0]],
         [[0.0, 0.0], [0.0, 5.0], [0.0, 2.0]],
-    ], ids=["folds-back", "ends-on-first", "corner-on-first", "folds-back-vertical"])
+        [[3.0, 4.0], [3.0, 4.0]],
+        [[0.0, 0.0], [5.0, 0.0], [5.0, 0.0]],
+        [[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]],
+        [[0.0, 0.0], [1e-170, 0.0]],
+    ], ids=["folds-back", "ends-on-first", "corner-on-first", "folds-back-vertical",
+            "one-repeated-point", "repeated-end", "repeated-start", "squared-length-underflows"])
     def test_self_touching_profile_rejected(self, touching):
         flat = profile(Flat())
         with pytest.raises(InvalidParams, match="must not self-intersect"):
             GraspScene(left_profile=np.array(touching), right_profile=flat, gap=40.0,
                        obj=Circle(5.0, (20.0, 0.0)), mu=0.0)
+
+    @settings(max_examples=500)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=8))
+    def test_self_touch_check_matches_exact_intersection(self, grid_points):
+        # On a small integer grid, collinear, touching and repeated points are common.
+        points = [[float(x), float(y)] for x, y in grid_points]
+        assert grasp._polyline_is_simple(points) is not oracles.polyline_touches_itself(points)
 
     def test_collinear_primitive_profiles_accepted(self):
         # Flat and tilted-planar profiles are four collinear points.
@@ -581,12 +604,42 @@ class TestSceneValidation:
             place(bad)
         assert exc.value.field == field
 
+    def test_scene_between_reads_each_profile_once_local_and_once_placed(self, monkeypatch):
+        calls = []
+        read = grasp._point_array
+
+        def counted(points, name, least):
+            calls.append(name)
+            return read(points, name, least)
+
+        monkeypatch.setattr(grasp, "_point_array", counted)
+        flat = profile(Flat())
+        scene_between(flat, flat, 20.0, Circle(5.0, (10.0, 0.0)), 0.0)
+        assert calls == ["left_local", "right_local", "left_profile", "right_profile"]
+
+    @pytest.mark.parametrize("place", [
+        lambda p: place_right(p, 1e308),
+        lambda p: scene_between(p, p, 1e308, Circle(1.0, (0.0, 0.0)), 0.0),
+        lambda p: place_right(p, math.nan),
+    ], ids=["place_right", "scene_between", "nan-gap"])
+    def test_mirrored_point_out_of_float_range_names_the_gap(self, place):
+        # Warnings are errors here: an overflow warning fails the test too.
+        with pytest.raises(InvalidParams,
+                           match="^gap must keep the mirrored profile's points finite$") as exc:
+            place([[0.0, -1e308], [1.0, 0.0]])
+        assert exc.value.field == "gap"
+
     def test_non_convex_polygon_rejected(self):
         arrow = np.array([[0.0, 0.0], [4.0, 1.0], [8.0, 0.0], [4.0, 6.0]])
         with pytest.raises(InvalidParams):
             ConvexPolygon(np.array([[0, 0], [8, 0], [2, 1], [0, 8]], dtype=float))
         with pytest.raises(InvalidParams):
             ConvexPolygon(arrow[::-1])  # clockwise
+
+    def test_polygon_edge_whose_squared_length_underflows_rejected(self):
+        # Convex by its cross products, but the edge has no direction in floats.
+        with pytest.raises(InvalidParams, match="^vertices must be a strictly convex polygon"):
+            ConvexPolygon(np.array([[0.0, 0.0], [1e-170, 0.0], [0.0, 1.0]]))
 
 
 class TestClosure:
