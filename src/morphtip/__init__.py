@@ -16,8 +16,8 @@ slider-crank linkages around a ball-jointed central terrace:
 
 Each public name is stated once, in :data:`_EXPORTS`, under the module
 that defines it, and is imported from there on first use (PEP 562).  So
-``import morphtip`` loads none of the modules above, and numpy, which
-only :mod:`morphtip.grasp` loads, stays out until a grasp name is used.
+``import morphtip`` loads none of the modules above.  None of them loads
+numpy until a call or attribute asks for an array.
 """
 
 import importlib

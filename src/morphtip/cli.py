@@ -18,8 +18,8 @@ usage error exits 2 with its message on stderr and nothing on stdout.
 :func:`main` loads the config file, once, and passes the
 :class:`RunConfig` to the command.  The grasp command reaches
 :mod:`morphtip.grasp` through the package's own lazy names
-(``mt.find_contacts``), so only it loads that module, and numpy with it;
-every other command starts on the standard library and morphtip's own
+(``mt.find_contacts``), so only it loads that module.  No command loads
+numpy: every command runs on the standard library and morphtip's own
 modules alone.
 """
 
@@ -542,11 +542,12 @@ def grasp(cfg: RunConfig, output, scene_path) -> None:
     contacts = mt.find_contacts(scene)
     closure = (mt.closure_classify(contacts, scene.mu) if contacts else mt.Closure.NONE).value
     record = {
-        "contacts": [{"point_mm": c.point.tolist(), "normal": c.normal.tolist(), "side": c.side,
+        "contacts": [{"point_mm": c.point_xy, "normal": c.normal_xy, "side": c.side,
                       "segment": c.segment} for c in contacts],
         "pivot_feasible": mt.pivot_feasible(contacts),
         "closure_class": closure,
-        "cradle_curvature_sign": (_cradle_sign(scene.left_profile[:, ::-1], scene.obj.radius)
+        "cradle_curvature_sign": (_cradle_sign([(y, x) for x, y in scene.left_points],
+                                               scene.obj.radius)
                                   if isinstance(scene.obj, mt.Circle) else None),
     }
     _emit(dumps(record) + "\n", output)
@@ -556,8 +557,8 @@ def _cradle_sign(profile_local: ft.Profile, radius: float) -> int | None:
     """Sign of the cradle-landscape curvature at the profile center.
 
     Only the profile passed in is used, and the grasp report passes the
-    left one, read back into its own frame from the scene (swapping the
-    columns of ``scene.left_profile`` exactly undoes ``place_left``): with
+    left one, read back into its own frame from the scene (swapping each
+    (x, y) pair of ``scene.left_points`` exactly undoes ``place_left``): with
     a right profile that differs from the left, the sign describes the
     left fingertip alone.
     """

@@ -13,7 +13,7 @@ surface profiles hinge the facets on the tilted terrace so a planar pose
 draws as one straight line.
 
 No numpy is imported here until a call returns an array: the CLI's
-linkage-only commands start without it.
+commands start without it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ MAX_STATES = 100_000
 
 
 def _np():
-    """numpy, imported on the first call that returns an array."""
+    """numpy, imported when an array is first asked for."""
     import numpy
 
     return numpy

@@ -11,12 +11,16 @@ wrench rays, and the passive-centering claim is checked as a gravitational
 support landscape of a circle over the profile.  Contacts, closure and
 pivot verdicts are computed on plain Python floats: contacts in one scan
 over both profiles' segments, closure with an early-exit facet test.
-numpy holds the scene's arrays and each contact's point and normal.
 
 Inputs are read, derived and checked on construction: :class:`Circle`,
 :class:`ConvexPolygon` and :class:`GraspScene` (whose profiles must not
 touch themselves, a check made once per profile) refuse a bad one with
 InvalidParams naming it, and :func:`find_contacts` scans what they store.
+Scenes and contacts hold Python floats.  Their ndarray attributes
+(``Contact.point``/``normal``, ``GraspScene.left_profile``/``right_profile``
+and ``ConvexPolygon.vertices``) and the arrays :func:`place_left` and
+:func:`place_right` return are built on request, and numpy is imported
+only then.
 """
 
 from __future__ import annotations
@@ -24,12 +28,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
-from typing import Sequence, Union
-
-import numpy as np
+from functools import cached_property
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import DegenerateContacts, InvalidParams, Penetration, Unsupported
+from .fingertip import _np
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# A polyline or polygon as (x, y) points.
+Points = tuple[tuple[float, float], ...]
 
 # Boundary-touch tolerance for contact detection (mm).
 CONTACT_TOL = 1e-7
@@ -50,24 +60,48 @@ _NEAR = 2.0 * CONTACT_TOL
 PIVOT_ANGLE_TOL = 1e-3
 
 
-def _point_array(points, name: str, least: int) -> np.ndarray:
-    """points as a float array of at least ``least`` finite (x, y) rows.
+def _array_of(floats: str) -> cached_property:
+    """A class attribute: the instance's ``floats`` as an ndarray, built on first access."""
+    return cached_property(lambda self: _np().array(getattr(self, floats)))
 
-    ``points`` is any (n, 2) array-like; anything else, ragged or not
-    numbers included, is InvalidParams naming it.  This is the one reader
-    of every profile and polygon.
+
+def _read_pair(pair) -> tuple[float, float]:
+    """pair as two floats; TypeError or ValueError unless it is two numbers.
+
+    Text is not a number here, though ``float`` would parse it; an
+    integer too large for a float is OverflowError.  Two floats, what
+    ``tolist()`` of a float array holds, are taken as they are.
     """
+    x, y = pair
+    if type(x) is not float or type(y) is not float:
+        text = (str, bytes, bytearray)
+        if isinstance(pair, text) or isinstance(x, text) or isinstance(y, text):
+            raise TypeError("text is not a pair of numbers")
+        x, y = float(x), float(y)
+    return x, y
+
+
+def _read_points(points, name: str, least: int) -> Points:
+    """points as at least ``least`` finite (x, y) pairs of floats.
+
+    ``points`` is any (n, 2) array-like of numbers, an ndarray read
+    through its ``tolist()``; anything else, ragged, text or not numbers
+    included, is InvalidParams naming it.  This is the one reader of every
+    profile and polygon.
+    """
+    if hasattr(points, "tolist"):  # an ndarray, as nested lists of Python numbers
+        points = points.tolist()
     try:
-        arr = np.asarray(points, dtype=float)
+        pairs = tuple(map(_read_pair, points))
     except OverflowError:  # an integer too large for a float
         raise InvalidParams(f"{name} must be finite", field=name) from None
-    except (TypeError, ValueError):  # ragged, or not numbers
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < least:
+    except (TypeError, ValueError):  # ragged, text or not numbers
+        pairs = ()
+    if len(pairs) < least:
         raise InvalidParams(f"{name} must have at least {least} points of shape (n, 2)", field=name)
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, chain.from_iterable(pairs))):
         raise InvalidParams(f"{name} must be finite", field=name)
-    return arr
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -84,90 +118,116 @@ class Circle:
     def __post_init__(self) -> None:
         if not (self.radius > 0 and math.isfinite(self.radius * self.radius)):
             raise InvalidParams("radius must be positive and its square finite", field="radius")
-        try:  # a pair of numbers: [1.0] and "ab" are not, nor is [[1.0], [2.0]]
-            cx, cy = np.asarray(self.center, dtype=float).tolist()
-            finite = math.isfinite(cx) and math.isfinite(cy)
+        try:  # a pair of numbers: [1.0], "12" and [[1.0], [2.0]] are not
+            cx, cy = _read_pair(self.center)
         except (TypeError, ValueError):
             raise InvalidParams("center must be a pair of numbers (x, y)", field="center") from None
-        if not finite:
+        if not (math.isfinite(cx) and math.isfinite(cy)):
             raise InvalidParams("center must be finite", field="center")
         object.__setattr__(self, "center", (cx, cy))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ConvexPolygon:
     """Convex polygon cross-section, vertices counter-clockwise.
 
-    ``features[j]`` is ``(vx, vy, ex, ey, nx, ny)``: vertex j, the edge
-    from it to vertex j + 1 and that edge's unit inward normal.  They and
+    ``vertices`` is read as at least three finite (x, y) points, stored
+    as floats in ``vertex_points``.  ``features[j]`` is
+    ``(vx, vy, ex, ey, nx, ny)``: vertex j, the edge from it to vertex
+    j + 1 and that edge's unit inward normal.  They and
     the ``(x, y)`` centroid are derived once, on construction, as the
-    Python floats :func:`find_contacts` scans.
+    Python floats :func:`find_contacts` scans; a polygon so large that an
+    edge's cross product or squared length overflows is refused.  The
+    ``vertices`` attribute is the points as an (n, 2) ndarray, built on
+    first access.
     """
 
-    vertices: np.ndarray
-    features: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
-    centroid: tuple[float, float] = field(init=False, repr=False)
+    vertex_points: Points
+    features: tuple[tuple[float, ...], ...] = field(repr=False)
+    centroid: tuple[float, float] = field(repr=False)
+    vertices = _array_of("vertex_points")
 
-    def __post_init__(self) -> None:
-        verts = _point_array(self.vertices, "vertices", 3)
-        edges = np.roll(verts, -1, axis=0) - verts
-        turn = np.roll(edges, -1, axis=0)
-        cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
-        # An edge whose squared length underflows to 0 has no direction either.
-        if np.any(cross <= 0) or not (edges * edges).sum(axis=1).all():
-            raise InvalidParams("vertices must be a strictly convex polygon in "
-                                "counter-clockwise order", field="vertices")
-        normals = np.column_stack([-edges[:, 1], edges[:, 0]])  # CCW: left-hand normal points inward
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "features",
-                           tuple(map(tuple, np.column_stack([verts, edges, normals]).tolist())))
-        object.__setattr__(self, "centroid", tuple(verts.mean(axis=0).tolist()))
+    def __init__(self, vertices) -> None:
+        verts = _read_points(vertices, "vertices", 3)
+        edges = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]
+        features = []
+        for (vx, vy), (ex, ey), (tx, ty) in zip(verts, edges, edges[1:] + edges[:1]):
+            cross, square = ex * ty - ey * tx, ex * ex + ey * ey
+            if not (math.isfinite(cross) and math.isfinite(square)):
+                raise InvalidParams("vertices must keep each edge's cross product and squared "
+                                    "length finite", field="vertices")
+            # An edge whose squared length underflows to 0 has no direction either.
+            if cross <= 0.0 or square == 0.0:
+                raise InvalidParams("vertices must be a strictly convex polygon in "
+                                    "counter-clockwise order", field="vertices")
+            norm = math.sqrt(square)  # CCW: the left-hand normal points inward
+            features.append((vx, vy, ex, ey, -ey / norm, ex / norm))
+        # Summed vertex by vertex, from the first, as numpy's mean over rows does.
+        sx, sy = verts[0]
+        for vx, vy in verts[1:]:
+            sx, sy = sx + vx, sy + vy
+        vars(self).update(vertex_points=verts, features=tuple(features),
+                          centroid=(sx / len(verts), sy / len(verts)))
 
 
 ObjectXSection = Union[Circle, ConvexPolygon]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Contact:
     """One object-profile touch point.
 
     ``normal`` is the unit direction a compressive contact force pushes
     the object (from the profile into the object); ``side``/``segment``
-    name the touching profile feature.
+    name the touching profile feature.  ``point`` and ``normal`` are read
+    as (x, y) pairs and stored as floats in ``point_xy``/``normal_xy``;
+    the ``point`` and ``normal`` attributes are ndarrays built from them
+    on first access.
     """
 
-    point: np.ndarray
-    normal: np.ndarray
+    point_xy: tuple[float, float]
+    normal_xy: tuple[float, float]
     side: str
     segment: int
+    point = _array_of("point_xy")
+    normal = _array_of("normal_xy")
+
+    def __init__(self, point, normal, side: str, segment: int) -> None:
+        vars(self).update(point_xy=_read_pair(point), normal_xy=_read_pair(normal), side=side,
+                          segment=segment)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GraspScene:
     """Two placed fingertip profiles, a gap, an object and friction.
 
-    Each profile is read as an (n, 2) float array of at least two finite
-    points and checked, once, not to touch itself; a segment of zero
-    length counts as touching itself.
+    Each profile is read as at least two finite (x, y) points, stored as
+    floats in ``left_points``/``right_points`` and checked, once, not to
+    touch itself; a segment of zero length counts as touching itself.
+    The ``left_profile`` and ``right_profile`` attributes are the points
+    as (n, 2) ndarrays, built on first access.
     """
 
-    left_profile: np.ndarray
-    right_profile: np.ndarray
+    left_points: Points
+    right_points: Points
     gap: float
     obj: ObjectXSection
     mu: float
+    left_profile = _array_of("left_points")
+    right_profile = _array_of("right_points")
 
-    def __post_init__(self) -> None:
-        for name in ("left_profile", "right_profile"):
-            poly = _point_array(getattr(self, name), name, 2)
-            if not _polyline_is_simple(poly.tolist()):
+    def __init__(self, left_profile, right_profile, gap: float, obj: ObjectXSection,
+                 mu: float) -> None:
+        placed = []
+        for name, profile in (("left_profile", left_profile), ("right_profile", right_profile)):
+            placed.append(_read_points(profile, name, 2))
+            if not _polyline_is_simple(placed[-1]):
                 raise InvalidParams(f"{name} must not self-intersect", field=name)
-            object.__setattr__(self, name, poly)
-        if not (math.isfinite(self.gap) and self.gap > 0):
+        if not (math.isfinite(gap) and gap > 0):
             raise InvalidParams("gap must be positive and finite", field="gap")
-        if not (math.isfinite(self.mu) and self.mu >= 0):
+        if not (math.isfinite(mu) and mu >= 0):
             raise InvalidParams("mu must be non-negative and finite", field="mu")
+        vars(self).update(left_points=placed[0], right_points=placed[1], gap=gap, obj=obj, mu=mu)
 
 
 class Closure(Enum):
@@ -214,19 +274,19 @@ def _polyline_is_simple(points: Sequence[Sequence[float]]) -> bool:
     return True
 
 
-def _place(profile_local, name: str, gap: float | None = None) -> np.ndarray:
+def _place(profile_local, name: str, gap: float | None = None) -> Points:
     """The profile ``name``, read as :class:`GraspScene` reads one, placed in the scene.
 
     Without ``gap`` it faces +x with its ball joint at the origin; with
     it, it is mirrored to face -x with its ball joint at (gap, 0), and a
-    gap that puts a point out of float range is InvalidParams naming it.
+    gap that puts a point out of float range (float subtraction overflows
+    to inf) is InvalidParams naming it.
     """
-    p = _point_array(profile_local, name, 2)
-    with np.errstate(over="ignore"):
-        x = p[:, 1] if gap is None else gap - p[:, 1]
-    if not np.isfinite(x).all():
+    placed = tuple((y if gap is None else gap - y, x)
+                   for x, y in _read_points(profile_local, name, 2))
+    if not all(math.isfinite(x) for x, _ in placed):
         raise InvalidParams("gap must keep the mirrored profile's points finite", field="gap")
-    return np.column_stack([x, p[:, 0]])
+    return placed
 
 
 def place_left(profile_local: np.ndarray) -> np.ndarray:
@@ -234,7 +294,7 @@ def place_left(profile_local: np.ndarray) -> np.ndarray:
 
     ``profile_local`` is read as :class:`GraspScene` reads a profile.
     """
-    return _place(profile_local, "profile_local")
+    return _np().array(_place(profile_local, "profile_local"))
 
 
 def place_right(profile_local: np.ndarray, gap: float) -> np.ndarray:
@@ -243,7 +303,7 @@ def place_right(profile_local: np.ndarray, gap: float) -> np.ndarray:
     ``profile_local`` is read as :class:`GraspScene` reads a profile; a
     gap that puts a placed point out of float range is InvalidParams.
     """
-    return _place(profile_local, "profile_local", gap)
+    return _np().array(_place(profile_local, "profile_local", gap))
 
 
 def scene_between(
@@ -351,8 +411,7 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
     else:
         features, (gx, gy) = obj.features, obj.centroid
     raw = []  # (px, py, nx, ny, side, segment) in scan order
-    for side, profile in (("left", scene.left_profile), ("right", scene.right_profile)):
-        points = profile.tolist()
+    for side, points in (("left", scene.left_points), ("right", scene.right_points)):
         if not circle:
             # Each profile point's resting edge, read by both its segments.
             rests = [_resting_edge(px, py, features) for px, py in points]
@@ -392,8 +451,7 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
         if all(abs(complex(c[0] - k[0], c[1] - k[1])) > DEDUP_TOL for k in kept):
             kept.append(c)
     kept.sort(key=lambda c: (c[4], c[5], c[0], c[1]))
-    return [Contact(point=np.array((px, py)), normal=np.array((nx, ny)), side=side, segment=i)
-            for px, py, nx, ny, side, i in kept]
+    return [Contact((px, py), (nx, ny), side, i) for px, py, nx, ny, side, i in kept]
 
 
 def cradle_height(profile: Union[np.ndarray, Sequence[Sequence[float]]], circle_radius: float,
@@ -420,7 +478,7 @@ def cradle_height(profile: Union[np.ndarray, Sequence[Sequence[float]]], circle_
                             field="circle_radius")
     if not math.isfinite(u):
         raise InvalidParams("u must be finite", field="u")
-    points = _point_array(profile, "profile", 2).tolist()
+    points = _read_points(profile, "profile", 2)
     r = circle_radius
     best = -math.inf
     # Each vertex b adds its cap and each segment ab its interior tangency,
@@ -446,20 +504,11 @@ def cradle_height(profile: Union[np.ndarray, Sequence[Sequence[float]]], circle_
     return best
 
 
-def _contact_floats(contacts: Sequence[Contact]) -> list[tuple[float, float, float, float]]:
-    """Each contact's point and normal as Python floats, ``(px, py, nx, ny)``.
-
-    Points and normals may be ndarrays or tuples.
-    """
-    return [(float(c.point[0]), float(c.point[1]), float(c.normal[0]), float(c.normal[1]))
-            for c in contacts]
-
-
 def _wrench_rays(rows: list[tuple[float, float, float, float]],
                  mu: float) -> list[tuple[float, float, float]]:
     """Unit wrench rays (fx, fy, tau/rho) of the contact set, as 3-tuples.
 
-    ``rows`` are the contacts as :func:`_contact_floats` reads them.
+    ``rows`` are the contacts' ``point_xy + normal_xy``, ``(px, py, nx, ny)``.
     mu = 0 gives one normal ray per contact; mu > 0 gives the two friction
     cone edges, n + mu*t then n - mu*t with t = (-n_y, n_x).  Torque is
     taken about the mean contact point and scaled by the contact spread so
@@ -537,14 +586,13 @@ def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     FORCE_CLOSURE: the friction-cone edge wrenches do.  Form closure is
     the stronger verdict and implies force closure for any mu >= 0;
     boundary cases are graded conservatively as not closed.  The verdict
-    is decided on Python floats; contacts may hold ndarray or tuple points
-    and normals.
+    is decided on the Python floats each contact stores.
     """
     if len(contacts) == 0:
         raise InvalidParams("contacts must hold at least one contact", field="contacts")
     if not (math.isfinite(mu) and mu >= 0.0):
         raise InvalidParams("mu must be non-negative and finite", field="mu")
-    rows = _contact_floats(contacts)
+    rows = [c.point_xy + c.normal_xy for c in contacts]
     x0, y0 = rows[0][0], rows[0][1]
     if len(rows) > 1 and max(abs(complex(px - x0, py - y0)) for px, py, _, _ in rows) <= DEDUP_TOL:
         raise DegenerateContacts("all contacts coincide; wrench basis is degenerate")
@@ -567,7 +615,7 @@ def pivot_feasible(contacts: Sequence[Contact]) -> bool:
     right = [c for c in contacts if c.side == "right"]
     if len(left) != 1 or len(right) != 1:
         return False
-    (lx, ly, nx, ny), (rx, ry, mx, my) = _contact_floats(left + right)
+    (lx, ly, nx, ny), (rx, ry, mx, my) = (c.point_xy + c.normal_xy for c in left + right)
     if _angle_between(nx, ny, -mx, -my) > PIVOT_ANGLE_TOL:
         return False
     dx, dy = rx - lx, ry - ly

@@ -343,6 +343,20 @@ def cradle_by_bisection(profile, r: float, u: float) -> float | None:
     return best
 
 
+def polygon_features_by_numpy(vertices) -> tuple[list, list]:
+    """A convex polygon's edge features and centroid, derived on numpy arrays.
+
+    This is the derivation ``ConvexPolygon`` made before it held floats:
+    rows ``(vx, vy, ex, ey, nx, ny)`` of each vertex, the edge to the next
+    vertex and the edge's unit inward normal, and the mean of the vertices.
+    """
+    verts = np.asarray(vertices, dtype=float)
+    edges = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([-edges[:, 1], edges[:, 0]])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return np.column_stack([verts, edges, normals]).tolist(), verts.mean(axis=0).tolist()
+
+
 def _edge_lines(verts):
     """(unit inward normal, start) of each edge of a CCW polygon."""
     lines = []

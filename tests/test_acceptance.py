@@ -18,6 +18,7 @@ from conftest import run_cli
 from morphtip import (
     Closure,
     Concave,
+    Contact,
     ConvexPolygon,
     FingertipConfig,
     LinkageParams,
@@ -193,10 +194,7 @@ def test_criterion_6_grasp_proxies():
             angles = np.sort(rng.uniform(0.0, 2 * np.pi, k))
             pts = np.column_stack([10 * np.cos(angles), 10 * np.sin(angles)])
             mu = float(rng.choice([0.0, 0.3, 0.8]))
-            cts = [
-                type("C", (), {"point": p, "normal": -p / 10.0, "side": "left", "segment": 0})()
-                for p in pts
-            ]
+            cts = [Contact(point=p, normal=-p / 10.0, side="left", segment=0) for p in pts]
         got = closure_classify(cts, mu) is not Closure.NONE
         brute = oracles.closed_by_wrench_sampling(
             [c.point for c in cts], [c.normal for c in cts], mu

@@ -366,6 +366,14 @@ class TestGrasp:
             'mirrored profile\'s points finite"}}\n'))
         assert capsys.readouterr().err == ""
 
+    def test_polygon_whose_edge_products_overflow_names_the_vertices(self, tmp_path, capsys):
+        path = scene_file(tmp_path, {"gap_mm": 20.0, "object": {
+            "type": "polygon", "vertices_mm": [[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]]}})
+        assert run_cli(["grasp", "--scene", path]) == (2, (
+            '{"error": {"code": "config", "message": "scene field \'object.vertices_mm\' must '
+            'keep each edge\'s cross product and squared length finite"}}\n'))
+        assert capsys.readouterr().err == ""
+
     def test_bad_scene_exits_2(self, tmp_path):
         scene = scene_file(tmp_path, {"gap_mm": -1.0, "object": {"type": "circle", "radius_mm": 1.0}})
         code, out = run_cli(["grasp", "--scene", scene])

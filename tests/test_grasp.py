@@ -1,7 +1,7 @@
+import hashlib
 import math
 import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -59,6 +59,7 @@ MALFORMED_PROFILES = [
     pytest.param([[0.0, 0.0], [1.0]], id="ragged"),
     pytest.param("ab", id="non-numeric"),
     pytest.param([[0.0, 0.0], [10**400, 0.0]], id="int-too-large"),
+    pytest.param([["-5", "0"], ["5", "0"]], id="numeric-strings"),
 ]
 
 
@@ -424,6 +425,20 @@ def star_polylines(draw) -> list[list[float]]:
     return [[cx + rad * math.cos(a), cy + rad * math.sin(a)] for rad, a in zip(radii, angles)]
 
 
+@st.composite
+def convex_polygons(draw) -> list[list[float]]:
+    """A strictly convex counter-clockwise polygon of 3-64 vertices.
+
+    The vertices lie on an ellipse, at increasing multiples of 1/720 of a
+    turn, so three neighbours always turn left by far more than rounding.
+    """
+    steps = sorted(draw(st.sets(st.integers(0, 719), min_size=3, max_size=64)))
+    a, b = draw(st.floats(1.0, 1000.0)), draw(st.floats(1.0, 1000.0))
+    cx, cy = draw(st.floats(-1000.0, 1000.0)), draw(st.floats(-1000.0, 1000.0))
+    return [[cx + a * math.cos(math.pi * k / 360.0), cy + b * math.sin(math.pi * k / 360.0)]
+            for k in steps]
+
+
 class TestCradle:
     def test_concave_strict_minimum(self):
         phi = math.radians(20.0)
@@ -497,8 +512,9 @@ class TestCradle:
 
     @pytest.mark.parametrize("bad", MALFORMED_PROFILES)
     def test_malformed_profile_rejected(self, bad):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams) as exc:
             cradle_height(bad, 2.0, 0.0)
+        assert exc.value.field == "profile"
 
     @pytest.mark.parametrize("bad", [[[0, 0], [1]], "ab", [[0, 0], [1j, 0]], {"x": 1}],
                              ids=["ragged", "letters", "complex", "dict"])
@@ -578,8 +594,10 @@ class TestSceneValidation:
             Circle(1.0, (math.nan, 0.0))
         assert exc.value.field == "center"
 
-    @pytest.mark.parametrize("center", [(1.0,), (1.0, 2.0, 3.0), "ab", "12", [[1.0], [2.0]], None],
-                             ids=["one", "three", "letters", "digits", "column", "none"])
+    @pytest.mark.parametrize("center", [(1.0,), (1.0, 2.0, 3.0), "ab", "12", [[1.0], [2.0]], None,
+                                        ["1", "2"]],
+                             ids=["one", "three", "letters", "digits", "column", "none",
+                                  "numeric-strings"])
     def test_circle_center_that_is_not_a_pair_rejected(self, center):
         with pytest.raises(InvalidParams, match=r"^center must be a pair of numbers \(x, y\)$") as exc:
             Circle(1.0, center)
@@ -606,13 +624,13 @@ class TestSceneValidation:
 
     def test_scene_between_reads_each_profile_once_local_and_once_placed(self, monkeypatch):
         calls = []
-        read = grasp._point_array
+        read = grasp._read_points
 
         def counted(points, name, least):
             calls.append(name)
             return read(points, name, least)
 
-        monkeypatch.setattr(grasp, "_point_array", counted)
+        monkeypatch.setattr(grasp, "_read_points", counted)
         flat = profile(Flat())
         scene_between(flat, flat, 20.0, Circle(5.0, (10.0, 0.0)), 0.0)
         assert calls == ["left_local", "right_local", "left_profile", "right_profile"]
@@ -640,6 +658,25 @@ class TestSceneValidation:
         # Convex by its cross products, but the edge has no direction in floats.
         with pytest.raises(InvalidParams, match="^vertices must be a strictly convex polygon"):
             ConvexPolygon(np.array([[0.0, 0.0], [1e-170, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("verts", [
+        [[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]],
+        [[0.0, 0.0], [1e155, 0.0], [0.0, 1e-160]],
+    ], ids=["cross-product", "squared-length"])
+    def test_polygon_whose_edge_products_overflow_rejected(self, verts):
+        # Warnings are errors here: an overflow warning fails the test too.
+        with pytest.raises(InvalidParams, match="^vertices must keep each edge's cross product "
+                                                "and squared length finite$") as exc:
+            ConvexPolygon(verts)
+        assert exc.value.field == "vertices"
+
+    @settings(max_examples=200)
+    @given(convex_polygons())
+    def test_features_and_centroid_match_the_numpy_derivation(self, verts):
+        poly = ConvexPolygon(verts)
+        features, centroid = oracles.polygon_features_by_numpy(verts)
+        assert np.array(poly.features).tobytes() == np.array(features).tobytes()
+        assert np.array(poly.centroid).tobytes() == np.array(centroid).tobytes()
 
 
 class TestClosure:
@@ -749,10 +786,20 @@ class TestPivot:
         assert pivot_feasible([left, right])
 
 
-def as_tuples(contacts) -> list[Contact]:
-    """The contacts with their points and normals as tuples of floats."""
-    return [Contact(point=tuple(c.point.tolist()), normal=tuple(c.normal.tolist()),
-                    side=c.side, segment=c.segment) for c in contacts]
+def no_numpy():
+    raise AssertionError("the grasp path asked for numpy")
+
+
+def array_bytes(arrays) -> bytes:
+    """Each array's dtype, shape and data, joined."""
+    return b"".join(a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes() for a in arrays)
+
+
+# sha256 of array_bytes over the flat pinch, concave seat and square seat:
+# each scene's placed profiles, the square's vertices and each contact's
+# point and normal, as the numpy path built them before scenes and
+# contacts held floats.
+SEAT_ARRAYS_SHA256 = "26b0d5885760a411716d183df035f3844c9c0c6ec889e50b5d756b77efca2fb0"
 
 
 class TestVerdictsOnFloats:
@@ -760,34 +807,38 @@ class TestVerdictsOnFloats:
         cases = [(square_seat_scene(), 0.5, Closure.FORM_CLOSURE, False),
                  (concave_seat_scene(), 0.5, Closure.FORCE_CLOSURE, False),
                  (flat_pinch_scene(), 0.0, Closure.NONE, True)]
-        contacts = [as_tuples(find_contacts(scene)) for scene, *_ in cases]
-        monkeypatch.setattr(grasp, "np", None)  # any np.<name> now raises
+        monkeypatch.setattr(grasp, "_np", no_numpy)
+        contacts = [find_contacts(scene) for scene, *_ in cases]
         for cts, (_, mu, closure, pivot) in zip(contacts, cases):
             assert closure_classify(cts, mu) is closure
             assert pivot_feasible(cts) is pivot
         with pytest.raises(DegenerateContacts):
             closure_classify([contacts[0][0]] * 2, 0.5)
 
-    def test_find_contacts_calls_only_np_array(self, monkeypatch):
-        scenes = (flat_pinch_scene(), concave_seat_scene(), square_seat_scene())
-        flat = profile(Flat())
-        overlapping = (
-            scene_between(flat, flat, 18.0, Circle(10.0, (9.0, 0.0)), 0.0),
-            scene_between(flat, flat, 30.0, ConvexPolygon(
-                np.array([[-1.0, -5.0], [9.0, -5.0], [9.0, 5.0], [-1.0, 5.0]])), 0.0),
-        )
-
-        def rows(scene):
-            return [(c.point.tobytes(), c.normal.tobytes(), c.side, c.segment)
-                    for c in find_contacts(scene)]
-
-        expected = [rows(scene) for scene in scenes]
-        assert [len(want) for want in expected] == [2, 4, 4]
-        monkeypatch.setattr(grasp, "np", types.SimpleNamespace(array=np.array))
-        assert [rows(scene) for scene in scenes] == expected
-        for scene in overlapping:
-            with pytest.raises(Penetration):
-                find_contacts(scene)
+    def test_grasp_path_makes_no_numpy_call(self, monkeypatch):
+        flat, concave = profile(Flat()), profile(Concave(math.radians(20.0)))
+        with monkeypatch.context() as patch:
+            patch.setattr(grasp, "_np", no_numpy)
+            scenes = (flat_pinch_scene(), concave_seat_scene(mu=0.5), square_seat_scene(mu=0.5))
+            contacts = [find_contacts(scene) for scene in scenes]
+            assert [(len(cts), closure_classify(cts, scene.mu), pivot_feasible(cts))
+                    for scene, cts in zip(scenes, contacts)] == [
+                (2, Closure.NONE, True), (4, Closure.FORCE_CLOSURE, False),
+                (4, Closure.FORM_CLOSURE, False)]
+            low, mid, high = (cradle_height(concave, 88.0, u) for u in (-0.1, 0.0, 0.1))
+            assert mid < min(low, high)
+            for overlapping in (Circle(10.0, (9.0, 0.0)), ConvexPolygon(
+                    np.array([[-1.0, -5.0], [9.0, -5.0], [9.0, 5.0], [-1.0, 5.0]]))):
+                with pytest.raises(Penetration):
+                    find_contacts(scene_between(flat, flat, 18.0, overlapping, 0.0))
+        arrays = []
+        for scene, cts in zip(scenes, contacts):
+            arrays += [scene.left_profile, scene.right_profile]
+            if isinstance(scene.obj, ConvexPolygon):
+                arrays.append(scene.obj.vertices)
+            for c in cts:
+                arrays += [c.point, c.normal]
+        assert hashlib.sha256(array_bytes(arrays)).hexdigest() == SEAT_ARRAYS_SHA256
 
 
 @st.composite
@@ -867,10 +918,8 @@ class TestOracleAgreement:
                 pts = np.column_stack([r * np.cos(angles), r * np.sin(angles)])
                 normals = -pts / r
                 mu = float(rng.choice([0.0, 0.3, 0.8]))
-                cts = [
-                    type("C", (), {"point": p, "normal": n, "side": "left", "segment": 0})()
-                    for p, n in zip(pts, normals)
-                ]
+                cts = [Contact(point=p, normal=n, side="left", segment=0)
+                       for p, n in zip(pts, normals)]
             mu_used = mu
             verdict = closure_classify(cts, mu_used) is not Closure.NONE
             brute = oracle_closed(cts, mu_used)
