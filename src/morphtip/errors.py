@@ -1,4 +1,13 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one check of a number argument.
+
+Every number the library is given, a command, a length, a tilt, a gap or
+a friction coefficient, is checked by :func:`check_number`: a value that
+is not a finite number meeting its condition (NaN, an infinity, an
+integer too large for a float, text, None or a sequence) is refused with
+:class:`InvalidParams` naming the argument.
+"""
+
+import math
 
 
 class MorphtipError(Exception):
@@ -17,6 +26,28 @@ class InvalidParams(MorphtipError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def check_number(name: str, value, must: str = "be finite", ok=None) -> None:
+    """Raise InvalidParams ``"<name> must <must>"`` unless value is a finite number ``ok`` accepts.
+
+    ``ok`` is a predicate on the finite value, None for none; callers
+    pass a module-level function, so a hot path builds no closure.  The
+    TypeError or OverflowError that a value which is no number, or an
+    integer too large for a float, raises here is a refusal too.  The
+    value is only checked: the caller keeps it as it was given.
+    """
+    try:
+        if math.isfinite(value) and (ok is None or ok(value)):
+            return
+    except (TypeError, OverflowError):
+        pass
+    raise InvalidParams(f"{name} must {must}", field=name)
+
+
+def positive(value: float) -> bool:
+    """The ``ok`` of :func:`check_number` for a value that must be above 0."""
+    return value > 0
 
 
 class OutOfRange(MorphtipError):

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 from . import linkage
-from .errors import InvalidParams
+from .errors import InvalidParams, check_number, positive
 from .linkage import LinkageParams
 
 if TYPE_CHECKING:
@@ -43,9 +43,12 @@ def _np():
     return numpy
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0:
-        raise InvalidParams(f"{name} must be positive and finite, got {value!r}", field=name)
+def _negative(value: float) -> bool:
+    return value < 0
+
+
+def _below_45_degrees(value: float) -> bool:
+    return abs(value) < math.pi / 4
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,8 @@ class FingertipConfig:
     step_deg: float = 3.0
 
     def __post_init__(self) -> None:
-        _require_positive("facet_len", self.facet_len)
-        _require_positive("spring_k", self.spring_k)
-        _require_positive("rod_len", self.rod_len)
-        _require_positive("step_deg", self.step_deg)
+        for name in ("facet_len", "spring_k", "rod_len", "step_deg"):
+            check_number(name, getattr(self, name), "be positive and finite", positive)
         linkage._require_finite_points(self.linkage, self.facet_len)
 
 
@@ -86,8 +87,7 @@ class Concave:
     depth: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.depth) or self.depth <= 0:
-            raise InvalidParams("depth must be a positive angle", field="depth")
+        check_number("depth", self.depth, "be a positive angle", positive)
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ class Convex:
     depth: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.depth) or self.depth >= 0:
-            raise InvalidParams("depth must be a negative angle", field="depth")
+        check_number("depth", self.depth, "be a negative angle", _negative)
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,8 @@ class TiltedPlanar:
     tilt_y: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("tilt_x", "tilt_y"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParams(f"{name} must be finite", field=name)
+        check_number("tilt_x", self.tilt_x)
+        check_number("tilt_y", self.tilt_y)
 
 
 MorphPrimitive = Union[Flat, Concave, Convex, TiltedPlanar]
@@ -125,9 +123,8 @@ class ExternalLoad:
     tau_y: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("tau_x", "tau_y"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParams(f"{name} must be finite", field=name)
+        check_number("tau_x", self.tau_x)
+        check_number("tau_y", self.tau_y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,11 +168,9 @@ def terrace_equilibrium(
     own half-frames; the exact argmin is
     (phi_pos - phi_neg) / 2 + tau / (2 k).
     """
-    for name, value in (("phi_pos", phi_pos), ("phi_neg", phi_neg),
-                        ("load_torque", load_torque)):
-        if not math.isfinite(value):
-            raise InvalidParams(f"{name} must be finite, got {value!r}", field=name)
-    _require_positive("spring_k", spring_k)
+    for name, value in (("phi_pos", phi_pos), ("phi_neg", phi_neg), ("load_torque", load_torque)):
+        check_number(name, value)
+    check_number("spring_k", spring_k, "be positive and finite", positive)
     return (phi_pos - phi_neg) / 2.0 + load_torque / (2.0 * spring_k)
 
 
@@ -199,8 +194,7 @@ def surface_profile(
 
 def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> Profile:
     """surface_profile from the two facet poses ``(phi, bx, by)``."""
-    if not math.isfinite(psi):
-        raise InvalidParams("psi must be finite", field="psi")
+    check_number("psi", psi)
     f = cfg.facet_len
     cx = cfg.linkage.l_oc * math.cos(psi)
     cy = cfg.linkage.l_oc * math.sin(psi)
@@ -226,10 +220,8 @@ def pointer_top(cfg: FingertipConfig, psi_x: float, psi_y: float) -> tuple[float
     by psi_x, then about the y axis by psi_y (fixed composition order).
     """
     for name, value in (("psi_x", psi_x), ("psi_y", psi_y)):
-        if not math.isfinite(value):
-            raise InvalidParams(f"{name} must be finite", field=name)
-        if abs(value) >= math.pi / 4:
-            raise InvalidParams(f"{name} must stay below 45 degrees", field=name)
+        check_number(name, value)
+        check_number(name, value, "stay below 45 degrees", _below_45_degrees)
     sx, cx = math.sin(psi_x), math.cos(psi_x)
     sy, cy = math.sin(psi_y), math.cos(psi_y)
     rod = cfg.rod_len
@@ -280,7 +272,7 @@ def state_from_thetas(
     """
     try:
         ok = len(thetas) == 4 and all(math.isfinite(t) for t in thetas)
-    except TypeError:
+    except (TypeError, OverflowError):  # not numbers, or an integer too large for a float
         ok = False
     if not ok:
         raise InvalidParams("thetas must be four finite servo commands", field="thetas")

@@ -32,7 +32,8 @@ from functools import cached_property
 from itertools import chain, combinations
 from typing import TYPE_CHECKING, Sequence, Union
 
-from .errors import DegenerateContacts, InvalidParams, Penetration, Unsupported
+from .errors import (DegenerateContacts, InvalidParams, Penetration, Unsupported, check_number,
+                     positive)
 from .fingertip import _np
 
 if TYPE_CHECKING:
@@ -81,6 +82,31 @@ def _read_pair(pair) -> tuple[float, float]:
     return x, y
 
 
+def _finite_pair(pair, name: str) -> tuple[float, float]:
+    """pair as two finite floats, read by :func:`_read_pair`; else InvalidParams naming it.
+
+    [1.0], "12" and [[1.0], [2.0]] are not pairs of numbers; an integer
+    too large for a float (OverflowError) is not finite.
+    """
+    try:
+        x, y = _read_pair(pair)
+    except (TypeError, ValueError, OverflowError) as exc:
+        must = "be finite" if isinstance(exc, OverflowError) else "be a pair of numbers (x, y)"
+        raise InvalidParams(f"{name} must {must}", field=name) from None
+    check_number(name, x)
+    check_number(name, y)
+    return x, y
+
+
+def _non_negative(value: float) -> bool:
+    return value >= 0
+
+
+def _radius(value: float) -> bool:
+    """A positive value whose square is finite, a radius :func:`cradle_height` can take."""
+    return value > 0 and math.isfinite(value * value)
+
+
 def _read_points(points, name: str, least: int) -> Points:
     """points as at least ``least`` finite (x, y) pairs of floats.
 
@@ -116,15 +142,8 @@ class Circle:
     center: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0 and math.isfinite(self.radius * self.radius)):
-            raise InvalidParams("radius must be positive and its square finite", field="radius")
-        try:  # a pair of numbers: [1.0], "12" and [[1.0], [2.0]] are not
-            cx, cy = _read_pair(self.center)
-        except (TypeError, ValueError):
-            raise InvalidParams("center must be a pair of numbers (x, y)", field="center") from None
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            raise InvalidParams("center must be finite", field="center")
-        object.__setattr__(self, "center", (cx, cy))
+        check_number("radius", self.radius, "be positive and its square finite", _radius)
+        object.__setattr__(self, "center", _finite_pair(self.center, "center"))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -193,8 +212,8 @@ class Contact:
     normal = _array_of("normal_xy")
 
     def __init__(self, point, normal, side: str, segment: int) -> None:
-        vars(self).update(point_xy=_read_pair(point), normal_xy=_read_pair(normal), side=side,
-                          segment=segment)
+        vars(self).update(point_xy=_finite_pair(point, "point"),
+                          normal_xy=_finite_pair(normal, "normal"), side=side, segment=segment)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -223,10 +242,8 @@ class GraspScene:
             placed.append(_read_points(profile, name, 2))
             if not _polyline_is_simple(placed[-1]):
                 raise InvalidParams(f"{name} must not self-intersect", field=name)
-        if not (math.isfinite(gap) and gap > 0):
-            raise InvalidParams("gap must be positive and finite", field="gap")
-        if not (math.isfinite(mu) and mu >= 0):
-            raise InvalidParams("mu must be non-negative and finite", field="mu")
+        check_number("gap", gap, "be positive and finite", positive)
+        check_number("mu", mu, "be non-negative and finite", _non_negative)
         vars(self).update(left_points=placed[0], right_points=placed[1], gap=gap, obj=obj, mu=mu)
 
 
@@ -274,18 +291,22 @@ def _polyline_is_simple(points: Sequence[Sequence[float]]) -> bool:
     return True
 
 
-def _place(profile_local, name: str, gap: float | None = None) -> Points:
+def _place(profile_local, name: str, *gap: float) -> Points:
     """The profile ``name``, read as :class:`GraspScene` reads one, placed in the scene.
 
     Without ``gap`` it faces +x with its ball joint at the origin; with
-    it, it is mirrored to face -x with its ball joint at (gap, 0), and a
-    gap that puts a point out of float range (float subtraction overflows
-    to inf) is InvalidParams naming it.
+    it, it is mirrored about x = gap/2, to face -x with its ball joint at
+    (gap, 0).  A given gap, None included, is checked once the profile is
+    read and before any subtraction: one that is no finite number, or
+    that puts a point out of float range (float subtraction overflows to
+    inf), is InvalidParams naming it.
     """
-    placed = tuple((y if gap is None else gap - y, x)
-                   for x, y in _read_points(profile_local, name, 2))
-    if not all(math.isfinite(x) for x, _ in placed):
-        raise InvalidParams("gap must keep the mirrored profile's points finite", field="gap")
+    placed = tuple((y, x) for x, y in _read_points(profile_local, name, 2))
+    if gap:  # the one gap given, which may be None
+        check_number("gap", gap[0], "keep the mirrored profile's points finite")
+        placed = tuple((gap[0] - x, y) for x, y in placed)
+        if not all(math.isfinite(x) for x, _ in placed):
+            raise InvalidParams("gap must keep the mirrored profile's points finite", field="gap")
     return placed
 
 
@@ -473,11 +494,8 @@ def cradle_height(profile: Union[np.ndarray, Sequence[Sequence[float]]], circle_
     shape, of fewer than two points or with a non-finite coordinate;
     raises Unsupported when nothing under x = u can carry the circle.
     """
-    if not (circle_radius > 0 and math.isfinite(circle_radius * circle_radius)):
-        raise InvalidParams("circle_radius must be positive and its square finite",
-                            field="circle_radius")
-    if not math.isfinite(u):
-        raise InvalidParams("u must be finite", field="u")
+    check_number("circle_radius", circle_radius, "be positive and its square finite", _radius)
+    check_number("u", u)
     points = _read_points(profile, "profile", 2)
     r = circle_radius
     best = -math.inf
@@ -590,8 +608,7 @@ def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     """
     if len(contacts) == 0:
         raise InvalidParams("contacts must hold at least one contact", field="contacts")
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise InvalidParams("mu must be non-negative and finite", field="mu")
+    check_number("mu", mu, "be non-negative and finite", _non_negative)
     rows = [c.point_xy + c.normal_xy for c in contacts]
     x0, y0 = rows[0][0], rows[0][1]
     if len(rows) > 1 and max(abs(complex(px - x0, py - y0)) for px, py, _, _ in rows) <= DEDUP_TOL:

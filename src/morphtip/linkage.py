@@ -25,15 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidParams, OutOfRange, Unreachable
+from .errors import InvalidParams, OutOfRange, Unreachable, check_number, positive
 
 # Margin kept from a jam endpoint when clipping the operating range (rad).
 JAM_MARGIN = 1e-9
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise InvalidParams(f"{name} must be finite, got {value!r}", field=name)
+def _acute(value: float) -> bool:
+    return 0.0 < value < math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -64,13 +63,10 @@ class LinkageParams:
 
     def __post_init__(self) -> None:
         for name in ("l_oc", "l_ab", "alpha0", "oa_x", "theta_min", "theta_max"):
-            _require_finite(name, getattr(self, name))
-        for name in ("l_oc", "l_ab"):
-            if getattr(self, name) <= 0:
-                raise InvalidParams(f"{name} must be positive", field=name)
-        if not 0.0 < self.alpha0 < math.pi / 2:
-            raise InvalidParams("alpha0 must lie strictly between 0 and a right angle",
-                                field="alpha0")
+            check_number(name, getattr(self, name))
+        check_number("l_oc", self.l_oc, "be positive", positive)
+        check_number("l_ab", self.l_ab, "be positive", positive)
+        check_number("alpha0", self.alpha0, "lie strictly between 0 and a right angle", _acute)
         if self.theta_min >= self.theta_max:
             raise InvalidParams("theta_min must be below theta_max", field="theta_min")
         object.__setattr__(self, "oa_y", -self.l_ab * math.cos(self.alpha0))
@@ -102,7 +98,7 @@ def slider_point(params: LinkageParams, theta: float) -> tuple[float, float]:
     Raises OutOfRange when the crank leaves the modeled half-turn
     (alpha0 - theta outside (0, pi)).
     """
-    _require_finite("theta", theta)
+    check_number("theta", theta)
     a = params.alpha0 - theta
     if not 0.0 < a < math.pi:
         raise OutOfRange(
@@ -235,7 +231,7 @@ def inverse_facet(params: LinkageParams, phi: float) -> float:
     Raises Unreachable (with the attainable facet interval attached) when
     phi lies outside the image of the operating range.
     """
-    _require_finite("phi", phi)
+    check_number("phi", phi)
     theta = _ray_command(params, phi, params.l_oc)
     if theta is None:
         raise _unreachable("facet angle", phi, attainable_facet_range(params))
@@ -287,7 +283,7 @@ def solve_planar_pair(params: LinkageParams, phi_tilt: float) -> tuple[float, fl
     rays anti-collinear through the ball joint (straight tilted surface).
     The two commands have opposite signs for a nonzero tilt.
     """
-    _require_finite("phi_tilt", phi_tilt)
+    check_number("phi_tilt", phi_tilt)
     return _solve_slider_angle(params, phi_tilt), _solve_slider_angle(params, -phi_tilt)
 
 

@@ -594,6 +594,11 @@ class TestSceneValidation:
             Circle(1.0, (math.nan, 0.0))
         assert exc.value.field == "center"
 
+    def test_circle_center_too_large_for_a_float_rejected(self):
+        with pytest.raises(InvalidParams, match="^center must be finite$") as exc:
+            Circle(1.0, (10**400, 0.0))
+        assert exc.value.field == "center"
+
     @pytest.mark.parametrize("center", [(1.0,), (1.0, 2.0, 3.0), "ab", "12", [[1.0], [2.0]], None,
                                         ["1", "2"]],
                              ids=["one", "three", "letters", "digits", "column", "none",
