@@ -31,15 +31,13 @@ import json
 import math
 import re
 import sys
-from collections import defaultdict
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from collections import defaultdict, namedtuple
 
 import morphtip as mt
 
 from . import fingertip as ft
 from . import linkage as lk
-from .errors import InvalidParams, MorphtipError, Penetration, Unreachable, Unsupported
+from .errors import InvalidParams, MorphtipError, Penetration, Record, Unreachable, Unsupported
 
 SWEEP_HEADER = "step,theta_deg,phi_deg,B_x_mm,B_y_mm"
 POINTER_HEADER = "index,psi_x_deg,psi_y_deg,x_mm,y_mm,z_mm"
@@ -101,29 +99,29 @@ def _emit(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # configuration
 
-@dataclass(frozen=True)
-class SweepSpec:
-    start_deg: float = 15.0
-    step_deg: float = -3.0
-    count: int = 13
+class SweepSpec(Record):
+    _fields = ("start_deg", "step_deg", "count")
 
-    def __post_init__(self) -> None:
-        if self.count < 2:
+    def __init__(self, start_deg: float = 15.0, step_deg: float = -3.0, count: int = 13) -> None:
+        if count < 2:
             raise InvalidParams("count must be at least 2", field="count")
-        if self.count > MAX_COUNT:
+        if count > MAX_COUNT:
             raise InvalidParams(f"count must be at most {MAX_COUNT}", field="count")
-        if self.step_deg == 0.0:
+        if step_deg == 0.0:
             raise InvalidParams("step_deg must be nonzero", field="step_deg")
+        vars(self).update(start_deg=start_deg, step_deg=step_deg, count=count)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tip: ft.FingertipConfig
-    sweep: SweepSpec
-    out_path: str | None = None
+class RunConfig(Record):
+    _fields = ("tip", "sweep", "out_path")
+
+    def __init__(self, tip: ft.FingertipConfig, sweep: SweepSpec,
+                 out_path: str | None = None) -> None:
+        vars(self).update(tip=tip, sweep=sweep, out_path=out_path)
 
 
-class _Field(NamedTuple):
+class _Field(namedtuple("_Field", "kind call arg deg least only default",
+                        defaults=("", "", False, 0, (), None))):
     """How :func:`_walk` reads one field of a config or scene file.
 
     ``kind`` is a key of :data:`_READERS`; or "object", a JSON object of
@@ -138,13 +136,7 @@ class _Field(NamedTuple):
     argument to the library, and every reader refuses _REQUIRED.
     """
 
-    kind: str
-    call: str = ""
-    arg: str = ""
-    deg: bool = False
-    least: int = 0
-    only: tuple[str, ...] = ()
-    default: object = None
+    __slots__ = ()
 
 
 _REQUIRED = object()
@@ -473,7 +465,7 @@ def sweep(cfg: RunConfig, output, start_deg, step_deg, count) -> None:
     given = {"start_deg": _finite(start_deg, "--start"), "step_deg": _finite(step_deg, "--step"),
              "count": count}
     try:
-        spec = replace(cfg.sweep, **{k: v for k, v in given.items() if v is not None})
+        spec = cfg.sweep.replace(**{k: v for k, v in given.items() if v is not None})
     except InvalidParams as exc:
         raise ConfigError(_restated(exc, {"step_deg": "--step", "count": "--count"})) from exc
     rows = [SWEEP_HEADER]

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the one check of a number argument.
+"""Exception types shared across the toolkit, the one check of a number argument,
+and :class:`Record`, the base of the toolkit's frozen records.
 
 Every number the library is given, a command, a length, a tilt, a gap or
 a friction coefficient, is checked by :func:`check_number`: a value that
@@ -43,6 +44,61 @@ def check_number(name: str, value, must: str = "be finite", ok=None) -> None:
     except (TypeError, OverflowError):
         pass
     raise InvalidParams(f"{name} must {must}", field=name)
+
+
+class Record:
+    """A frozen record: its fields are set once, by the subclass's ``__init__``.
+
+    ``_fields`` names the fields that ``repr``, equality and hashing read,
+    in order.  ``_args`` names the ones the constructor takes, in the order
+    of its arguments; it is ``_fields`` unless the class says otherwise.
+    A subclass declared with ``eq=False`` compares and hashes by identity.
+    Setting or deleting an attribute raises AttributeError, so ``__init__``
+    stores the fields with one ``vars(self).update(...)``: on CPython 3.11,
+    item assignment to a fresh ``__dict__`` instead slows every later read
+    of the field.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _args: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        if "_args" not in vars(cls):
+            cls._args = cls._fields
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to the constructor's arguments, checked by it again.
+
+        A name that is no argument, such as a field the constructor
+        derives, is ValueError.
+        """
+        wrong = sorted(changes.keys() - self._args)
+        if wrong:
+            raise ValueError(f"{', '.join(wrong)} is not an argument of {type(self).__name__}")
+        return type(self)(*[changes.get(name, getattr(self, name)) for name in self._args])
 
 
 def positive(value: float) -> bool:

@@ -19,14 +19,13 @@ commands start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Union
 
 from . import linkage
-from .errors import InvalidParams, check_number, positive
-from .linkage import LinkageParams
+from .errors import InvalidParams, Record, check_number, positive
+from .linkage import LinkageParams, _require_finite_points
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -51,8 +50,7 @@ def _below_45_degrees(value: float) -> bool:
     return abs(value) < math.pi / 4
 
 
-@dataclass(frozen=True)
-class FingertipConfig:
+class FingertipConfig(Record):
     """Dimensions and actuation defaults of one fingertip.
 
     facet_len is the hinge-to-tip facet extent, so the plate diameter is
@@ -61,74 +59,70 @@ class FingertipConfig:
     A facet_len so large that a facet tip could overflow is rejected.
     """
 
-    linkage: LinkageParams = LinkageParams()
-    facet_len: float = 17.5
-    spring_k: float = 10.0
-    rod_len: float = 100.0
-    step_deg: float = 3.0
+    _fields = ("linkage", "facet_len", "spring_k", "rod_len", "step_deg")
 
-    def __post_init__(self) -> None:
-        for name in ("facet_len", "spring_k", "rod_len", "step_deg"):
-            check_number(name, getattr(self, name), "be positive and finite", positive)
-        linkage._require_finite_points(self.linkage, self.facet_len)
+    def __init__(self, linkage: LinkageParams = LinkageParams(), facet_len: float = 17.5,
+                 spring_k: float = 10.0, rod_len: float = 100.0, step_deg: float = 3.0) -> None:
+        for name, value in (("facet_len", facet_len), ("spring_k", spring_k), ("rod_len", rod_len),
+                            ("step_deg", step_deg)):
+            check_number(name, value, "be positive and finite", positive)
+        _require_finite_points(linkage, facet_len)
+        vars(self).update(linkage=linkage, facet_len=facet_len, spring_k=spring_k, rod_len=rod_len,
+                          step_deg=step_deg)
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(Record):
     """All facets level with the terrace."""
 
     depth = 0.0  # the facet angle, as for Concave/Convex; not a field
 
 
-@dataclass(frozen=True)
-class Concave:
+class Concave(Record):
     """All facets raised by the same angle (cradle / power-grasp surface)."""
 
-    depth: float
+    _fields = ("depth",)
 
-    def __post_init__(self) -> None:
-        check_number("depth", self.depth, "be a positive angle", positive)
+    def __init__(self, depth: float) -> None:
+        check_number("depth", depth, "be a positive angle", positive)
+        vars(self).update(depth=depth)
 
 
-@dataclass(frozen=True)
-class Convex:
+class Convex(Record):
     """All facets lowered by the same angle (small-patch pinch surface)."""
 
-    depth: float
+    _fields = ("depth",)
 
-    def __post_init__(self) -> None:
-        check_number("depth", self.depth, "be a negative angle", _negative)
+    def __init__(self, depth: float) -> None:
+        check_number("depth", depth, "be a negative angle", _negative)
+        vars(self).update(depth=depth)
 
 
-@dataclass(frozen=True)
-class TiltedPlanar:
+class TiltedPlanar(Record):
     """Facets and terrace collinear in a tilted plane (reorientation)."""
 
-    tilt_x: float
-    tilt_y: float = 0.0
+    _fields = ("tilt_x", "tilt_y")
 
-    def __post_init__(self) -> None:
-        check_number("tilt_x", self.tilt_x)
-        check_number("tilt_y", self.tilt_y)
-
-
-MorphPrimitive = Union[Flat, Concave, Convex, TiltedPlanar]
+    def __init__(self, tilt_x: float, tilt_y: float = 0.0) -> None:
+        check_number("tilt_x", tilt_x)
+        check_number("tilt_y", tilt_y)
+        vars(self).update(tilt_x=tilt_x, tilt_y=tilt_y)
 
 
-@dataclass(frozen=True)
-class ExternalLoad:
+MorphPrimitive = Flat | Concave | Convex | TiltedPlanar
+
+
+class ExternalLoad(Record):
     """Torque exerted by a grasped object about the ball joint (N*mm)."""
 
-    tau_x: float = 0.0
-    tau_y: float = 0.0
+    _fields = ("tau_x", "tau_y")
 
-    def __post_init__(self) -> None:
-        check_number("tau_x", self.tau_x)
-        check_number("tau_y", self.tau_y)
+    def __init__(self, tau_x: float = 0.0, tau_y: float = 0.0) -> None:
+        check_number("tau_x", tau_x)
+        check_number("tau_y", tau_y)
+        vars(self).update(tau_x=tau_x, tau_y=tau_y)
 
 
-@dataclass(frozen=True, eq=False)
-class FingertipState:
+class FingertipState(Record, eq=False):
     """One quasi-static pose of the fingertip.
 
     thetas / phis are ordered (+x, -x, +y, -y); phis are the
@@ -140,11 +134,13 @@ class FingertipState:
     same points as (4, 2) ndarrays, built on first access and cached.
     """
 
-    thetas: tuple[float, float, float, float]
-    phis: tuple[float, float, float, float]
-    terrace_tilt: tuple[float, float]
-    profile_x_points: Profile
-    profile_y_points: Profile
+    _fields = ("thetas", "phis", "terrace_tilt", "profile_x_points", "profile_y_points")
+
+    def __init__(self, thetas: tuple[float, float, float, float],
+                 phis: tuple[float, float, float, float], terrace_tilt: tuple[float, float],
+                 profile_x_points: Profile, profile_y_points: Profile) -> None:
+        vars(self).update(thetas=thetas, phis=phis, terrace_tilt=terrace_tilt,
+                          profile_x_points=profile_x_points, profile_y_points=profile_y_points)
 
     @cached_property
     def profile_x(self) -> np.ndarray:

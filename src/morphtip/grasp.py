@@ -26,17 +26,18 @@ only then.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Sequence, Union
 
-from .errors import (DegenerateContacts, InvalidParams, Penetration, Unsupported, check_number,
-                     positive)
+from .errors import (DegenerateContacts, InvalidParams, Penetration, Record, Unsupported,
+                     check_number, positive)
 from .fingertip import _np
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
 # A polyline or polygon as (x, y) points.
@@ -130,24 +131,21 @@ def _read_points(points, name: str, least: int) -> Points:
     return pairs
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Record):
     """Circular object cross-section.
 
     The radius's square must be finite, as :func:`cradle_height` takes it.
     ``center`` is read as one finite (x, y) pair and stored as two floats.
     """
 
-    radius: float
-    center: tuple[float, float]
+    _fields = ("radius", "center")
 
-    def __post_init__(self) -> None:
-        check_number("radius", self.radius, "be positive and its square finite", _radius)
-        object.__setattr__(self, "center", _finite_pair(self.center, "center"))
+    def __init__(self, radius: float, center: tuple[float, float]) -> None:
+        check_number("radius", radius, "be positive and its square finite", _radius)
+        vars(self).update(radius=radius, center=_finite_pair(center, "center"))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class ConvexPolygon:
+class ConvexPolygon(Record, eq=False):
     """Convex polygon cross-section, vertices counter-clockwise.
 
     ``vertices`` is read as at least three finite (x, y) points, stored
@@ -161,9 +159,7 @@ class ConvexPolygon:
     first access.
     """
 
-    vertex_points: Points
-    features: tuple[tuple[float, ...], ...] = field(repr=False)
-    centroid: tuple[float, float] = field(repr=False)
+    _fields = ("vertex_points",)
     vertices = _array_of("vertex_points")
 
     def __init__(self, vertices) -> None:
@@ -189,11 +185,10 @@ class ConvexPolygon:
                           centroid=(sx / len(verts), sy / len(verts)))
 
 
-ObjectXSection = Union[Circle, ConvexPolygon]
+ObjectXSection = Circle | ConvexPolygon
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Contact:
+class Contact(Record, eq=False):
     """One object-profile touch point.
 
     ``normal`` is the unit direction a compressive contact force pushes
@@ -204,10 +199,7 @@ class Contact:
     on first access.
     """
 
-    point_xy: tuple[float, float]
-    normal_xy: tuple[float, float]
-    side: str
-    segment: int
+    _fields = ("point_xy", "normal_xy", "side", "segment")
     point = _array_of("point_xy")
     normal = _array_of("normal_xy")
 
@@ -215,9 +207,21 @@ class Contact:
         vars(self).update(point_xy=_finite_pair(point, "point"),
                           normal_xy=_finite_pair(normal, "normal"), side=side, segment=segment)
 
+    @classmethod
+    def _of(cls, px: float, py: float, nx: float, ny: float, side: str, segment: int) -> Contact:
+        """The contact :func:`find_contacts` derived, its floats stored as they are.
 
-@dataclass(frozen=True, eq=False, init=False)
-class GraspScene:
+        They need no reading: a touch point lies within CONTACT_TOL of a
+        finite object, and a normal is a finite segment's or edge's unit
+        normal, or the unit vector to a circle's center from a point at
+        its radius.
+        """
+        contact = object.__new__(cls)
+        vars(contact).update(point_xy=(px, py), normal_xy=(nx, ny), side=side, segment=segment)
+        return contact
+
+
+class GraspScene(Record, eq=False):
     """Two placed fingertip profiles, a gap, an object and friction.
 
     Each profile is read as at least two finite (x, y) points, stored as
@@ -227,11 +231,7 @@ class GraspScene:
     as (n, 2) ndarrays, built on first access.
     """
 
-    left_points: Points
-    right_points: Points
-    gap: float
-    obj: ObjectXSection
-    mu: float
+    _fields = ("left_points", "right_points", "gap", "obj", "mu")
     left_profile = _array_of("left_points")
     right_profile = _array_of("right_points")
 
@@ -472,10 +472,10 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
         if all(abs(complex(c[0] - k[0], c[1] - k[1])) > DEDUP_TOL for k in kept):
             kept.append(c)
     kept.sort(key=lambda c: (c[4], c[5], c[0], c[1]))
-    return [Contact((px, py), (nx, ny), side, i) for px, py, nx, ny, side, i in kept]
+    return [Contact._of(*c) for c in kept]
 
 
-def cradle_height(profile: Union[np.ndarray, Sequence[Sequence[float]]], circle_radius: float,
+def cradle_height(profile: np.ndarray | Sequence[Sequence[float]], circle_radius: float,
                   u: float) -> float:
     """Resting height of a circle dropped onto a support profile at offset u.
 

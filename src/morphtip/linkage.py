@@ -23,9 +23,8 @@ objects are frozen, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .errors import InvalidParams, OutOfRange, Unreachable, check_number, positive
+from .errors import InvalidParams, OutOfRange, Record, Unreachable, check_number, positive
 
 # Margin kept from a jam endpoint when clipping the operating range (rad).
 JAM_MARGIN = 1e-9
@@ -35,8 +34,7 @@ def _acute(value: float) -> bool:
     return 0.0 < value < math.pi / 2
 
 
-@dataclass(frozen=True)
-class LinkageParams:
+class LinkageParams(Record):
     """Geometry of one slider-crank half-plane.
 
     The servo mount height ``oa_y`` is not a parameter: it is derived from
@@ -52,29 +50,27 @@ class LinkageParams:
     :func:`_require_finite_points`).
     """
 
-    l_oc: float = 15.0
-    l_ab: float = 20.0
-    alpha0: float = math.radians(30.0)
-    oa_x: float = 10.0
-    theta_min: float = math.radians(-36.0)
-    theta_max: float = math.radians(36.0)
-    oa_y: float = field(init=False)
-    operating_range: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _fields = ("l_oc", "l_ab", "alpha0", "oa_x", "theta_min", "theta_max", "oa_y")
+    _args = _fields[:-1]
 
-    def __post_init__(self) -> None:
-        for name in ("l_oc", "l_ab", "alpha0", "oa_x", "theta_min", "theta_max"):
-            check_number(name, getattr(self, name))
-        check_number("l_oc", self.l_oc, "be positive", positive)
-        check_number("l_ab", self.l_ab, "be positive", positive)
-        check_number("alpha0", self.alpha0, "lie strictly between 0 and a right angle", _acute)
-        if self.theta_min >= self.theta_max:
+    def __init__(self, l_oc: float = 15.0, l_ab: float = 20.0, alpha0: float = math.radians(30.0),
+                 oa_x: float = 10.0, theta_min: float = math.radians(-36.0),
+                 theta_max: float = math.radians(36.0)) -> None:
+        for name, value in (("l_oc", l_oc), ("l_ab", l_ab), ("alpha0", alpha0), ("oa_x", oa_x),
+                            ("theta_min", theta_min), ("theta_max", theta_max)):
+            check_number(name, value)
+        check_number("l_oc", l_oc, "be positive", positive)
+        check_number("l_ab", l_ab, "be positive", positive)
+        check_number("alpha0", alpha0, "lie strictly between 0 and a right angle", _acute)
+        if theta_min >= theta_max:
             raise InvalidParams("theta_min must be below theta_max", field="theta_min")
-        object.__setattr__(self, "oa_y", -self.l_ab * math.cos(self.alpha0))
+        vars(self).update(l_oc=l_oc, l_ab=l_ab, alpha0=alpha0, oa_x=oa_x, theta_min=theta_min,
+                          theta_max=theta_max, oa_y=-l_ab * math.cos(alpha0))
         _require_finite_points(self)
-        if self.oa_x + self.l_ab * math.sin(self.alpha0) - self.l_oc <= 0:
+        if oa_x + l_ab * math.sin(alpha0) - l_oc <= 0:
             raise InvalidParams("oa_x must exceed l_oc - l_ab*sin(alpha0): the slider must "
                                 "sit outward of the hinge at neutral", field="oa_x")
-        object.__setattr__(self, "operating_range", _clip_to_jam_free(self))
+        vars(self)["operating_range"] = _clip_to_jam_free(self)
 
 
 def _require_finite_points(params: LinkageParams, facet_len: float = 1.0) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from hypothesis import assume, strategies as st
 
@@ -71,7 +70,7 @@ def zero_free_configs(draw) -> FingertipConfig:
     lo, hi = operating_range(cfg.linkage)
     f = draw(st.floats(0.05, 0.8))
     stroke = {"theta_min": f * hi} if draw(st.booleans()) else {"theta_max": f * lo}
-    return replace(cfg, linkage=replace(cfg.linkage, **stroke))
+    return cfg.replace(linkage=cfg.linkage.replace(**stroke))
 
 
 @st.composite

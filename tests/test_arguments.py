@@ -8,7 +8,6 @@ float gives, bit for bit.  Pairs and the four servo commands are read as
 a whole and refused the same way.
 """
 
-import dataclasses
 import enum
 import math
 from functools import partial
@@ -45,6 +44,7 @@ from morphtip import (
     terrace_equilibrium,
     tilt_line_residual,
 )
+from morphtip.errors import Record
 
 CFG = FingertipConfig()
 PARAMS = CFG.linkage
@@ -109,7 +109,7 @@ def plain(value):
     """value with every number as the hex of its float, arrays as their bytes."""
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
-    if dataclasses.is_dataclass(value):
+    if isinstance(value, Record):
         return type(value).__name__, plain(vars(value))
     if isinstance(value, dict):
         return tuple((key, plain(v)) for key, v in value.items())

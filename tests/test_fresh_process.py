@@ -19,16 +19,19 @@ GRASP_COMMANDS = [cmd for cmd in GOLDEN["commands"] if cmd["args"][0] == "grasp"
 NUMPY_FREE_COMMANDS = [cmd for cmd in GOLDEN["commands"] if cmd["args"][0] != "grasp"]
 
 # ``python -m morphtip ARGS`` that also writes, as the last stderr line,
-# which of click, numpy and morphtip.grasp the process loaded.
+# which of the modules its first argument lists, as JSON, the process loaded.
 CLI_PROBE = """
 import json, runpy, sys
-sys.argv = ["morphtip", *sys.argv[1:]]
+watched = json.loads(sys.argv[1])
+sys.argv = ["morphtip", *sys.argv[2:]]
 try:
     runpy.run_module("morphtip", run_name="__main__", alter_sys=True)
 finally:
-    print(json.dumps(sorted({"click", "numpy", "morphtip.grasp"} & set(sys.modules))),
-          file=sys.stderr)
+    print(json.dumps(sorted(set(watched) & set(sys.modules))), file=sys.stderr)
 """
+# dataclasses, with the inspect, ast, dis and tokenize it loads, takes 10-15 ms
+# to import and typing about 3 ms, against about 100 ms for a cold command.
+SLOW_IMPORTS = ["dataclasses", "inspect", "typing"]
 
 EXPORTS_PROBE = """
 import morphtip
@@ -52,15 +55,16 @@ def run_python(args: list[str], cwd: Path = ROOT) -> subprocess.CompletedProcess
                           capture_output=True, text=True, timeout=120)
 
 
-def run_golden(cmd: dict, tmp_path: Path) -> list[str]:
-    """Run one golden command fresh; check its output and return what it loaded.
+def run_golden(cmd: dict, tmp_path: Path, watched=("click", "numpy", "morphtip.grasp"),
+               flags=()) -> list[str]:
+    """Run one golden command fresh; check its output and return which ``watched`` it loaded.
 
-    The probe's own line is all the command may write to stderr: no
-    warning or traceback.
+    ``flags`` go to the interpreter.  The probe's own line is all the
+    command may write to stderr: no warning or traceback.
     """
     for name, text in GOLDEN["files"].items():
         (tmp_path / name).write_text(text)
-    proc = run_python(["-c", CLI_PROBE, *cmd["args"]], cwd=tmp_path)
+    proc = run_python([*flags, "-c", CLI_PROBE, json.dumps(watched), *cmd["args"]], cwd=tmp_path)
     assert (proc.returncode, proc.stdout) == (cmd["exit"], cmd["stdout"]), proc.stderr
     *rest, loaded = proc.stderr.splitlines()
     assert rest == []
@@ -95,6 +99,12 @@ def test_command_without_a_scene_loads_no_numpy(tmp_path, cmd):
 @pytest.mark.parametrize("cmd", GRASP_COMMANDS, ids=lambda cmd: cmd["id"])
 def test_grasp_command_loads_grasp(tmp_path, cmd):
     assert run_golden(cmd, tmp_path) == ["morphtip.grasp"]
+
+
+@pytest.mark.parametrize("cmd", GOLDEN["commands"], ids=lambda cmd: cmd["id"])
+def test_command_loads_no_dataclasses_inspect_or_typing(tmp_path, cmd):
+    # -S: site's .pth files may import typing before the command starts.
+    assert run_golden(cmd, tmp_path, SLOW_IMPORTS, flags=["-S"]) == []
 
 
 def test_package_import_loads_no_numpy():

@@ -387,6 +387,25 @@ def polygon_scenes(draw) -> GraspScene:
     return scene_between(left_local, right_local, gap, ConvexPolygon(verts), 0.0)
 
 
+@st.composite
+def circle_scenes(draw) -> GraspScene:
+    """A circle between two random profiles.
+
+    The circle touches the left profile; the right one touches it too, or
+    is pushed by ``push`` mm into it (> 0) or away from it (< 0), 5e-7 mm
+    lying between the contact and penetration tolerances.
+    """
+    left_local, right_local = draw(fingertip_profiles()), draw(fingertip_profiles())
+    r, c_y = draw(st.floats(3.0, 40.0)), draw(st.floats(-10.0, 10.0))
+    push = draw(st.sampled_from((0.0, 0.0, 0.3, 0.01, -0.01, 5e-7, -5e-7)))
+    shift = circle_touch_shift(place_left(left_local), (0.0, c_y), r, min)
+    assume(shift is not None)
+    c_x = -shift
+    gap = circle_touch_shift(place_right(right_local, 0.0), (c_x, c_y), r, max)
+    assume(gap is not None and gap - push > 0.0)
+    return scene_between(left_local, right_local, gap - push, Circle(r, (c_x, c_y)), 0.0)
+
+
 class TestContactsAgainstEnumeration:
     @settings(max_examples=300)
     @given(polygon_scenes())
@@ -394,19 +413,24 @@ class TestContactsAgainstEnumeration:
         assert_matches_enumeration(scene)
 
     @settings(max_examples=100)
-    @given(fingertip_profiles(), fingertip_profiles(), st.floats(3.0, 40.0),
-           st.floats(-10.0, 10.0), st.sampled_from((0.0, 0.0, 0.3, 0.01, -0.01, 5e-7, -5e-7)))
-    def test_circle_scenes_match_enumeration(self, left_local, right_local, r, c_y, push):
-        # The circle touches the left profile; the right one touches it too,
-        # or is pushed by ``push`` mm into it (> 0) or away from it (< 0),
-        # 5e-7 mm lying between the contact and penetration tolerances.
-        shift = circle_touch_shift(place_left(left_local), (0.0, c_y), r, min)
-        assume(shift is not None)
-        c_x = -shift
-        gap = circle_touch_shift(place_right(right_local, 0.0), (c_x, c_y), r, max)
-        assume(gap is not None and gap - push > 0.0)
-        gap -= push
-        assert_matches_enumeration(scene_between(left_local, right_local, gap, Circle(r, (c_x, c_y)), 0.0))
+    @given(circle_scenes())
+    def test_circle_scenes_match_enumeration(self, scene):
+        assert_matches_enumeration(scene)
+
+    @settings(max_examples=200)
+    @given(st.one_of(polygon_scenes(), circle_scenes()))
+    def test_contacts_hold_what_the_public_constructor_would(self, scene):
+        # find_contacts stores its floats unread: each point is finite, each
+        # normal a finite unit vector, and Contact(...) stores them alike.
+        try:
+            contacts = find_contacts(scene)
+        except Penetration:
+            return
+        for c in contacts:
+            floats = c.point_xy + c.normal_xy
+            assert all(type(v) is float and math.isfinite(v) for v in floats)
+            assert math.hypot(*c.normal_xy) == pytest.approx(1.0, abs=1e-12)
+            assert repr(Contact(c.point_xy, c.normal_xy, c.side, c.segment)) == repr(c)
 
 
 @st.composite

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,7 +93,7 @@ class TestStoredOperatingRange:
     def test_equals_the_closed_form_also_after_replace(self, p, f):
         assert operating_range(p) == oracles.operating_range_closed_form(p, 1e-9)
         lo, hi = operating_range(p)
-        q = replace(p, theta_min=lo + 0.9 * f * (hi - lo))
+        q = p.replace(theta_min=lo + 0.9 * f * (hi - lo))
         assert operating_range(q) == oracles.operating_range_closed_form(q, 1e-9)
         assert operating_range(q) == (q.theta_min, hi)
 
@@ -103,9 +102,9 @@ class TestStoredOperatingRange:
         with pytest.raises(TypeError):
             LinkageParams(operating_range=p.operating_range)
         with pytest.raises(ValueError):
-            replace(p, operating_range=p.operating_range)
+            p.replace(operating_range=p.operating_range)
         assert "operating_range" not in repr(p)
-        q = replace(p)
+        q = p.replace()
         object.__setattr__(q, "operating_range", (0.0, 0.0))
         assert q == p and hash(q) == hash(p)
 
