@@ -35,8 +35,8 @@ _EXPORTS = {
                 "inverse_facet", "operating_range", "planar_condition_angle", "slider_point",
                 "solve_planar_pair", "tilt_line_residual"),
     "grasp": ("Circle", "Closure", "Contact", "ConvexPolygon", "GraspScene", "ObjectXSection",
-              "closure_classify", "cradle_height", "find_contacts", "pivot_feasible", "place_left",
-              "place_right", "scene_between"),
+              "closure_classify", "cradle_height", "cradle_sign", "find_contacts", "pivot_feasible",
+              "place_left", "place_right", "scene_between"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

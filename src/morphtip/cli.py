@@ -21,6 +21,11 @@ usage error exits 2 with its message on stderr and nothing on stdout.
 (``mt.find_contacts``), so only it loads that module.  No command loads
 numpy: every command runs on the standard library and morphtip's own
 modules alone.
+
+The CLI decides no model rule: the grasp report's cradle sign is
+``mt.cradle_sign``, and trace-pointer asks the planar solver
+(``linkage.solve_planar_pair``) whether its tilt amplitude is
+attainable, so an unreachable tilt gets the error ``plan`` prints.
 """
 
 from __future__ import annotations
@@ -37,12 +42,10 @@ import morphtip as mt
 
 from . import fingertip as ft
 from . import linkage as lk
-from .errors import InvalidParams, MorphtipError, Penetration, Record, Unreachable, Unsupported
+from .errors import InvalidParams, MorphtipError, Penetration, Record, Unreachable
 
 SWEEP_HEADER = "step,theta_deg,phi_deg,B_x_mm,B_y_mm"
 POINTER_HEADER = "index,psi_x_deg,psi_y_deg,x_mm,y_mm,z_mm"
-# Offset (mm) of the two cradle samples either side of the profile center.
-CRADLE_DELTA = 0.1
 # Largest sweep count and trace-pointer points per leg: a CSV is built in
 # memory before it is written, so its length is bounded before any row.
 MAX_COUNT = 100_000
@@ -508,13 +511,8 @@ def trace_pointer(cfg: RunConfig, output, psi_max_deg, points_per_leg) -> None:
     if points_per_leg > MAX_COUNT:
         raise ConfigError(f"points-per-leg must be at most {MAX_COUNT}")
     psi_max = math.radians(_finite(psi_max_deg, "--psi-max"))
-    if psi_max != 0.0:
-        lo, hi = lk.attainable_tilt_range(cfg.tip.linkage)
-        if not lo <= -abs(psi_max) <= abs(psi_max) <= hi:
-            raise Unreachable(
-                f"tilt amplitude {psi_max_deg} deg outside the attainable range",
-                attainable=(lo, hi),
-            )
+    if psi_max != 0.0:  # the origin is traced even by a stroke that attains no tilt
+        lk.solve_planar_pair(cfg.tip.linkage, abs(psi_max))
     rows = [POINTER_HEADER]
     for i, (px, py) in enumerate(_pointer_poses(psi_max, points_per_leg)):
         try:
@@ -538,34 +536,9 @@ def grasp(cfg: RunConfig, output, scene_path) -> None:
                       "segment": c.segment} for c in contacts],
         "pivot_feasible": mt.pivot_feasible(contacts),
         "closure_class": closure,
-        "cradle_curvature_sign": (_cradle_sign([(y, x) for x, y in scene.left_points],
-                                               scene.obj.radius)
-                                  if isinstance(scene.obj, mt.Circle) else None),
+        "cradle_curvature_sign": mt.cradle_sign(scene),
     }
     _emit(dumps(record) + "\n", output)
-
-
-def _cradle_sign(profile_local: ft.Profile, radius: float) -> int | None:
-    """Sign of the cradle-landscape curvature at the profile center.
-
-    Only the profile passed in is used, and the grasp report passes the
-    left one, read back into its own frame from the scene (swapping each
-    (x, y) pair of ``scene.left_points`` exactly undoes ``place_left``): with
-    a right profile that differs from the left, the sign describes the
-    left fingertip alone.
-    """
-    height = mt.cradle_height
-    try:
-        h0 = height(profile_local, radius, 0.0)
-        curv = (height(profile_local, radius, CRADLE_DELTA)
-                + height(profile_local, radius, -CRADLE_DELTA) - 2.0 * h0)
-    except Unsupported:
-        return None
-    if curv > 1e-9:
-        return 1
-    if curv < -1e-9:
-        return -1
-    return 0
 
 
 # ---------------------------------------------------------------------------

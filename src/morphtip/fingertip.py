@@ -31,7 +31,8 @@ if TYPE_CHECKING:
 
 # A cross-section polyline as (x, y) points; a fingertip plane has four.
 Profile = tuple[tuple[float, float], ...]
-# Most states one transition ramp may hold, the CLI's bound on CSV rows.
+# Most states one transition ramp may hold: every state is built in memory,
+# and a step that rounds to 0 rad would make an endless ramp.
 MAX_STATES = 100_000
 
 
@@ -56,7 +57,11 @@ class FingertipConfig(Record):
     facet_len is the hinge-to-tip facet extent, so the plate diameter is
     2 * (l_oc + facet_len).  spring_k is the leaf-spring stiffness per
     crease in N*mm/rad; rod_len the pointer rod used for tilt tracing.
-    A facet_len so large that a facet tip could overflow is rejected.
+    A facet_len so large that a facet tip could overflow is rejected, and
+    so is a facet_len or an l_oc whose profile segment (a facet, or the
+    2*l_oc terrace) would square to infinity where a grasp scene squares
+    it: twice the segment's length must square finite, slack for the
+    rounding of placing and mirroring the profile.
     """
 
     _fields = ("linkage", "facet_len", "spring_k", "rod_len", "step_deg")
@@ -67,6 +72,9 @@ class FingertipConfig(Record):
                             ("step_deg", step_deg)):
             check_number(name, value, "be positive and finite", positive)
         _require_finite_points(linkage, facet_len)
+        for name, length in (("facet_len", facet_len), ("l_oc", 2.0 * linkage.l_oc)):
+            if math.isinf(4.0 * length * length):
+                raise InvalidParams(f"{name} is too large: its points must be finite", field=name)
         vars(self).update(linkage=linkage, facet_len=facet_len, spring_k=spring_k, rod_len=rod_len,
                           step_deg=step_deg)
 

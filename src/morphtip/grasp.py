@@ -8,14 +8,18 @@ outward height) is placed with :func:`scene_between`.
 The model is rigid-body, first-order and quasi-static: contacts are
 frictionless points or friction cones in the plane, closure is decided on
 wrench rays, and the passive-centering claim is checked as a gravitational
-support landscape of a circle over the profile.  Contacts, closure and
-pivot verdicts are computed on plain Python floats: contacts in one scan
-over both profiles' segments, closure with an early-exit facet test.
+support landscape of a circle over the profile (:func:`cradle_height`),
+whose curvature sign under a scene's circle is :func:`cradle_sign`.
+Contacts, closure and pivot verdicts are computed on plain Python floats:
+contacts in one scan over both profiles' segments, closure with an
+early-exit facet test.
 
 Inputs are read, derived and checked on construction: :class:`Circle`,
 :class:`ConvexPolygon` and :class:`GraspScene` (whose profiles must not
 touch themselves, a check made once per profile) refuse a bad one with
 InvalidParams naming it, and :func:`find_contacts` scans what they store.
+This module alone knows the scene frame: :func:`_place` puts a profile in
+it, and :func:`cradle_sign` reads the left one back out.
 Scenes and contacts hold Python floats.  Their ndarray attributes
 (``Contact.point``/``normal``, ``GraspScene.left_profile``/``right_profile``
 and ``ConvexPolygon.vertices``) and the arrays :func:`place_left` and
@@ -60,6 +64,8 @@ _PLANE_TOL = 1e-12
 _NEAR = 2.0 * CONTACT_TOL
 # Anti-parallelism tolerance for the pivot pinch line (rad).
 PIVOT_ANGLE_TOL = 1e-3
+# Offset (mm) of the two cradle samples either side of the profile center.
+CRADLE_DELTA = 0.1
 
 
 def _array_of(floats: str) -> cached_property:
@@ -226,7 +232,9 @@ class GraspScene(Record, eq=False):
 
     Each profile is read as at least two finite (x, y) points, stored as
     floats in ``left_points``/``right_points`` and checked, once, not to
-    touch itself; a segment of zero length counts as touching itself.
+    touch itself; a segment of zero length counts as touching itself, and
+    one whose squared length overflows, which no closest-point test can
+    measure, is refused too.
     The ``left_profile`` and ``right_profile`` attributes are the points
     as (n, 2) ndarrays, built on first access.
     """
@@ -239,9 +247,14 @@ class GraspScene(Record, eq=False):
                  mu: float) -> None:
         placed = []
         for name, profile in (("left_profile", left_profile), ("right_profile", right_profile)):
-            placed.append(_read_points(profile, name, 2))
-            if not _polyline_is_simple(placed[-1]):
+            points = _read_points(profile, name, 2)
+            if any(math.isinf((bx - ax) * (bx - ax) + (by - ay) * (by - ay))
+                   for (ax, ay), (bx, by) in zip(points, points[1:])):
+                raise InvalidParams(f"{name} must keep each segment's squared length finite",
+                                    field=name)
+            if not _polyline_is_simple(points):
                 raise InvalidParams(f"{name} must not self-intersect", field=name)
+            placed.append(points)
         check_number("gap", gap, "be positive and finite", positive)
         check_number("mu", mu, "be non-negative and finite", _non_negative)
         vars(self).update(left_points=placed[0], right_points=placed[1], gap=gap, obj=obj, mu=mu)
@@ -491,8 +504,10 @@ def cradle_height(profile: np.ndarray | Sequence[Sequence[float]], circle_radius
 
     Raises InvalidParams for a radius that is not positive or whose
     square is not finite, a u that is not finite, or a profile of another
-    shape, of fewer than two points or with a non-finite coordinate;
-    raises Unsupported when nothing under x = u can carry the circle.
+    shape, of fewer than two points, with a non-finite coordinate or with
+    a segment whose squared length is not finite, as :class:`GraspScene`
+    refuses one; raises Unsupported when nothing under x = u can carry
+    the circle.
     """
     check_number("circle_radius", circle_radius, "be positive and its square finite", _radius)
     check_number("u", u)
@@ -507,6 +522,9 @@ def cradle_height(profile: np.ndarray | Sequence[Sequence[float]], circle_radius
         if abs(dx) <= r:
             best = max(best, by + math.sqrt(r**2 - dx * dx))
         sx, sy = bx - ax, by - ay
+        if sx * sx + sy * sy == math.inf:
+            raise InvalidParams("profile must keep each segment's squared length finite",
+                                field="profile")
         if sx != 0.0:
             # (nx, ny) is the segment's upward unit normal; abs() of a
             # complex is the C library's hypot, as in fingertip._profile.
@@ -520,6 +538,29 @@ def cradle_height(profile: np.ndarray | Sequence[Sequence[float]], circle_radius
     if best == -math.inf:
         raise Unsupported(f"circle of radius {circle_radius} falls through at u={u}")
     return best
+
+
+def cradle_sign(scene: GraspScene) -> int | None:
+    """Sign of the cradle-landscape curvature under the scene's circle.
+
+    The left profile is read back into its own fingertip frame, as the
+    inverse of :func:`_place` (which swaps each point's x and y), and
+    :func:`cradle_height` is sampled at its center and CRADLE_DELTA either
+    side: 1 when the landscape curves up (a centering well), -1 when it
+    curves down and 0 within 1e-9 mm.  Only the left profile is read, so
+    with a different right one the sign describes the left fingertip.
+    None for a polygon, or when the circle falls through.
+    """
+    if not isinstance(scene.obj, Circle):
+        return None
+    local, r = [(y, x) for x, y in scene.left_points], scene.obj.radius
+    try:
+        h0 = cradle_height(local, r, 0.0)
+        curv = (cradle_height(local, r, CRADLE_DELTA) + cradle_height(local, r, -CRADLE_DELTA)
+                - 2.0 * h0)
+    except Unsupported:
+        return None
+    return 1 if curv > 1e-9 else -1 if curv < -1e-9 else 0
 
 
 def _wrench_rays(rows: list[tuple[float, float, float, float]],

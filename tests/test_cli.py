@@ -227,6 +227,13 @@ class TestTracePointer:
         assert err["code"] == "unreachable"
         assert err["attainable_deg"] == [-7.76124388, 7.76124388]
 
+    @pytest.mark.parametrize("psi_max", ["9", "-9"])
+    def test_unreachable_amplitude_is_the_planar_solvers_error(self, psi_max):
+        # One solver decides and words every unreachable tilt, for plan and trace-pointer.
+        plan = run_cli(["plan", "--primitive", "tilted-planar", "--tilt-x", "9"])
+        assert plan[0] == 3
+        assert run_cli(["trace-pointer", "--psi-max", psi_max]) == plan
+
     def test_attainable_amplitude_past_the_pointer_limit_names_the_option(self, tmp_path):
         # This geometry attains tilts of +-88.8 degrees; the pointer model stops at 45.
         config = {"fingertip": {"l_oc_mm": 1, "l_ab_mm": 58, "alpha0_deg": 84, "oa_x_mm": -15,
@@ -536,8 +543,11 @@ class TestFirstFault:
         ({"gap_mm": 20, "left": {"polyline_mm": [[-10.0, 0.0], [10.0, 0.0], [0.0, 0.0]]},
           "object": {**_CIRCLE, "radius_mm": -5.0}},
          "scene field 'object.radius_mm' must be positive and its square finite"),
+        ({"gap_mm": 1e308, "left": {"polyline_mm": [[-1e308, 0.0], [1e308, 0.0]]},
+          "right": {"polyline_mm": [[-5.0, -1e308], [5.0, -1e308]]}, "object": _CIRCLE},
+         "scene field 'gap_mm' must keep the mirrored profile's points finite"),
     ], ids=["gap-before-mu", "left-before-right", "profile-before-gap-range",
-            "object-before-self-touching-polyline"])
+            "object-before-self-touching-polyline", "gap-before-overflowing-segment"])
     def test_scene(self, tmp_path, scene, message):
         code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
         assert (code, json.loads(out)["error"]) == (2, {"code": "config", "message": message})
@@ -637,13 +647,18 @@ class TestWrongTypes:
          "scene field 'left' must be a string or object"),
         ({"gap_mm": 20.0, "left": {"primitive": "bogus"}, "object": _CIRCLE},
          "scene field 'left.primitive' must be one of flat, concave, convex, tilted-planar"),
+        ({"gap_mm": 20.0, "left": {"polyline_mm": [[-1e308, 0.0], [1e308, 0.0]]},
+          "right": {"polyline_mm": [[-5.0, 0.0], [5.0, 0.0]]},
+          "object": {**_CIRCLE, "center_mm": [0.0, 5.0]}},
+         "scene field 'left.polyline_mm' must keep each segment's squared length finite"),
     ], ids=["object", "polyline_mm", "degree_deg", "gap_mm", "type", "center_mm",
             "degree_deg-sign", "gap_mm-nan", "center_mm-nan", "tilt_deg-inf",
             "polyline_mm-nan", "vertices_mm-inf", "polyline_mm-crossing",
             "center_mm-huge", "gap_mm-huge", "polyline_mm-folds-back",
             "polyline_mm-ends-on-first", "polyline_mm-repeated-point", "gap_mm-negative",
             "mu-negative", "radius_mm-negative", "vertices_mm-clockwise",
-            "radius_mm-square-overflows", "left-number", "primitive-unknown"])
+            "radius_mm-square-overflows", "left-number", "primitive-unknown",
+            "polyline_mm-segment-square-overflows"])
     def test_scene_value_exits_2(self, tmp_path, scene, message):
         code, out = run_cli(["grasp", "--scene", scene_file(tmp_path, scene)])
         assert code == 2
@@ -724,6 +739,21 @@ class TestOverflowingGeometry:
         assert code == 2
         assert json.loads(out)["error"]["message"] == (
             f"config field 'fingertip.{key}' is too large: its points must be finite")
+
+    @pytest.mark.parametrize("fingertip, key", [
+        ({"facet_len_mm": 1e200}, "facet_len_mm"),
+        ({"l_oc_mm": 1e200, "oa_x_mm": 2e200}, "l_oc_mm"),
+    ], ids=["facet_len_mm", "l_oc_mm"])
+    def test_profile_segment_whose_square_overflows_names_the_field(self, tmp_path, fingertip,
+                                                                    key):
+        # A scene would square the facet (terrace) segment to inf; the file has no polyline_mm.
+        cfg = scene_file(tmp_path, {"fingertip": fingertip}, "cfg.json")
+        scene = scene_file(tmp_path, {"gap_mm": 20, "left": "flat",
+                                      "object": {**_CIRCLE, "center_mm": [10, 30]}})
+        code, out = run_cli(["grasp", "--scene", scene, "--config", cfg])
+        assert (code, json.loads(out)["error"]) == (2, {
+            "code": "config",
+            "message": f"config field 'fingertip.{key}' is too large: its points must be finite"})
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_formatting_refuses_non_finite_numbers(self, value):

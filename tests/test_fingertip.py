@@ -66,6 +66,8 @@ class TestConfig:
         (17.5, {"l_ab": 5e307}, "l_ab"),
         (1e155, {"oa_x": 1e154}, "facet_len"),
         (1e153, {"oa_x": 1e156}, "oa_x"),
+        (6.8e153, {}, "facet_len"),
+        (17.5, {"l_oc": 3.4e153, "oa_x": 6.8e153}, "l_oc"),
     ])
     def test_facet_tips_that_overflow_rejected(self, facet_len, lengths, field):
         with pytest.raises(InvalidParams) as exc:
@@ -73,7 +75,8 @@ class TestConfig:
         assert exc.value.field == field
         assert str(exc.value) == f"{field} is too large: its points must be finite"
 
-    @pytest.mark.parametrize("facet_len,lengths", [(1e306, {}), (17.5, {"l_ab": 3e306})])
+    # Twice a profile segment must square finite: a facet_len up to about 6.7e153.
+    @pytest.mark.parametrize("facet_len,lengths", [(6.7e153, {}), (17.5, {"l_ab": 3e306})])
     def test_largest_accepted_lengths_give_finite_profiles(self, facet_len, lengths):
         cfg = FingertipConfig(linkage=LinkageParams(**lengths), facet_len=facet_len)
         lo, hi = operating_range(cfg.linkage)

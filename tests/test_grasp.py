@@ -27,6 +27,7 @@ from morphtip import (
     attainable_tilt_range,
     closure_classify,
     cradle_height,
+    cradle_sign,
     find_contacts,
     pivot_feasible,
     plan_primitive,
@@ -35,6 +36,7 @@ from morphtip import (
 from morphtip import grasp
 from morphtip.grasp import (
     CONTACT_TOL,
+    CRADLE_DELTA,
     DEDUP_TOL,
     HULL_TOL,
     PENETRATION_TOL,
@@ -548,6 +550,16 @@ class TestCradle:
             cradle_height(bad, 1.0, 0.0)
         assert exc.value.field == "profile"
 
+    def test_segment_whose_square_overflows_rejected(self):
+        # The circle would rest at 5.0, but the segment's squared length is inf.
+        with pytest.raises(InvalidParams, match="^profile must keep each segment's squared "
+                                                "length finite$") as exc:
+            cradle_height([[-1e308, 0.0], [1e308, 0.0]], 5.0, 0.0)
+        assert exc.value.field == "profile"
+        with pytest.raises(InvalidParams):
+            cradle_height([[-1e200, 0.0], [1e200, 0.0]], 5.0, 0.0)
+        assert cradle_height([[-1e150, 0.0], [1e150, 0.0]], 5.0, 0.0) == 5.0
+
     @settings(max_examples=200)
     @given(st.one_of(planned_primitives().map(lambda plan: plan[1].profile_x_points),
                      star_polylines()),
@@ -559,6 +571,42 @@ class TestCradle:
                 cradle_height(points, r, u)
         else:
             assert abs(cradle_height(points, r, u) - want) <= 1e-9
+
+
+class TestCradleSign:
+    """The cradle-landscape curvature sign, read from the left profile alone."""
+
+    def test_flat_pinch_is_level(self):
+        assert cradle_sign(flat_pinch_scene()) == 0
+
+    def test_concave_seat_centers(self):
+        assert cradle_sign(concave_seat_scene()) == 1
+
+    def test_convex_ridge_is_unstable(self):
+        ridge = [[-10.0, 0.0], [0.0, 5.0], [10.0, 0.0]]
+        assert cradle_sign(scene_between(ridge, ridge, 60.0, Circle(2.0, (30.0, 0.0)), 0.0)) == -1
+
+    def test_polygon_has_none(self):
+        assert cradle_sign(square_seat_scene()) is None
+
+    def test_circle_that_falls_through_has_none(self):
+        # The profile does not reach under its own center.
+        off = [[5.0, 0.0], [10.0, 0.0]]
+        assert cradle_sign(scene_between(off, off, 60.0, Circle(1.0, (30.0, 0.0)), 0.0)) is None
+
+    @settings(max_examples=50)
+    @given(st.one_of(circle_scenes(),
+                     st.builds(concave_seat_scene, st.floats(20.0, 30.0), st.floats(90.0, 150.0))))
+    def test_matches_bisection(self, scene):
+        local = [(y, x) for x, y in scene.left_points]
+        assert np.array_equal(place_left(local), scene.left_profile)
+        r = scene.obj.radius
+        h0, up, down = (oracles.cradle_by_bisection(local, r, u)
+                        for u in (0.0, CRADLE_DELTA, -CRADLE_DELTA))
+        if None in (h0, up, down):
+            assert cradle_sign(scene) is None
+        elif abs(up + down - 2.0 * h0) >= 1e-6:
+            assert cradle_sign(scene) == (1 if up + down > 2.0 * h0 else -1)
 
 
 class TestSceneValidation:
@@ -592,6 +640,15 @@ class TestSceneValidation:
         # On a small integer grid, collinear, touching and repeated points are common.
         points = [[float(x), float(y)] for x, y in grid_points]
         assert grasp._polyline_is_simple(points) is not oracles.polyline_touches_itself(points)
+
+    def test_segment_whose_square_overflows_rejected(self):
+        # Its coordinates are finite, but no closest-point test can measure it.
+        flat = profile(Flat())
+        for huge in ([[-1e308, 0.0], [1e308, 0.0]], [[-1e200, 0.0], [1e200, 0.0]]):
+            with pytest.raises(InvalidParams, match="^left_profile must keep each segment's "
+                                                    "squared length finite$") as exc:
+                scene_between(huge, flat, 20.0, Circle(10.0, (0.0, 5.0)), 0.0)
+            assert exc.value.field == "left_profile"
 
     def test_collinear_primitive_profiles_accepted(self):
         # Flat and tilted-planar profiles are four collinear points.
