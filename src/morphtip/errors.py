@@ -50,23 +50,15 @@ class Record:
     """A frozen record: its fields are set once, by the subclass's ``__init__``.
 
     ``_fields`` names the fields that ``repr``, equality and hashing read,
-    in order.  ``_args`` names the ones the constructor takes, in the order
-    of its arguments; it is ``_fields`` unless the class says otherwise.
-    A subclass declared with ``eq=False`` compares and hashes by identity.
-    Setting or deleting an attribute raises AttributeError, so ``__init__``
-    stores the fields with one ``vars(self).update(...)``: on CPython 3.11,
-    item assignment to a fresh ``__dict__`` instead slows every later read
-    of the field.
+    in order: every record compares and hashes by value.  ``_args`` names
+    the ones the constructor takes, in the order of its arguments; a class
+    that does not declare it takes ``_fields``.  Setting or deleting an
+    attribute raises AttributeError, so ``__init__`` stores the fields with
+    one ``vars(self).update(...)``: on CPython 3.11, item assignment to a
+    fresh ``__dict__`` instead slows every later read of the field.
     """
 
     _fields: tuple[str, ...] = ()
-    _args: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, eq: bool = True) -> None:
-        if "_args" not in vars(cls):
-            cls._args = cls._fields
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
@@ -95,10 +87,11 @@ class Record:
         A name that is no argument, such as a field the constructor
         derives, is ValueError.
         """
-        wrong = sorted(changes.keys() - self._args)
+        args = getattr(self, "_args", self._fields)
+        wrong = sorted(changes.keys() - args)
         if wrong:
             raise ValueError(f"{', '.join(wrong)} is not an argument of {type(self).__name__}")
-        return type(self)(*[changes.get(name, getattr(self, name)) for name in self._args])
+        return type(self)(*[changes.get(name, getattr(self, name)) for name in args])
 
 
 def positive(value: float) -> bool:

@@ -12,8 +12,9 @@ small hinge displacement caused by terrace tilt is neglected, except that
 surface profiles hinge the facets on the tilted terrace so a planar pose
 draws as one straight line.
 
-No numpy is imported here until a call returns an array: the CLI's
-commands start without it.
+The library computes and stores Python floats.  Every ndarray it returns
+is built by :func:`_array`, the one place numpy is imported, and only
+when an array is asked for: the CLI's commands start without it.
 """
 
 from __future__ import annotations
@@ -36,11 +37,16 @@ Profile = tuple[tuple[float, float], ...]
 MAX_STATES = 100_000
 
 
-def _np():
-    """numpy, imported when an array is first asked for."""
+def _array(floats):
+    """floats, numbers or nested sequences of them, as an ndarray; the one import of numpy."""
     import numpy
 
-    return numpy
+    return numpy.array(floats)
+
+
+def _array_of(floats: str) -> cached_property:
+    """A class attribute: the instance's ``floats`` as an ndarray, built on first access."""
+    return cached_property(lambda self: _array(getattr(self, floats)))
 
 
 def _negative(value: float) -> bool:
@@ -130,7 +136,7 @@ class ExternalLoad(Record):
         vars(self).update(tau_x=tau_x, tau_y=tau_y)
 
 
-class FingertipState(Record, eq=False):
+class FingertipState(Record):
     """One quasi-static pose of the fingertip.
 
     thetas / phis are ordered (+x, -x, +y, -y); phis are the
@@ -143,20 +149,14 @@ class FingertipState(Record, eq=False):
     """
 
     _fields = ("thetas", "phis", "terrace_tilt", "profile_x_points", "profile_y_points")
+    profile_x = _array_of("profile_x_points")
+    profile_y = _array_of("profile_y_points")
 
     def __init__(self, thetas: tuple[float, float, float, float],
                  phis: tuple[float, float, float, float], terrace_tilt: tuple[float, float],
                  profile_x_points: Profile, profile_y_points: Profile) -> None:
         vars(self).update(thetas=thetas, phis=phis, terrace_tilt=terrace_tilt,
                           profile_x_points=profile_x_points, profile_y_points=profile_y_points)
-
-    @cached_property
-    def profile_x(self) -> np.ndarray:
-        return _np().array(self.profile_x_points)
-
-    @cached_property
-    def profile_y(self) -> np.ndarray:
-        return _np().array(self.profile_y_points)
 
 
 def terrace_equilibrium(
@@ -193,7 +193,7 @@ def surface_profile(
     """
     pose = linkage.facet_pose  # raises OutOfRange on a jammed command
     points = _profile(cfg, pose(cfg.linkage, theta_pos), pose(cfg.linkage, theta_neg), psi)
-    return _np().array(points)
+    return _array(points)
 
 
 def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> Profile:
@@ -345,8 +345,6 @@ def pair_tilt_residuals(cfg: FingertipConfig, states: list[FingertipState]) -> n
     condition; mid-trajectory values are generally nonzero.
     """
     params = cfg.linkage
-    out = _np().empty((len(states), 2))
-    for i, st in enumerate(states):
-        out[i, 0] = linkage.tilt_line_residual(params, st.thetas[0], st.thetas[1])
-        out[i, 1] = linkage.tilt_line_residual(params, st.thetas[2], st.thetas[3])
-    return out
+    return _array([(linkage.tilt_line_residual(params, *st.thetas[:2]),
+                    linkage.tilt_line_residual(params, *st.thetas[2:]))
+                   for st in states]).reshape(len(states), 2)

@@ -20,23 +20,23 @@ touch themselves, a check made once per profile) refuse a bad one with
 InvalidParams naming it, and :func:`find_contacts` scans what they store.
 This module alone knows the scene frame: :func:`_place` puts a profile in
 it, and :func:`cradle_sign` reads the left one back out.
-Scenes and contacts hold Python floats.  Their ndarray attributes
-(``Contact.point``/``normal``, ``GraspScene.left_profile``/``right_profile``
-and ``ConvexPolygon.vertices``) and the arrays :func:`place_left` and
-:func:`place_right` return are built on request, and numpy is imported
-only then.
+Scenes and contacts hold Python floats, and compare and hash by them.
+Their ndarray attributes (``Contact.point``/``normal``,
+``GraspScene.left_profile``/``right_profile`` and
+``ConvexPolygon.vertices``) and the arrays :func:`place_left` and
+:func:`place_right` return are built on request by ``fingertip._array``,
+the one place numpy is imported.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 from itertools import chain, combinations
 
 from .errors import (DegenerateContacts, InvalidParams, Penetration, Record, Unsupported,
                      check_number, positive)
-from .fingertip import _np
+from .fingertip import _array, _array_of
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -66,11 +66,6 @@ _NEAR = 2.0 * CONTACT_TOL
 PIVOT_ANGLE_TOL = 1e-3
 # Offset (mm) of the two cradle samples either side of the profile center.
 CRADLE_DELTA = 0.1
-
-
-def _array_of(floats: str) -> cached_property:
-    """A class attribute: the instance's ``floats`` as an ndarray, built on first access."""
-    return cached_property(lambda self: _np().array(getattr(self, floats)))
 
 
 def _read_pair(pair) -> tuple[float, float]:
@@ -151,7 +146,7 @@ class Circle(Record):
         vars(self).update(radius=radius, center=_finite_pair(center, "center"))
 
 
-class ConvexPolygon(Record, eq=False):
+class ConvexPolygon(Record):
     """Convex polygon cross-section, vertices counter-clockwise.
 
     ``vertices`` is read as at least three finite (x, y) points, stored
@@ -194,7 +189,7 @@ class ConvexPolygon(Record, eq=False):
 ObjectXSection = Circle | ConvexPolygon
 
 
-class Contact(Record, eq=False):
+class Contact(Record):
     """One object-profile touch point.
 
     ``normal`` is the unit direction a compressive contact force pushes
@@ -227,7 +222,7 @@ class Contact(Record, eq=False):
         return contact
 
 
-class GraspScene(Record, eq=False):
+class GraspScene(Record):
     """Two placed fingertip profiles, a gap, an object and friction.
 
     Each profile is read as at least two finite (x, y) points, stored as
@@ -328,7 +323,7 @@ def place_left(profile_local: np.ndarray) -> np.ndarray:
 
     ``profile_local`` is read as :class:`GraspScene` reads a profile.
     """
-    return _np().array(_place(profile_local, "profile_local"))
+    return _array(_place(profile_local, "profile_local"))
 
 
 def place_right(profile_local: np.ndarray, gap: float) -> np.ndarray:
@@ -337,7 +332,7 @@ def place_right(profile_local: np.ndarray, gap: float) -> np.ndarray:
     ``profile_local`` is read as :class:`GraspScene` reads a profile; a
     gap that puts a placed point out of float range is InvalidParams.
     """
-    return _np().array(_place(profile_local, "profile_local", gap))
+    return _array(_place(profile_local, "profile_local", gap))
 
 
 def scene_between(
@@ -550,6 +545,11 @@ def cradle_sign(scene: GraspScene) -> int | None:
     curves down and 0 within 1e-9 mm.  Only the left profile is read, so
     with a different right one the sign describes the left fingertip.
     None for a polygon, or when the circle falls through.
+
+    Only a profile that rises under the circle's center, such as an
+    explicit ridge polyline, gives -1.  A Convex primitive gives 0: at all
+    three samples the circle rests on the flat 2*l_oc terrace, and the
+    lowered facets never carry it.
     """
     if not isinstance(scene.obj, Circle):
         return None
@@ -646,6 +646,12 @@ def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     the stronger verdict and implies force closure for any mu >= 0;
     boundary cases are graded conservatively as not closed.  The verdict
     is decided on the Python floats each contact stores.
+
+    An extreme mu can grade a pinch as open: the two cone edges of a
+    contact are unit rays, and they flatten the wrench hull below HULL_TOL
+    as mu nears 0 or grows without bound.  The flat pinch of a circle of
+    radius 10 mm (two contacts) is FORCE_CLOSURE only for mu between
+    sqrt(2)*HULL_TOL (1.4e-9) and its inverse (7.1e8).
     """
     if len(contacts) == 0:
         raise InvalidParams("contacts must hold at least one contact", field="contacts")

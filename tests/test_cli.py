@@ -1,8 +1,13 @@
 import argparse
+import contextlib
+import copy
+import io
 import json
 import math
+import os
 import re
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -934,6 +939,165 @@ class TestReadmeExamples:
         (tmp_path / "scene.json").write_text(readme_json("### Scene file"))
         monkeypatch.chdir(tmp_path)
         run_ok(args)
+
+
+# ---------------------------------------------------------------------------
+# A fuzzer of README's config and scene files.  It knows the files only by
+# README's two trees and the values below, not by the CLI's field table.
+
+_README_TREES = {"config": json.loads(readme_json("### Config file")),
+                 "scene": json.loads(readme_json("### Scene file"))}
+_SCALARS = [None, True, False, "text", "", "-", "out.csv", "missing/out.csv", 0, -1, 2, 1.5, -0.0,
+            1e-300, math.nan, math.inf, -math.inf, 1e308, -1e308, HUGE_INT, -HUGE_INT]
+_CLOCKWISE = [[60.0, -20.0], [60.0, 20.0], [110.0, 20.0], [110.0, -20.0]]
+_NON_CONVEX = [[60.0, -20.0], [110.0, -20.0], [85.0, 0.0], [110.0, 20.0], [60.0, 20.0]]
+_SQUARE = [[68.0, -20.0], [108.0, -20.0], [108.0, 20.0], [68.0, 20.0]]
+_SELF_TOUCHING = [[[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]],
+                  [[-10.0, 0.0], [10.0, 0.0], [0.0, 0.0]],
+                  [[-10.0, 0.0], [10.0, 0.0], [10.0, 5.0], [0.0, 0.0]],
+                  [[-10.0, 0.0], [-10.0, 0.0]]]
+_LISTS = [[], [[0.0, 0.0]], [[float(i), 0.0] for i in range(MAX_POINTS + 1)], [1.0, 2.0]]
+# Whole subtrees, each put at its key of README's tree, or anywhere in that tree.
+_SUBTREES = [
+    ("fingertip", {"theta_min_deg": 30.0, "theta_max_deg": 35.0}),  # a jam-only stroke
+    ("fingertip", {"theta_min_deg": 5.0}),  # a stroke that excludes 0
+    ("fingertip", {"l_oc_mm": 1e200, "oa_x_mm": 2e200}),
+    ("object", {"type": "polygon", "vertices_mm": _CLOCKWISE}),
+    ("object", {"type": "polygon", "vertices_mm": _NON_CONVEX}),
+    ("object", {"type": "polygon", "vertices_mm": _SQUARE}),
+    ("object", {"type": "circle", "radius_mm": 10.0, "center_mm": [88.0, 0.0]}),
+    *(("left", {"polyline_mm": points}) for points in _SELF_TOUCHING),
+    ("right", {"polyline_mm": [[-20.0, 0.0], [20.0, 0.0]]}),
+    ("left", "flat"),
+    ("right", {"primitive": "convex", "degree_deg": -10.0}),
+    ("left", {"primitive": "tilted-planar", "tilt_deg": [5.0, 0.0]}),
+]
+
+
+def _paths(node, path=()):
+    """Every path into a JSON tree, each after its children's: the root's () comes last."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+    yield path
+
+
+# Key names to rename a key to: every key of README's trees, and some unknown.
+_KEYS = sorted({path[-1] for tree in _README_TREES.values() for path in _paths(tree) if path}
+               | {"bogus", "", "gap", "radius", "degree", "l_oc"})
+
+
+def _is_points(node) -> bool:
+    return isinstance(node, list) and bool(node) and all(isinstance(p, list) for p in node)
+
+
+def _at(tree, path):
+    """The node at path."""
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _put(tree, path, value):
+    """tree with the node at path replaced by value."""
+    if not path:
+        return value
+    _at(tree, path[:-1])[path[-1]] = value
+    return tree
+
+
+@st.composite
+def _mutated_tree(draw, what: str):
+    """README's ``what`` tree after one to three mutations, each at a random node.
+
+    A mutation drops or renames a key, puts a value of any JSON type at a
+    node (NaN, the infinities, 1e308 and integers too large for a float
+    included), puts an empty, one-point or over-long list there, or puts
+    a subtree there: a jam-only stroke, a clockwise or non-convex polygon,
+    a self-touching polyline, at its own key or at a random node.
+    """
+    tree = copy.deepcopy(_README_TREES[what])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["value", "drop", "rename", "list", "subtree"]))
+        paths = list(_paths(tree))
+        if kind == "list":  # a list of points, such as a polyline, if the tree has one
+            paths = [path for path in paths if _is_points(_at(tree, path))] or paths
+        path = draw(st.sampled_from(paths))
+        parent = _at(tree, path[:-1])
+        if kind in ("drop", "rename") and path and isinstance(parent, dict):
+            value = parent.pop(path[-1])
+            if kind == "rename":
+                parent[draw(st.sampled_from(_KEYS))] = value
+        elif kind == "list":
+            tree = _put(tree, path, copy.deepcopy(draw(st.sampled_from(_LISTS))))
+        elif kind == "subtree":
+            key, subtree = draw(st.sampled_from([s for s in _SUBTREES if s[0] in _README_TREES[what]]))
+            if isinstance(tree, dict) and draw(st.booleans()):
+                path = (key,)
+            tree = _put(tree, path, copy.deepcopy(subtree))
+        else:
+            tree = _put(tree, path, draw(st.sampled_from(_SCALARS)))
+    return tree
+
+
+# Exit-2 messages about a file as a whole, which name no field.
+_FILE_MESSAGES = ("cannot read ", "config root must be a JSON object",
+                  "scene root must be a JSON object", "invalid config: ",
+                  "sweep output is not strictly monotone in phi", "output path not writable")
+_COMMANDS = [["fk", "--theta", "5"], ["ik", "--phi", "5"],
+             ["plan", "--primitive", "concave", "--degree", "8"], ["sweep"], ["trace-pointer"],
+             ["grasp", "--scene", "scene.json"]]
+
+
+class TestFuzzedFiles:
+    """Every command, given a mutated README config or scene file, exits 0, 2 or 3.
+
+    An error is one JSON object on stdout and nothing on stderr, and an
+    exit-2 message names a quoted file field or an option, or is about
+    the file as a whole; a run prints or writes finite numbers only.
+    """
+
+    @settings(max_examples=200)
+    @given(what=st.sampled_from(["config", "scene"]), data=st.data())
+    def test_exit_codes_and_messages(self, tmp_path_factory, what, data):
+        workdir = tmp_path_factory.getbasetemp() / "fuzzed-files"
+        workdir.mkdir(exist_ok=True)
+        trees = {**_README_TREES, what: data.draw(_mutated_tree(what), label=what)}
+        for name, tree in trees.items():
+            (workdir / f"{name}.json").write_text(json.dumps(tree))
+        home = os.getcwd()
+        os.chdir(workdir)  # where an output.path of the file is written
+        try:
+            for args in _COMMANDS if what == "config" else _COMMANDS[-1:]:
+                self.check(workdir, [*args, "--config", "config.json"])
+        finally:
+            os.chdir(home)
+
+    @staticmethod
+    def check(workdir, args) -> None:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(args)
+        written = [p for p in workdir.iterdir() if p.name not in ("config.json", "scene.json")]
+        texts = [p.read_text() for p in written]
+        for p in written:
+            p.unlink()
+        assert code in (0, 2, 3), (args, out)
+        assert err.getvalue() == "", (args, err.getvalue())
+        if code == 0:
+            for text in [out, *texts]:
+                if text:
+                    assert_finite_output(text)
+            return
+        assert not texts and out.endswith("\n") and out.count("\n") == 1, (args, out)
+        record = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+        assert list(record) == ["error"], out
+        if code == 2:
+            message = record["error"]["message"]
+            assert (re.search(r"\b(config|scene) field '[^']*'", message)
+                    or re.search(r"(^|\s)--[a-z][a-z-]+\b", message)
+                    or message.startswith(_FILE_MESSAGES)), (args, message)
 
 
 class TestPlan:

@@ -27,6 +27,7 @@ from morphtip import (
     state_from_thetas,
     surface_profile,
     terrace_equilibrium,
+    tilt_line_residual,
     transition_trajectory,
 )
 from strategies import (fingertip_configs, plannable_primitives, planned_primitives,
@@ -337,6 +338,15 @@ class TestTrajectory:
         assert res[-1, 0] < 1e-9
         assert np.all(np.isfinite(res))
 
+    def test_residuals_are_one_float_row_per_state(self, cfg):
+        states = transition_trajectory(cfg, Flat(), TiltedPlanar(math.radians(5.0)))
+        res = pair_tilt_residuals(cfg, states)
+        assert (res.dtype, res.shape) == (np.float64, (len(states), 2))
+        assert res.tolist() == [[tilt_line_residual(cfg.linkage, *st.thetas[:2]),
+                                 tilt_line_residual(cfg.linkage, *st.thetas[2:])] for st in states]
+        empty = pair_tilt_residuals(cfg, [])
+        assert (empty.dtype, empty.shape) == (np.float64, (0, 2))
+
     def test_unreachable_endpoint_propagates(self, cfg):
         with pytest.raises(Unreachable):
             transition_trajectory(cfg, Flat(), Concave(1.6))
@@ -467,3 +477,17 @@ class TestPosedOnce:
         cfg, start, end = ends
         for state in transition_trajectory(cfg, start, end):
             assert_posed_once(cfg, state)
+
+
+class TestStatesCompareByValue:
+    """A state built twice from the same geometry and commands is equal, and hashes equal."""
+
+    @given(fingertip_configs(), st.data())
+    def test_plans_and_ramps_built_twice(self, cfg, data):
+        start, end = data.draw(plannable_primitives(cfg)), data.draw(plannable_primitives(cfg))
+        for build in (lambda: [plan_primitive(cfg, start), plan_primitive(cfg, end)],
+                      lambda: transition_trajectory(cfg, start, end)):
+            first, again = build(), build()
+            assert all(a is not b for a, b in zip(first, again))
+            assert first == again
+            assert list(map(hash, first)) == list(map(hash, again))

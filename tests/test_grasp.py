@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import time
 import tracemalloc
 
@@ -586,6 +587,14 @@ class TestCradleSign:
         ridge = [[-10.0, 0.0], [0.0, 5.0], [10.0, 0.0]]
         assert cradle_sign(scene_between(ridge, ridge, 60.0, Circle(2.0, (30.0, 0.0)), 0.0)) == -1
 
+    @pytest.mark.parametrize("depth_deg", [1.0, 10.0, 30.0])
+    @pytest.mark.parametrize("r", [0.5, 8.0, 88.0, 500.0])
+    def test_convex_tips_are_level(self, depth_deg, r):
+        # The circle rests on the flat 2*l_oc terrace at u = 0 and +-CRADLE_DELTA;
+        # the lowered facets never carry it.
+        conv = profile(Convex(math.radians(-depth_deg)))
+        assert cradle_sign(scene_between(conv, conv, 2.0 * r, Circle(r, (r, 0.0)), 0.0)) == 0
+
     def test_polygon_has_none(self):
         assert cradle_sign(square_seat_scene()) is None
 
@@ -872,10 +881,6 @@ class TestPivot:
         assert pivot_feasible([left, right])
 
 
-def no_numpy():
-    raise AssertionError("the grasp path asked for numpy")
-
-
 def array_bytes(arrays) -> bytes:
     """Each array's dtype, shape and data, joined."""
     return b"".join(a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes() for a in arrays)
@@ -889,11 +894,15 @@ SEAT_ARRAYS_SHA256 = "26b0d5885760a411716d183df035f3844c9c0c6ec889e50b5d756b77ef
 
 
 class TestVerdictsOnFloats:
+    """The grasp path runs with ``import numpy`` blocked: a None in sys.modules
+    makes the import raise ImportError.  The seat scenes are built first, as
+    their profiles are read from ``FingertipState.profile_x`` arrays."""
+
     def test_closure_and_pivot_make_no_numpy_call(self, monkeypatch):
         cases = [(square_seat_scene(), 0.5, Closure.FORM_CLOSURE, False),
                  (concave_seat_scene(), 0.5, Closure.FORCE_CLOSURE, False),
                  (flat_pinch_scene(), 0.0, Closure.NONE, True)]
-        monkeypatch.setattr(grasp, "_np", no_numpy)
+        monkeypatch.setitem(sys.modules, "numpy", None)
         contacts = [find_contacts(scene) for scene, *_ in cases]
         for cts, (_, mu, closure, pivot) in zip(contacts, cases):
             assert closure_classify(cts, mu) is closure
@@ -903,9 +912,9 @@ class TestVerdictsOnFloats:
 
     def test_grasp_path_makes_no_numpy_call(self, monkeypatch):
         flat, concave = profile(Flat()), profile(Concave(math.radians(20.0)))
+        scenes = (flat_pinch_scene(), concave_seat_scene(mu=0.5), square_seat_scene(mu=0.5))
         with monkeypatch.context() as patch:
-            patch.setattr(grasp, "_np", no_numpy)
-            scenes = (flat_pinch_scene(), concave_seat_scene(mu=0.5), square_seat_scene(mu=0.5))
+            patch.setitem(sys.modules, "numpy", None)
             contacts = [find_contacts(scene) for scene in scenes]
             assert [(len(cts), closure_classify(cts, scene.mu), pivot_feasible(cts))
                     for scene, cts in zip(scenes, contacts)] == [
@@ -925,6 +934,38 @@ class TestVerdictsOnFloats:
             for c in cts:
                 arrays += [c.point, c.normal]
         assert hashlib.sha256(array_bytes(arrays)).hexdigest() == SEAT_ARRAYS_SHA256
+
+
+SEATS = [pytest.param(flat_pinch_scene, id="flat-pinch"),
+         pytest.param(concave_seat_scene, id="concave-seat"),
+         pytest.param(square_seat_scene, id="square-seat")]
+
+
+class TestScenesCompareByValue:
+    """Scenes, objects and contacts compare and hash by the floats they hold."""
+
+    @pytest.mark.parametrize("build", SEATS)
+    def test_contacts_found_twice_are_equal(self, build):
+        scene = build()
+        first, again = find_contacts(scene), find_contacts(scene)
+        assert all(a is not b for a, b in zip(first, again))
+        assert first == again
+        assert list(map(hash, first)) == list(map(hash, again))
+
+    @pytest.mark.parametrize("build", SEATS)
+    def test_scene_rebuilt_from_its_floats_is_equal(self, build):
+        scene = build()
+        obj = scene.obj
+        if isinstance(obj, Circle):
+            twin = Circle(obj.radius, obj.center)
+        else:
+            twin = ConvexPolygon([list(v) for v in obj.vertex_points])
+        assert twin == obj and hash(twin) == hash(obj)
+        rebuilt = GraspScene(scene.left_points, scene.right_points, scene.gap, twin, scene.mu)
+        assert rebuilt is not scene
+        assert rebuilt == scene and hash(rebuilt) == hash(scene)
+        assert build() == scene
+        assert scene.replace(mu=scene.mu + 0.5) != scene
 
 
 @st.composite
