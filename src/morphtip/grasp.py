@@ -11,8 +11,11 @@ wrench rays, and the passive-centering claim is checked as a gravitational
 support landscape of a circle over the profile (:func:`cradle_height`),
 whose curvature sign under a scene's circle is :func:`cradle_sign`.
 Contacts, closure and pivot verdicts are computed on plain Python floats:
-contacts in one scan over both profiles' segments, closure with an
-early-exit facet test.
+contacts in one scan over both profiles' segments, which skips every
+segment and corner beyond a polygon's bounding circle, and closure with
+an early-exit facet test, which a frictional set skips when one pair of
+contacts on opposite sides already holds the origin inside its friction
+cones' wrench rays.  Neither shortcut changes a result.
 
 Inputs are read, derived and checked on construction: :class:`Circle`,
 :class:`ConvexPolygon` and :class:`GraspScene` (whose profiles must not
@@ -58,6 +61,9 @@ HULL_TOL = 1e-9
 # Rounding slack when testing that no wrench ray lies beyond a triple's
 # plane, and the smallest triple cross product that still spans a plane.
 _PLANE_TOL = 1e-12
+# How far inside each face of a contact pair's ray tetrahedron the origin
+# must lie for the pair to certify force closure (see closure_classify).
+_PAIR_TOL = HULL_TOL + 4.0 * _PLANE_TOL
 # A feature whose line lies farther than this from a point is not within
 # CONTACT_TOL of it: the second CONTACT_TOL is slack for the rounding of the
 # line distance, a few ulps of the coordinates, far below it up to 1e6 mm.
@@ -152,10 +158,11 @@ class ConvexPolygon(Record):
     ``vertices`` is read as at least three finite (x, y) points, stored
     as floats in ``vertex_points``.  ``features[j]`` is
     ``(vx, vy, ex, ey, nx, ny)``: vertex j, the edge from it to vertex
-    j + 1 and that edge's unit inward normal.  They and
-    the ``(x, y)`` centroid are derived once, on construction, as the
-    Python floats :func:`find_contacts` scans; a polygon so large that an
-    edge's cross product or squared length overflows is refused.  The
+    j + 1 and that edge's unit inward normal.  They, the ``(x, y)``
+    centroid and ``reach``, the largest distance of a vertex from the
+    centroid, are derived once, on construction, as the Python floats
+    :func:`find_contacts` scans; a polygon so large that an edge's cross
+    product or squared length overflows is refused.  The
     ``vertices`` attribute is the points as an (n, 2) ndarray, built on
     first access.
     """
@@ -182,8 +189,9 @@ class ConvexPolygon(Record):
         sx, sy = verts[0]
         for vx, vy in verts[1:]:
             sx, sy = sx + vx, sy + vy
-        vars(self).update(vertex_points=verts, features=tuple(features),
-                          centroid=(sx / len(verts), sy / len(verts)))
+        gx, gy = sx / len(verts), sy / len(verts)
+        vars(self).update(vertex_points=verts, features=tuple(features), centroid=(gx, gy),
+                          reach=max(abs(complex(vx - gx, vy - gy)) for vx, vy in verts))
 
 
 ObjectXSection = Circle | ConvexPolygon
@@ -432,18 +440,25 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
     PENETRATION_TOL (the pose is not quasi-statically valid); the first
     offending segment, left profile before right, is reported.  One scan
     over both profiles' segments does the work on Python floats.
+
+    A polygon lies within its ``reach`` of its centroid, so a profile
+    segment or corner farther than ``reach + 2*_NEAR`` from the centroid
+    is more than 2*_NEAR from every point of it: it neither touches within
+    CONTACT_TOL nor overlaps, and the scan skips it.  Contacts, their
+    order and any Penetration are the same as without the cull.
     """
     obj = scene.obj
     circle = isinstance(obj, Circle)
     if circle:
         (cx, cy), r = obj.center, obj.radius
     else:
-        features, (gx, gy) = obj.features, obj.centroid
+        features, (gx, gy), far = obj.features, obj.centroid, obj.reach + 2.0 * _NEAR
     raw = []  # (px, py, nx, ny, side, segment) in scan order
     for side, points in (("left", scene.left_points), ("right", scene.right_points)):
         if not circle:
             # Each profile point's resting edge, read by both its segments.
-            rests = [_resting_edge(px, py, features) for px, py in points]
+            rests = [None if abs(complex(px - gx, py - gy)) > far
+                     else _resting_edge(px, py, features) for px, py in points]
         for i, ((ax, ay), (bx, by)) in enumerate(zip(points, points[1:])):
             dx, dy = bx - ax, by - ay
             if circle:
@@ -454,6 +469,8 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
                 if abs(dist - r) <= CONTACT_TOL and dist > 0:
                     raw.append((qx, qy, (cx - qx) / dist, (cy - qy) / dist, side, i))
                 continue
+            if _closest(gx, gy, ax, ay, dx, dy)[2] > far:
+                continue  # both its corners are at least as far
             deepest = _polygon_depth(ax, ay, dx, dy, features)
             if deepest is not None and deepest[1] > PENETRATION_TOL:
                 t, depth = deepest
@@ -637,6 +654,27 @@ def _origin_strictly_inside(rays: Sequence[Sequence[float]]) -> bool:
     return spanned
 
 
+def _tetrahedron_holds_origin(rays: list[tuple[float, float, float]]) -> bool:
+    """True when the origin lies at least _PAIR_TOL inside each face of conv(4 rays).
+
+    Each face is the plane through three of the rays, and the origin must
+    lie on the fourth ray's side of it; a face whose cross product is at
+    most _PLANE_TOL spans no plane and never certifies.
+    """
+    for k in range(4):
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = rays[:k] + rays[k + 1:]
+        ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+        d = nx * ax + ny * ay + nz * az
+        wx, wy, wz = rays[k]
+        # The origin sits at height 0, the face at d and the fourth ray at w . n.
+        if norm <= _PLANE_TOL or d * (nx * wx + ny * wy + nz * wz - d) >= 0.0 or (
+                abs(d) < _PAIR_TOL * norm):
+            return False
+    return True
+
+
 def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     """Grade of grasp closure achieved by a contact set.
 
@@ -646,6 +684,25 @@ def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     the stronger verdict and implies force closure for any mu >= 0;
     boundary cases are graded conservatively as not closed.  The verdict
     is decided on the Python floats each contact stores.
+
+    Form closure is decided by the facet scan of
+    :func:`_origin_strictly_inside`.  With friction and more than two
+    contacts, a pair certificate comes before the scan: two contacts on
+    different sides whose four cone-edge rays, taken from the set's own
+    :func:`_wrench_rays`, hold the origin at least
+    _PAIR_TOL = HULL_TOL + 4*_PLANE_TOL inside each face of their
+    tetrahedron T are force closure (Nguyen, "Constructing force-closure
+    grasps", 1988).  The certificate changes no verdict.  T lies in the
+    hull of all the rays, so the hull holds the ball of radius _PAIR_TOL
+    about the origin.  Every plane the scan counts as supporting has no
+    ray more than _PLANE_TOL beyond it, so the hull, and with it that
+    ball, lies within _PLANE_TOL beyond it too.  The origin is thus at
+    least _PAIR_TOL - _PLANE_TOL > HULL_TOL inside every such plane (the
+    rest of the margin is slack for rounding), and the scan, which answers
+    False only at a supporting plane less than HULL_TOL from the origin,
+    would answer True as well: a hull that holds a ball is not flat.  With
+    two contacts T is the whole ray set, so the scan of its four triples
+    decides alone.  A set that no pair certifies is scanned as before.
 
     An extreme mu can grade a pinch as open: the two cone edges of a
     contact are unit rays, and they flatten the wrench hull below HULL_TOL
@@ -663,8 +720,14 @@ def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     # Fewer than four wrench rays never span the 3-D wrench space.
     if len(rows) >= 4 and _origin_strictly_inside(_wrench_rays(rows, 0.0)):
         return Closure.FORM_CLOSURE
-    if mu > 0.0 and len(rows) >= 2 and _origin_strictly_inside(_wrench_rays(rows, mu)):
-        return Closure.FORCE_CLOSURE
+    if mu > 0.0 and len(rows) >= 2:
+        rays = _wrench_rays(rows, mu)
+        # Contact i's two cone edges are rays 2i and 2i + 1.
+        if len(rows) > 2 and any(
+                _tetrahedron_holds_origin(rays[2 * i:2 * i + 2] + rays[2 * j:2 * j + 2])
+                for i, j in combinations(range(len(rows)), 2)
+                if contacts[i].side != contacts[j].side) or _origin_strictly_inside(rays):
+            return Closure.FORCE_CLOSURE
     return Closure.NONE
 
 

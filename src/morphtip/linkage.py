@@ -88,6 +88,15 @@ def _require_finite_points(params: LinkageParams, facet_len: float = 1.0) -> Non
         raise InvalidParams(f"{name} is too large: its points must be finite", field=name)
 
 
+def _rad(angle: float) -> str:
+    """An angle in rad as every error message here prints it.
+
+    Six decimals below 1e6 rad; from there on six digits after the point
+    of an exponent form, so a huge angle does not print hundreds of digits.
+    """
+    return f"{angle:.6f}" if abs(angle) < 1e6 else f"{angle:.6e}"
+
+
 def slider_point(params: LinkageParams, theta: float) -> tuple[float, float]:
     """Position of the slider pivot for a servo command theta.
 
@@ -98,7 +107,7 @@ def slider_point(params: LinkageParams, theta: float) -> tuple[float, float]:
     a = params.alpha0 - theta
     if not 0.0 < a < math.pi:
         raise OutOfRange(
-            f"crank angle {a:.6f} rad outside (0, pi) for theta={theta:.6f} rad"
+            f"crank angle {_rad(a)} rad outside (0, pi) for theta={_rad(theta)} rad"
         )
     return (
         params.oa_x + params.l_ab * math.sin(a),
@@ -122,7 +131,7 @@ def facet_pose(params: LinkageParams, theta: float) -> tuple[float, float, float
     raises.
     """
     return _slider_ray(params, theta, params.l_oc,
-                       "slider inside the hinge (guide x = {x:.6g} mm) at theta={theta:.6f} rad: "
+                       "slider inside the hinge (guide x = {x:.6g} mm) at theta={theta} rad: "
                        "mechanism jam")
 
 
@@ -132,12 +141,12 @@ def _slider_ray(params: LinkageParams, theta: float, origin: float,
 
     Returns ``(angle, bx, by)``.  A slider not outward of the origin
     raises OutOfRange with ``behind`` formatted on its x offset ``x`` and
-    ``theta``.
+    ``theta`` as :func:`_rad` prints it.
     """
     bx, by = slider_point(params, theta)
     dx = bx - origin
     if dx <= 0.0:
-        raise OutOfRange(behind.format(x=dx, theta=theta))
+        raise OutOfRange(behind.format(x=dx, theta=_rad(theta)))
     return math.atan2(by, dx), bx, by
 
 
@@ -214,8 +223,8 @@ def _ray_command(params: LinkageParams, angle: float, origin: float) -> float | 
 def _unreachable(what: str, angle: float, attainable: tuple[float, float]) -> Unreachable:
     """The error for a ray angle outside its attainable interval."""
     lo, hi = attainable
-    return Unreachable(f"{what} {angle:.6f} rad not attainable; "
-                       f"reachable interval is [{lo:.6f}, {hi:.6f}] rad", attainable=attainable)
+    return Unreachable(f"{what} {_rad(angle)} rad not attainable; "
+                       f"reachable interval is [{_rad(lo)}, {_rad(hi)}] rad", attainable=attainable)
 
 
 def inverse_facet(params: LinkageParams, phi: float) -> float:
@@ -242,7 +251,7 @@ def planar_condition_angle(params: LinkageParams, theta: float) -> float:
     are anti-collinear through the ball joint.
     """
     return _slider_ray(params, theta, 0.0,
-                       "slider behind the ball joint (x = {x:.6g} mm) at theta={theta:.6f} rad")[0]
+                       "slider behind the ball joint (x = {x:.6g} mm) at theta={theta} rad")[0]
 
 
 def _solve_slider_angle(params: LinkageParams, psi: float) -> float:
@@ -263,8 +272,8 @@ def attainable_tilt_range(params: LinkageParams) -> tuple[float, float]:
     """
     lo, hi = params.operating_range
     if not lo <= 0.0 <= hi:
-        raise Unreachable(f"no tilt is attainable: the operating range [{lo:.6f}, {hi:.6f}] rad "
-                          "excludes the flat-neutral command 0")
+        raise Unreachable("no tilt is attainable: the operating range "
+                          f"[{_rad(lo)}, {_rad(hi)}] rad excludes the flat-neutral command 0")
     up = planar_condition_angle(params, hi)
     down = planar_condition_angle(params, lo)
     t = min(up, -down)

@@ -343,18 +343,21 @@ def cradle_by_bisection(profile, r: float, u: float) -> float | None:
     return best
 
 
-def polygon_features_by_numpy(vertices) -> tuple[list, list]:
-    """A convex polygon's edge features and centroid, derived on numpy arrays.
+def polygon_features_by_numpy(vertices) -> tuple[list, list, float]:
+    """A convex polygon's edge features, centroid and reach, derived on numpy arrays.
 
     This is the derivation ``ConvexPolygon`` made before it held floats:
     rows ``(vx, vy, ex, ey, nx, ny)`` of each vertex, the edge to the next
-    vertex and the edge's unit inward normal, and the mean of the vertices.
+    vertex and the edge's unit inward normal, and the mean of the vertices;
+    the reach is the largest distance of a vertex from that mean.
     """
     verts = np.asarray(vertices, dtype=float)
     edges = np.roll(verts, -1, axis=0) - verts
     normals = np.column_stack([-edges[:, 1], edges[:, 0]])
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return np.column_stack([verts, edges, normals]).tolist(), verts.mean(axis=0).tolist()
+    centroid = verts.mean(axis=0)
+    reach = float(np.max(np.hypot(*(verts - centroid).T)))
+    return np.column_stack([verts, edges, normals]).tolist(), centroid.tolist(), reach
 
 
 def _edge_lines(verts):

@@ -1,4 +1,4 @@
-"""Hypothesis strategies for random valid fingertip geometries."""
+"""Hypothesis strategies for random valid fingertip geometries and grasp contact sets."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from hypothesis import assume, strategies as st
 
 from morphtip import (
     Concave,
+    Contact,
     Convex,
     FingertipConfig,
     FingertipState,
@@ -127,3 +128,36 @@ def planned_primitives(draw) -> tuple[FingertipConfig, FingertipState]:
 
 # Fractions of an interval, ends included.
 fractions = st.floats(0.0, 1.0)
+
+
+@st.composite
+def two_sided_contacts(draw) -> list[Contact]:
+    """3-16 contacts, at least one on each side, as two fingertips grasping make them.
+
+    Two sets in three are ``ring`` contacts on a circle of radius 3-60 mm
+    about the origin, a left one within 1 rad of its leftmost point and a
+    right one within 1 rad of its rightmost.  Each normal points at the
+    centre, turned by one twist of 0.1-0.4 rad either way, the same for the
+    whole set, give or take 0.05 rad: the torques mostly share a sign, so the
+    set is seldom form closure, and friction above the twist often closes
+    it through one left/right pair.  ``free`` contacts put points within
+    30 mm of the origin and normals anywhere.
+    """
+    n = draw(st.integers(3, 16))
+    sides = ["left", "right"] + draw(
+        st.lists(st.sampled_from(("left", "right")), min_size=n - 2, max_size=n - 2))
+    contacts = []
+    if draw(st.sampled_from(("ring", "ring", "free"))) == "ring":
+        r = draw(st.floats(3.0, 60.0))
+        twist = draw(st.floats(0.1, 0.4)) * draw(st.sampled_from((-1.0, 1.0)))
+        for i, side in enumerate(sides):
+            a = (0.5 * math.pi + draw(st.floats(-1.0, 1.0))) * (1.0 if side == "right" else -1.0)
+            turn = twist + draw(st.floats(-0.05, 0.05))
+            x, y = r * math.sin(a), -r * math.cos(a)
+            contacts.append(Contact((x, y), (-math.sin(a + turn), math.cos(a + turn)), side, i))
+    else:
+        coord = st.floats(-30.0, 30.0)
+        for i, side in enumerate(sides):
+            a = draw(st.floats(0.0, 2.0 * math.pi))
+            contacts.append(Contact((draw(coord), draw(coord)), (math.cos(a), math.sin(a)), side, i))
+    return contacts

@@ -75,6 +75,14 @@ class TestFkIk:
             '{"error": {"code": "outofrange", "message": "slider inside the hinge '
             '(guide x = -1.52704 mm) at theta=0.349066 rad: mechanism jam"}}\n'))
 
+    def test_fk_huge_theta_error_is_one_short_line(self):
+        # Angles from 1e6 rad up print in exponent form, not as 300 digits.
+        code, out = run_cli(["fk", "--theta", "1e300"])
+        assert (code, out) == (3, (
+            '{"error": {"code": "outofrange", "message": "crank angle -1.745329e+298 rad '
+            'outside (0, pi) for theta=1.745329e+298 rad"}}\n'))
+        assert len(out.encode()) < 300
+
     def test_ik_unreachable_exits_3(self):
         code, out = run_cli(["ik", "--phi", "120"])
         assert code == 3
@@ -1126,6 +1134,17 @@ class TestPlan:
             '{"error": {"code": "unreachable", "message": "tilt 0.157080 rad not attainable; '
             'reachable interval is [-0.135459, 0.135459] rad", '
             '"attainable_deg": [-7.76124388, 7.76124388]}}\n'))
+
+    def test_huge_degree_error_is_one_short_line(self):
+        code, out = run_cli(["plan", "--primitive", "concave", "--degree", "1e308"])
+        assert (code, out) == (3, (
+            '{"error": {"code": "unreachable", "message": "facet angle 1.745329e+306 rad not '
+            'attainable; reachable interval is [-0.605454, 1.570796] rad", '
+            '"attainable_deg": [-34.6899661, 89.9999995]}}\n'))
+        assert len(out.encode()) < 300
+        # The interval is the one an unreachable angle of ordinary size reports.
+        assert json.loads(out)["error"]["attainable_deg"] == json.loads(
+            run_cli(["plan", "--primitive", "concave", "--degree", "95"])[1])["error"]["attainable_deg"]
 
     def test_missing_degree_exits_2(self):
         code, out = run_cli(["plan", "--primitive", "concave"])

@@ -3,13 +3,14 @@ import math
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from strategies import planned_primitives
+from strategies import planned_primitives, two_sided_contacts
 from morphtip import (
     Circle,
     Closure,
@@ -102,6 +103,21 @@ def convex_pinch_scene(r: float = 8.0, mu: float = 0.0, c_y: float = 3.0) -> Gra
     return scene_between(conv, conv, 2 * r, Circle(r, (r, c_y)), mu)
 
 
+def arc_seat_scene(k: int, mu: float = 0.3) -> GraspScene:
+    """A circle of radius 20 mm seated in two k-segment arcs, touching every segment.
+
+    The profile's points lie at radius 20/cos(h) about the circle's centre
+    (21, 0), h = 60 deg / k, over 120 deg centred on 180 deg, so each
+    segment is tangent to the circle at its middle; the right profile is
+    the mirror image at gap 42 mm.  The scene has 2k contacts.
+    """
+    h = math.radians(60.0 / k)
+    reach = 20.0 / math.cos(h)
+    angles = [math.radians(120.0) + 2.0 * h * i for i in range(k + 1)]
+    local = [(reach * math.sin(a), 21.0 + reach * math.cos(a)) for a in angles]
+    return scene_between(local, local, 42.0, Circle(20.0, (21.0, 0.0)), mu)
+
+
 def touch_shift(profile: np.ndarray, verts: np.ndarray, first) -> float | None:
     """x shift of a placed profile at which it first touches a polygon.
 
@@ -147,8 +163,13 @@ def circle_touch_shift(profile: np.ndarray, center, r: float, first) -> float | 
     return first(shifts, default=None)
 
 
-def assert_matches_enumeration(scene: GraspScene) -> None:
-    """find_contacts equals the scalar enumeration oracle on one scene."""
+def assert_matches_enumeration(scene: GraspScene, scale: float = 1.0) -> None:
+    """find_contacts equals the scalar enumeration oracle on one scene.
+
+    Points, witnesses and depths agree within 1e-12 mm, times ``scale``
+    for a scene scaled up by it.
+    """
+    tol = 1e-12 * max(1.0, scale)
     pen, expected = oracles.contacts_by_enumeration(scene, CONTACT_TOL, PENETRATION_TOL, DEDUP_TOL)
     if pen is not None:
         side, i, depth = pen
@@ -157,14 +178,24 @@ def assert_matches_enumeration(scene: GraspScene) -> None:
         assert f"the {side} profile by {depth:.3g} mm" in str(exc.value)
         witness = exc.value.witness
         placed = scene.left_profile if side == "left" else scene.right_profile
-        assert oracles.distance_to_segment(witness, placed[i], placed[i + 1]) <= 1e-12
-        assert abs(oracles.depth_at(scene.obj, witness) - depth) <= 1e-12
+        assert oracles.distance_to_segment(witness, placed[i], placed[i + 1]) <= tol
+        assert abs(oracles.depth_at(scene.obj, witness) - depth) <= tol
         return
     got = find_contacts(scene)
     assert [(c.side, c.segment) for c in got] == [c[:2] for c in expected]
     for c, (_, _, point, normal) in zip(got, expected):
-        assert np.max(np.abs(c.point - point)) <= 1e-12
+        assert np.max(np.abs(c.point - point)) <= tol
         assert np.max(np.abs(c.normal - normal)) <= 1e-12
+
+
+def scaled(scene: GraspScene, factor: float) -> GraspScene:
+    """A polygon scene with every length multiplied by factor, a power of two, so exactly."""
+
+    def times(points):
+        return [(x * factor, y * factor) for x, y in points]
+
+    return GraspScene(times(scene.left_points), times(scene.right_points), scene.gap * factor,
+                      ConvexPolygon(times(scene.obj.vertex_points)), scene.mu)
 
 
 def lopsided_square_scene(phi_deg: float = 30.0, half_side: float = 20.0, mu: float = 0.0) -> GraspScene:
@@ -414,6 +445,13 @@ class TestContactsAgainstEnumeration:
     @given(polygon_scenes())
     def test_polygon_scenes_match_enumeration(self, scene):
         assert_matches_enumeration(scene)
+
+    @settings(max_examples=200)
+    @given(polygon_scenes(), st.sampled_from((-10, 0, 20)))
+    def test_polygon_scenes_match_enumeration_at_other_scales(self, scene, k):
+        # 2^-10 to 2^20 is the range over which the grasp verdicts keep
+        # their meaning; the cull must find what the full scan finds there.
+        assert_matches_enumeration(scaled(scene, 2.0 ** k), 2.0 ** k)
 
     @settings(max_examples=100)
     @given(circle_scenes())
@@ -769,9 +807,10 @@ class TestSceneValidation:
     @given(convex_polygons())
     def test_features_and_centroid_match_the_numpy_derivation(self, verts):
         poly = ConvexPolygon(verts)
-        features, centroid = oracles.polygon_features_by_numpy(verts)
+        features, centroid, reach = oracles.polygon_features_by_numpy(verts)
         assert np.array(poly.features).tobytes() == np.array(features).tobytes()
         assert np.array(poly.centroid).tobytes() == np.array(centroid).tobytes()
+        assert poly.reach == reach
 
 
 class TestClosure:
@@ -1012,6 +1051,60 @@ class TestClosureOverRandomContactSets:
         assert pivot_feasible(tuples) is pivot
         if pinch and len(points) == 2:
             assert pivot
+
+
+# Friction coefficients at which the flat pinch of a 10 mm circle, or a
+# smaller one, flips between open and force closure, and some either side.
+PINCH_FLIP_MUS = (1e-12, math.sqrt(2.0) * HULL_TOL, 0.05, 2.0, 7.07e8, 1e9)
+
+
+def scan_only_grade(contacts, mu: float) -> Closure:
+    """closure_classify with no contact pair certifying: the facet scan decides alone."""
+    with mock.patch.object(grasp, "_tetrahedron_holds_origin", lambda rays: False):
+        return closure_classify(contacts, mu)
+
+
+def counting_scans(monkeypatch) -> list[int]:
+    """The number of rays of each later _origin_strictly_inside call, as they happen."""
+    sizes, scan = [], grasp._origin_strictly_inside
+
+    def counted(rays):
+        sizes.append(len(rays))
+        return scan(rays)
+
+    monkeypatch.setattr(grasp, "_origin_strictly_inside", counted)
+    return sizes
+
+
+class TestPairCertificate:
+    @settings(max_examples=300)
+    @given(two_sided_contacts(), st.one_of(st.sampled_from(PINCH_FLIP_MUS), st.floats(0.0, 3.0)))
+    def test_grade_equals_the_scan_only_grade(self, contacts, mu):
+        first = contacts[0].point_xy
+        assume(max(math.dist(c.point_xy, first) for c in contacts) > DEDUP_TOL)
+        assert closure_classify(contacts, mu) is scan_only_grade(contacts, mu)
+
+    @pytest.mark.parametrize("mu", PINCH_FLIP_MUS)
+    @pytest.mark.parametrize("build", [concave_seat_scene, square_seat_scene,
+                                       lopsided_square_scene, lambda mu: arc_seat_scene(8, mu)],
+                             ids=["concave-seat", "square-seat", "lopsided-square", "arc-seat-8"])
+    def test_seats_at_the_pinch_flips_grade_as_the_scan_does(self, build, mu):
+        contacts = find_contacts(build(mu=mu))
+        assert closure_classify(contacts, mu) is scan_only_grade(contacts, mu)
+
+    def test_concave_seat_is_certified_by_a_pair(self, monkeypatch):
+        contacts = find_contacts(concave_seat_scene(mu=0.5))
+        sizes = counting_scans(monkeypatch)
+        assert closure_classify(contacts, 0.5) is Closure.FORCE_CLOSURE
+        assert sizes == [4]  # the form test's four normal rays only
+
+    def test_many_contact_seat_skips_the_force_scan(self, monkeypatch):
+        # The scan over all 256 friction rays took tens of seconds here.
+        contacts = find_contacts(arc_seat_scene(64))
+        assert len(contacts) == 128
+        sizes = counting_scans(monkeypatch)
+        assert closure_classify(contacts, 0.3) is Closure.FORCE_CLOSURE
+        assert sizes == [128]  # the form test's normal rays; no friction ray is scanned
 
 
 class TestOracleAgreement:

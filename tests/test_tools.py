@@ -2,7 +2,11 @@
 
 import ast
 import importlib.util
+import re
+import sys
 from pathlib import Path
+
+from morphtip import Penetration, grasp
 
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
@@ -52,3 +56,33 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["9", "1", "10"]
     assert lines[-1].split()[1] == "total"
+
+
+def test_pool_digest_hashes_every_result_and_raised_error(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # restores sys.path, which the tool extends
+    loaded = {"pool_digest", "worker", "inputs", "tracing", "workloads", "report"} - set(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location("pool_digest", ROOT / "tools" / "pool_digest.py")
+        tool = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = tool
+        spec.loader.exec_module(tool)
+        assert tool.main(["grasp-batch", "1"]) == 0
+        digest = capsys.readouterr().out
+        assert re.fullmatch("[0-9a-f]{64}\n", digest)
+        assert tool.pool_digest("grasp-batch", [1]) == digest.strip()
+        # A planned Penetration's witness counts too: moving it moves the hash.
+        find = grasp.find_contacts
+
+        def moved(scene):
+            try:
+                return find(scene)
+            except Penetration as exc:
+                x, y = exc.witness
+                raise Penetration(str(exc), witness=(x + 1e-9, y)) from None
+
+        monkeypatch.setattr(grasp, "find_contacts", moved)
+        assert tool.pool_digest("grasp-batch", [1]) != digest.strip()
+        assert tool.main(["grasp-sweep", "1"]) == 2
+    finally:
+        for name in loaded:
+            sys.modules.pop(name, None)
