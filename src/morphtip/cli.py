@@ -8,15 +8,22 @@ so re-running a command on identical inputs is byte-identical.
 Exit codes: 0 success, 2 configuration or input parse error, 3 model or
 geometry error (jam, unreachable target, penetration).
 
-:data:`_FIELDS` is the one place a field of a config or scene file is
-declared: its path in the file, its kind, the library argument it gives,
-its unit and its least length.  One walker, :func:`_walk`, reads both
-files by it, and a library error is restated by it in the file's paths.
+:data:`_FIELDS` is the one table of the CLI's inputs: a row set for the
+config file, one for the scene file and one for each command's options.
+A row declares a field's path in its file, or an option's name, with its
+kind, the library argument it gives, its unit, its bounds and the
+variants that take it.  One walker, :func:`_walk`, reads a file by its
+rows and a command's options by theirs, and one set of readers,
+:data:`_READERS`, checks the values of both.  One restater,
+:func:`_restated`, names a file's fields or a command's options in a
+library error.
 
-The command line is read by :mod:`argparse` (see :func:`_parser`); a
-usage error exits 2 with its message on stderr and nothing on stdout.
-:func:`main` loads the config file, once, and passes the
-:class:`RunConfig` to the command.  The grasp command reaches
+:mod:`argparse` parses the command line, with a parser built from the
+rows (see :func:`_parser`); a usage error, such as a value that does not
+parse as its kind, exits 2 with its message on stderr and nothing on
+stdout.  :func:`main` reads the options, then loads the config file,
+once, and passes the :class:`RunConfig` and the library arguments the
+options give to the command.  The grasp command reaches
 :mod:`morphtip.grasp` through the package's own lazy names
 (``mt.find_contacts``), so only it loads that module.  No command loads
 numpy: every command runs on the standard library and morphtip's own
@@ -31,6 +38,7 @@ attainable, so an unreachable tilt gets the error ``plan`` prints.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -123,20 +131,23 @@ class RunConfig(Record):
         vars(self).update(tip=tip, sweep=sweep, out_path=out_path)
 
 
-class _Field(namedtuple("_Field", "kind call arg deg least only default",
-                        defaults=("", "", False, 0, (), None))):
-    """How :func:`_walk` reads one field of a config or scene file.
+class _Field(namedtuple("_Field", "kind call arg deg least only default help",
+                        defaults=("", "", False, 0, (), None, ""))):
+    """How one field of a config or scene file, or one command option, is read.
 
-    ``kind`` is a key of :data:`_READERS`; or "object", a JSON object of
-    further fields; or "spec", an object that may also be given as the
-    name of its variant.  The value goes, read, to the argument ``arg``
-    of the library call ``call``; ``deg`` converts it from the file's
-    degrees to the library's radians.  ``least`` is the fewest [x, y]
-    points a points field takes.  ``only`` names the variants of its
-    object that take the field, all when empty; an enum field names its
-    object's variant, and its ``only`` lists the values it takes.
-    ``default`` is read in place of an absent field: None leaves the
-    argument to the library, and every reader refuses _REQUIRED.
+    ``kind`` is a key of :data:`_READERS`; or, in a file, "object", a
+    JSON object of further fields, or "spec", an object that may also be
+    given as the name of its variant.  The value goes, read, to the
+    argument ``arg`` of the library call ``call``; ``deg`` converts it
+    from the input's degrees to the library's radians.  ``least`` is the
+    least value an integer takes, or the fewest [x, y] points a points
+    field takes.  ``only`` names the variants that take the field, all
+    when empty: in a file the variants of its object, for an option those
+    of its command's enum option.  An enum row names the variant, and its
+    ``only`` lists the values it takes.  ``default`` is read in place of
+    an absent input: None leaves the argument to the library, and every
+    reader refuses _REQUIRED, which argparse enforces for an option.
+    ``help`` is the help text of an option.
     """
 
     __slots__ = ()
@@ -158,16 +169,25 @@ def _profile_fields(side: str, default: str | None) -> dict[str, _Field]:
     }
 
 
-# Every field of a config file and of a scene file, by its path in the file.
-# The fields of an object that are objects are read in this order.
+# The sweep command's options, which are the config file's sweep.<arg> fields too.
+_SWEEP = {
+    "--start": _Field("number", "sweep", "start_deg", help="First servo command in degrees."),
+    "--step": _Field("number", "sweep", "step_deg", help="Servo increment per row in degrees."),
+    "--count": _Field("integer", "sweep", "count", least=2, help="Number of rows."),
+}
+# The option every command takes, and the one every command that writes a file takes.
+_CONFIG = {"--config": _Field("string-or-null", "load_config", "config_path", help="JSON config file.")}
+_OUTPUT = {"--output": _Field("string-or-null", "emit", "output", help="Write to file instead of stdout.")}
+
+# Every field of a config file and of a scene file, by its path in the file,
+# and every option of each command, by its name.  The fields of an object that
+# are objects are read in this order, and a command's options in theirs.
 _FIELDS = {
     "config": {
         "output": _Field("object"),
         "output.path": _Field("string-or-null", "run", "out_path"),
         "sweep": _Field("object"),
-        "sweep.start_deg": _Field("number", "sweep", "start_deg"),
-        "sweep.step_deg": _Field("number", "sweep", "step_deg"),
-        "sweep.count": _Field("integer", "sweep", "count"),
+        **{f"sweep.{f.arg}": f for f in _SWEEP.values()},
         "fingertip": _Field("object"),
         "fingertip.l_oc_mm": _Field("number", "linkage", "l_oc"),
         "fingertip.l_ab_mm": _Field("number", "linkage", "l_ab"),
@@ -190,6 +210,31 @@ _FIELDS = {
         "object.vertices_mm": _Field("points", "object", "vertices", least=3, only=("polygon",),
                                      default=_REQUIRED),
     },
+    "fk": {**_CONFIG, "--theta": _Field("number", "facet_pose", "theta", deg=True, default=_REQUIRED,
+                                        help="Servo command in degrees.")},
+    "ik": {**_CONFIG, "--phi": _Field("number", "inverse_facet", "phi", deg=True, default=_REQUIRED,
+                                      help="Facet angle in degrees.")},
+    "plan": {
+        **_CONFIG,
+        "--primitive": _Field("enum", "primitive", "kind", only=_PRIMITIVES, default=_REQUIRED,
+                              help="Morphing primitive to plan."),
+        "--degree": _Field("number", "primitive", "depth", deg=True, only=("concave", "convex"),
+                           help="Facet angle in degrees (concave/convex)."),
+        "--tilt-x": _Field("number", "primitive", "tilt_x", deg=True, only=("tilted-planar",),
+                           help="Tilt driven by the x facet pair in degrees (tilted-planar)."),
+        "--tilt-y": _Field("number", "primitive", "tilt_y", deg=True, only=("tilted-planar",),
+                           help="Tilt driven by the y facet pair in degrees (tilted-planar)."),
+    },
+    "sweep": {**_CONFIG, **_OUTPUT, **_SWEEP},
+    "trace-pointer": {
+        **_CONFIG, **_OUTPUT,
+        "--psi-max": _Field("number", "pointer_top", "psi_max", deg=True, default=5.0,
+                            help="Tilt amplitude in degrees."),
+        "--points-per-leg": _Field("integer", "pointer_poses", "points_per_leg", least=1, default=4,
+                                   help="Samples per segment between the eight anchor poses."),
+    },
+    "grasp": {**_CONFIG, **_OUTPUT, "--scene": _Field("string-or-null", "load_scene", "scene_path",
+                                                      default=_REQUIRED, help="Scene JSON file.")},
 }
 
 
@@ -206,34 +251,41 @@ def _is_finite(value) -> bool:
 
 
 # The reader of each kind of value: it returns the value as the library takes
-# it, or raises a ConfigError saying what the value must be.
+# it, or raises a ConfigError saying what the value must be.  ``option`` says
+# the value is a command option's as argparse parsed it: a number option's
+# float can only be non-finite, and an integer option's int may be of any size.
 
-def _number(value, f: _Field) -> float:
+def _number(value, f: _Field, option: bool = False) -> float:
     if not _is_finite(value):
-        raise ConfigError("is required" if value is _REQUIRED else "must be a finite number"
-                          if type(value) in (int, float) else "must be a number")
+        raise ConfigError("is required" if value is _REQUIRED else "must be a number"
+                          if type(value) not in (int, float) else "must be finite" if option
+                          else "must be a finite number")
     return (math.radians if f.deg else float)(value)
 
 
-def _integer(value, f: _Field) -> int:
-    if not (_is_finite(value) and float(value).is_integer()):
+def _integer(value, f: _Field, option: bool = False) -> int:
+    if not (type(value) is int if option else _is_finite(value) and float(value).is_integer()):
         raise ConfigError("must be an integer")
+    if value < f.least:
+        raise ConfigError(f"must be at least {f.least}")
+    if value > MAX_COUNT:
+        raise ConfigError(f"must be at most {MAX_COUNT}")
     return int(value)
 
 
-def _string_or_null(value, f: _Field) -> str | None:
+def _string_or_null(value, f: _Field, option: bool = False) -> str | None:
     if not (value is None or isinstance(value, str)):
         raise ConfigError("must be a string or null")
     return value
 
 
-def _pair(value, f: _Field) -> tuple[float, float]:
+def _pair(value, f: _Field, option: bool = False) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2 and all(map(_is_finite, value))):
         raise ConfigError("must be a pair of numbers [x, y]")
     return tuple(map(math.radians if f.deg else float, value))
 
 
-def _points(value, f: _Field) -> ft.Profile:
+def _points(value, f: _Field, option: bool = False) -> ft.Profile:
     shape = ConfigError(f"must be a list of at least {f.least} [x, y] points")
     if not (isinstance(value, list) and len(value) >= f.least):
         raise shape
@@ -245,7 +297,7 @@ def _points(value, f: _Field) -> ft.Profile:
         raise shape from None
 
 
-def _enum(value, f: _Field) -> str:
+def _enum(value, f: _Field, option: bool = False) -> str:
     if value not in f.only:
         names = " or ".join(map(repr, f.only)) if len(f.only) == 2 else "one of " + ", ".join(f.only)
         raise ConfigError(f"must be {names}")
@@ -266,6 +318,10 @@ def _walk(node, path: str, what: str, args: dict[str, dict]) -> None:
     being there.  Unknown keys are refused before any value is read;
     then values are read in file order, then absent fields and objects
     in table order.  Each value goes to ``args[call][arg]``.
+
+    The options of the command ``what`` are read the same way, as one
+    object of the (option, value) pairs given: an option that the
+    variant named by the command's enum option does not take is refused.
     """
     table = _FIELDS[what]
     spec = path in table and table[path].kind == "spec"
@@ -277,6 +333,7 @@ def _walk(node, path: str, what: str, args: dict[str, dict]) -> None:
         where = f"field {path!r}" if path else "root"
         raise ConfigError(f"{what} {where} must be a {'string or object' if spec else 'JSON object'}")
     prefix = f"{path}." if path else ""
+    option = what not in ("config", "scene")
     given: dict = {}
     for key, value in node:
         if key in given:
@@ -289,9 +346,10 @@ def _walk(node, path: str, what: str, args: dict[str, dict]) -> None:
         if f.kind in ("object", "spec"):
             return _walk(value, prefix + key, what, args)
         try:
-            args[f.call][f.arg] = value = _READERS[f.kind](value, f)
+            args[f.call][f.arg] = value = _READERS[f.kind](value, f, option)
         except ConfigError as exc:
-            raise ConfigError(f"{what} field {prefix + key!r} {exc}") from None
+            name = key if option else f"{what} field {prefix + key!r}"
+            raise ConfigError(f"{name} {exc}") from None
         return value
 
     offered = rows[enum].only if enum else ()
@@ -300,16 +358,21 @@ def _walk(node, path: str, what: str, args: dict[str, dict]) -> None:
     known = [key for key, f in rows.items() if not f.only or variant in f.only]
     for key in given:
         if key not in known:
-            raise ConfigError(f"unknown {what} field {prefix + key!r}")
+            raise ConfigError(f"{key} does not apply to {enum} {variant}" if option
+                              else f"unknown {what} field {prefix + key!r}")
     values = [key for key in given if rows[key].kind not in ("object", "spec")]
     for key in (*values, *(key for key in known if key not in values)):
         if key != enum and (key in given or rows[key].default is not None):
             read(key)
 
 
-def _read(path: str | None, what: str) -> dict[str, dict]:
-    """The library arguments a ``what`` file gives, by call; no file is an empty object."""
-    raw = ()
+def _read(path: str | None, what: str, raw: tuple = ()) -> dict[str, dict]:
+    """The library arguments, by call, that a ``what`` file gives.
+
+    With no file they are those of the object ``raw``: an empty one for a
+    file that is not given, or the given options when ``what`` is a
+    command.
+    """
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -321,21 +384,30 @@ def _read(path: str | None, what: str) -> dict[str, dict]:
     return args
 
 
-def _restated(exc: InvalidParams, names: dict[str, str]) -> str:
-    """exc's message with each library argument name in it replaced by ``names[name]``.
+@contextlib.contextmanager
+def _restated(what: str, *calls: str):
+    """Restate an InvalidParams that one of ``calls`` raises in the body as a ConfigError.
 
-    The message starts with ``exc.field``; a condition over several
-    arguments names the others after it, and they are replaced too.
+    The message starts with the error's ``field``; a condition over
+    several arguments names the others after it.  Each argument is
+    renamed by the ``what`` input that gives it: a file names a field by
+    its quoted path, the first after "<what> field", and a command names
+    an option by itself.  An argument that no row gives comes from the
+    one input of its call, when there is one: the tilts pointer_top is
+    given all come from --psi-max.
     """
-    return re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc))
-
-
-def _file_error(exc: InvalidParams, what: str, *calls: str) -> ConfigError:
-    """exc, raised by one of ``calls``, with each argument named by the ``what`` field giving it."""
-    if exc.field is None:  # the jam-only stroke, a condition on the whole geometry
-        return ConfigError(f"invalid {what}: {exc}")
-    names = {f.arg: repr(path) for path, f in _FIELDS[what].items() if f.call in calls}
-    return ConfigError(f"{what} field {_restated(exc, names)}")
+    try:
+        yield
+    except InvalidParams as exc:
+        if exc.field is None:  # the jam-only stroke, a condition on the whole geometry
+            raise ConfigError(f"invalid {what}: {exc}") from exc
+        file = what in ("config", "scene")
+        names = {f.arg: repr(path) if file else path
+                 for path, f in _FIELDS[what].items() if f.call in calls}
+        if len(names) == 1:
+            names.setdefault(exc.field, next(iter(names.values())))
+        message = re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc))
+        raise ConfigError(f"{what} field {message}" if file else message) from exc
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -345,43 +417,32 @@ def load_config(path: str | None) -> RunConfig:
     leaves out, and check every value the file gives.
     """
     args = _read(path, "config")
-    try:
+    with _restated("config", "linkage", "tip", "sweep"):
         tip = ft.FingertipConfig(linkage=lk.LinkageParams(**args["linkage"]), **args["tip"])
         return RunConfig(tip=tip, sweep=SweepSpec(**args["sweep"]), **args["run"])
-    except InvalidParams as exc:
-        raise _file_error(exc, "config", "linkage", "tip", "sweep") from exc
-
-
-def _finite(value: float | None, option: str) -> float | None:
-    """A float command option, which must be finite when it is given."""
-    if value is not None and not math.isfinite(value):
-        raise ConfigError(f"{option} must be finite")
-    return value
 
 
 # ---------------------------------------------------------------------------
 # primitives and scenes
 
-def _primitive(kind: str, depth: float | None = None, tilt: tuple[float, float] = (0.0, 0.0), *,
-               names: dict[str, str]) -> ft.MorphPrimitive:
+def _primitive(kind: str, depth: float | None = None,
+               tilt: tuple[float, float] = (0.0, 0.0)) -> ft.MorphPrimitive:
     """The morphing primitive of a plan command or a scene profile spec.
 
-    ``depth`` and ``tilt`` are in radians.  ``names`` says how the input
-    calls each argument of the primitive (``depth``, ``tilt_x``,
-    ``tilt_y``); a value the primitive's constructor rejects is an input
-    error naming it.
+    ``depth`` and ``tilt`` are in radians.  A value the primitive's
+    constructor rejects is InvalidParams naming its argument, for the
+    caller to restate in its input's names.
     """
     if kind == "flat":
         return ft.Flat()
-    if kind != "tilted-planar" and depth is None:
-        raise ConfigError(f"{names['depth']} is required for concave/convex")
+    if kind == "tilted-planar":
+        return ft.TiltedPlanar(*tilt)
+    if depth is None:
+        raise InvalidParams("depth is required for concave/convex", field="depth")
     try:
-        if kind == "tilted-planar":
-            return ft.TiltedPlanar(*tilt)
         return (ft.Concave if kind == "concave" else ft.Convex)(depth)
     except InvalidParams as exc:
-        unit = f" in degrees for {kind}" if exc.field == "depth" else ""
-        raise ConfigError(_restated(exc, names) + unit) from exc
+        raise InvalidParams(f"{exc} in degrees for {kind}", field=exc.field) from exc
 
 
 def _profile(spec: dict, side: str, tip: ft.FingertipConfig) -> ft.Profile:
@@ -391,8 +452,9 @@ def _profile(spec: dict, side: str, tip: ft.FingertipConfig) -> ft.Profile:
     """
     if f"{side}_profile" in spec:
         return spec[f"{side}_profile"]
-    names = {f.arg: f"scene field {path!r}" for path, f in _FIELDS["scene"].items() if f.call == side}
-    return ft.plan_primitive(tip, _primitive(**spec, names=names)).profile_x_points
+    with _restated("scene", side):
+        prim = _primitive(**spec)
+    return ft.plan_primitive(tip, prim).profile_x_points
 
 
 def load_scene(path: str, tip: ft.FingertipConfig) -> mt.GraspScene:
@@ -411,12 +473,10 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> mt.GraspScene:
     right = _profile(args["right"], "right", tip) if args["right"] else left
     obj, scene = args["object"], args["scene"]
     circle = obj.pop("type") == "circle"
-    try:
+    with _restated("scene", "scene", "object", "left", "right"):
         shape = (mt.Circle(**{"center": (scene["gap"] / 2.0, 0.0), **obj}) if circle
                  else mt.ConvexPolygon(**obj))
         return mt.scene_between(left, right, obj=shape, **scene)
-    except InvalidParams as exc:
-        raise _file_error(exc, "scene", "scene", "object", "left", "right") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -433,27 +493,25 @@ def _fk_record(params: lk.LinkageParams, theta: float) -> dict:
     }
 
 
-def fk(cfg: RunConfig, theta_deg: float) -> None:
+def fk(cfg: RunConfig, theta: float) -> None:
     """Facet angle and linkage points for a servo command."""
-    theta = math.radians(_finite(theta_deg, "--theta"))
     print(dumps(_fk_record(cfg.tip.linkage, theta)))
 
 
-def ik(cfg: RunConfig, phi_deg: float) -> None:
+def ik(cfg: RunConfig, phi: float) -> None:
     """Servo command that realizes a facet angle."""
-    theta = lk.inverse_facet(cfg.tip.linkage, math.radians(_finite(phi_deg, "--phi")))
+    theta = lk.inverse_facet(cfg.tip.linkage, phi)
     print(dumps(_fk_record(cfg.tip.linkage, theta)))
 
 
-def plan(cfg: RunConfig, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
+def plan(cfg: RunConfig, kind: str, depth: float | None = None, tilt_x: float = 0.0,
+         tilt_y: float = 0.0) -> None:
     """Plan servo commands for a morphing primitive."""
-    depth = None if degree_deg is None else math.radians(degree_deg)
-    tilt = "--tilt-x/--tilt-y"
-    prim = _primitive(primitive, depth, (math.radians(tilt_x_deg), math.radians(tilt_y_deg)),
-                      names={"depth": "--degree", "tilt_x": tilt, "tilt_y": tilt})
+    with _restated("plan", "primitive"):
+        prim = _primitive(kind, depth, (tilt_x, tilt_y))
     state = ft.plan_primitive(cfg.tip, prim)
     record = {
-        "primitive": primitive,
+        "primitive": kind,
         "theta_deg": [math.degrees(t) for t in state.thetas],
         "phi_deg": [math.degrees(p) for p in state.phis],
         "terrace_tilt_deg": [math.degrees(t) for t in state.terrace_tilt],
@@ -463,14 +521,10 @@ def plan(cfg: RunConfig, primitive, degree_deg, tilt_x_deg, tilt_y_deg) -> None:
     print(dumps(record))
 
 
-def sweep(cfg: RunConfig, output, start_deg, step_deg, count) -> None:
+def sweep(cfg: RunConfig, output: str | None = None, **given) -> None:
     """Angular-stroke protocol: stepped servo sweep emitted as CSV."""
-    given = {"start_deg": _finite(start_deg, "--start"), "step_deg": _finite(step_deg, "--step"),
-             "count": count}
-    try:
-        spec = cfg.sweep.replace(**{k: v for k, v in given.items() if v is not None})
-    except InvalidParams as exc:
-        raise ConfigError(_restated(exc, {"step_deg": "--step", "count": "--count"})) from exc
+    with _restated("sweep", "sweep"):
+        spec = cfg.sweep.replace(**given)
     rows = [SWEEP_HEADER]
     phis = []  # as printed: the CSV itself must be strictly monotone
     for i in range(spec.count):
@@ -504,29 +558,22 @@ def _pointer_poses(psi_max: float, points_per_leg: int) -> list[tuple[float, flo
     return poses
 
 
-def trace_pointer(cfg: RunConfig, output, psi_max_deg, points_per_leg) -> None:
+def trace_pointer(cfg: RunConfig, psi_max: float, points_per_leg: int, output: str | None = None) -> None:
     """Pointer-top trajectory over the tilt configuration square."""
-    if points_per_leg < 1:
-        raise ConfigError("points-per-leg must be at least 1")
-    if points_per_leg > MAX_COUNT:
-        raise ConfigError(f"points-per-leg must be at most {MAX_COUNT}")
-    psi_max = math.radians(_finite(psi_max_deg, "--psi-max"))
     if psi_max != 0.0:  # the origin is traced even by a stroke that attains no tilt
         lk.solve_planar_pair(cfg.tip.linkage, abs(psi_max))
     rows = [POINTER_HEADER]
-    for i, (px, py) in enumerate(_pointer_poses(psi_max, points_per_leg)):
-        try:
+    with _restated("trace-pointer", "pointer_top"):  # an attainable tilt the pointer model refuses
+        for i, (px, py) in enumerate(_pointer_poses(psi_max, points_per_leg)):
             x, y, z = ft.pointer_top(cfg.tip, px, py)
-        except InvalidParams as exc:  # an attainable tilt the pointer model refuses
-            raise ConfigError(_restated(exc, {"psi_x": "--psi-max", "psi_y": "--psi-max"})) from exc
-        rows.append(",".join([
-            str(i), fnum(math.degrees(px)), fnum(math.degrees(py)),
-            fnum(x), fnum(y), fnum(z),
-        ]))
+            rows.append(",".join([
+                str(i), fnum(math.degrees(px)), fnum(math.degrees(py)),
+                fnum(x), fnum(y), fnum(z),
+            ]))
     _emit("\n".join(rows) + "\n", output if output is not None else cfg.out_path)
 
 
-def grasp(cfg: RunConfig, output, scene_path) -> None:
+def grasp(cfg: RunConfig, scene_path: str, output: str | None = None) -> None:
     """Contact, pivot, closure and cradle report for a two-finger scene."""
     scene = load_scene(scene_path, cfg.tip)
     contacts = mt.find_contacts(scene)
@@ -548,54 +595,28 @@ def grasp(cfg: RunConfig, output, scene_path) -> None:
 def _parser() -> argparse.ArgumentParser:
     """The command line: one subcommand per command function above.
 
-    A subcommand is named after its function, with '-' for '_', and each
-    option's ``dest`` is the name of the function's parameter; --config's
-    is ``config_path``, which :func:`main` loads into the first one.  The
-    parser is built once per process: building it takes several times as
-    long as a command's own work.
+    A subcommand is named after its function, with '-' for '_', and takes
+    the options of its rows in :data:`_FIELDS`, each with its row's help
+    text.  argparse converts a number option to float and an integer
+    option to int, takes an enum option's values only and requires an
+    option whose default is _REQUIRED.  Each option's ``dest`` is its
+    row's ``arg``, and an absent option is left out of the namespace.
+    The parser is built once per process: building it takes several
+    times as long as a command's own work.
     """
     parser = argparse.ArgumentParser(
         prog="morphtip", description="Shape-morphing fingertip kinematics and grasp analysis.",
         allow_abbrev=False, add_help=False)
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
-
-    def command(run, output: bool = False) -> argparse.ArgumentParser:
-        sub = commands.add_parser(run.__name__.replace("_", "-"), help=run.__doc__,
-                                  description=run.__doc__, allow_abbrev=False, add_help=False)
-        sub.set_defaults(run=run)
-        sub.add_argument("--config", dest="config_path", help="JSON config file.")
-        if output:
-            sub.add_argument("--output", help="Write to file instead of stdout.")
-        return sub
-
-    sub = command(fk)
-    sub.add_argument("--theta", dest="theta_deg", type=float, required=True,
-                     help="Servo command in degrees.")
-    sub = command(ik)
-    sub.add_argument("--phi", dest="phi_deg", type=float, required=True,
-                     help="Facet angle in degrees.")
-    sub = command(plan)
-    sub.add_argument("--primitive", choices=_PRIMITIVES, required=True,
-                     help="Morphing primitive to plan.")
-    sub.add_argument("--degree", dest="degree_deg", type=float, default=None,
-                     help="Facet angle in degrees (concave/convex).")
-    sub.add_argument("--tilt-x", dest="tilt_x_deg", type=float, default=0.0,
-                     help="Tilt driven by the x facet pair in degrees (tilted-planar).")
-    sub.add_argument("--tilt-y", dest="tilt_y_deg", type=float, default=0.0,
-                     help="Tilt driven by the y facet pair in degrees (tilted-planar).")
-    sub = command(sweep, output=True)
-    sub.add_argument("--start", dest="start_deg", type=float, default=None,
-                     help="First servo command in degrees.")
-    sub.add_argument("--step", dest="step_deg", type=float, default=None,
-                     help="Servo increment per row in degrees.")
-    sub.add_argument("--count", type=int, default=None, help="Number of rows.")
-    sub = command(trace_pointer, output=True)
-    sub.add_argument("--psi-max", dest="psi_max_deg", type=float, default=5.0,
-                     help="Tilt amplitude in degrees.")
-    sub.add_argument("--points-per-leg", type=int, default=4,
-                     help="Samples per segment between the eight anchor poses.")
-    sub = command(grasp, output=True)
-    sub.add_argument("--scene", dest="scene_path", required=True, help="Scene JSON file.")
+    for run in (fk, ik, plan, sweep, trace_pointer, grasp):
+        name = run.__name__.replace("_", "-")
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False, add_help=False, argument_default=argparse.SUPPRESS)
+        sub.set_defaults(run=run, command=name)
+        for option, f in _FIELDS[name].items():
+            sub.add_argument(option, dest=f.arg, type={"number": float, "integer": int}.get(f.kind),
+                             choices=f.only if f.kind == "enum" else None,
+                             required=f.default is _REQUIRED, help=f.help)
     for p in (parser, *commands.choices.values()):
         p.add_argument("--help", action="help", help="Show this message and exit.")
     return parser
@@ -607,21 +628,20 @@ def _attach_values(argv: list[str]) -> list[str]:
     Every option but --help takes a value, and the token after it is that
     value even when it starts with '-', such as ``--theta -inf`` or
     ``--step -1e-3``; argparse alone would read those as unknown options.
-    After ``--`` every token is a positional argument, which no command
-    takes; a ``--`` with nothing after it is dropped.
+    After the first ``--`` every token is a positional argument, which no
+    command takes, so an option just before it has no value; a ``--``
+    with nothing after it is dropped.
     """
+    end = argv.index("--") if "--" in argv else len(argv)
     out: list[str] = []
-    tokens = iter(argv)
+    tokens = iter(argv[:end])
     for token in tokens:
-        if token == "--":
-            rest = list(tokens)
-            out += [token, *rest] if rest else []
-        elif token.startswith("--") and "=" not in token and token != "--help":
+        if token.startswith("--") and "=" not in token and token != "--help":
             value = next(tokens, None)
-            out.append(token if value is None else f"{token}={value}")
-        else:
-            out.append(token)
-    return out
+            token = token if value is None else f"{token}={value}"
+        out.append(token)
+    rest = argv[end:]
+    return out + rest if rest[1:] else out
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -629,13 +649,16 @@ def main(argv: list[str] | None = None) -> None:
 
     The one place known failures become an error JSON line on stdout and
     an exit code; a usage error exits 2 through argparse, with nothing on
-    stdout.  The config file is loaded here, once, before the command
-    checks any of its options, and the command gets the RunConfig.
+    stdout.  The options are read first, then the config file is loaded,
+    once, and the command gets the RunConfig and the options' library
+    arguments.
     """
-    args = vars(_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
-    run = args.pop("run")
+    given = vars(_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
+    command = given["command"]
+    options = tuple((option, given[f.arg]) for option, f in _FIELDS[command].items() if f.arg in given)
     try:
-        run(load_config(args.pop("config_path")), **args)
+        args = {arg: value for call in _read(None, command, options).values() for arg, value in call.items()}
+        given["run"](load_config(args.pop("config_path", None)), **args)
     except ConfigError as exc:
         code, error = 2, {"code": "config", "message": str(exc)}
     except MorphtipError as exc:

@@ -134,7 +134,8 @@ class TestSweep:
     @pytest.mark.parametrize("args", [
         ["--count", str(MAX_COUNT + 1)],
         ["--step", "1e-9", "--count", "100000000000000000000"],
-    ], ids=["one-past", "huge"])
+        ["--count", "9" * 400],
+    ], ids=["one-past", "huge", "beyond-float"])
     def test_count_above_the_maximum_exits_2(self, args):
         assert run_cli(["sweep", *args]) == (2, (
             '{"error": {"code": "config", "message": "--count must be at most 100000"}}\n'))
@@ -259,11 +260,12 @@ class TestTracePointer:
         run_ok(["trace-pointer", "--config", path, "--psi-max", "44"])
 
     @pytest.mark.parametrize("points, message", [
-        ("0", "points-per-leg must be at least 1"),
-        ("-3", "points-per-leg must be at least 1"),
-        (str(MAX_COUNT + 1), "points-per-leg must be at most 100000"),
-        ("100000000000000000000", "points-per-leg must be at most 100000"),
-    ], ids=["zero", "negative", "one-past", "huge"])
+        ("0", "--points-per-leg must be at least 1"),
+        ("-3", "--points-per-leg must be at least 1"),
+        (str(MAX_COUNT + 1), "--points-per-leg must be at most 100000"),
+        ("100000000000000000000", "--points-per-leg must be at most 100000"),
+        ("9" * 400, "--points-per-leg must be at most 100000"),
+    ], ids=["zero", "negative", "one-past", "huge", "beyond-float"])
     def test_points_per_leg_out_of_range_exits_2(self, points, message):
         code, out = run_cli(["trace-pointer", "--points-per-leg", points])
         assert code == 2
@@ -733,6 +735,10 @@ class TestNonFiniteOption:
         ["sweep", "--step", "inf"],
         ["trace-pointer", "--psi-max", "nan"],
         ["trace-pointer", "--psi-max", "inf"],
+        ["plan", "--degree", "nan", "--primitive", "concave"],
+        ["plan", "--degree", "-inf", "--primitive", "convex"],
+        ["plan", "--tilt-x", "nan", "--primitive", "tilted-planar"],
+        ["plan", "--tilt-y", "inf", "--primitive", "tilted-planar"],
     ], ids=" ".join)
     def test_exits_2(self, args):
         code, out = run_cli(args)
@@ -1057,12 +1063,61 @@ _COMMANDS = [["fk", "--theta", "5"], ["ik", "--phi", "5"],
              ["grasp", "--scene", "scene.json"]]
 
 
+# Each command's options, each with a value it takes, and values an option may be
+# given in place of its own.
+_ARGV_OPTIONS = {
+    "fk": [["--config", "config.json"], ["--theta", "5"]],
+    "ik": [["--config", "config.json"], ["--phi", "5"]],
+    "plan": [["--config", "config.json"], ["--primitive", "tilted-planar"], ["--degree", "-8"],
+             ["--tilt-x", "1"], ["--tilt-y", "-1"]],
+    "sweep": [["--config", "config.json"], ["--output", "out.csv"], ["--start", "3"],
+              ["--step", "-2"], ["--count", "3"]],
+    "trace-pointer": [["--config", "config.json"], ["--output", "out.csv"], ["--psi-max", "2"],
+                      ["--points-per-leg", "2"]],
+    "grasp": [["--config", "config.json"], ["--output", "out.csv"], ["--scene", "scene.json"]],
+}
+_ARGV_VALUES = ["nan", "inf", "-inf", "1e400", "-1e400", "-0", "1" * 30, "-" + "1" * 30, "9" * 400,
+                "text", "", "--"]
+
+
+@st.composite
+def _mutated_argv(draw):
+    """The argv of one of _COMMANDS after one to three mutations.
+
+    A mutation drops an option and its value, gives an option twice, puts
+    one of _ARGV_VALUES in place of an option's value, or adds an option
+    of the command or of another command, with its own value or one of
+    _ARGV_VALUES.
+    """
+    name, *rest = draw(st.sampled_from(_COMMANDS))
+    pairs = [rest[i:i + 2] for i in range(0, len(rest), 2)]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "twice", "value", "add", "other"]))
+        if kind in ("add", "other") or not pairs:
+            others = [o for command, options in _ARGV_OPTIONS.items() if command != name for o in options]
+            option, value = draw(st.sampled_from(others if kind == "other" else _ARGV_OPTIONS[name]))
+            pairs.insert(draw(st.integers(0, len(pairs))),
+                         [option, draw(st.sampled_from([value, *_ARGV_VALUES]))])
+            continue
+        i = draw(st.integers(0, len(pairs) - 1))
+        if kind == "drop":
+            del pairs[i]
+        elif kind == "twice":
+            pairs.append([pairs[i][0], draw(st.sampled_from([pairs[i][1], *_ARGV_VALUES]))])
+        else:
+            pairs[i] = [pairs[i][0], draw(st.sampled_from(_ARGV_VALUES))]
+    return [name, *(token for pair in pairs for token in pair)]
+
+
 class TestFuzzedFiles:
-    """Every command, given a mutated README config or scene file, exits 0, 2 or 3.
+    """Every command, given a mutated README config or scene file, or a mutated
+    command line, exits 0, 2 or 3.
 
     An error is one JSON object on stdout and nothing on stderr, and an
     exit-2 message names a quoted file field or an option, or is about
-    the file as a whole; a run prints or writes finite numbers only.
+    the file as a whole; a run prints or writes finite numbers only.  A
+    mutated command line may also be a usage error: exit 2, its message
+    on stderr and nothing on stdout.
     """
 
     @settings(max_examples=200)
@@ -1081,8 +1136,23 @@ class TestFuzzedFiles:
         finally:
             os.chdir(home)
 
+    @settings(max_examples=200)
+    @given(args=_mutated_argv())
+    def test_mutated_command_lines(self, tmp_path_factory, args):
+        workdir = tmp_path_factory.getbasetemp() / "fuzzed-argv"
+        workdir.mkdir(exist_ok=True)
+        for name, tree in _README_TREES.items():
+            (workdir / f"{name}.json").write_text(json.dumps(tree))
+        home = os.getcwd()
+        os.chdir(workdir)  # where an --output of the command line is written
+        try:
+            self.check(workdir, args, usage=True)
+        finally:
+            os.chdir(home)
+
     @staticmethod
-    def check(workdir, args) -> None:
+    def check(workdir, args, usage=False) -> None:
+        """args runs as the class says; with ``usage``, it may also be a usage error."""
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1092,6 +1162,9 @@ class TestFuzzedFiles:
         for p in written:
             p.unlink()
         assert code in (0, 2, 3), (args, out)
+        if usage and (code, out, texts) == (2, "", []):  # argparse's usage error, on stderr
+            assert err.getvalue().startswith("usage: "), (args, err.getvalue())
+            return
         assert err.getvalue() == "", (args, err.getvalue())
         if code == 0:
             for text in [out, *texts]:
@@ -1146,17 +1219,32 @@ class TestPlan:
         assert json.loads(out)["error"]["attainable_deg"] == json.loads(
             run_cli(["plan", "--primitive", "concave", "--degree", "95"])[1])["error"]["attainable_deg"]
 
+    @pytest.mark.parametrize("args, option", [
+        (["--primitive", "flat", "--degree", "5"], "--degree"),
+        (["--primitive", "tilted-planar", "--tilt-x", "1", "--degree", "5"], "--degree"),
+        (["--primitive", "flat", "--tilt-x", "0"], "--tilt-x"),
+        (["--primitive", "flat", "--tilt-y", "2"], "--tilt-y"),
+        (["--primitive", "concave", "--degree", "8", "--tilt-x", "1"], "--tilt-x"),
+        (["--primitive", "convex", "--degree", "-8", "--tilt-y", "1"], "--tilt-y"),
+    ], ids=["flat-degree", "tilted-planar-degree", "flat-tilt-x", "flat-tilt-y",
+            "concave-tilt-x", "convex-tilt-y"])
+    def test_option_the_primitive_does_not_take_exits_2(self, args, option):
+        # As a scene file refuses {"primitive": "flat", "degree_deg": 5}.
+        assert run_cli(["plan", *args]) == (2, dumps({"error": {
+            "code": "config", "message": f"{option} does not apply to --primitive {args[1]}"}}) + "\n")
+
     def test_missing_degree_exits_2(self):
         code, out = run_cli(["plan", "--primitive", "concave"])
         assert code == 2
+        assert json.loads(out)["error"] == {"code": "config",
+                                            "message": "--degree is required for concave/convex"}
 
     @pytest.mark.parametrize("args, message", [
         (["--primitive", "convex", "--degree", "5"],
          "--degree must be a negative angle in degrees for convex"),
         (["--primitive", "concave", "--degree", "-5"],
          "--degree must be a positive angle in degrees for concave"),
-        (["--primitive", "tilted-planar", "--tilt-x", "nan"], "--tilt-x/--tilt-y must be finite"),
-    ], ids=["convex-sign", "concave-sign", "tilt-nan"])
+    ], ids=["convex-sign", "concave-sign"])
     def test_bad_primitive_value_names_the_option(self, args, message):
         code, out = run_cli(["plan", *args])
         assert code == 2
@@ -1222,6 +1310,18 @@ class TestUsage:
         code, out = run_cli(args)
         assert code == 0
         assert "--help" in out
+
+
+class TestDoubleDash:
+    """``--`` ends the options, so an option just before it has no value."""
+
+    @pytest.mark.parametrize("args", [
+        ["fk", "--theta", "--"],
+        ["sweep", "--step", "--"],
+        ["grasp", "--scene", "--", "scene.json"],
+    ], ids=" ".join)
+    def test_option_before_it_is_a_usage_error(self, args):
+        assert run_cli(args) == (2, "")
 
 
 class TestDeterminism:
