@@ -114,10 +114,6 @@ class SweepSpec(Record):
     _fields = ("start_deg", "step_deg", "count")
 
     def __init__(self, start_deg: float = 15.0, step_deg: float = -3.0, count: int = 13) -> None:
-        if count < 2:
-            raise InvalidParams("count must be at least 2", field="count")
-        if count > MAX_COUNT:
-            raise InvalidParams(f"count must be at most {MAX_COUNT}", field="count")
         if step_deg == 0.0:
             raise InvalidParams("step_deg must be nonzero", field="step_deg")
         vars(self).update(start_deg=start_deg, step_deg=step_deg, count=count)

@@ -13,9 +13,10 @@ whose curvature sign under a scene's circle is :func:`cradle_sign`.
 Contacts, closure and pivot verdicts are computed on plain Python floats:
 contacts in one scan over both profiles' segments, which skips every
 segment and corner beyond a polygon's bounding circle, and closure with
-an early-exit facet test, which a frictional set skips when one pair of
-contacts on opposite sides already holds the origin inside its friction
-cones' wrench rays.  Neither shortcut changes a result.
+one early-exit facet test on wrench rays built once per call, which a
+frictional set skips when the same test, at a wider margin, passes on the
+cone rays of one pair of contacts on opposite sides.  Neither shortcut
+changes a result.
 
 Inputs are read, derived and checked on construction: :class:`Circle`,
 :class:`ConvexPolygon` and :class:`GraspScene` (whose profiles must not
@@ -61,7 +62,7 @@ HULL_TOL = 1e-9
 # Rounding slack when testing that no wrench ray lies beyond a triple's
 # plane, and the smallest triple cross product that still spans a plane.
 _PLANE_TOL = 1e-12
-# How far inside each face of a contact pair's ray tetrahedron the origin
+# How far inside the hull of a contact pair's four cone rays the origin
 # must lie for the pair to certify force closure (see closure_classify).
 _PAIR_TOL = HULL_TOL + 4.0 * _PLANE_TOL
 # A feature whose line lies farther than this from a point is not within
@@ -580,15 +581,17 @@ def cradle_sign(scene: GraspScene) -> int | None:
     return 1 if curv > 1e-9 else -1 if curv < -1e-9 else 0
 
 
-def _wrench_rays(rows: list[tuple[float, float, float, float]],
-                 mu: float) -> list[tuple[float, float, float]]:
-    """Unit wrench rays (fx, fy, tau/rho) of the contact set, as 3-tuples.
+def _wrench_rays(rows: list[tuple[float, float, float, float]], form: bool,
+                 mu: float) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]]]:
+    """Unit wrench rays (fx, fy, tau/rho) of the contact set: its normal rays and its cone rays.
 
     ``rows`` are the contacts' ``point_xy + normal_xy``, ``(px, py, nx, ny)``.
-    mu = 0 gives one normal ray per contact; mu > 0 gives the two friction
-    cone edges, n + mu*t then n - mu*t with t = (-n_y, n_x).  Torque is
-    taken about the mean contact point and scaled by the contact spread so
-    all three wrench components are commensurate.
+    Torque is taken about the mean contact point and scaled by the contact
+    spread rho, both computed once, so all three wrench components are
+    commensurate.  The normal rays, one per contact, are built when
+    ``form`` is set; the cone rays when mu > 0: contact i's two friction
+    cone edges n + mu*t then n - mu*t, t = (-n_y, n_x), are rays 2i and
+    2i + 1.  A list not built is empty.
     """
     mx, my = rows[0][0], rows[0][1]
     for px, py, _, _ in rows[1:]:
@@ -596,36 +599,44 @@ def _wrench_rays(rows: list[tuple[float, float, float, float]],
     mx, my = mx / len(rows), my / len(rows)
     # abs() of a complex is the C library's hypot, as in fingertip._profile.
     rho = max(1.0, max(abs(complex(px - mx, py - my)) for px, py, _, _ in rows))
-    rays = []
+    normals, cones = [], []
     for px, py, nx, ny in rows:
         rx, ry = px - mx, py - my
-        forces = (((nx - ny * mu, ny + nx * mu), (nx + ny * mu, ny - nx * mu)) if mu > 0.0
-                  else ((nx, ny),))
-        for fx, fy in forces:
+        forces = ((nx, ny, normals),) if form else ()
+        if mu > 0.0:
+            forces += (nx - ny * mu, ny + nx * mu, cones), (nx + ny * mu, ny - nx * mu, cones)
+        for fx, fy, rays in forces:
             tz = (rx * fy - ry * fx) / rho
             # fx*fx + tz*tz first, then fy*fy: the order numpy's einsum sums three
             # terms in, so rays and verdicts match an array version bit for bit.
             norm = math.sqrt((fx * fx + tz * tz) + fy * fy)
             rays.append((fx / norm, fy / norm, tz / norm))
-    return rays
+    return normals, cones
 
 
-def _origin_strictly_inside(rays: Sequence[Sequence[float]]) -> bool:
-    """True when the origin lies at least HULL_TOL inside conv(rays) in 3D.
+def _origin_strictly_inside(rays: Sequence[Sequence[float]], margin: float = HULL_TOL) -> bool:
+    """True when the origin lies at least ``margin`` inside conv(rays) in 3D.
 
     This is the facet test of Ferrari and Canny ("Planning optimal
     grasps", 1992): a plane through three rays is supporting when no ray
     lies strictly beyond it, and these are exactly the facet planes of the
-    hull.  The origin is inside when it lies at least HULL_TOL within
+    hull.  The origin is inside when it lies at least ``margin`` within
     every one of them, which is the rays positively spanning the whole
-    wrench space with a Ferrari-Canny epsilon of at least HULL_TOL.  The
+    wrench space with a Ferrari-Canny epsilon of at least ``margin``.  The
     scan drops a plane as soon as rays lie on both of its sides and
     answers False at the first supporting plane the origin is not that
     far inside.  A plane holding every ray is supporting on both sides,
-    so a flat ray set is not closed; nor is a set in which no three rays
-    span a plane.
+    so a flat ray set is not closed.  A hull that holds the origin is a
+    solid with at least four facets, so the scan answers True only once it
+    has found four supporting planes.  A triple whose cross product is at
+    most _PLANE_TOL spans no plane and is skipped, so a set with fewer
+    planes is not closed: on four rays, that is any set in which two rays
+    nearly coincide, such as a pinch at a mu so small that each contact's
+    two cone edges all but merge, where the planes left are lost in
+    rounding.  The closure tests use HULL_TOL; a contact pair's
+    certificate, the scan of its four cone rays, uses _PAIR_TOL.
     """
-    spanned = False
+    spanned = 0  # supporting planes found
     for (ax, ay, az), (bx, by, bz), (cx, cy, cz) in combinations(rays, 3):
         ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
         nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
@@ -648,31 +659,10 @@ def _origin_strictly_inside(rays: Sequence[Sequence[float]]) -> bool:
         else:
             # Rays all below the plane put the origin d/norm inside it;
             # rays all above, -d/norm.
-            if (not above and d / norm < HULL_TOL) or (not below and -d / norm < HULL_TOL):
+            if (not above and d / norm < margin) or (not below and -d / norm < margin):
                 return False
-            spanned = True
-    return spanned
-
-
-def _tetrahedron_holds_origin(rays: list[tuple[float, float, float]]) -> bool:
-    """True when the origin lies at least _PAIR_TOL inside each face of conv(4 rays).
-
-    Each face is the plane through three of the rays, and the origin must
-    lie on the fourth ray's side of it; a face whose cross product is at
-    most _PLANE_TOL spans no plane and never certifies.
-    """
-    for k in range(4):
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = rays[:k] + rays[k + 1:]
-        ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
-        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-        d = nx * ax + ny * ay + nz * az
-        wx, wy, wz = rays[k]
-        # The origin sits at height 0, the face at d and the fourth ray at w . n.
-        if norm <= _PLANE_TOL or d * (nx * wx + ny * wy + nz * wz - d) >= 0.0 or (
-                abs(d) < _PAIR_TOL * norm):
-            return False
-    return True
+            spanned += 1
+    return spanned >= 4
 
 
 def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
@@ -685,24 +675,21 @@ def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     boundary cases are graded conservatively as not closed.  The verdict
     is decided on the Python floats each contact stores.
 
-    Form closure is decided by the facet scan of
-    :func:`_origin_strictly_inside`.  With friction and more than two
-    contacts, a pair certificate comes before the scan: two contacts on
-    different sides whose four cone-edge rays, taken from the set's own
-    :func:`_wrench_rays`, hold the origin at least
-    _PAIR_TOL = HULL_TOL + 4*_PLANE_TOL inside each face of their
-    tetrahedron T are force closure (Nguyen, "Constructing force-closure
-    grasps", 1988).  The certificate changes no verdict.  T lies in the
-    hull of all the rays, so the hull holds the ball of radius _PAIR_TOL
-    about the origin.  Every plane the scan counts as supporting has no
-    ray more than _PLANE_TOL beyond it, so the hull, and with it that
-    ball, lies within _PLANE_TOL beyond it too.  The origin is thus at
-    least _PAIR_TOL - _PLANE_TOL > HULL_TOL inside every such plane (the
-    rest of the margin is slack for rounding), and the scan, which answers
-    False only at a supporting plane less than HULL_TOL from the origin,
-    would answer True as well: a hull that holds a ball is not flat.  With
-    two contacts T is the whole ray set, so the scan of its four triples
-    decides alone.  A set that no pair certifies is scanned as before.
+    :func:`_wrench_rays` builds the set's rays once: its normal rays for
+    the form test, which needs at least four contacts, and its friction
+    cones' edge rays when mu > 0.  :func:`_origin_strictly_inside`, the
+    one facet test, decides both grades.  With more than two contacts, a
+    pair certificate comes before the force scan: two contacts on
+    different sides whose four cone rays pass the facet test at the
+    margin _PAIR_TOL = HULL_TOL + 4*_PLANE_TOL are force closure (Nguyen,
+    "Constructing force-closure grasps", 1988).  The certificate changes
+    no verdict: it is the same test on a subset, at a margin
+    _PAIR_TOL - _PLANE_TOL > HULL_TOL.  A subset's hull lies in the
+    whole set's, and every plane the scan counts as supporting has the
+    whole hull within _PLANE_TOL beyond it; the rest of the margin is
+    slack for rounding.  With two contacts the pair is the whole ray set,
+    so the scan decides alone, as it does for a set that no pair
+    certifies.
 
     An extreme mu can grade a pinch as open: the two cone edges of a
     contact are unit rays, and they flatten the wrench hull below HULL_TOL
@@ -718,16 +705,18 @@ def closure_classify(contacts: Sequence[Contact], mu: float) -> Closure:
     if len(rows) > 1 and max(abs(complex(px - x0, py - y0)) for px, py, _, _ in rows) <= DEDUP_TOL:
         raise DegenerateContacts("all contacts coincide; wrench basis is degenerate")
     # Fewer than four wrench rays never span the 3-D wrench space.
-    if len(rows) >= 4 and _origin_strictly_inside(_wrench_rays(rows, 0.0)):
+    form = len(rows) >= 4
+    if not (form or mu > 0.0):
+        return Closure.NONE
+    normals, cones = _wrench_rays(rows, form, mu)
+    if form and _origin_strictly_inside(normals):
         return Closure.FORM_CLOSURE
-    if mu > 0.0 and len(rows) >= 2:
-        rays = _wrench_rays(rows, mu)
-        # Contact i's two cone edges are rays 2i and 2i + 1.
-        if len(rows) > 2 and any(
-                _tetrahedron_holds_origin(rays[2 * i:2 * i + 2] + rays[2 * j:2 * j + 2])
-                for i, j in combinations(range(len(rows)), 2)
-                if contacts[i].side != contacts[j].side) or _origin_strictly_inside(rays):
-            return Closure.FORCE_CLOSURE
+    # Contact i's two cone edges are rays 2i and 2i + 1.
+    if cones and (len(rows) > 2 and any(
+            _origin_strictly_inside(cones[2 * i:2 * i + 2] + cones[2 * j:2 * j + 2], _PAIR_TOL)
+            for i, j in combinations(range(len(rows)), 2)
+            if contacts[i].side != contacts[j].side) or _origin_strictly_inside(cones)):
+        return Closure.FORCE_CLOSURE
     return Closure.NONE
 
 

@@ -1060,17 +1060,21 @@ PINCH_FLIP_MUS = (1e-12, math.sqrt(2.0) * HULL_TOL, 0.05, 2.0, 7.07e8, 1e9)
 
 def scan_only_grade(contacts, mu: float) -> Closure:
     """closure_classify with no contact pair certifying: the facet scan decides alone."""
-    with mock.patch.object(grasp, "_tetrahedron_holds_origin", lambda rays: False):
+    with mock.patch.object(grasp, "_PAIR_TOL", math.inf):
         return closure_classify(contacts, mu)
 
 
 def counting_scans(monkeypatch) -> list[int]:
-    """The number of rays of each later _origin_strictly_inside call, as they happen."""
+    """The number of rays of each later _origin_strictly_inside call at HULL_TOL, as they happen.
+
+    A pair certificate's scan, at the margin _PAIR_TOL, is not counted.
+    """
     sizes, scan = [], grasp._origin_strictly_inside
 
-    def counted(rays):
-        sizes.append(len(rays))
-        return scan(rays)
+    def counted(rays, margin=HULL_TOL):
+        if margin == HULL_TOL:
+            sizes.append(len(rays))
+        return scan(rays, margin)
 
     monkeypatch.setattr(grasp, "_origin_strictly_inside", counted)
     return sizes
@@ -1105,6 +1109,22 @@ class TestPairCertificate:
         sizes = counting_scans(monkeypatch)
         assert closure_classify(contacts, 0.3) is Closure.FORCE_CLOSURE
         assert sizes == [128]  # the form test's normal rays; no friction ray is scanned
+
+    @pytest.mark.parametrize("build, verdict", [(concave_seat_scene, Closure.FORCE_CLOSURE),
+                                                (square_seat_scene, Closure.FORM_CLOSURE)],
+                             ids=["concave-seat", "square-seat"])
+    def test_wrench_rays_are_built_once_per_call(self, monkeypatch, build, verdict):
+        contacts = find_contacts(build(mu=0.5))
+        assert len(contacts) == 4
+        calls, build_rays = [], grasp._wrench_rays
+
+        def counted(*args):
+            calls.append(args)
+            return build_rays(*args)
+
+        monkeypatch.setattr(grasp, "_wrench_rays", counted)
+        assert closure_classify(contacts, 0.5) is verdict
+        assert len(calls) == 1
 
 
 class TestOracleAgreement:
@@ -1195,3 +1215,78 @@ class TestFacetTestAgainstQhull:
         assert verdict == oracles.closed_by_qhull(rays, HULL_TOL)
         if kind != "free":
             assert not verdict
+
+
+# Small integer components: every cross product, height and sum of the
+# facet test is exact, so a flat quadruple is exactly flat.
+_GRID = st.tuples(*[st.integers(-4, 4).map(float)] * 3)
+
+
+@st.composite
+def flat_quadruples(draw):
+    """Four grid rays, in any order, that are coplanar, hold a collinear triple or repeat one."""
+    a, b, c = draw(_GRID), draw(_GRID), draw(_GRID)
+    s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    kind = draw(st.sampled_from(("coplanar", "collinear", "equal")))
+    if kind == "coplanar":
+        d = tuple(ai + s * (bi - ai) + t * (ci - ai) for ai, bi, ci in zip(a, b, c))
+    elif kind == "collinear":
+        c, d = tuple(ai + s * (bi - ai) for ai, bi in zip(a, b)), draw(_GRID)
+    else:
+        b, d = a, draw(_GRID)
+    return draw(st.permutations([a, b, c, d]))
+
+
+@st.composite
+def certifiable_quadruples(draw):
+    """Four unit rays, the fourth along minus a positive sum of the others.
+
+    The origin is then inside their hull unless the rays are flat, as
+    drawn rays that repeat or lie on one great circle are.
+    """
+    rays = [tuple(draw(_UNIT).tolist()) for _ in range(3)]
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(3)]
+    fourth = [-sum(w * ray[k] for w, ray in zip(weights, rays)) for k in range(3)]
+    size = math.hypot(*fourth)
+    rays.append(tuple(x / size for x in fourth) if size > 1e-3 else tuple(draw(_UNIT).tolist()))
+    return rays
+
+
+class TestFacetTestOnFourRays:
+    @settings(max_examples=300)
+    @given(flat_quadruples())
+    def test_a_flat_quadruple_never_certifies(self, rays):
+        assert not _origin_strictly_inside(rays, grasp._PAIR_TOL)
+        assert not _origin_strictly_inside(rays)
+
+    @settings(max_examples=300)
+    @given(certifiable_quadruples(), st.lists(_UNIT, max_size=4), st.data())
+    def test_a_certified_quadruple_passes_the_scan_among_more_rays(self, rays, more, data):
+        together = data.draw(st.permutations(rays + [tuple(ray.tolist()) for ray in more]))
+        if _origin_strictly_inside(rays, grasp._PAIR_TOL):
+            assert _origin_strictly_inside(rays)
+            assert _origin_strictly_inside(together)
+
+    def test_a_pinch_whose_cone_edges_all_but_merge_is_open(self):
+        # Both normals push the object down and to the left.  At this mu each
+        # contact's two cone edges nearly coincide, so the planes through both
+        # span none; the scan must not trust the two planes left, which
+        # rounding can put on either side of the origin.
+        mu = 2.864545147553637e-12
+        points = [(15.578324186369365, -8.194094199248706), (12.268174440402184, -13.148876651272559)]
+        normals = [(math.cos(a), math.sin(a)) for a in (4.36428009056456, 4.172150937148223)]
+        contacts = [Contact(p, n, side, 0) for p, n, side in zip(points, normals, ("left", "right"))]
+        assert not oracles.closed_by_wrench_sampling(points, normals, mu)
+        assert closure_classify(contacts, mu) is Closure.NONE
+
+    def test_a_pair_whose_cone_edges_all_but_merge_does_not_certify(self):
+        mu = 2.6612992955986765e-12
+        rows = [(-19.254216722163967, -12.269150530276002, 0.7924626367367443, 0.6099204615162921),
+                (-4.978514318207441, 12.518009287607772, 0.23885078972888069, -0.971056280678875),
+                (-14.00080804082804, 25.303158042358596, 0.6442513297038802, -0.7648138493612562),
+                (-2.7104219367367244, 1.6265745313280742, 0.9923983887580674, 0.12306680295835984)]
+        _, cones = grasp._wrench_rays(rows, False, mu)
+        assert not _origin_strictly_inside(cones[2:6], grasp._PAIR_TOL)
+        contacts = [Contact(row[:2], row[2:], side, 0)
+                    for row, side in zip(rows, ("left", "left", "right", "left"))]
+        assert closure_classify(contacts, mu) is Closure.NONE

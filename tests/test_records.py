@@ -159,7 +159,7 @@ REFUSED = [
     pytest.param(lambda: Convex(-0.25), {"depth": 0.25}, "depth", id="Convex"),
     pytest.param(lambda: TiltedPlanar(0.1), {"tilt_y": math.nan}, "tilt_y", id="TiltedPlanar"),
     pytest.param(ExternalLoad, {"tau_x": math.inf}, "tau_x", id="ExternalLoad"),
-    pytest.param(SweepSpec, {"count": 1}, "count", id="SweepSpec"),
+    pytest.param(SweepSpec, {"step_deg": 0.0}, "step_deg", id="SweepSpec"),
     pytest.param(lambda: Circle(2.0, (1.0, 3.0)), {"radius": 0.0}, "radius", id="Circle"),
     pytest.param(lambda: ConvexPolygon([(0, 0), (1, 0), (0, 1)]),
                  {"vertex_points": [(0, 0), (0, 1), (1, 0)]}, "vertices", id="ConvexPolygon"),

@@ -1,10 +1,12 @@
-"""The repository's own tools, on inline samples."""
+"""The repository's own tools, on inline samples and on the benchmark's pools."""
 
 import ast
 import importlib.util
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 from morphtip import Penetration, grasp
 
@@ -58,7 +60,12 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     assert lines[-1].split()[1] == "total"
 
 
-def test_pool_digest_hashes_every_result_and_raised_error(monkeypatch, capsys):
+@pytest.fixture
+def pool_digest_tool(monkeypatch):
+    """tools/pool_digest.py, loaded with the bench/ modules it imports, which it leaves as they are.
+
+    The modules it loaded are unloaded afterwards.
+    """
     monkeypatch.syspath_prepend(str(ROOT / "bench"))  # restores sys.path, which the tool extends
     loaded = {"pool_digest", "worker", "inputs", "tracing", "workloads", "report"} - set(sys.modules)
     try:
@@ -66,23 +73,43 @@ def test_pool_digest_hashes_every_result_and_raised_error(monkeypatch, capsys):
         tool = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = tool
         spec.loader.exec_module(tool)
-        assert tool.main(["grasp-batch", "1"]) == 0
-        digest = capsys.readouterr().out
-        assert re.fullmatch("[0-9a-f]{64}\n", digest)
-        assert tool.pool_digest("grasp-batch", [1]) == digest.strip()
-        # A planned Penetration's witness counts too: moving it moves the hash.
-        find = grasp.find_contacts
-
-        def moved(scene):
-            try:
-                return find(scene)
-            except Penetration as exc:
-                x, y = exc.witness
-                raise Penetration(str(exc), witness=(x + 1e-9, y)) from None
-
-        monkeypatch.setattr(grasp, "find_contacts", moved)
-        assert tool.pool_digest("grasp-batch", [1]) != digest.strip()
-        assert tool.main(["grasp-sweep", "1"]) == 2
+        yield tool
     finally:
         for name in loaded:
             sys.modules.pop(name, None)
+
+
+def test_pool_digest_hashes_every_result_and_raised_error(pool_digest_tool, monkeypatch, capsys):
+    tool = pool_digest_tool
+    assert tool.main(["grasp-batch", "1"]) == 0
+    digest = capsys.readouterr().out
+    assert re.fullmatch("[0-9a-f]{64}\n", digest)
+    assert tool.pool_digest("grasp-batch", [1]) == digest.strip()
+    # A planned Penetration's witness counts too: moving it moves the hash.
+    find = grasp.find_contacts
+
+    def moved(scene):
+        try:
+            return find(scene)
+        except Penetration as exc:
+            x, y = exc.witness
+            raise Penetration(str(exc), witness=(x + 1e-9, y)) from None
+
+    monkeypatch.setattr(grasp, "find_contacts", moved)
+    assert tool.pool_digest("grasp-batch", [1]) != digest.strip()
+    assert tool.main(["grasp-sweep", "1"]) == 2
+
+
+# Every result over the pools of seeds 1-3, as tools/pool_digest.py hashes
+# them.  A change that means to move a result updates these and says which.
+POOL_DIGESTS = {
+    "grasp-batch": "101c19ed6db6a9c1b238228755d7d1cd0512d597e1a4306a67e711eef1edf2c5",
+    "design-sweep": "166e4a2821fa5459274399afee45adb13bda976723ee205c37d5cc88fe43e0df",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(POOL_DIGESTS))
+def test_pool_digests_of_seeds_1_to_3_are_unchanged(pool_digest_tool, workload):
+    digest = pool_digest_tool.pool_digest(workload, [1, 2, 3])
+    assert digest == POOL_DIGESTS[workload], (
+        f"{workload} seeds 1 2 3: pool digest {digest}, pinned {POOL_DIGESTS[workload]}")
