@@ -12,6 +12,11 @@ small hinge displacement caused by terrace tilt is neglected, except that
 surface profiles hinge the facets on the tilted terrace so a planar pose
 draws as one straight line.
 
+Each public function checks its numbers once, as it is called; the
+helpers below it (``_state``, ``_profile``, ``_settle`` and linkage's
+``_slider_ray``) trust the floats they are given, which a public call
+or a plan already checked.
+
 The library computes and stores Python floats.  Every ndarray it returns
 is built by :func:`_array`, the one place numpy is imported, and only
 when an array is asked for: the CLI's commands start without it.
@@ -24,7 +29,7 @@ from functools import cached_property
 
 from . import linkage
 from .errors import InvalidParams, Record, check_number, positive
-from .linkage import LinkageParams, _require_finite_points
+from .linkage import _JAM, LinkageParams, _require_finite_points, _slider_ray
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -175,6 +180,11 @@ def terrace_equilibrium(
     for name, value in (("phi_pos", phi_pos), ("phi_neg", phi_neg), ("load_torque", load_torque)):
         check_number(name, value)
     check_number("spring_k", spring_k, "be positive and finite", positive)
+    return _settle(phi_pos, phi_neg, spring_k, load_torque)
+
+
+def _settle(phi_pos: float, phi_neg: float, spring_k: float, load_torque: float) -> float:
+    """:func:`terrace_equilibrium` of checked numbers: the bare formula."""
     return (phi_pos - phi_neg) / 2.0 + load_torque / (2.0 * spring_k)
 
 
@@ -192,29 +202,27 @@ def surface_profile(
     straight line when the pair satisfies the tilted-plane condition.
     """
     pose = linkage.facet_pose  # raises OutOfRange on a jammed command
-    points = _profile(cfg, pose(cfg.linkage, theta_pos), pose(cfg.linkage, theta_neg), psi)
-    return _array(points)
+    pos, neg = pose(cfg.linkage, theta_pos), pose(cfg.linkage, theta_neg)
+    check_number("psi", psi)  # after both poses: a jam is reported first
+    return _array(_profile(cfg, pos, neg, psi))
 
 
 def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> Profile:
-    """surface_profile from the two facet poses ``(phi, bx, by)``."""
-    check_number("psi", psi)
+    """surface_profile from the two facet poses ``(phi, bx, by)`` and a checked psi."""
     f = cfg.facet_len
     cx = cfg.linkage.l_oc * math.cos(psi)
     cy = cfg.linkage.l_oc * math.sin(psi)
-
-    def tip(hx: float, hy: float, sx: float, sy: float) -> tuple[float, float]:
-        gx, gy = sx - hx, sy - hy
-        # abs() of a complex is the C library's hypot, the same function that
-        # np.hypot calls; math.hypot rounds differently in the last bit.  The
-        # norm is never zero: facet_pose keeps the slider's x beyond l_oc, and
-        # l_oc*cos(psi) <= l_oc, so gx is nonzero at any terrace tilt.
-        norm = abs(complex(gx, gy))
-        return hx + f * gx / norm, hy + f * gy / norm
-
-    # The mirrored half's slider is reflected into the common frame.
-    return (tip(-cx, -cy, -neg[1], neg[2]), (-cx, -cy), (cx, cy),
-            tip(cx, cy, pos[1], pos[2]))
+    # Each facet runs from its hinge toward its slider; the mirrored half's
+    # slider is reflected into the common frame.
+    px, py = pos[1] - cx, pos[2] - cy
+    nx, ny = cx - neg[1], neg[2] + cy
+    # abs() of a complex is the C library's hypot, the same function that
+    # np.hypot calls; math.hypot rounds differently in the last bit.  No norm
+    # is zero: the pose keeps each slider's x beyond l_oc, and
+    # l_oc*cos(psi) <= l_oc, so px and nx are nonzero at any terrace tilt.
+    p_norm, n_norm = abs(complex(px, py)), abs(complex(nx, ny))
+    return ((-cx + f * nx / n_norm, -cy + f * ny / n_norm), (-cx, -cy), (cx, cy),
+            (cx + f * px / p_norm, cy + f * py / p_norm))
 
 
 def pointer_top(cfg: FingertipConfig, psi_x: float, psi_y: float) -> tuple[float, float, float]:
@@ -236,7 +244,7 @@ def pointer_top(cfg: FingertipConfig, psi_x: float, psi_y: float) -> tuple[float
 
 def _state(cfg: FingertipConfig, thetas: tuple[float, float, float, float],
            tilt: tuple[float, float] | None, load: ExternalLoad = ExternalLoad()) -> FingertipState:
-    """State of four servo commands; a tilt of None settles the terrace under load.
+    """State of four checked servo commands; a tilt of None settles the terrace under load.
 
     Each distinct command is posed once, in first-seen order, so the first
     command that jams is the one reported.  A y plane that repeats the x
@@ -244,12 +252,12 @@ def _state(cfg: FingertipConfig, thetas: tuple[float, float, float, float],
     is compared too, as it is the sign of the hinges' zero coordinates.
     """
     params = cfg.linkage
-    pose = {t: linkage.facet_pose(params, t) for t in dict.fromkeys(thetas)}
+    pose = {t: _slider_ray(params, t, params.l_oc, _JAM) for t in dict.fromkeys(thetas)}
     px, nx, py, ny = [pose[t] for t in thetas]
     phis = (px[0], nx[0], py[0], ny[0])
     if tilt is None:
-        tilt = (terrace_equilibrium(phis[0], phis[1], cfg.spring_k, load.tau_x),
-                terrace_equilibrium(phis[2], phis[3], cfg.spring_k, load.tau_y))
+        tilt = (_settle(phis[0], phis[1], cfg.spring_k, load.tau_x),
+                _settle(phis[2], phis[3], cfg.spring_k, load.tau_y))
     profile_x = _profile(cfg, px, nx, tilt[0])
     same = ((thetas[2:], tilt[1]) == (thetas[:2], tilt[0])
             and math.copysign(1.0, tilt[1]) == math.copysign(1.0, tilt[0]))
@@ -272,7 +280,8 @@ def state_from_thetas(
     The terrace tilt of each pair comes from the spring-energy argmin of
     the pair's facet readouts plus the external torque on that axis.
     ``thetas`` must be four finite commands (+x, -x, +y, -y), else
-    InvalidParams names it.
+    InvalidParams names it; any sequence of four numbers is stored as a
+    tuple of four Python floats.
     """
     try:
         ok = len(thetas) == 4 and all(math.isfinite(t) for t in thetas)
@@ -280,7 +289,7 @@ def state_from_thetas(
         ok = False
     if not ok:
         raise InvalidParams("thetas must be four finite servo commands", field="thetas")
-    return _state(cfg, thetas, None, load)
+    return _state(cfg, tuple(map(float, thetas)), None, load)
 
 
 def _commands(params: LinkageParams, prim: MorphPrimitive) -> tuple[tuple[float, ...], tuple[float, float]]:
@@ -319,14 +328,16 @@ def transition_trajectory(
 
     No step can jam.  Both end commands are plans, which lie in the
     operating range ``[lo, hi]``, and so does every command between
-    them; ``facet_pose`` accepts all of ``[lo, hi]``, with ``JAM_MARGIN``
-    of slack at each end that the jam limits, far above the rounding of
-    the interpolation.  A ramp of more than MAX_STATES states is
+    them; the pose of every state, linkage's ``_slider_ray`` from the
+    hinge, accepts all of ``[lo, hi]``, with ``JAM_MARGIN`` of slack at
+    each end that the jam limits, far above the rounding of the
+    interpolation.  A ramp of more than MAX_STATES states is
     InvalidParams naming step_deg, raised before any state is built.
     """
     t0 = _commands(cfg.linkage, start)[0]
     t1 = _commands(cfg.linkage, end)[0]
-    span = max(abs(b - a) for a, b in zip(t0, t1))
+    d = [b - a for a, b in zip(t0, t1)]
+    span = max(map(abs, d))
     step = math.radians(cfg.step_deg)
     # n steps make n + 1 states; a step that rounds to 0 rad makes endlessly many.
     steps = span / step - 1e-12 if step > 0.0 else math.inf
@@ -334,8 +345,10 @@ def transition_trajectory(
         raise InvalidParams(f"step_deg {cfg.step_deg!r} makes a ramp of more than "
                             f"{MAX_STATES} states", field="step_deg")
     n = math.ceil(steps)  # 0 when nothing moves
-    return [_state(cfg, tuple(a + (b - a) * (i / max(n, 1)) for a, b in zip(t0, t1)), None)
-            for i in range(n + 1)]
+    m = max(n, 1)
+    (a0, a1, a2, a3), (d0, d1, d2, d3) = t0, d
+    return [_state(cfg, (a0 + d0 * f, a1 + d1 * f, a2 + d2 * f, a3 + d3 * f), None)
+            for f in [i / m for i in range(n + 1)]]
 
 
 def pair_tilt_residuals(cfg: FingertipConfig, states: list[FingertipState]) -> np.ndarray:

@@ -104,6 +104,11 @@ def slider_point(params: LinkageParams, theta: float) -> tuple[float, float]:
     (alpha0 - theta outside (0, pi)).
     """
     check_number("theta", theta)
+    return _crank_tip(params, theta)
+
+
+def _crank_tip(params: LinkageParams, theta: float) -> tuple[float, float]:
+    """:func:`slider_point` of a theta already checked finite."""
     a = params.alpha0 - theta
     if not 0.0 < a < math.pi:
         raise OutOfRange(
@@ -115,13 +120,18 @@ def slider_point(params: LinkageParams, theta: float) -> tuple[float, float]:
     )
 
 
+# The OutOfRange message of a slider not outward of the hinge; see _slider_ray.
+_JAM = "slider inside the hinge (guide x = {x:.6g} mm) at theta={theta} rad: mechanism jam"
+
+
 def forward_facet(params: LinkageParams, theta: float) -> float:
     """Facet angle produced by a servo command (forward kinematics).
 
     Raises OutOfRange if the slider would pass inside the hinge
     (mechanism jam).
     """
-    return facet_pose(params, theta)[0]
+    check_number("theta", theta)
+    return _slider_ray(params, theta, params.l_oc, _JAM)[0]
 
 
 def facet_pose(params: LinkageParams, theta: float) -> tuple[float, float, float]:
@@ -130,20 +140,23 @@ def facet_pose(params: LinkageParams, theta: float) -> tuple[float, float, float
     One slider evaluation serves both; raises what :func:`forward_facet`
     raises.
     """
-    return _slider_ray(params, theta, params.l_oc,
-                       "slider inside the hinge (guide x = {x:.6g} mm) at theta={theta} rad: "
-                       "mechanism jam")
+    check_number("theta", theta)
+    return _slider_ray(params, theta, params.l_oc, _JAM)
 
 
 def _slider_ray(params: LinkageParams, theta: float, origin: float,
                 behind: str) -> tuple[float, float, float]:
     """Angle of the ray from ``(origin, 0)`` through the slider, and the slider.
 
-    Returns ``(angle, bx, by)``.  A slider not outward of the origin
-    raises OutOfRange with ``behind`` formatted on its x offset ``x`` and
-    ``theta`` as :func:`_rad` prints it.
+    Returns ``(angle, bx, by)``.  A crank outside its half-turn raises
+    what :func:`slider_point` raises, and a slider not outward of the
+    origin raises OutOfRange with ``behind`` formatted on its x offset
+    ``x`` and ``theta`` as :func:`_rad` prints it.  ``theta`` is not
+    checked here: :func:`forward_facet`, :func:`facet_pose` and
+    :func:`planar_condition_angle` check it first, and the fingertip's
+    states pass commands that their public call already checked.
     """
-    bx, by = slider_point(params, theta)
+    bx, by = _crank_tip(params, theta)
     dx = bx - origin
     if dx <= 0.0:
         raise OutOfRange(behind.format(x=dx, theta=_rad(theta)))
@@ -215,9 +228,11 @@ def _ray_command(params: LinkageParams, angle: float, origin: float) -> float | 
     theta = params.alpha0 + angle - math.acos(k)
     # Float slack at the clipped endpoints, well below any stated tolerance.
     slack = 1e-12
-    if theta < lo - slack or theta > hi + slack:
-        return None
-    return min(max(theta, lo), hi)
+    if theta < lo:
+        return lo if theta >= lo - slack else None
+    if theta > hi:
+        return hi if theta <= hi + slack else None
+    return theta
 
 
 def _unreachable(what: str, angle: float, attainable: tuple[float, float]) -> Unreachable:
@@ -250,6 +265,7 @@ def planar_condition_angle(params: LinkageParams, theta: float) -> float:
     angle: the surface is a straight line exactly when the two slider rays
     are anti-collinear through the ball joint.
     """
+    check_number("theta", theta)
     return _slider_ray(params, theta, 0.0,
                        "slider behind the ball joint (x = {x:.6g} mm) at theta={theta} rad")[0]
 

@@ -15,6 +15,7 @@ from morphtip import (
     Flat,
     InvalidParams,
     LinkageParams,
+    OutOfRange,
     TiltedPlanar,
     Unreachable,
     attainable_facet_range,
@@ -269,6 +270,18 @@ class TestSurfaceProfile:
             assert prof[0, 0] < prof[1, 0] < prof[2, 0] < prof[3, 0]
 
 
+    @pytest.mark.parametrize("thetas,error,field", [
+        ((0.5, 0.0, math.nan), OutOfRange, None),  # the jam before psi
+        ((0.1, 0.0, math.nan), InvalidParams, "psi"),
+        ((math.nan, 0.5, 0.0), InvalidParams, "theta"),
+    ])
+    def test_errors_in_argument_order(self, thetas, error, field):
+        with pytest.raises(error) as exc:
+            surface_profile(FingertipConfig(), *thetas)
+        assert type(exc.value) is error
+        assert getattr(exc.value, "field", None) == field
+
+
 class TestPointer:
     def test_upright(self, cfg):
         assert pointer_top(cfg, 0.0, 0.0) == pytest.approx([0.0, 0.0, cfg.rod_len])
@@ -387,6 +400,14 @@ class TestStateFromThetas:
         assert st1.terrace_tilt[0] == pytest.approx(1.0)
         assert st1.terrace_tilt[1] == 0.0
 
+    @pytest.mark.parametrize("sequence", [list, np.array, lambda t: tuple(map(np.float64, t))])
+    def test_any_sequence_is_stored_as_a_tuple_of_floats(self, cfg, sequence):
+        thetas = (0.1, -0.05, 0.2, 0.0)
+        st = state_from_thetas(cfg, sequence(thetas))
+        assert type(st.thetas) is tuple and all(type(t) is float for t in st.thetas)
+        assert st == state_from_thetas(cfg, thetas)
+        assert hash(st) == hash(state_from_thetas(cfg, thetas))
+
     @pytest.mark.parametrize("thetas", [(0.0, 0.0), (0.0,) * 5, (), 0.0, None, "abcd",
                                         (0.0, 0.0, math.nan, 0.0), (0.0, -math.inf, 0.0, 0.0)])
     def test_other_than_four_finite_commands_rejected(self, cfg, thetas):
@@ -454,6 +475,19 @@ class TestTransitionsOverRandomGeometries:
             assert max(abs(a - b) for a, b in zip(before.thetas, after.thetas)) <= step + 1e-12
         span = max(abs(a - b) for a, b in zip(t0, t1))
         assert len(states) == math.ceil(span / step - 1e-12) + 1
+
+
+class TestRampArithmetic:
+    """Each ramp state's commands are the written-out interpolation, bit for bit."""
+
+    @given(fingertip_configs(), st.data())
+    def test_states_interpolate_the_end_plans(self, cfg, data):
+        start, end = data.draw(plannable_primitives(cfg)), data.draw(plannable_primitives(cfg))
+        t0, t1 = plan_primitive(cfg, start).thetas, plan_primitive(cfg, end).thetas
+        states = transition_trajectory(cfg, start, end)
+        n = len(states) - 1
+        for i, state in enumerate(states):
+            assert state.thetas == tuple(a + (b - a) * (i / max(n, 1)) for a, b in zip(t0, t1))
 
 
 def assert_posed_once(cfg, state):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from strategies import fractions, linkage_params, zero_free_configs
+from strategies import fingertip_configs, fractions, linkage_params, zero_free_configs
 from morphtip import (
     InvalidParams,
     LinkageParams,
@@ -399,6 +399,46 @@ class TestRayDirection:
                 assert lo <= theta <= hi
                 along, across = _along_and_across(params, theta, 0.0, ray)
                 assert along > 0.0 and across <= 1e-9, (tilt, theta)
+
+
+def _within_8_ulps(x: float) -> list[float]:
+    """x and the 8 floats on either side of it."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(8):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+class TestClampAtTheEnds:
+    """A target a few ulps from an attainable end gives a command inside the
+    operating range, clamped there, or Unreachable; never one outside."""
+
+    @given(fingertip_configs())
+    def test_inverse_facet(self, cfg):
+        p = cfg.linkage
+        lo, hi = operating_range(p)
+        for end in attainable_facet_range(p):
+            for phi in _within_8_ulps(end):
+                try:
+                    theta = inverse_facet(p, phi)
+                except Unreachable:
+                    continue
+                assert lo <= theta <= hi, (phi, theta)
+
+    @given(fingertip_configs())
+    def test_solve_planar_pair(self, cfg):
+        p = cfg.linkage
+        lo, hi = operating_range(p)
+        for end in attainable_tilt_range(p):
+            for tilt in _within_8_ulps(end):
+                try:
+                    pair = solve_planar_pair(p, tilt)
+                except Unreachable:
+                    continue
+                assert all(lo <= theta <= hi for theta in pair), (tilt, pair)
 
 
 def test_slider_point_neutral(params):
