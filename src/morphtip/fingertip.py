@@ -14,8 +14,8 @@ draws as one straight line.
 
 Each public function checks its numbers once, as it is called; the
 helpers below it (``_state``, ``_profile``, ``_settle`` and linkage's
-``_slider_ray``) trust the floats they are given, which a public call
-or a plan already checked.
+``_slider_ray`` and ``_tilt_residual``) trust the floats they are given,
+which a public call or a plan already checked.
 
 The library computes and stores Python floats.  Every ndarray it returns
 is built by :func:`_array`, the one place numpy is imported, and only
@@ -247,27 +247,29 @@ def _state(cfg: FingertipConfig, thetas: tuple[float, float, float, float],
     """State of four checked servo commands; a tilt of None settles the terrace under load.
 
     Each distinct command is posed once, in first-seen order, so the first
-    command that jams is the one reported.  A y plane that repeats the x
-    plane's commands and tilt repeats its profile; the sign of a zero tilt
-    is compared too, as it is the sign of the hinges' zero coordinates.
+    command that jams is the one reported: a command equal (``==``) to an
+    earlier one reuses that pose, and only the others are posed.  ``0.0``
+    and ``-0.0`` share a pose, as the crank angle ``alpha0 - theta`` of
+    either is the same float.  A y plane that repeats the x plane's
+    commands and tilt repeats its profile; the sign of a zero tilt is
+    compared too, as it is the sign of the hinges' zero coordinates.
     """
     params = cfg.linkage
-    pose = {t: _slider_ray(params, t, params.l_oc, _JAM) for t in dict.fromkeys(thetas)}
-    px, nx, py, ny = [pose[t] for t in thetas]
-    phis = (px[0], nx[0], py[0], ny[0])
+    t0, t1, t2, t3 = thetas
+    p0 = _slider_ray(params, t0, params.l_oc, _JAM)
+    p1 = p0 if t1 == t0 else _slider_ray(params, t1, params.l_oc, _JAM)
+    p2 = p0 if t2 == t0 else p1 if t2 == t1 else _slider_ray(params, t2, params.l_oc, _JAM)
+    p3 = (p0 if t3 == t0 else p1 if t3 == t1 else p2 if t3 == t2 else
+          _slider_ray(params, t3, params.l_oc, _JAM))
     if tilt is None:
-        tilt = (_settle(phis[0], phis[1], cfg.spring_k, load.tau_x),
-                _settle(phis[2], phis[3], cfg.spring_k, load.tau_y))
-    profile_x = _profile(cfg, px, nx, tilt[0])
-    same = ((thetas[2:], tilt[1]) == (thetas[:2], tilt[0])
-            and math.copysign(1.0, tilt[1]) == math.copysign(1.0, tilt[0]))
-    return FingertipState(
-        thetas=thetas,
-        phis=phis,
-        terrace_tilt=tilt,
-        profile_x_points=profile_x,
-        profile_y_points=profile_x if same else _profile(cfg, py, ny, tilt[1]),
-    )
+        tilt = (_settle(p0[0], p1[0], cfg.spring_k, load.tau_x),
+                _settle(p2[0], p3[0], cfg.spring_k, load.tau_y))
+    tx, ty = tilt
+    profile_x = _profile(cfg, p0, p1, tx)
+    same = (t2 == t0 and t3 == t1 and ty == tx
+            and math.copysign(1.0, ty) == math.copysign(1.0, tx))
+    return FingertipState(thetas, (p0[0], p1[0], p2[0], p3[0]), tilt, profile_x,
+                          profile_x if same else _profile(cfg, p2, p3, ty))
 
 
 def state_from_thetas(
@@ -281,7 +283,8 @@ def state_from_thetas(
     the pair's facet readouts plus the external torque on that axis.
     ``thetas`` must be four finite commands (+x, -x, +y, -y), else
     InvalidParams names it; any sequence of four numbers is stored as a
-    tuple of four Python floats.
+    tuple of four Python floats.  ``load`` must be an ExternalLoad, else
+    InvalidParams names it.
     """
     try:
         ok = len(thetas) == 4 and all(math.isfinite(t) for t in thetas)
@@ -289,6 +292,8 @@ def state_from_thetas(
         ok = False
     if not ok:
         raise InvalidParams("thetas must be four finite servo commands", field="thetas")
+    if not isinstance(load, ExternalLoad):
+        raise InvalidParams(f"load must be an ExternalLoad, got {load!r}", field="load")
     return _state(cfg, tuple(map(float, thetas)), None, load)
 
 
@@ -355,9 +360,12 @@ def pair_tilt_residuals(cfg: FingertipConfig, states: list[FingertipState]) -> n
     """Per-state anti-collinearity residual of each pair, shape (n, 2).
 
     Zero residual means that pair momentarily satisfies the tilted-plane
-    condition; mid-trajectory values are generally nonzero.
+    condition; mid-trajectory values are generally nonzero.  The commands
+    are not checked again: a state's ``thetas`` are floats its public call
+    checked, so each residual is linkage's unchecked ``_tilt_residual``,
+    bit for bit what :func:`~morphtip.linkage.tilt_line_residual` returns.
     """
     params = cfg.linkage
-    return _array([(linkage.tilt_line_residual(params, *st.thetas[:2]),
-                    linkage.tilt_line_residual(params, *st.thetas[2:]))
+    residual = linkage._tilt_residual
+    return _array([(residual(params, *st.thetas[:2]), residual(params, *st.thetas[2:]))
                    for st in states]).reshape(len(states), 2)

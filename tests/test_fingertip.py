@@ -12,6 +12,7 @@ from morphtip import (
     Convex,
     ExternalLoad,
     FingertipConfig,
+    FingertipState,
     Flat,
     InvalidParams,
     LinkageParams,
@@ -416,6 +417,13 @@ class TestStateFromThetas:
         assert exc.value.field == "thetas"
         assert str(exc.value) == "thetas must be four finite servo commands"
 
+    @pytest.mark.parametrize("load", [None, (1.0, 2.0)])
+    def test_load_that_is_not_an_external_load_rejected(self, cfg, load):
+        with pytest.raises(InvalidParams) as exc:
+            state_from_thetas(cfg, (0.0, 0.0, 0.0, 0.0), load)
+        assert exc.value.field == "load"
+        assert str(exc.value) == f"load must be an ExternalLoad, got {load!r}"
+
 
 class TestStatesOverRandomGeometries:
     """Every built state against the vector-chain oracle, on random geometries."""
@@ -511,6 +519,81 @@ class TestPosedOnce:
         cfg, start, end = ends
         for state in transition_trajectory(cfg, start, end):
             assert_posed_once(cfg, state)
+
+
+def posed_apart(cfg, thetas, tilt=None, load=ExternalLoad()):
+    """The state of four commands with every plane posed on its own, through the public calls."""
+    phis = tuple(forward_facet(cfg.linkage, theta) for theta in thetas)
+    if tilt is None:
+        tilt = (terrace_equilibrium(phis[0], phis[1], cfg.spring_k, load.tau_x),
+                terrace_equilibrium(phis[2], phis[3], cfg.spring_k, load.tau_y))
+    px, py = (tuple(map(tuple, surface_profile(cfg, *thetas[i:i + 2], tilt[i // 2]).tolist()))
+              for i in (0, 2))
+    return FingertipState(tuple(thetas), phis, tuple(tilt), px, py)
+
+
+# The 15 ways four commands fall into groups of equal ones, each group named
+# by the letter of its first command.
+REPEATS = ["aaaa", "aaab", "aaba", "aabb", "aabc", "abaa", "abab", "abac", "abba", "abbb", "abbc",
+           "abca", "abcb", "abcc", "abcd"]
+
+
+class TestRepeatedCommands:
+    """A state posing each distinct command once matches posing every plane apart, bit for bit."""
+
+    @staticmethod
+    def commands(cfg, pattern):
+        lo, hi = operating_range(cfg.linkage)
+        value = dict(zip("abcd", (lo + f * (hi - lo) for f in (0.8, 0.15, 0.55, 0.35))))
+        return tuple(value[letter] for letter in pattern)
+
+    def check(self, cfg, state, *apart):
+        assert_posed_once(cfg, state)
+        # repr prints every float exactly, the sign of a zero included.
+        assert repr(state) == repr(posed_apart(cfg, *apart))
+
+    def check_poses(self, monkeypatch, cfg, thetas, load=ExternalLoad()):
+        """state_from_thetas poses each distinct command once, in first-seen order."""
+        posed, pose = [], fingertip._slider_ray
+
+        def counted(params, theta, *rest):
+            posed.append(theta)
+            return pose(params, theta, *rest)
+
+        monkeypatch.setattr(fingertip, "_slider_ray", counted)
+        state = state_from_thetas(cfg, thetas, load)
+        monkeypatch.undo()
+        assert posed == list(dict.fromkeys(thetas))  # a dict key treats -0.0 as 0.0
+        self.check(cfg, state, thetas, None, load)
+
+    # A torque of 1e18 N*mm settles both planes to the same tilt whatever
+    # their facets, so a y plane whose commands differ must still draw its own.
+    @pytest.mark.parametrize("load", [ExternalLoad(), ExternalLoad(0.5, 0.5),
+                                      ExternalLoad(1e18, 1e18)])
+    @pytest.mark.parametrize("pattern", REPEATS)
+    def test_every_pattern(self, cfg, pattern, load, monkeypatch):
+        self.check_poses(monkeypatch, cfg, self.commands(cfg, pattern), load)
+
+    @given(fingertip_configs(), st.sampled_from(REPEATS))
+    def test_every_pattern_over_random_geometries(self, cfg, pattern):
+        thetas = self.commands(cfg, pattern)
+        self.check(cfg, state_from_thetas(cfg, thetas), thetas)
+
+    @pytest.mark.parametrize("thetas", [(0.0, 0.1, -0.0, 0.1), (-0.0, 0.0, 0.0, -0.0),
+                                        (0.1, -0.0, 0.0, 0.0)])
+    def test_zero_and_minus_zero_share_a_pose(self, cfg, thetas, monkeypatch):
+        self.check_poses(monkeypatch, cfg, thetas)
+
+    @pytest.mark.parametrize("tilt_x", [0.0, -0.0, 0.05, -0.05])
+    @pytest.mark.parametrize("tilt_y", [0.0, -0.0, 0.05, -0.05])
+    def test_tilted_planar_plans(self, cfg, tilt_x, tilt_y):
+        state = plan_primitive(cfg, TiltedPlanar(tilt_x, tilt_y))
+        self.check(cfg, state, state.thetas, (tilt_x, tilt_y))
+
+    @pytest.mark.parametrize("thetas", [(0.0, 3.0, 2.5, 0.0), (0.0, 0.0, 3.0, 2.5)])
+    def test_first_command_that_jams_is_reported(self, cfg, thetas):
+        with pytest.raises(OutOfRange, match=r"theta=3\.000000 rad"):
+            state_from_thetas(cfg, thetas)
 
 
 class TestStatesCompareByValue:

@@ -256,6 +256,17 @@ class TestPlanar:
         assert planar_condition_angle(params, tn) == pytest.approx(-tilt, abs=1e-12)
         assert tilt_line_residual(params, tp, tn) < 1e-9
 
+    @pytest.mark.parametrize("thetas,error,field", [
+        ((3.0, math.nan), OutOfRange, None),  # theta_pos jams before theta_neg is checked
+        ((0.1, math.nan), InvalidParams, "theta"),
+        ((math.nan, 3.0), InvalidParams, "theta"),
+    ])
+    def test_residual_errors_in_argument_order(self, params, thetas, error, field):
+        with pytest.raises(error) as exc:
+            tilt_line_residual(params, *thetas)
+        assert type(exc.value) is error
+        assert getattr(exc.value, "field", None) == field
+
     def test_pair_100_random_tilts(self, params):
         rng = np.random.default_rng(3)
         lo, hi = attainable_tilt_range(params)
