@@ -478,26 +478,22 @@ def load_scene(path: str, tip: ft.FingertipConfig) -> mt.GraspScene:
 # ---------------------------------------------------------------------------
 # commands
 
-def _fk_record(params: lk.LinkageParams, theta: float) -> dict:
+def fk(cfg: RunConfig, theta: float) -> None:
+    """Facet angle and linkage points for a servo command."""
+    params = cfg.tip.linkage
     phi, bx, by = lk.facet_pose(params, theta)
-    return {
+    print(dumps({
         "theta_deg": math.degrees(theta),
         "phi_deg": math.degrees(phi),
         "B": [bx, by],
         "C": [params.l_oc, 0.0],
         "CB": [bx - params.l_oc, by],
-    }
-
-
-def fk(cfg: RunConfig, theta: float) -> None:
-    """Facet angle and linkage points for a servo command."""
-    print(dumps(_fk_record(cfg.tip.linkage, theta)))
+    }))
 
 
 def ik(cfg: RunConfig, phi: float) -> None:
-    """Servo command that realizes a facet angle."""
-    theta = lk.inverse_facet(cfg.tip.linkage, phi)
-    print(dumps(_fk_record(cfg.tip.linkage, theta)))
+    """Servo command that realizes a facet angle, printed as :func:`fk` prints it."""
+    fk(cfg, lk.inverse_facet(cfg.tip.linkage, phi))
 
 
 def plan(cfg: RunConfig, kind: str, depth: float | None = None, tilt_x: float = 0.0,

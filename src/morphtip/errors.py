@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit, the one check of a number argument,
-and :class:`Record`, the base of the toolkit's frozen records.
+and :class:`Record`, the base of the toolkit's frozen records, with
+:func:`_array`, the one import of numpy, which builds a record's ndarray
+views (:func:`_array_of`) and every array a public call returns.
 
 Every number the library is given, a command, a length, a tilt, a gap or
 a friction coefficient, is checked by :func:`check_number`: a value that
@@ -9,6 +11,7 @@ integer too large for a float, text, None or a sequence) is refused with
 """
 
 import math
+from functools import cached_property
 
 
 class MorphtipError(Exception):
@@ -92,6 +95,18 @@ class Record:
         if wrong:
             raise ValueError(f"{', '.join(wrong)} is not an argument of {type(self).__name__}")
         return type(self)(*[changes.get(name, getattr(self, name)) for name in args])
+
+
+def _array(floats):
+    """floats, numbers or nested sequences of them, as an ndarray; the one import of numpy."""
+    import numpy
+
+    return numpy.array(floats)
+
+
+def _array_of(floats: str) -> cached_property:
+    """A :class:`Record` class attribute: its ``floats`` as an ndarray, built on first access."""
+    return cached_property(lambda self: _array(getattr(self, floats)))
 
 
 def positive(value: float) -> bool:

@@ -18,17 +18,17 @@ helpers below it (``_state``, ``_profile``, ``_settle`` and linkage's
 which a public call or a plan already checked.
 
 The library computes and stores Python floats.  Every ndarray it returns
-is built by :func:`_array`, the one place numpy is imported, and only
-when an array is asked for: the CLI's commands start without it.
+is built by :func:`morphtip.errors._array`, the one place numpy is
+imported, and only when an array is asked for: the CLI's commands start
+without it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 from . import linkage
-from .errors import InvalidParams, Record, check_number, positive
+from .errors import InvalidParams, Record, _array, _array_of, check_number, positive
 from .linkage import _JAM, LinkageParams, _require_finite_points, _slider_ray
 
 TYPE_CHECKING = False
@@ -40,18 +40,6 @@ Profile = tuple[tuple[float, float], ...]
 # Most states one transition ramp may hold: every state is built in memory,
 # and a step that rounds to 0 rad would make an endless ramp.
 MAX_STATES = 100_000
-
-
-def _array(floats):
-    """floats, numbers or nested sequences of them, as an ndarray; the one import of numpy."""
-    import numpy
-
-    return numpy.array(floats)
-
-
-def _array_of(floats: str) -> cached_property:
-    """A class attribute: the instance's ``floats`` as an ndarray, built on first access."""
-    return cached_property(lambda self: _array(getattr(self, floats)))
 
 
 def _negative(value: float) -> bool:
@@ -72,7 +60,8 @@ class FingertipConfig(Record):
     so is a facet_len or an l_oc whose profile segment (a facet, or the
     2*l_oc terrace) would square to infinity where a grasp scene squares
     it: twice the segment's length must square finite, slack for the
-    rounding of placing and mirroring the profile.
+    rounding of placing and mirroring the profile.  A linkage that is not
+    a LinkageParams is refused naming it.
     """
 
     _fields = ("linkage", "facet_len", "spring_k", "rod_len", "step_deg")
@@ -82,6 +71,8 @@ class FingertipConfig(Record):
         for name, value in (("facet_len", facet_len), ("spring_k", spring_k), ("rod_len", rod_len),
                             ("step_deg", step_deg)):
             check_number(name, value, "be positive and finite", positive)
+        if not isinstance(linkage, LinkageParams):
+            raise InvalidParams(f"linkage must be a LinkageParams, got {linkage!r}", field="linkage")
         _require_finite_points(linkage, facet_len)
         for name, length in (("facet_len", facet_len), ("l_oc", 2.0 * linkage.l_oc)):
             if math.isinf(4.0 * length * length):
@@ -175,11 +166,15 @@ def terrace_equilibrium(
     The energy is E(psi) = k/2 * ((phi_pos - psi)^2 + (phi_neg + psi)^2)
     - tau * psi, with both facet angles taken outward-positive in their
     own half-frames; the exact argmin is
-    (phi_pos - phi_neg) / 2 + tau / (2 k).
+    (phi_pos - phi_neg) / 2 + tau / (2 k).  A load_torque whose
+    tau / (2 k) overflows is InvalidParams naming it.
     """
     for name, value in (("phi_pos", phi_pos), ("phi_neg", phi_neg), ("load_torque", load_torque)):
         check_number(name, value)
     check_number("spring_k", spring_k, "be positive and finite", positive)
+    if not math.isfinite(load_torque / (2.0 * spring_k)):
+        raise InvalidParams("load_torque is too large for spring_k: "
+                            "load_torque / (2*spring_k) must be finite", field="load_torque")
     return _settle(phi_pos, phi_neg, spring_k, load_torque)
 
 
@@ -283,8 +278,9 @@ def state_from_thetas(
     the pair's facet readouts plus the external torque on that axis.
     ``thetas`` must be four finite commands (+x, -x, +y, -y), else
     InvalidParams names it; any sequence of four numbers is stored as a
-    tuple of four Python floats.  ``load`` must be an ExternalLoad, else
-    InvalidParams names it.
+    tuple of four Python floats.  ``load`` must be an ExternalLoad whose
+    torques over ``2*cfg.spring_k`` stay finite, else InvalidParams names
+    it; so the terrace tilt of every state is finite.
     """
     try:
         ok = len(thetas) == 4 and all(math.isfinite(t) for t in thetas)
@@ -294,6 +290,9 @@ def state_from_thetas(
         raise InvalidParams("thetas must be four finite servo commands", field="thetas")
     if not isinstance(load, ExternalLoad):
         raise InvalidParams(f"load must be an ExternalLoad, got {load!r}", field="load")
+    if not math.isfinite(max(abs(load.tau_x), abs(load.tau_y)) / (2.0 * cfg.spring_k)):
+        raise InvalidParams("load is too large for cfg.spring_k: each torque / (2*spring_k) "
+                            "must be finite", field="load")
     return _state(cfg, tuple(map(float, thetas)), None, load)
 
 

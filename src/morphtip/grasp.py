@@ -28,8 +28,9 @@ Scenes and contacts hold Python floats, and compare and hash by them.
 Their ndarray attributes (``Contact.point``/``normal``,
 ``GraspScene.left_profile``/``right_profile`` and
 ``ConvexPolygon.vertices``) and the arrays :func:`place_left` and
-:func:`place_right` return are built on request by ``fingertip._array``,
-the one place numpy is imported.
+:func:`place_right` return are built on request by ``errors._array``,
+the one place numpy is imported; this module imports nothing else from
+the package, so it loads neither the fingertip model nor the linkage.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from enum import Enum
 from itertools import chain, combinations
 
 from .errors import (DegenerateContacts, InvalidParams, Penetration, Record, Unsupported,
-                     check_number, positive)
-from .fingertip import _array, _array_of
+                     _array, _array_of, check_number, positive)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:

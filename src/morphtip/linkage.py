@@ -130,8 +130,7 @@ def forward_facet(params: LinkageParams, theta: float) -> float:
     Raises OutOfRange if the slider would pass inside the hinge
     (mechanism jam).
     """
-    check_number("theta", theta)
-    return _slider_ray(params, theta, params.l_oc, _JAM)[0]
+    return facet_pose(params, theta)[0]
 
 
 def facet_pose(params: LinkageParams, theta: float) -> tuple[float, float, float]:
@@ -152,9 +151,9 @@ def _slider_ray(params: LinkageParams, theta: float, origin: float,
     what :func:`slider_point` raises, and a slider not outward of the
     origin raises OutOfRange with ``behind`` formatted on its x offset
     ``x`` and ``theta`` as :func:`_rad` prints it.  ``theta`` is not
-    checked here: :func:`forward_facet`, :func:`facet_pose` and
-    :func:`planar_condition_angle` check it first, and the fingertip's
-    states pass commands that their public call already checked.
+    checked here: :func:`facet_pose` and :func:`planar_condition_angle`
+    check it first, and the fingertip's states pass commands that their
+    public call already checked.
     """
     bx, by = _crank_tip(params, theta)
     dx = bx - origin
@@ -270,21 +269,14 @@ def planar_condition_angle(params: LinkageParams, theta: float) -> float:
                        "slider behind the ball joint (x = {x:.6g} mm) at theta={theta} rad")[0]
 
 
-def _solve_slider_angle(params: LinkageParams, psi: float) -> float:
-    """Servo command placing the slider ray (from the ball joint) at polar angle psi."""
-    theta = _ray_command(params, psi, 0.0)
-    if theta is None:
-        raise _unreachable("tilt", psi, attainable_tilt_range(params))
-    return theta
-
-
 def attainable_tilt_range(params: LinkageParams) -> tuple[float, float]:
     """Symmetric tilt interval solvable by an opposing pair.
 
     A planar pair drives its two slider rays to opposite angles, and the
     ray angle rises with theta through 0 at theta = 0; so an operating
     range that excludes 0 attains no tilt, and raises Unreachable with no
-    interval attached.
+    interval attached.  A stroke that starts or ends at 0 attains only
+    ``(0.0, 0.0)``: adding ``0.0`` turns either end's ``-0.0`` into ``0.0``.
     """
     lo, hi = params.operating_range
     if not lo <= 0.0 <= hi:
@@ -293,7 +285,7 @@ def attainable_tilt_range(params: LinkageParams) -> tuple[float, float]:
     up = planar_condition_angle(params, hi)
     down = planar_condition_angle(params, lo)
     t = min(up, -down)
-    return -t, t
+    return 0.0 - t, t + 0.0
 
 
 def solve_planar_pair(params: LinkageParams, phi_tilt: float) -> tuple[float, float]:
@@ -303,9 +295,15 @@ def solve_planar_pair(params: LinkageParams, phi_tilt: float) -> tuple[float, fl
     mirrored side's ray at -phi_tilt in its own frame, which makes the two
     rays anti-collinear through the ball joint (straight tilted surface).
     The two commands have opposite signs for a nonzero tilt.
+
+    Raises Unreachable, naming ``phi_tilt`` as given and attaching
+    :func:`attainable_tilt_range`, when either half has no command.
     """
     check_number("phi_tilt", phi_tilt)
-    return _solve_slider_angle(params, phi_tilt), _solve_slider_angle(params, -phi_tilt)
+    pos, neg = _ray_command(params, phi_tilt, 0.0), _ray_command(params, -phi_tilt, 0.0)
+    if pos is None or neg is None:
+        raise _unreachable("tilt", phi_tilt, attainable_tilt_range(params))
+    return pos, neg
 
 
 def tilt_line_residual(params: LinkageParams, theta_pos: float, theta_neg: float) -> float:

@@ -33,6 +33,21 @@ def slider_ray_angle_grid(params, thetas: np.ndarray) -> np.ndarray:
     return np.arctan2(by, bx)
 
 
+def tilt_residual_by_ray_angles(params, theta_pos: float, theta_neg: float) -> float:
+    """|sin| of the angle between an opposing pair's slider rays from the ball joint.
+
+    Each slider comes from the raw vector chain, the mirrored half's
+    reflected in x; the angle is the difference of the two rays' polar
+    angles, so no cross product or norm is taken.
+    """
+    def slider(theta: float) -> tuple[float, float]:
+        a = params.alpha0 - theta
+        return params.oa_x + params.l_ab * math.sin(a), params.oa_y + params.l_ab * math.cos(a)
+
+    (px, py), (nx, ny) = slider(theta_pos), slider(theta_neg)
+    return abs(math.sin(math.atan2(py, px) - math.atan2(ny, -nx)))
+
+
 def inverse_facet_by_bisection(params, phi: float, lo: float, hi: float) -> float:
     """Servo command in [lo, hi] whose facet angle is phi, by bisection.
 

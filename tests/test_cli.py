@@ -1199,9 +1199,13 @@ class TestPlan:
         rel = prof - prof[0]
         assert np.max(np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])) < 1e-6
 
-    def test_unreachable_tilt_output(self):
-        assert run_cli(["plan", "--primitive", "tilted-planar", "--tilt-x", "9"]) == (3, (
-            '{"error": {"code": "unreachable", "message": "tilt 0.157080 rad not attainable; '
+    @pytest.mark.parametrize("option,degrees,printed", [
+        ("--tilt-x", "9", "0.157080"), ("--tilt-x", "-9", "-0.157080"),
+        ("--tilt-y", "-9", "-0.157080"),
+    ])
+    def test_unreachable_tilt_output(self, option, degrees, printed):
+        assert run_cli(["plan", "--primitive", "tilted-planar", option, degrees]) == (3, (
+            f'{{"error": {{"code": "unreachable", "message": "tilt {printed} rad not attainable; '
             'reachable interval is [-0.135459, 0.135459] rad", '
             '"attainable_deg": [-7.76124388, 7.76124388]}}\n'))
 

@@ -214,6 +214,11 @@ class TestPlanPrimitive:
         (lambda: ExternalLoad(0.0, math.nan), "tau_y"),
         (lambda: terrace_equilibrium(0.0, math.nan, 10.0), "phi_neg"),
         (lambda: terrace_equilibrium(0.0, 0.0, 10.0, math.inf), "load_torque"),
+        (lambda: terrace_equilibrium(0.0, 0.0, 1e-300, -1e10), "load_torque"),
+        (lambda: state_from_thetas(FingertipConfig(spring_k=1e-300), (0.0,) * 4,
+                                   ExternalLoad(0.0, 1e10)), "load"),
+        (lambda: FingertipConfig(linkage=None), "linkage"),
+        (lambda: FingertipConfig(linkage=(1, 2)), "linkage"),
         (lambda: plan_primitive(FingertipConfig(), "concave"), "prim"),
         (lambda: pointer_top(FingertipConfig(), math.nan, 0.0), "psi_x"),
         (lambda: pointer_top(FingertipConfig(), 0.0, math.inf), "psi_y"),
@@ -423,6 +428,13 @@ class TestStateFromThetas:
             state_from_thetas(cfg, (0.0, 0.0, 0.0, 0.0), load)
         assert exc.value.field == "load"
         assert str(exc.value) == f"load must be an ExternalLoad, got {load!r}"
+
+    def test_largest_loads_give_finite_tilts(self):
+        # A load is refused only where torque / (2*spring_k) overflows.
+        cfg = FingertipConfig(spring_k=1e-300)
+        assert terrace_equilibrium(0.0, 0.0, cfg.spring_k, 1e8) == 5e307
+        state = state_from_thetas(cfg, (0.0, 0.0, 0.0, 0.0), ExternalLoad(1e8, -1e8))
+        assert state.terrace_tilt == (5e307, -5e307)
 
 
 class TestStatesOverRandomGeometries:

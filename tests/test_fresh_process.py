@@ -113,6 +113,15 @@ def test_package_import_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_grasp_import_loads_neither_the_fingertip_model_nor_numpy():
+    proc = run_python(["-c", (
+        "import morphtip.grasp, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('morphtip', 'numpy')))"
+    )])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['morphtip', 'morphtip.errors', 'morphtip.grasp']"
+
+
 def test_every_export_resolves():
     proc = run_python(["-c", EXPORTS_PROBE])
     assert proc.returncode == 0, proc.stderr

@@ -54,6 +54,7 @@ class TestParams:
         ("l_oc", -1.0), ("l_ab", 0.0), ("alpha0", 0.0),
         ("alpha0", math.pi / 2), ("l_ab", float("nan")),
         ("oa_x", float("inf")), ("theta_min", math.radians(40.0)), ("oa_x", -20.0),
+        ("theta_min", math.radians(36.0)),  # equal to the default theta_max
     ])
     def test_bad_scalars_rejected(self, field, value):
         with pytest.raises(InvalidParams) as exc:
@@ -96,6 +97,15 @@ class TestStoredOperatingRange:
         q = p.replace(theta_min=lo + 0.9 * f * (hi - lo))
         assert operating_range(q) == oracles.operating_range_closed_form(q, 1e-9)
         assert operating_range(q) == (q.theta_min, hi)
+
+    def test_half_turn_end_is_pulled_inward(self):
+        # oa_x > l_oc, so the slider never passes the hinge and the crank's
+        # half-turn alone binds the low end, below theta_min.
+        p = LinkageParams(oa_x=16.0, theta_min=-3.0)
+        lo, _ = operating_range(p)
+        assert lo == oracles.operating_range_closed_form(p, 1e-9)[0]
+        assert p.theta_min < p.alpha0 - math.pi < lo
+        slider_point(p, lo)
 
     @given(any_stroke)
     def test_is_no_argument_and_not_in_repr_or_equality(self, p):
@@ -142,6 +152,10 @@ class TestForward:
     def test_jam_raises(self, params):
         with pytest.raises(OutOfRange):
             forward_facet(params, math.radians(18.0))
+
+    def test_crank_at_the_half_turn_end_raises(self, params):
+        with pytest.raises(OutOfRange):
+            slider_point(params, params.alpha0)
 
     def test_crank_flip_raises(self, params):
         with pytest.raises(OutOfRange):
@@ -283,12 +297,34 @@ class TestPlanar:
         with pytest.raises(Unreachable):
             solve_planar_pair(params, hi + 0.1)
 
-    def test_unreachable_tilt_message_and_interval(self, params):
+    # The message names the tilt asked for, also when the mirrored half fails.
+    @pytest.mark.parametrize("tilt,printed", [(0.5, "0.500000"), (-0.14, "-0.140000")])
+    def test_unreachable_tilt_message_and_interval(self, params, tilt, printed):
         with pytest.raises(Unreachable) as exc:
-            solve_planar_pair(params, 0.5)
-        assert str(exc.value) == ("tilt 0.500000 rad not attainable; "
+            solve_planar_pair(params, tilt)
+        assert str(exc.value) == (f"tilt {printed} rad not attainable; "
                                   "reachable interval is [-0.135459, 0.135459] rad")
         assert exc.value.attainable == attainable_tilt_range(params)
+
+    @pytest.mark.parametrize("end", ["theta_min", "theta_max"])
+    def test_a_stroke_ending_at_zero_attains_only_zero_tilt(self, params, end):
+        q = params.replace(**{end: 0.0})
+        assert 0.0 in operating_range(q)
+        assert inverse_facet(q, 0.0) == 0.0
+        assert solve_planar_pair(q, 0.0) == (0.0, 0.0)
+        assert [math.copysign(1.0, t) for t in attainable_tilt_range(q)] == [1.0, 1.0]
+        with pytest.raises(Unreachable) as exc:
+            solve_planar_pair(q, -0.01)
+        assert str(exc.value) == ("tilt -0.010000 rad not attainable; "
+                                  "reachable interval is [0.000000, 0.000000] rad")
+
+    @given(fingertip_configs(), fractions, fractions)
+    def test_residual_matches_the_ray_angle_oracle(self, cfg, f_pos, f_neg):
+        p = cfg.linkage
+        lo, hi = operating_range(p)
+        pair = (lo + f_pos * (hi - lo), lo + f_neg * (hi - lo))
+        assert tilt_line_residual(p, *pair) == pytest.approx(
+            oracles.tilt_residual_by_ray_angles(p, *pair), rel=1e-12, abs=1e-15)
 
     @given(zero_free_linkages, st.floats(-0.5, 0.5))
     def test_a_stroke_excluding_zero_attains_no_tilt(self, p, tilt):
