@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit, the one check of a number argument,
 and :class:`Record`, the base of the toolkit's frozen records, with
 :func:`_array`, the one import of numpy, which builds a record's ndarray
-views (:func:`_array_of`) and every array a public call returns.
+views (:func:`_array_of`, a new array from the stored floats on every
+access) and every array a public call returns.
 
 Every number the library is given, a command, a length, a tilt, a gap or
 a friction coefficient, is checked by :func:`check_number`: a value that
@@ -11,7 +12,6 @@ integer too large for a float, text, None or a sequence) is refused with
 """
 
 import math
-from functools import cached_property
 
 
 class MorphtipError(Exception):
@@ -104,9 +104,13 @@ def _array(floats):
     return numpy.array(floats)
 
 
-def _array_of(floats: str) -> cached_property:
-    """A :class:`Record` class attribute: its ``floats`` as an ndarray, built on first access."""
-    return cached_property(lambda self: _array(getattr(self, floats)))
+def _array_of(floats: str) -> property:
+    """A :class:`Record` class attribute: its ``floats`` as a new ndarray on every access.
+
+    The record holds only the floats; a view is never stored, so writing
+    into one changes nothing the record holds, compares or hashes.
+    """
+    return property(lambda self: _array(getattr(self, floats)))
 
 
 def positive(value: float) -> bool:

@@ -14,8 +14,8 @@ draws as one straight line.
 
 Each public function checks its numbers once, as it is called; the
 helpers below it (``_state``, ``_profile``, ``_settle`` and linkage's
-``_slider_ray`` and ``_tilt_residual``) trust the floats they are given,
-which a public call or a plan already checked.
+``_slider_ray``) trust the floats they are given, which a public call or
+a plan already checked.
 
 The library computes and stores Python floats.  Every ndarray it returns
 is built by :func:`morphtip.errors._array`, the one place numpy is
@@ -29,7 +29,7 @@ import math
 
 from . import linkage
 from .errors import InvalidParams, Record, _array, _array_of, check_number, positive
-from .linkage import _JAM, LinkageParams, _require_finite_points, _slider_ray
+from .linkage import _JAM, LinkageParams, _require_finite_points, _slider_ray, tilt_line_residual
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -141,7 +141,8 @@ class FingertipState(Record):
     profile_x_points / profile_y_points are the cross-section polylines of
     each plane, stored as tuples of four (x, y) floats ordered from the
     negative facet tip to the positive one.  profile_x / profile_y are the
-    same points as (4, 2) ndarrays, built on first access and cached.
+    same points as (4, 2) ndarrays, built from the stored floats on every
+    access: writing into one changes nothing the state holds.
     """
 
     _fields = ("thetas", "phis", "terrace_tilt", "profile_x_points", "profile_y_points")
@@ -167,7 +168,8 @@ def terrace_equilibrium(
     - tau * psi, with both facet angles taken outward-positive in their
     own half-frames; the exact argmin is
     (phi_pos - phi_neg) / 2 + tau / (2 k).  A load_torque whose
-    tau / (2 k) overflows is InvalidParams naming it.
+    tau / (2 k) overflows, or that carries the argmin out of float range,
+    is InvalidParams naming it.
     """
     for name, value in (("phi_pos", phi_pos), ("phi_neg", phi_neg), ("load_torque", load_torque)):
         check_number(name, value)
@@ -175,12 +177,22 @@ def terrace_equilibrium(
     if not math.isfinite(load_torque / (2.0 * spring_k)):
         raise InvalidParams("load_torque is too large for spring_k: "
                             "load_torque / (2*spring_k) must be finite", field="load_torque")
-    return _settle(phi_pos, phi_neg, spring_k, load_torque)
+    psi = _settle(phi_pos, phi_neg, spring_k, load_torque)
+    if not math.isfinite(psi):
+        raise InvalidParams("load_torque is too large for phi_pos and phi_neg: the terrace tilt "
+                            "must be finite", field="load_torque")
+    return psi
 
 
 def _settle(phi_pos: float, phi_neg: float, spring_k: float, load_torque: float) -> float:
-    """:func:`terrace_equilibrium` of checked numbers: the bare formula."""
-    return (phi_pos - phi_neg) / 2.0 + load_torque / (2.0 * spring_k)
+    """:func:`terrace_equilibrium` of checked numbers: the bare formula.
+
+    Each angle is halved before the difference, so two finite angles never
+    overflow; halving is exact and rounding commutes with it, so this is
+    ``(phi_pos - phi_neg) / 2.0`` bit for bit while both are at least
+    2**-1021 in magnitude or zero, as every facet readout of a plan is.
+    """
+    return phi_pos / 2.0 - phi_neg / 2.0 + load_torque / (2.0 * spring_k)
 
 
 def surface_profile(
@@ -359,12 +371,11 @@ def pair_tilt_residuals(cfg: FingertipConfig, states: list[FingertipState]) -> n
     """Per-state anti-collinearity residual of each pair, shape (n, 2).
 
     Zero residual means that pair momentarily satisfies the tilted-plane
-    condition; mid-trajectory values are generally nonzero.  The commands
-    are not checked again: a state's ``thetas`` are floats its public call
-    checked, so each residual is linkage's unchecked ``_tilt_residual``,
-    bit for bit what :func:`~morphtip.linkage.tilt_line_residual` returns.
+    condition; mid-trajectory values are generally nonzero.  Each residual
+    is :func:`~morphtip.linkage.tilt_line_residual` of the pair's commands,
+    which checks them, so a state built by hand with a command that is not
+    finite is InvalidParams naming ``theta``.
     """
-    params = cfg.linkage
-    residual = linkage._tilt_residual
-    return _array([(residual(params, *st.thetas[:2]), residual(params, *st.thetas[2:]))
-                   for st in states]).reshape(len(states), 2)
+    rows = [(tilt_line_residual(cfg.linkage, *st.thetas[:2]),
+             tilt_line_residual(cfg.linkage, *st.thetas[2:])) for st in states]
+    return _array(rows).reshape(len(states), 2)

@@ -28,7 +28,7 @@ Scenes and contacts hold Python floats, and compare and hash by them.
 Their ndarray attributes (``Contact.point``/``normal``,
 ``GraspScene.left_profile``/``right_profile`` and
 ``ConvexPolygon.vertices``) and the arrays :func:`place_left` and
-:func:`place_right` return are built on request by ``errors._array``,
+:func:`place_right` return are built on each request by ``errors._array``,
 the one place numpy is imported; this module imports nothing else from
 the package, so it loads neither the fingertip model nor the linkage.
 """
@@ -164,8 +164,8 @@ class ConvexPolygon(Record):
     centroid, are derived once, on construction, as the Python floats
     :func:`find_contacts` scans; a polygon so large that an edge's cross
     product or squared length overflows is refused.  The
-    ``vertices`` attribute is the points as an (n, 2) ndarray, built on
-    first access.
+    ``vertices`` attribute is the points as an (n, 2) ndarray, built anew
+    on every access.
     """
 
     _fields = ("vertex_points",)
@@ -206,7 +206,9 @@ class Contact(Record):
     name the touching profile feature.  ``point`` and ``normal`` are read
     as (x, y) pairs and stored as floats in ``point_xy``/``normal_xy``;
     the ``point`` and ``normal`` attributes are ndarrays built from them
-    on first access.
+    on every access.  ``side`` must be "left" or "right" and ``segment`` a
+    non-negative int, not a bool; each is checked after the pairs, and a
+    refusal is InvalidParams naming it.
     """
 
     _fields = ("point_xy", "normal_xy", "side", "segment")
@@ -214,8 +216,13 @@ class Contact(Record):
     normal = _array_of("normal_xy")
 
     def __init__(self, point, normal, side: str, segment: int) -> None:
-        vars(self).update(point_xy=_finite_pair(point, "point"),
-                          normal_xy=_finite_pair(normal, "normal"), side=side, segment=segment)
+        point_xy, normal_xy = _finite_pair(point, "point"), _finite_pair(normal, "normal")
+        if not (isinstance(side, str) and side in ("left", "right")):
+            raise InvalidParams(f"side must be 'left' or 'right', got {side!r}", field="side")
+        if isinstance(segment, bool) or not isinstance(segment, int) or segment < 0:
+            raise InvalidParams(f"segment must be a non-negative int, got {segment!r}",
+                                field="segment")
+        vars(self).update(point_xy=point_xy, normal_xy=normal_xy, side=side, segment=segment)
 
     @classmethod
     def _of(cls, px: float, py: float, nx: float, ny: float, side: str, segment: int) -> Contact:
@@ -238,9 +245,10 @@ class GraspScene(Record):
     floats in ``left_points``/``right_points`` and checked, once, not to
     touch itself; a segment of zero length counts as touching itself, and
     one whose squared length overflows, which no closest-point test can
-    measure, is refused too.
+    measure, is refused too.  ``obj`` must be a :class:`Circle` or a
+    :class:`ConvexPolygon`, checked last, else InvalidParams names it.
     The ``left_profile`` and ``right_profile`` attributes are the points
-    as (n, 2) ndarrays, built on first access.
+    as (n, 2) ndarrays, built anew on every access.
     """
 
     _fields = ("left_points", "right_points", "gap", "obj", "mu")
@@ -261,6 +269,9 @@ class GraspScene(Record):
             placed.append(points)
         check_number("gap", gap, "be positive and finite", positive)
         check_number("mu", mu, "be non-negative and finite", _non_negative)
+        if not isinstance(obj, (Circle, ConvexPolygon)):
+            raise InvalidParams(f"obj must be a Circle or a ConvexPolygon, got {obj!r}",
+                                field="obj")
         vars(self).update(left_points=placed[0], right_points=placed[1], gap=gap, obj=obj, mu=mu)
 
 
@@ -456,10 +467,6 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
         features, (gx, gy), far = obj.features, obj.centroid, obj.reach + 2.0 * _NEAR
     raw = []  # (px, py, nx, ny, side, segment) in scan order
     for side, points in (("left", scene.left_points), ("right", scene.right_points)):
-        if not circle:
-            # Each profile point's resting edge, read by both its segments.
-            rests = [None if abs(complex(px - gx, py - gy)) > far
-                     else _resting_edge(px, py, features) for px, py in points]
         for i, ((ax, ay), (bx, by)) in enumerate(zip(points, points[1:])):
             dx, dy = bx - ax, by - ay
             if circle:
@@ -487,12 +494,19 @@ def find_contacts(scene: GraspScene) -> list[Contact]:
                     if dist <= CONTACT_TOL:
                         flip = nx * (gx - qx) + ny * (gy - qy) < 0
                         raw.append((qx, qy, -nx if flip else nx, -ny if flip else ny, side, i))
-            # Segment start, then end, resting on an object edge.  A corner
-            # more than CONTACT_TOL inside the polygon is at least that far
-            # from every edge, so it never counts.
-            for k in (i, i + 1):
-                if rests[k] is not None:
-                    raw.append((*points[k], *rests[k], side, i))
+            # Profile corner resting on an object edge, tested once, from the
+            # first segment in scan order that reaches it: corner i + 1 from
+            # segment i, and corner 0 from segment 0 too.  A corner that
+            # rests on an edge lies within reach + CONTACT_TOL of the
+            # centroid, and so does the closest point of the segment before
+            # it, which the cull at reach + 2*_NEAR therefore never skips.
+            # A corner more than CONTACT_TOL inside the polygon is at least
+            # that far from every edge, so it never counts.
+            for px, py in points[0 if i == 0 else i + 1:i + 2]:
+                if abs(complex(px - gx, py - gy)) <= far:
+                    rest = _resting_edge(px, py, features)
+                    if rest is not None:
+                        raw.append((px, py, *rest, side, i))
     kept: list[tuple] = []
     for c in raw:
         if all(abs(complex(c[0] - k[0], c[1] - k[1])) > DEDUP_TOL for k in kept):
@@ -520,12 +534,25 @@ def cradle_height(profile: np.ndarray | Sequence[Sequence[float]], circle_radius
     shape, of fewer than two points, with a non-finite coordinate or with
     a segment whose squared length is not finite, as :class:`GraspScene`
     refuses one; raises Unsupported when nothing under x = u can carry
-    the circle.
+    the circle.  The numbers and the profile are checked here, and
+    :func:`_support` does the rest.
     """
     check_number("circle_radius", circle_radius, "be positive and its square finite", _radius)
     check_number("u", u)
-    points = _read_points(profile, "profile", 2)
-    r = circle_radius
+    best = _support(_read_points(profile, "profile", 2), circle_radius, u)
+    if best == -math.inf:
+        raise Unsupported(f"circle of radius {circle_radius} falls through at u={u}")
+    return best
+
+
+def _support(points: Points, r: float, u: float) -> float:
+    """:func:`cradle_height` of read points and checked numbers, unchecked.
+
+    Returns -inf, not Unsupported, when nothing carries the circle.  A
+    segment whose squared length is not finite is still InvalidParams
+    naming ``profile``, found in the one loop over the points; points that
+    a :class:`GraspScene` holds, with x and y swapped or not, have none.
+    """
     best = -math.inf
     # Each vertex b adds its cap and each segment ab its interior tangency,
     # touching from above; the first b is vertex 0 itself, with no segment.
@@ -548,21 +575,22 @@ def cradle_height(profile: np.ndarray | Sequence[Sequence[float]], circle_radius
                 if 0.0 <= t <= 1.0:
                     best = max(best, ay + t * sy + r * ny)
         ax, ay = bx, by
-    if best == -math.inf:
-        raise Unsupported(f"circle of radius {circle_radius} falls through at u={u}")
     return best
 
 
 def cradle_sign(scene: GraspScene) -> int | None:
     """Sign of the cradle-landscape curvature under the scene's circle.
 
-    The left profile is read back into its own fingertip frame, as the
-    inverse of :func:`_place` (which swaps each point's x and y), and
-    :func:`cradle_height` is sampled at its center and CRADLE_DELTA either
-    side: 1 when the landscape curves up (a centering well), -1 when it
-    curves down and 0 within 1e-9 mm.  Only the left profile is read, so
-    with a different right one the sign describes the left fingertip.
-    None for a polygon, or when the circle falls through.
+    The left profile is taken back into its own fingertip frame, as the
+    inverse of :func:`_place` (which swaps each point's x and y), and the
+    landscape is sampled at its center and CRADLE_DELTA either side by
+    :func:`_support`, the core of :func:`cradle_height`: the scene already
+    read and checked the points, and swapping x and y keeps every
+    segment's squared length.  1 when the landscape curves up (a
+    centering well), -1 when it curves down and 0 within 1e-9 mm.  Only
+    the left profile is read, so with a different right one the sign
+    describes the left fingertip.  None for a polygon, or when the circle
+    falls through at any sample.
 
     Only a profile that rises under the circle's center, such as an
     explicit ridge polyline, gives -1.  A Convex primitive gives 0: at all
@@ -572,12 +600,10 @@ def cradle_sign(scene: GraspScene) -> int | None:
     if not isinstance(scene.obj, Circle):
         return None
     local, r = [(y, x) for x, y in scene.left_points], scene.obj.radius
-    try:
-        h0 = cradle_height(local, r, 0.0)
-        curv = (cradle_height(local, r, CRADLE_DELTA) + cradle_height(local, r, -CRADLE_DELTA)
-                - 2.0 * h0)
-    except Unsupported:
+    h0, up, down = (_support(local, r, u) for u in (0.0, CRADLE_DELTA, -CRADLE_DELTA))
+    if -math.inf in (h0, up, down):
         return None
+    curv = up + down - 2.0 * h0
     return 1 if curv > 1e-9 else -1 if curv < -1e-9 else 0
 
 

@@ -311,19 +311,13 @@ def tilt_line_residual(params: LinkageParams, theta_pos: float, theta_neg: float
 
     Zero means the sliders and the ball joint are collinear (planar pose).
     The mirrored half is reflected into the common frame before the check.
-    This function checks both commands, each just before it is posed, so
-    a jammed ``theta_pos`` is reported before a non-finite ``theta_neg``;
-    fingertip's ``pair_tilt_residuals`` calls the unchecked
-    :func:`_tilt_residual` instead.
+    Each command is checked just before it is posed, so a jammed
+    ``theta_pos`` is reported before a non-finite ``theta_neg``.  This is
+    the one residual formula: fingertip's ``pair_tilt_residuals`` calls it
+    too.
     """
-    return _tilt_residual(params, theta_pos, theta_neg, slider_point)
-
-
-def _tilt_residual(params: LinkageParams, theta_pos: float, theta_neg: float,
-                   tip=_crank_tip) -> float:
-    """:func:`tilt_line_residual` with each command posed by ``tip``; by default unchecked."""
-    b1x, b1y = tip(params, theta_pos)
-    nx, ny = tip(params, theta_neg)
+    b1x, b1y = slider_point(params, theta_pos)
+    nx, ny = slider_point(params, theta_neg)
     b2x, b2y = -nx, ny
     cross = b1x * b2y - b1y * b2x
     return abs(cross) / (math.hypot(b1x, b1y) * math.hypot(b2x, b2y))

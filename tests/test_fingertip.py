@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from morphtip import fingertip
@@ -124,6 +124,30 @@ class TestTerraceEquilibrium:
         with pytest.raises(InvalidParams):
             terrace_equilibrium(0.1, 0.1, 0.0)
 
+    def test_opposite_extreme_angles_settle_finite(self):
+        # Each angle is halved before the difference, which then cannot overflow.
+        assert terrace_equilibrium(1e308, -1e308, 10.0) == 1e308
+        assert terrace_equilibrium(-1.7e308, 1.7e308, 1.0) == -1.7e308
+
+    def test_a_load_that_carries_the_tilt_out_of_float_range_is_refused(self):
+        with pytest.raises(InvalidParams) as exc:
+            terrace_equilibrium(1.7e308, -1.7e308, 1.0, 1e308)
+        assert exc.value.field == "load_torque"
+        assert str(exc.value) == ("load_torque is too large for phi_pos and phi_neg: "
+                                  "the terrace tilt must be finite")
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.floats(-math.pi, math.pi), st.floats(-1e300, 1e300)),
+           st.one_of(st.floats(-math.pi, math.pi), st.floats(-1e300, 1e300)),
+           st.floats(1e-3, 1e3), st.floats(-1e3, 1e3))
+    def test_halving_first_is_the_halved_difference_bit_for_bit(self, phi_pos, phi_neg, k, tau):
+        # Halving is exact, and rounding commutes with it, for every angle
+        # that is zero or at least 2**-1021 in magnitude.
+        for phi in (phi_pos, phi_neg):
+            assume(phi == 0.0 or abs(phi) >= 2.0 ** -1021)
+        want = (phi_pos - phi_neg) / 2.0 + tau / (2.0 * k)
+        assert terrace_equilibrium(phi_pos, phi_neg, k, tau).hex() == want.hex()
+
 
 class TestPlanPrimitive:
     def test_flat(self, cfg):
@@ -215,6 +239,7 @@ class TestPlanPrimitive:
         (lambda: terrace_equilibrium(0.0, math.nan, 10.0), "phi_neg"),
         (lambda: terrace_equilibrium(0.0, 0.0, 10.0, math.inf), "load_torque"),
         (lambda: terrace_equilibrium(0.0, 0.0, 1e-300, -1e10), "load_torque"),
+        (lambda: terrace_equilibrium(1.7e308, -1.7e308, 1.0, 1e308), "load_torque"),
         (lambda: state_from_thetas(FingertipConfig(spring_k=1e-300), (0.0,) * 4,
                                    ExternalLoad(0.0, 1e10)), "load"),
         (lambda: FingertipConfig(linkage=None), "linkage"),
@@ -365,6 +390,24 @@ class TestTrajectory:
                                  tilt_line_residual(cfg.linkage, *st.thetas[2:])] for st in states]
         empty = pair_tilt_residuals(cfg, [])
         assert (empty.dtype, empty.shape) == (np.float64, (0, 2))
+
+    @settings(max_examples=100)
+    @given(planned_primitives())
+    def test_residuals_are_the_public_residual_bit_for_bit(self, plan):
+        cfg, state = plan
+        got = pair_tilt_residuals(cfg, [state]).tolist()[0]
+        want = [tilt_line_residual(cfg.linkage, *state.thetas[:2]),
+                tilt_line_residual(cfg.linkage, *state.thetas[2:])]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_hand_built_state_with_a_non_finite_command_names_theta(self, cfg, bad):
+        flat = plan_primitive(cfg, Flat())
+        state = FingertipState((0.0, bad, 0.0, 0.0), flat.phis, flat.terrace_tilt,
+                               flat.profile_x_points, flat.profile_y_points)
+        with pytest.raises(InvalidParams) as exc:
+            pair_tilt_residuals(cfg, [state])
+        assert exc.value.field == "theta"
 
     def test_unreachable_endpoint_propagates(self, cfg):
         with pytest.raises(Unreachable):

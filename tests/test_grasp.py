@@ -348,6 +348,21 @@ class TestFindContacts:
         for c in cts:
             assert abs(c.normal[0]) == pytest.approx(1.0)
 
+    def test_each_profile_corner_is_tested_once(self, monkeypatch):
+        # Both hinges of each flat profile rest on a face of the square, and
+        # each hinge ends two segments; the first of them reports it.
+        flat = profile(Flat())
+        sq = np.array([[0.0, -20.0], [40.0, -20.0], [40.0, 20.0], [0.0, 20.0]])
+        scene, calls = scene_between(flat, flat, 40.0, ConvexPolygon(sq), 0.0), []
+        resting = grasp._resting_edge
+        monkeypatch.setattr(grasp, "_resting_edge", lambda px, py, features:
+                            calls.append((px, py)) or resting(px, py, features))
+        cts = find_contacts(scene)
+        assert [(c.side, c.segment, c.point_xy[1]) for c in cts] == [
+            ("left", 0, -20.0), ("left", 0, -15.0), ("left", 1, 15.0), ("left", 2, 20.0),
+            ("right", 0, -20.0), ("right", 0, -15.0), ("right", 1, 15.0), ("right", 2, 20.0)]
+        assert len(calls) == len(set(calls)) == 4
+
 
 @st.composite
 def fingertip_profiles(draw) -> np.ndarray:
@@ -654,6 +669,70 @@ class TestCradleSign:
             assert cradle_sign(scene) is None
         elif abs(up + down - 2.0 * h0) >= 1e-6:
             assert cradle_sign(scene) == (1 if up + down > 2.0 * h0 else -1)
+
+    def test_reads_no_profile(self, monkeypatch):
+        # The scene read and checked its points once; the sign reads them as they are.
+        scene, flat, calls = concave_seat_scene(), profile(Flat()), []
+        read = grasp._read_points
+        monkeypatch.setattr(grasp, "_read_points", lambda *args: calls.append(args) or read(*args))
+        assert cradle_sign(scene) == 1
+        assert calls == []
+        assert cradle_height(flat, 5.0, 0.0) == 5.0
+        assert len(calls) == 1  # the public call still reads its profile
+
+    @settings(max_examples=100)
+    @given(st.one_of(
+        circle_scenes(),
+        st.builds(concave_seat_scene, st.floats(20.0, 30.0), st.floats(90.0, 150.0)),
+        st.builds(lambda points, r: scene_between(points, points, 300.0, Circle(r, (150.0, 0.0)),
+                                                  0.0), star_polylines(), st.floats(0.5, 80.0))))
+    def test_equals_the_sign_of_three_public_samples(self, scene):
+        local, r = [(y, x) for x, y in scene.left_points], scene.obj.radius
+        try:
+            h0, up, down = (cradle_height(local, r, u) for u in (0.0, CRADLE_DELTA, -CRADLE_DELTA))
+        except Unsupported:
+            assert cradle_sign(scene) is None
+            return
+        curv = up + down - 2.0 * h0
+        assert cradle_sign(scene) == (1 if curv > 1e-9 else -1 if curv < -1e-9 else 0)
+
+
+class TestRecordsCheckedOnEntry:
+    """A scene's object and a contact's side and segment are refused where they enter."""
+
+    @pytest.mark.parametrize("obj", [None, (1.0, (2.5, 0.5)), "circle", Flat(), 1.0])
+    def test_scene_object_that_is_no_cross_section_rejected(self, obj):
+        with pytest.raises(InvalidParams, match="^obj must be a Circle or a ConvexPolygon, got ") as exc:
+            GraspScene([(0, 0), (0, 1)], [(5, 0), (5, 1)], 5.0, obj, 0.0)
+        assert exc.value.field == "obj"
+
+    def test_scene_object_is_checked_after_the_other_arguments(self):
+        for mu, field in ((-1.0, "mu"), (0.0, "obj")):
+            with pytest.raises(InvalidParams) as exc:
+                GraspScene([(0, 0), (0, 1)], [(5, 0), (5, 1)], 5.0, None, mu)
+            assert exc.value.field == field
+
+    @pytest.mark.parametrize("side", [None, "LEFT", "", "middle", 0, ("left",),
+                                      np.array(["left", "right"])])
+    def test_contact_side_other_than_left_or_right_rejected(self, side):
+        with pytest.raises(InvalidParams, match="^side must be 'left' or 'right', got ") as exc:
+            Contact((1.0, 2.0), (0.0, 1.0), side, 3)
+        assert exc.value.field == "side"
+
+    @pytest.mark.parametrize("segment", [-1, 1.0, True, False, None, "3", np.int64(3)])
+    def test_contact_segment_that_is_no_non_negative_int_rejected(self, segment):
+        with pytest.raises(InvalidParams, match="^segment must be a non-negative int, got ") as exc:
+            Contact((1.0, 2.0), (0.0, 1.0), "right", segment)
+        assert exc.value.field == "segment"
+
+    def test_contact_checks_its_fields_in_order(self):
+        for point, normal, side, field in (((math.nan, 0.0), (0.0, 1.0), None, "point"),
+                                           ((0.0, 0.0), "up", None, "normal"),
+                                           ((0.0, 0.0), (0.0, 1.0), None, "side"),
+                                           ((0.0, 0.0), (0.0, 1.0), "left", "segment")):
+            with pytest.raises(InvalidParams) as exc:
+                Contact(point, normal, side, -1)
+            assert exc.value.field == field
 
 
 class TestSceneValidation:

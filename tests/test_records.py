@@ -123,13 +123,42 @@ def test_setting_or_deleting_an_attribute_raises(build, text):
     assert repr(a) == before
 
 
-def test_arrays_built_on_request_are_cached():
+# A record with an ndarray view, and the name of the view and of the floats it is built from.
+VIEWS = [
+    pytest.param(lambda: plan_primitive(FingertipConfig(), Flat()), "profile_x", "profile_x_points",
+                 id="FingertipState.profile_x"),
+    pytest.param(lambda: plan_primitive(FingertipConfig(), Flat()), "profile_y", "profile_y_points",
+                 id="FingertipState.profile_y"),
+    pytest.param(lambda: Contact((1.0, 2.0), (0.0, 1.0), "left", 3), "point", "point_xy",
+                 id="Contact.point"),
+    pytest.param(lambda: Contact((1.0, 2.0), (0.0, 1.0), "left", 3), "normal", "normal_xy",
+                 id="Contact.normal"),
+    pytest.param(scene, "left_profile", "left_points", id="GraspScene.left_profile"),
+    pytest.param(scene, "right_profile", "right_points", id="GraspScene.right_profile"),
+    pytest.param(lambda: ConvexPolygon([(0, 0), (1, 0), (0, 1)]), "vertices", "vertex_points",
+                 id="ConvexPolygon.vertices"),
+]
+
+
+@pytest.mark.parametrize("build, view, floats", VIEWS)
+def test_writing_into_an_array_view_leaves_the_record_unchanged(build, view, floats):
+    record, fresh = build(), build()
+    stored, text = getattr(record, floats), repr(record)
+    array = getattr(record, view)
+    array[...] = 99.0
+    assert getattr(record, floats) is stored and repr(record) == text
+    assert getattr(record, view).tolist() == getattr(fresh, view).tolist()
+    assert record == fresh and hash(record) == hash(fresh)
+
+
+def test_arrays_are_built_fresh_on_each_access():
     state = plan_primitive(FingertipConfig(), Flat())
-    assert state.profile_x is state.profile_x
-    assert state == plan_primitive(FingertipConfig(), Flat())  # a cached array is no field
+    assert state.profile_x is not state.profile_x
+    assert state == plan_primitive(FingertipConfig(), Flat())  # a view is no field
     assert state.profile_y.tolist() == [list(p) for p in state.profile_y_points]
+    assert "profile_x" not in vars(state)  # nothing is stored on access
     contact = Contact((1.0, 2.0), (0.0, 1.0), "left", 3)
-    assert contact.point is contact.point and contact.normal.tolist() == [0.0, 1.0]
+    assert contact.point is not contact.point and contact.normal.tolist() == [0.0, 1.0]
     assert scene().right_profile.tolist() == [[5.0, 0.0], [5.0, 1.0]]
     assert ConvexPolygon([(0, 0), (1, 0), (0, 1)]).vertices.shape == (3, 2)
 

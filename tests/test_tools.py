@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,23 +61,32 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     assert lines[-1].split()[1] == "total"
 
 
-@pytest.fixture
-def pool_digest_tool(monkeypatch):
-    """tools/pool_digest.py, loaded with the bench/ modules it imports, which it leaves as they are.
+def load_bench_tool(monkeypatch, name: str):
+    """tools/<name>.py, loaded with the bench/ modules it imports, which it leaves as they are.
 
-    The modules it loaded are unloaded afterwards.
+    A generator for a fixture: the modules it loaded are unloaded afterwards.
     """
     monkeypatch.syspath_prepend(str(ROOT / "bench"))  # restores sys.path, which the tool extends
-    loaded = {"pool_digest", "worker", "inputs", "tracing", "workloads", "report"} - set(sys.modules)
+    loaded = {name, "worker", "inputs", "tracing", "workloads", "report"} - set(sys.modules)
     try:
-        spec = importlib.util.spec_from_file_location("pool_digest", ROOT / "tools" / "pool_digest.py")
+        spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
         tool = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = tool
         spec.loader.exec_module(tool)
         yield tool
     finally:
-        for name in loaded:
-            sys.modules.pop(name, None)
+        for module in loaded:
+            sys.modules.pop(module, None)
+
+
+@pytest.fixture
+def pool_digest_tool(monkeypatch):
+    yield from load_bench_tool(monkeypatch, "pool_digest")
+
+
+@pytest.fixture
+def line_count_tool(monkeypatch):
+    yield from load_bench_tool(monkeypatch, "line_count")
 
 
 def test_pool_digest_hashes_every_result_and_raised_error(pool_digest_tool, monkeypatch, capsys):
@@ -113,3 +123,20 @@ def test_pool_digests_of_seeds_1_to_3_are_unchanged(pool_digest_tool, workload):
     digest = pool_digest_tool.pool_digest(workload, [1, 2, 3])
     assert digest == POOL_DIGESTS[workload], (
         f"{workload} seeds 1 2 3: pool digest {digest}, pinned {POOL_DIGESTS[workload]}")
+
+
+def test_line_counts_repeat_exactly(line_count_tool):
+    start = time.perf_counter()
+    first = line_count_tool.line_counts("grasp-batch", [1], first=20)
+    assert line_count_tool.line_counts("grasp-batch", [1], first=20) == first
+    assert time.perf_counter() - start < 2.0
+    assert len(first) == 20 and all(n > 0 for n in first)
+
+
+def test_line_count_summary_and_output(line_count_tool, monkeypatch, capsys):
+    assert line_count_tool.summary([5, 1, 3, 2]) == (11, 2.5, 5)
+    assert line_count_tool.summary(list(range(1, 41))) == (820, 20.5, 39)
+    monkeypatch.setattr(line_count_tool, "line_counts", lambda workload, seeds: [4, 1, 3])
+    assert line_count_tool.main(["design-sweep", "1"]) == 0
+    assert capsys.readouterr().out == "operations 3  total 8  median 3  p97.5 4\n"
+    assert line_count_tool.main(["grasp-sweep", "1"]) == 2
