@@ -386,25 +386,19 @@ class TestTrajectory:
         states = transition_trajectory(cfg, Flat(), TiltedPlanar(math.radians(5.0)))
         res = pair_tilt_residuals(cfg, states)
         assert (res.dtype, res.shape) == (np.float64, (len(states), 2))
-        assert res.tolist() == [[tilt_line_residual(cfg.linkage, *st.thetas[:2]),
-                                 tilt_line_residual(cfg.linkage, *st.thetas[2:])] for st in states]
+        assert [[v.hex() for v in row] for row in res.tolist()] == [
+            [tilt_line_residual(cfg.linkage, *st.thetas[:2]).hex(),
+             tilt_line_residual(cfg.linkage, *st.thetas[2:]).hex()] for st in states]
         empty = pair_tilt_residuals(cfg, [])
         assert (empty.dtype, empty.shape) == (np.float64, (0, 2))
 
-    @settings(max_examples=100)
-    @given(planned_primitives())
-    def test_residuals_are_the_public_residual_bit_for_bit(self, plan):
-        cfg, state = plan
-        got = pair_tilt_residuals(cfg, [state]).tolist()[0]
-        want = [tilt_line_residual(cfg.linkage, *state.thetas[:2]),
-                tilt_line_residual(cfg.linkage, *state.thetas[2:])]
-        assert [v.hex() for v in got] == [v.hex() for v in want]
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_hand_built_state_with_a_non_finite_command_names_theta(self, cfg, bad):
+        # Built around the constructor, so the test reads the residual's own
+        # check and holds when FingertipState checks its fields.
         flat = plan_primitive(cfg, Flat())
-        state = FingertipState((0.0, bad, 0.0, 0.0), flat.phis, flat.terrace_tilt,
-                               flat.profile_x_points, flat.profile_y_points)
+        state = object.__new__(FingertipState)
+        vars(state).update(vars(flat), thetas=(0.0, bad, 0.0, 0.0))
         with pytest.raises(InvalidParams) as exc:
             pair_tilt_residuals(cfg, [state])
         assert exc.value.field == "theta"

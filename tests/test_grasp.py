@@ -656,19 +656,28 @@ class TestCradleSign:
         off = [[5.0, 0.0], [10.0, 0.0]]
         assert cradle_sign(scene_between(off, off, 60.0, Circle(1.0, (30.0, 0.0)), 0.0)) is None
 
-    @settings(max_examples=50)
-    @given(st.one_of(circle_scenes(),
-                     st.builds(concave_seat_scene, st.floats(20.0, 30.0), st.floats(90.0, 150.0))))
+    @settings(max_examples=100)
+    @given(st.one_of(
+        circle_scenes(),
+        st.builds(concave_seat_scene, st.floats(20.0, 30.0), st.floats(90.0, 150.0)),
+        st.builds(lambda points, r: scene_between(points, points, 300.0, Circle(r, (150.0, 0.0)),
+                                                  0.0), star_polylines(), st.floats(0.5, 80.0))))
     def test_matches_bisection(self, scene):
         local = [(y, x) for x, y in scene.left_points]
         assert np.array_equal(place_left(local), scene.left_profile)
-        r = scene.obj.radius
-        h0, up, down = (oracles.cradle_by_bisection(local, r, u)
-                        for u in (0.0, CRADLE_DELTA, -CRADLE_DELTA))
+        r, us = scene.obj.radius, (0.0, CRADLE_DELTA, -CRADLE_DELTA)
+        h0, up, down = (oracles.cradle_by_bisection(local, r, u) for u in us)
         if None in (h0, up, down):
             assert cradle_sign(scene) is None
         elif abs(up + down - 2.0 * h0) >= 1e-6:
             assert cradle_sign(scene) == (1 if up + down > 2.0 * h0 else -1)
+        try:  # and it is exactly the sign of three public samples
+            h0, up, down = (cradle_height(local, r, u) for u in us)
+        except Unsupported:
+            assert cradle_sign(scene) is None
+            return
+        curv = up + down - 2.0 * h0
+        assert cradle_sign(scene) == (1 if curv > 1e-9 else -1 if curv < -1e-9 else 0)
 
     def test_reads_no_profile(self, monkeypatch):
         # The scene read and checked its points once; the sign reads them as they are.
@@ -679,22 +688,6 @@ class TestCradleSign:
         assert calls == []
         assert cradle_height(flat, 5.0, 0.0) == 5.0
         assert len(calls) == 1  # the public call still reads its profile
-
-    @settings(max_examples=100)
-    @given(st.one_of(
-        circle_scenes(),
-        st.builds(concave_seat_scene, st.floats(20.0, 30.0), st.floats(90.0, 150.0)),
-        st.builds(lambda points, r: scene_between(points, points, 300.0, Circle(r, (150.0, 0.0)),
-                                                  0.0), star_polylines(), st.floats(0.5, 80.0))))
-    def test_equals_the_sign_of_three_public_samples(self, scene):
-        local, r = [(y, x) for x, y in scene.left_points], scene.obj.radius
-        try:
-            h0, up, down = (cradle_height(local, r, u) for u in (0.0, CRADLE_DELTA, -CRADLE_DELTA))
-        except Unsupported:
-            assert cradle_sign(scene) is None
-            return
-        curv = up + down - 2.0 * h0
-        assert cradle_sign(scene) == (1 if curv > 1e-9 else -1 if curv < -1e-9 else 0)
 
 
 class TestRecordsCheckedOnEntry:

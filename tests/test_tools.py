@@ -125,12 +125,33 @@ def test_pool_digests_of_seeds_1_to_3_are_unchanged(pool_digest_tool, workload):
         f"{workload} seeds 1 2 3: pool digest {digest}, pinned {POOL_DIGESTS[workload]}")
 
 
-def test_line_counts_repeat_exactly(line_count_tool):
+def test_line_counts_repeat_exactly(line_count_tool, monkeypatch):
+    build = line_count_tool.worker.build  # the first 20 inputs of each pool keep the run short
+    monkeypatch.setattr(line_count_tool.worker, "build",
+                        lambda workload, seed: (build(workload, seed)[0][:20], None))
     start = time.perf_counter()
-    first = line_count_tool.line_counts("grasp-batch", [1], first=20)
-    assert line_count_tool.line_counts("grasp-batch", [1], first=20) == first
+    first = line_count_tool.line_counts("grasp-batch", [1])
+    assert line_count_tool.line_counts("grasp-batch", [1]) == first
     assert time.perf_counter() - start < 2.0
     assert len(first) == 20 and all(n > 0 for n in first)
+
+
+def test_line_counts_put_back_the_trace_already_installed(line_count_tool, monkeypatch):
+    build = line_count_tool.worker.build
+    monkeypatch.setattr(line_count_tool.worker, "build",
+                        lambda workload, seed: (build(workload, seed)[0][:1], None))
+    outer = sys.gettrace()
+
+    def installed(frame, event, arg):
+        return None
+
+    sys.settrace(installed)
+    try:
+        line_count_tool.line_counts("grasp-batch", [1])
+        after = sys.gettrace()
+    finally:
+        sys.settrace(outer)
+    assert after is installed
 
 
 def test_line_count_summary_and_output(line_count_tool, monkeypatch, capsys):

@@ -30,12 +30,12 @@ import morphtip  # noqa: E402
 LIBRARY = str(Path(morphtip.__file__).parent) + "/"
 
 
-def line_counts(workload: str, seeds: list[int], first: int | None = None) -> list[int]:
+def line_counts(workload: str, seeds: list[int]) -> list[int]:
     """Library lines each operation executed, in pool order, seed by seed.
 
-    ``first`` takes only that many inputs from the start of each pool.
     The operations catch the errors their pools plan, so any other error
-    is raised here.
+    is raised here.  A trace function already installed, such as a
+    debugger's or a coverage tool's, is put back after each operation.
     """
     op = workloads.WORKLOADS[workload][0]
     api = tracing.Api()
@@ -53,13 +53,14 @@ def line_counts(workload: str, seeds: list[int], first: int | None = None) -> li
     counts = []
     for seed in seeds:
         pool, _ = worker.build(workload, seed)
-        for inp in pool[:first]:
+        for inp in pool:
             count = 0
+            previous = sys.gettrace()
             sys.settrace(call)
             try:
                 op(api, inp)
             finally:
-                sys.settrace(None)
+                sys.settrace(previous)
             counts.append(count)
     return counts
 
