@@ -8,10 +8,12 @@ Every number the library is given, a command, a length, a tilt, a gap or
 a friction coefficient, is checked by :func:`check_number`: a value that
 is not a finite number meeting its condition (NaN, an infinity, an
 integer too large for a float, text, None or a sequence) is refused with
-:class:`InvalidParams` naming the argument.
+:class:`InvalidParams` naming the argument.  Every profile and polygon
+is read by :func:`_read_points`, into finite (x, y) pairs of floats.
 """
 
 import math
+from itertools import chain
 
 
 class MorphtipError(Exception):
@@ -40,6 +42,12 @@ def check_number(name: str, value, must: str = "be finite", ok=None) -> None:
     TypeError or OverflowError that a value which is no number, or an
     integer too large for a float, raises here is a refusal too.  The
     value is only checked: the caller keeps it as it was given.
+
+    A hot call may test ``type(x) is float and x - x == 0.0`` first and
+    call this only when that is false: the test is true exactly for a
+    finite Python float (``x - x`` is NaN for NaN and the infinities),
+    which this passes, so every other value still gets this check and
+    its message.
     """
     try:
         if math.isfinite(value) and (ok is None or ok(value)):
@@ -116,6 +124,45 @@ def _array_of(floats: str) -> property:
 def positive(value: float) -> bool:
     """The ``ok`` of :func:`check_number` for a value that must be above 0."""
     return value > 0
+
+
+def _read_pair(pair) -> tuple[float, float]:
+    """pair as two floats; TypeError or ValueError unless it is two numbers.
+
+    Text is not a number here, though ``float`` would parse it; an
+    integer too large for a float is OverflowError.  Two floats, what
+    ``tolist()`` of a float array holds, are taken as they are.
+    """
+    x, y = pair
+    if type(x) is not float or type(y) is not float:
+        text = (str, bytes, bytearray)
+        if isinstance(pair, text) or isinstance(x, text) or isinstance(y, text):
+            raise TypeError("text is not a pair of numbers")
+        x, y = float(x), float(y)
+    return x, y
+
+
+def _read_points(points, name: str, least: int) -> tuple[tuple[float, float], ...]:
+    """points as at least ``least`` finite (x, y) pairs of floats.
+
+    ``points`` is any (n, 2) array-like of numbers, an ndarray read
+    through its ``tolist()``; anything else, ragged, text or not numbers
+    included, is InvalidParams naming it.  This is the one reader of every
+    profile and polygon.
+    """
+    if hasattr(points, "tolist"):  # an ndarray, as nested lists of Python numbers
+        points = points.tolist()
+    try:
+        pairs = tuple(map(_read_pair, points))
+    except OverflowError:  # an integer too large for a float
+        raise InvalidParams(f"{name} must be finite", field=name) from None
+    except (TypeError, ValueError):  # ragged, text or not numbers
+        pairs = ()
+    if len(pairs) < least:
+        raise InvalidParams(f"{name} must have at least {least} points of shape (n, 2)", field=name)
+    if not all(map(math.isfinite, chain.from_iterable(pairs))):
+        raise InvalidParams(f"{name} must be finite", field=name)
+    return pairs
 
 
 class OutOfRange(MorphtipError):

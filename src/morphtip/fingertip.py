@@ -13,9 +13,11 @@ surface profiles hinge the facets on the tilted terrace so a planar pose
 draws as one straight line.
 
 Each public function checks its numbers once, as it is called; the
-helpers below it (``_state``, ``_profile``, ``_settle`` and linkage's
-``_slider_ray``) trust the floats they are given, which a public call or
-a plan already checked.
+helpers below it trust the floats they are given, which a public call or
+a plan already checked: ``_state``, which builds a state around its
+checking constructor, ``_profile``, ``_settle``, and linkage's
+``_slider_ray``, the one evaluation of the crank, which poses every
+facet.
 
 The library computes and stores Python floats.  Every ndarray it returns
 is built by :func:`morphtip.errors._array`, the one place numpy is
@@ -28,7 +30,8 @@ from __future__ import annotations
 import math
 
 from . import linkage
-from .errors import InvalidParams, Record, _array, _array_of, check_number, positive
+from .errors import (InvalidParams, Record, _array, _array_of, _read_points, check_number,
+                     positive)
 from .linkage import _JAM, LinkageParams, _require_finite_points, _slider_ray, tilt_line_residual
 
 TYPE_CHECKING = False
@@ -94,7 +97,7 @@ class Concave(Record):
 
     def __init__(self, depth: float) -> None:
         check_number("depth", depth, "be a positive angle", positive)
-        vars(self).update(depth=depth)
+        vars(self).update(depth=float(depth))
 
 
 class Convex(Record):
@@ -104,7 +107,7 @@ class Convex(Record):
 
     def __init__(self, depth: float) -> None:
         check_number("depth", depth, "be a negative angle", _negative)
-        vars(self).update(depth=depth)
+        vars(self).update(depth=float(depth))
 
 
 class TiltedPlanar(Record):
@@ -115,9 +118,10 @@ class TiltedPlanar(Record):
     def __init__(self, tilt_x: float, tilt_y: float = 0.0) -> None:
         check_number("tilt_x", tilt_x)
         check_number("tilt_y", tilt_y)
-        vars(self).update(tilt_x=tilt_x, tilt_y=tilt_y)
+        vars(self).update(tilt_x=float(tilt_x), tilt_y=float(tilt_y))
 
 
+# Each primitive stores its angles as Python floats, so every plan holds floats.
 MorphPrimitive = Flat | Concave | Convex | TiltedPlanar
 
 
@@ -143,6 +147,11 @@ class FingertipState(Record):
     negative facet tip to the positive one.  profile_x / profile_y are the
     same points as (4, 2) ndarrays, built from the stored floats on every
     access: writing into one changes nothing the state holds.
+
+    The constructor stores every field as a tuple of Python floats, read
+    from any numbers: thetas and phis must be four finite numbers,
+    terrace_tilt two, and each profile four finite (x, y) pairs, else
+    InvalidParams names the field.
     """
 
     _fields = ("thetas", "phis", "terrace_tilt", "profile_x_points", "profile_y_points")
@@ -152,8 +161,37 @@ class FingertipState(Record):
     def __init__(self, thetas: tuple[float, float, float, float],
                  phis: tuple[float, float, float, float], terrace_tilt: tuple[float, float],
                  profile_x_points: Profile, profile_y_points: Profile) -> None:
-        vars(self).update(thetas=thetas, phis=phis, terrace_tilt=terrace_tilt,
-                          profile_x_points=profile_x_points, profile_y_points=profile_y_points)
+        vars(self).update(
+            thetas=_finite_floats("thetas", thetas, 4, "be four finite numbers"),
+            phis=_finite_floats("phis", phis, 4, "be four finite numbers"),
+            terrace_tilt=_finite_floats("terrace_tilt", terrace_tilt, 2, "be two finite numbers"),
+            profile_x_points=_four_points("profile_x_points", profile_x_points),
+            profile_y_points=_four_points("profile_y_points", profile_y_points))
+
+
+def _finite_floats(name: str, values, n: int, must: str) -> tuple[float, ...]:
+    """values as a tuple of n Python floats; else InvalidParams ``"<name> must <must>"``.
+
+    Anything that is not n finite numbers is refused: text, None, an
+    integer too large for a float, or a sequence of another length.
+    """
+    try:
+        if len(values) == n and all(map(math.isfinite, values)):
+            return tuple(map(float, values))
+    except (TypeError, OverflowError):  # not numbers, or an integer too large for a float
+        pass
+    raise InvalidParams(f"{name} must {must}", field=name)
+
+
+def _four_points(name: str, points) -> Profile:
+    """A profile as four finite (x, y) pairs of floats, read by ``_read_points``.
+
+    Anything else is InvalidParams naming it.
+    """
+    pairs = _read_points(points, name, 4)
+    if len(pairs) != 4:
+        raise InvalidParams(f"{name} must have 4 points of shape (4, 2)", field=name)
+    return pairs
 
 
 def terrace_equilibrium(
@@ -260,6 +298,8 @@ def _state(cfg: FingertipConfig, thetas: tuple[float, float, float, float],
     either is the same float.  A y plane that repeats the x plane's
     commands and tilt repeats its profile; the sign of a zero tilt is
     compared too, as it is the sign of the hinges' zero coordinates.
+    The state is built around the constructor, as every float in it is
+    checked or derived from checked floats.
     """
     params = cfg.linkage
     t0, t1, t2, t3 = thetas
@@ -275,8 +315,11 @@ def _state(cfg: FingertipConfig, thetas: tuple[float, float, float, float],
     profile_x = _profile(cfg, p0, p1, tx)
     same = (t2 == t0 and t3 == t1 and ty == tx
             and math.copysign(1.0, ty) == math.copysign(1.0, tx))
-    return FingertipState(thetas, (p0[0], p1[0], p2[0], p3[0]), tilt, profile_x,
-                          profile_x if same else _profile(cfg, p2, p3, ty))
+    state = object.__new__(FingertipState)
+    vars(state).update(thetas=thetas, phis=(p0[0], p1[0], p2[0], p3[0]), terrace_tilt=tilt,
+                       profile_x_points=profile_x,
+                       profile_y_points=profile_x if same else _profile(cfg, p2, p3, ty))
+    return state
 
 
 def state_from_thetas(
@@ -294,18 +337,13 @@ def state_from_thetas(
     torques over ``2*cfg.spring_k`` stay finite, else InvalidParams names
     it; so the terrace tilt of every state is finite.
     """
-    try:
-        ok = len(thetas) == 4 and all(math.isfinite(t) for t in thetas)
-    except (TypeError, OverflowError):  # not numbers, or an integer too large for a float
-        ok = False
-    if not ok:
-        raise InvalidParams("thetas must be four finite servo commands", field="thetas")
+    thetas = _finite_floats("thetas", thetas, 4, "be four finite servo commands")
     if not isinstance(load, ExternalLoad):
         raise InvalidParams(f"load must be an ExternalLoad, got {load!r}", field="load")
     if not math.isfinite(max(abs(load.tau_x), abs(load.tau_y)) / (2.0 * cfg.spring_k)):
         raise InvalidParams("load is too large for cfg.spring_k: each torque / (2*spring_k) "
                             "must be finite", field="load")
-    return _state(cfg, tuple(map(float, thetas)), None, load)
+    return _state(cfg, thetas, None, load)
 
 
 def _commands(params: LinkageParams, prim: MorphPrimitive) -> tuple[tuple[float, ...], tuple[float, float]]:

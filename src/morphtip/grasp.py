@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import (DegenerateContacts, InvalidParams, Penetration, Record, Unsupported,
-                     _array, _array_of, check_number, positive)
+                     _array, _array_of, _read_pair, _read_points, check_number, positive)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -75,22 +75,6 @@ PIVOT_ANGLE_TOL = 1e-3
 CRADLE_DELTA = 0.1
 
 
-def _read_pair(pair) -> tuple[float, float]:
-    """pair as two floats; TypeError or ValueError unless it is two numbers.
-
-    Text is not a number here, though ``float`` would parse it; an
-    integer too large for a float is OverflowError.  Two floats, what
-    ``tolist()`` of a float array holds, are taken as they are.
-    """
-    x, y = pair
-    if type(x) is not float or type(y) is not float:
-        text = (str, bytes, bytearray)
-        if isinstance(pair, text) or isinstance(x, text) or isinstance(y, text):
-            raise TypeError("text is not a pair of numbers")
-        x, y = float(x), float(y)
-    return x, y
-
-
 def _finite_pair(pair, name: str) -> tuple[float, float]:
     """pair as two finite floats, read by :func:`_read_pair`; else InvalidParams naming it.
 
@@ -114,29 +98,6 @@ def _non_negative(value: float) -> bool:
 def _radius(value: float) -> bool:
     """A positive value whose square is finite, a radius :func:`cradle_height` can take."""
     return value > 0 and math.isfinite(value * value)
-
-
-def _read_points(points, name: str, least: int) -> Points:
-    """points as at least ``least`` finite (x, y) pairs of floats.
-
-    ``points`` is any (n, 2) array-like of numbers, an ndarray read
-    through its ``tolist()``; anything else, ragged, text or not numbers
-    included, is InvalidParams naming it.  This is the one reader of every
-    profile and polygon.
-    """
-    if hasattr(points, "tolist"):  # an ndarray, as nested lists of Python numbers
-        points = points.tolist()
-    try:
-        pairs = tuple(map(_read_pair, points))
-    except OverflowError:  # an integer too large for a float
-        raise InvalidParams(f"{name} must be finite", field=name) from None
-    except (TypeError, ValueError):  # ragged, text or not numbers
-        pairs = ()
-    if len(pairs) < least:
-        raise InvalidParams(f"{name} must have at least {least} points of shape (n, 2)", field=name)
-    if not all(map(math.isfinite, chain.from_iterable(pairs))):
-        raise InvalidParams(f"{name} must be finite", field=name)
-    return pairs
 
 
 class Circle(Record):

@@ -18,6 +18,14 @@ Angles:
 
 All lengths mm, all angles radians.  Every function here is pure; params
 objects are frozen, so concurrent use needs no locking.
+
+Each public function checks its numbers once, as it is called;
+``forward_facet``, ``facet_pose``, ``inverse_facet`` and
+``solve_planar_pair`` pass a finite float with one inline test and hand
+any other value to ``check_number``.  The helpers below them trust the
+floats they are given: ``_slider_ray``, the one evaluation of the crank,
+which every slider point, facet angle and slider ray angle comes from,
+and ``_ray_command``, the one closed-form inverse.
 """
 
 from __future__ import annotations
@@ -43,11 +51,22 @@ class LinkageParams(Record):
 
     ``theta_min``/``theta_max`` bound the commanded servo stroke; the
     usable interval ``operating_range`` is additionally clipped by the jam
-    limit and derived here too, see :func:`operating_range`; ``repr`` and
-    equality leave it out, as the fields fix it.  A stroke that lies
-    entirely in the jam zone is rejected here, as are lengths so large
-    that a point of the mechanism could overflow (see
+    limit and derived here too, see :func:`operating_range`.  So is the
+    facet interval it attains, see :func:`attainable_facet_range`, from
+    the slider rays at the ends of the operating range.  ``repr``,
+    equality and ``replace`` leave both out, as the fields fix them.  A
+    stroke that lies entirely in the jam zone is rejected here, as are
+    lengths so large that a point of the mechanism could overflow (see
     :func:`_require_finite_points`).
+
+    The slider rays at the ends of the operating range raise nothing for
+    params accepted here: as :func:`_ray_command` argues, ``JAM_MARGIN``
+    keeps each end's crank inside its half-turn and its slider outward of
+    the hinge, and so outward of the ball joint too, which
+    :func:`attainable_tilt_range` relies on.  Only within about 1e-10 of a
+    tangent crank circle, where ``(l_oc - oa_x) / l_ab`` is that close to
+    1, can the margin's effect on the slider round away; a stroke whose
+    end then jams is rejected too.
     """
 
     _fields = ("l_oc", "l_ab", "alpha0", "oa_x", "theta_min", "theta_max", "oa_y")
@@ -70,7 +89,13 @@ class LinkageParams(Record):
         if oa_x + l_ab * math.sin(alpha0) - l_oc <= 0:
             raise InvalidParams("oa_x must exceed l_oc - l_ab*sin(alpha0): the slider must "
                                 "sit outward of the hinge at neutral", field="oa_x")
-        vars(self)["operating_range"] = _clip_to_jam_free(self)
+        lo, hi = _clip_to_jam_free(self)
+        try:
+            facet = (_slider_ray(self, lo, l_oc, _JAM)[0], _slider_ray(self, hi, l_oc, _JAM)[0])
+        except OutOfRange:
+            raise InvalidParams("jam-free stroke is too narrow: a command at an end of the "
+                                "operating range jams") from None
+        vars(self).update(operating_range=(lo, hi), _facet_range=facet)
 
 
 def _require_finite_points(params: LinkageParams, facet_len: float = 1.0) -> None:
@@ -101,27 +126,17 @@ def slider_point(params: LinkageParams, theta: float) -> tuple[float, float]:
     """Position of the slider pivot for a servo command theta.
 
     Raises OutOfRange when the crank leaves the modeled half-turn
-    (alpha0 - theta outside (0, pi)).
+    (alpha0 - theta outside (0, pi)).  It is :func:`_slider_ray` from
+    x = -inf, where no slider lies behind its origin.
     """
     check_number("theta", theta)
-    return _crank_tip(params, theta)
+    return _slider_ray(params, theta, -math.inf, _JAM)[1:]
 
 
-def _crank_tip(params: LinkageParams, theta: float) -> tuple[float, float]:
-    """:func:`slider_point` of a theta already checked finite."""
-    a = params.alpha0 - theta
-    if not 0.0 < a < math.pi:
-        raise OutOfRange(
-            f"crank angle {_rad(a)} rad outside (0, pi) for theta={_rad(theta)} rad"
-        )
-    return (
-        params.oa_x + params.l_ab * math.sin(a),
-        params.oa_y + params.l_ab * math.cos(a),
-    )
-
-
-# The OutOfRange message of a slider not outward of the hinge; see _slider_ray.
+# The OutOfRange messages of a slider not outward of the hinge, and of the
+# ball joint; see _slider_ray.
 _JAM = "slider inside the hinge (guide x = {x:.6g} mm) at theta={theta} rad: mechanism jam"
+_BEHIND_JOINT = "slider behind the ball joint (x = {x:.6g} mm) at theta={theta} rad"
 
 
 def forward_facet(params: LinkageParams, theta: float) -> float:
@@ -130,7 +145,9 @@ def forward_facet(params: LinkageParams, theta: float) -> float:
     Raises OutOfRange if the slider would pass inside the hinge
     (mechanism jam).
     """
-    return facet_pose(params, theta)[0]
+    if not (type(theta) is float and theta - theta == 0.0):
+        check_number("theta", theta)
+    return _slider_ray(params, theta, params.l_oc, _JAM)[0]
 
 
 def facet_pose(params: LinkageParams, theta: float) -> tuple[float, float, float]:
@@ -139,7 +156,8 @@ def facet_pose(params: LinkageParams, theta: float) -> tuple[float, float, float
     One slider evaluation serves both; raises what :func:`forward_facet`
     raises.
     """
-    check_number("theta", theta)
+    if not (type(theta) is float and theta - theta == 0.0):
+        check_number("theta", theta)
     return _slider_ray(params, theta, params.l_oc, _JAM)
 
 
@@ -147,15 +165,20 @@ def _slider_ray(params: LinkageParams, theta: float, origin: float,
                 behind: str) -> tuple[float, float, float]:
     """Angle of the ray from ``(origin, 0)`` through the slider, and the slider.
 
-    Returns ``(angle, bx, by)``.  A crank outside its half-turn raises
-    what :func:`slider_point` raises, and a slider not outward of the
+    Returns ``(angle, bx, by)``; this is the one evaluation of the crank.
+    A crank outside its half-turn (``alpha0 - theta`` outside (0, pi))
+    raises OutOfRange naming its angle, and a slider not outward of the
     origin raises OutOfRange with ``behind`` formatted on its x offset
     ``x`` and ``theta`` as :func:`_rad` prints it.  ``theta`` is not
-    checked here: :func:`facet_pose` and :func:`planar_condition_angle`
-    check it first, and the fingertip's states pass commands that their
-    public call already checked.
+    checked here: every public caller checks it first, and the
+    fingertip's states pass commands that their public call already
+    checked.
     """
-    bx, by = _crank_tip(params, theta)
+    a = params.alpha0 - theta
+    if not 0.0 < a < math.pi:
+        raise OutOfRange(f"crank angle {_rad(a)} rad outside (0, pi) for theta={_rad(theta)} rad")
+    bx = params.oa_x + params.l_ab * math.sin(a)
+    by = params.oa_y + params.l_ab * math.cos(a)
     dx = bx - origin
     if dx <= 0.0:
         raise OutOfRange(behind.format(x=dx, theta=_rad(theta)))
@@ -191,9 +214,12 @@ def _clip_to_jam_free(params: LinkageParams) -> tuple[float, float]:
 
 
 def attainable_facet_range(params: LinkageParams) -> tuple[float, float]:
-    """Facet angles reachable over the operating range (phi is monotone)."""
-    lo, hi = params.operating_range
-    return forward_facet(params, lo), forward_facet(params, hi)
+    """Facet angles reachable over the operating range (phi is monotone).
+
+    The :func:`forward_facet` of each end of the operating range, derived
+    once, when the params are built.
+    """
+    return params._facet_range
 
 
 def _ray_command(params: LinkageParams, angle: float, origin: float) -> float | None:
@@ -222,7 +248,8 @@ def _ray_command(params: LinkageParams, angle: float, origin: float) -> float | 
         return 0.0 if lo <= 0.0 <= hi else None
     s, c = math.sin(angle), math.cos(angle)
     k = ((params.oa_x - origin) * s - params.oa_y * c) / params.l_ab
-    if abs(k) > 1.0:
+    # k is never NaN, as every input is checked, so this is abs(k) > 1.0.
+    if not -1.0 <= k <= 1.0:
         return None
     theta = params.alpha0 + angle - math.acos(k)
     # Float slack at the clipped endpoints, well below any stated tolerance.
@@ -250,7 +277,8 @@ def inverse_facet(params: LinkageParams, phi: float) -> float:
     Raises Unreachable (with the attainable facet interval attached) when
     phi lies outside the image of the operating range.
     """
-    check_number("phi", phi)
+    if not (type(phi) is float and phi - phi == 0.0):
+        check_number("phi", phi)
     theta = _ray_command(params, phi, params.l_oc)
     if theta is None:
         raise _unreachable("facet angle", phi, attainable_facet_range(params))
@@ -265,8 +293,7 @@ def planar_condition_angle(params: LinkageParams, theta: float) -> float:
     are anti-collinear through the ball joint.
     """
     check_number("theta", theta)
-    return _slider_ray(params, theta, 0.0,
-                       "slider behind the ball joint (x = {x:.6g} mm) at theta={theta} rad")[0]
+    return _slider_ray(params, theta, 0.0, _BEHIND_JOINT)[0]
 
 
 def attainable_tilt_range(params: LinkageParams) -> tuple[float, float]:
@@ -277,14 +304,16 @@ def attainable_tilt_range(params: LinkageParams) -> tuple[float, float]:
     range that excludes 0 attains no tilt, and raises Unreachable with no
     interval attached.  A stroke that starts or ends at 0 attains only
     ``(0.0, 0.0)``: adding ``0.0`` turns either end's ``-0.0`` into ``0.0``.
+    The interval is ``t = min(up, -down)`` with ``up`` and ``down`` the
+    :func:`planar_condition_angle` of the ends of the operating range,
+    whose slider rays :class:`LinkageParams` checked when it was built.
     """
     lo, hi = params.operating_range
     if not lo <= 0.0 <= hi:
         raise Unreachable("no tilt is attainable: the operating range "
                           f"[{_rad(lo)}, {_rad(hi)}] rad excludes the flat-neutral command 0")
-    up = planar_condition_angle(params, hi)
-    down = planar_condition_angle(params, lo)
-    t = min(up, -down)
+    t = min(_slider_ray(params, hi, 0.0, _BEHIND_JOINT)[0],
+            -_slider_ray(params, lo, 0.0, _BEHIND_JOINT)[0])
     return 0.0 - t, t + 0.0
 
 
@@ -299,7 +328,8 @@ def solve_planar_pair(params: LinkageParams, phi_tilt: float) -> tuple[float, fl
     Raises Unreachable, naming ``phi_tilt`` as given and attaching
     :func:`attainable_tilt_range`, when either half has no command.
     """
-    check_number("phi_tilt", phi_tilt)
+    if not (type(phi_tilt) is float and phi_tilt - phi_tilt == 0.0):
+        check_number("phi_tilt", phi_tilt)
     pos, neg = _ray_command(params, phi_tilt, 0.0), _ray_command(params, -phi_tilt, 0.0)
     if pos is None or neg is None:
         raise _unreachable("tilt", phi_tilt, attainable_tilt_range(params))

@@ -1,8 +1,10 @@
 import hashlib
+import importlib
 import math
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -49,6 +51,7 @@ from morphtip.grasp import (
 
 CFG = FingertipConfig()
 L_OC = CFG.linkage.l_oc
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # Profiles that are not (n, 2) arrays of at least two finite points.
@@ -189,13 +192,18 @@ def assert_matches_enumeration(scene: GraspScene, scale: float = 1.0) -> None:
 
 
 def scaled(scene: GraspScene, factor: float) -> GraspScene:
-    """A polygon scene with every length multiplied by factor, a power of two, so exactly."""
+    """A scene with every length multiplied by factor: exactly, when it is a power of two."""
 
     def times(points):
         return [(x * factor, y * factor) for x, y in points]
 
+    obj = scene.obj
+    if isinstance(obj, Circle):
+        obj = Circle(obj.radius * factor, (obj.center[0] * factor, obj.center[1] * factor))
+    else:
+        obj = ConvexPolygon(times(obj.vertex_points))
     return GraspScene(times(scene.left_points), times(scene.right_points), scene.gap * factor,
-                      ConvexPolygon(times(scene.obj.vertex_points)), scene.mu)
+                      obj, scene.mu)
 
 
 def lopsided_square_scene(phi_deg: float = 30.0, half_side: float = 20.0, mu: float = 0.0) -> GraspScene:
@@ -487,6 +495,42 @@ class TestContactsAgainstEnumeration:
             assert all(type(v) is float and math.isfinite(v) for v in floats)
             assert math.hypot(*c.normal_xy) == pytest.approx(1.0, abs=1e-12)
             assert repr(Contact(c.point_xy, c.normal_xy, c.side, c.segment)) == repr(c)
+
+
+@pytest.fixture
+def batch_scenes(monkeypatch):
+    """The first 40 scenes of the grasp-batch pool of seed 1, as bench/worker.py builds them.
+
+    The bench/ modules are imported as they are, and unloaded afterwards.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # restores sys.path, which worker extends
+    loaded = {"worker", "inputs", "tracing", "workloads", "report"} - set(sys.modules)
+    try:
+        yield [g.scene for g in importlib.import_module("worker").build("grasp-batch", 1)[0][:40]]
+    finally:
+        for module in loaded:
+            sys.modules.pop(module, None)
+
+
+def verdict(scene: GraspScene) -> tuple:
+    """What the grasp command reports of a scene: penetration, or contacts, closure and pivot."""
+    try:
+        contacts = find_contacts(scene)
+    except Penetration:
+        return ("penetration",)
+    if not contacts:
+        return (0, Closure.NONE, False)
+    return (len(contacts), closure_classify(contacts, scene.mu), pivot_feasible(contacts))
+
+
+def test_benchmark_verdicts_hold_at_a_thousandth_and_a_thousand_times_the_scale(batch_scenes):
+    # The tolerances are absolute millimetres; README states the scales they serve.
+    start = time.perf_counter()
+    verdicts = [verdict(scene) for scene in batch_scenes]
+    assert {v[0] for v in verdicts} >= {"penetration", 2}  # both kinds of scene are here
+    for factor in (1e-3, 1e3):
+        assert [verdict(scaled(scene, factor)) for scene in batch_scenes] == verdicts, factor
+    assert time.perf_counter() - start < 2.0
 
 
 @st.composite

@@ -1,14 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from strategies import fingertip_configs, fractions, linkage_params, zero_free_configs
 from morphtip import (
     InvalidParams,
     LinkageParams,
+    MorphtipError,
     OutOfRange,
     Unreachable,
     attainable_facet_range,
@@ -21,6 +23,9 @@ from morphtip import (
     solve_planar_pair,
     tilt_line_residual,
 )
+from morphtip import linkage
+from morphtip.errors import check_number
+from morphtip.linkage import facet_pose
 
 # Frozen from the high-precision vector-chain oracle (mpmath, 40 digits).
 PHI_AT_9DEG = 0.5574375790948994
@@ -116,7 +121,188 @@ class TestStoredOperatingRange:
         assert "operating_range" not in repr(p)
         q = p.replace()
         object.__setattr__(q, "operating_range", (0.0, 0.0))
-        assert q == p and hash(q) == hash(p)
+        vars(q).update(_facet_range=(0.0, 0.0))  # the facet range it attains
+        assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+
+
+@st.composite
+def near_tangent_args(draw) -> tuple[float, ...]:
+    """Arguments of a LinkageParams whose crank circle all but touches the hinge's vertical.
+
+    ``(l_oc - oa_x) / l_ab`` lies within 1e-6 of 1, down to a few ulps of
+    it, so the jam-free crank angles span a window as narrow as 3e-8 rad
+    around the horizontal crank.  The crank starts inside that window, and
+    the stroke reaches past both its ends.
+    """
+    l_oc = draw(st.floats(10.0, 20.0))
+    l_ab = draw(st.floats(14.0, 26.0))
+    gap = draw(st.one_of(st.floats(1e-16, 1e-6), st.integers(1, 64).map(lambda n: n * 2.0**-53)))
+    oa_x = l_oc - (1.0 - gap) * l_ab
+    s0 = (l_oc - oa_x) / l_ab
+    assume(s0 < 1.0)
+    edge = math.asin(s0)
+    alpha0 = edge + draw(st.floats(0.0, 1.0, exclude_min=True)) * (math.pi / 2 - edge)
+    assume(alpha0 < math.pi / 2)  # acute, as every crank at neutral
+    return l_oc, l_ab, alpha0, oa_x, -draw(st.floats(1.0, 3.0)), draw(st.floats(1.0, 3.0))
+
+
+# The refusal of a stroke whose end jams; see TestDerivedRanges.
+END_JAMS = "jam-free stroke is too narrow: a command at an end of the operating range jams"
+
+
+def assert_ranges_as_computed_on_call(p: LinkageParams) -> None:
+    """The attained ranges are the forward kinematics of the operating range's ends, bit for bit."""
+    lo, hi = operating_range(p)
+    facet = attainable_facet_range(p)
+    assert [a.hex() for a in facet] == [forward_facet(p, lo).hex(), forward_facet(p, hi).hex()]
+    if lo <= 0.0 <= hi:
+        t = min(planar_condition_angle(p, hi), -planar_condition_angle(p, lo))
+        assert [a.hex() for a in attainable_tilt_range(p)] == [(0.0 - t).hex(), (t + 0.0).hex()]
+    else:
+        with pytest.raises(Unreachable) as exc:
+            attainable_tilt_range(p)
+        assert str(exc.value) == (f"no tilt is attainable: the operating range [{lo:.6f}, "
+                                  f"{hi:.6f}] rad excludes the flat-neutral command 0")
+
+
+class TestDerivedRanges:
+    """The attained facet range is derived once, like the operating range, and the tilt
+    range on each call; both equal the forward kinematics of the range's ends."""
+
+    @given(st.one_of(fingertip_configs().map(lambda cfg: cfg.linkage), zero_free_linkages),
+           fractions)
+    def test_equal_the_ranges_computed_on_call_also_after_replace(self, p, f):
+        assert_ranges_as_computed_on_call(p)
+        lo, hi = operating_range(p)
+        q = p.replace(theta_max=lo + (0.05 + 0.9 * f) * (hi - lo))  # some exclude 0
+        assert attainable_facet_range(q)[1] != attainable_facet_range(p)[1]
+        assert_ranges_as_computed_on_call(q)
+
+    @settings(max_examples=300)  # most draws put the slider on the hinge at neutral
+    @given(near_tangent_args())
+    def test_near_tangent_stroke_is_refused_exactly_when_an_end_jams(self, args):
+        # The same geometry built around the constructor's checks, with
+        # the operating range it would derive.
+        raw = object.__new__(LinkageParams)
+        l_oc, l_ab, alpha0, oa_x, theta_min, theta_max = args
+        vars(raw).update(l_oc=l_oc, l_ab=l_ab, alpha0=alpha0, oa_x=oa_x, theta_min=theta_min,
+                         theta_max=theta_max, oa_y=-l_ab * math.cos(alpha0))
+        assume(oa_x + l_ab * math.sin(alpha0) - l_oc > 0)  # the slider starts outward
+        lo, hi = oracles.operating_range_closed_form(raw, linkage.JAM_MARGIN)
+        assume(lo < hi)
+        try:
+            forward_facet(raw, lo), forward_facet(raw, hi)
+            jams = False
+        except OutOfRange:
+            jams = True
+        if jams:
+            with pytest.raises(InvalidParams) as exc:
+                LinkageParams(*args)
+            assert str(exc.value) == END_JAMS and exc.value.field is None
+        else:
+            assert_ranges_as_computed_on_call(LinkageParams(*args))
+
+    def test_a_stroke_whose_end_jams_is_refused(self):
+        # (l_oc - oa_x) / l_ab is 1 - 2.2e-15: JAM_MARGIN moves the slider by
+        # less than its rounding, so the slider at each end sits on the hinge.
+        with pytest.raises(InvalidParams) as exc:
+            LinkageParams(42.44796997839302, 7.15103008356386, 1.570796293430097,
+                          35.29693989482917, -3.0, 3.0)
+        assert str(exc.value) == END_JAMS
+
+
+def inline_check_passes(x) -> bool:
+    """The inline test the hot public calls run before check_number."""
+    return type(x) is float and x - x == 0.0
+
+
+PARAMS = LinkageParams()
+
+
+def outcome(call, value) -> tuple:
+    """The bits of call(PARAMS, value), or the type, message and field of its error.
+
+    A numpy float in gives numpy floats out, as it always has; the bits
+    are those of the floats.
+    """
+    try:
+        result = call(PARAMS, value)
+        return ("ok", [float(x).hex() for x in (result if isinstance(result, tuple) else [result])])
+    except MorphtipError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "field", None))
+
+
+# The calls that run the inline test, and the name of the argument it reads.
+INLINE = [
+    pytest.param(forward_facet, "theta", id="forward_facet"),
+    pytest.param(facet_pose, "theta", id="facet_pose"),
+    pytest.param(inverse_facet, "phi", id="inverse_facet"),
+    pytest.param(solve_planar_pair, "phi_tilt", id="solve_planar_pair"),
+]
+
+
+def with_edge_floats(test):
+    """test, given NaN, the infinities, both zeros, subnormals and the extreme normals too."""
+    for x in (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, -1.7976931348623157e308):
+        test = example(x)(test)
+    return test
+
+
+class TestInlineCheck:
+    @given(st.floats())
+    @with_edge_floats
+    def test_is_true_exactly_when_check_number_passes(self, x):
+        try:
+            check_number("x", x)
+            passes = True
+        except InvalidParams:
+            passes = False
+        assert inline_check_passes(x) == passes == math.isfinite(x)
+
+    @given(st.floats())
+    @with_edge_floats
+    def test_each_call_skips_check_number_exactly_for_a_finite_float(self, x):
+        checked = []
+
+        def recorded(name, value, *rest):
+            checked.append(name)
+            return check_number(name, value, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linkage, "check_number", recorded)
+            for param in INLINE:
+                call, name = param.values
+                checked.clear()
+                try:
+                    call(PARAMS, x)
+                except MorphtipError:
+                    pass
+                assert checked == ([] if math.isfinite(x) else [name])
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(np.float64(0.05), id="numpy-float64"),
+        pytest.param(0, id="int-0"),
+        pytest.param(1, id="int-1"),
+        pytest.param(True, id="true"),
+        pytest.param(False, id="false"),
+        pytest.param(10**400, id="huge-int"),
+        pytest.param(Fraction(1, 16), id="fraction"),
+        pytest.param("0.05", id="text"),
+        pytest.param(None, id="none"),
+    ])
+    @pytest.mark.parametrize("call, name", INLINE)
+    def test_any_other_value_gets_the_checked_result(self, call, name, value):
+        # What each call did before it had the inline test: check_number,
+        # then the computation on the checked value, which for a number is
+        # the computation on its float.
+        try:
+            check_number(name, value)
+        except InvalidParams:
+            expected = ("InvalidParams", f"{name} must be finite", name)
+        else:
+            expected = outcome(call, float(value))
+        assert outcome(call, value) == expected
 
 
 class TestForward:

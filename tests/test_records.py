@@ -6,6 +6,7 @@ below), and every record compares and hashes by value.
 
 import math
 
+import numpy as np
 import pytest
 
 from morphtip import (
@@ -16,6 +17,7 @@ from morphtip import (
     ConvexPolygon,
     ExternalLoad,
     FingertipConfig,
+    FingertipState,
     Flat,
     GraspScene,
     InvalidParams,
@@ -195,6 +197,8 @@ REFUSED = [
     pytest.param(lambda: Contact((1.0, 2.0), (0.0, 1.0), "left", 3),
                  {"normal_xy": (math.nan, 1.0)}, "normal", id="Contact"),
     pytest.param(scene, {"mu": -1.0}, "mu", id="GraspScene"),
+    pytest.param(lambda: plan_primitive(FingertipConfig(), Flat()),
+                 {"phis": (0.0, math.nan, 0.0, 0.0)}, "phis", id="FingertipState"),
 ]
 
 
@@ -216,3 +220,77 @@ def test_replace_runs_the_constructor_checks_again(build, changes, field):
 def test_replace_refuses_a_name_that_is_no_argument(build, name):
     with pytest.raises(ValueError, match=name):
         build().replace(**{name: 0.0})
+
+
+# The fields of a valid FingertipState, as plain sequences of ints.
+STATE = {"thetas": [0, 0, 0, 0], "phis": [0, 0, 0, 0], "terrace_tilt": [0, 0],
+         "profile_x_points": [[-2, 0], [-1, 0], [1, 0], [2, 0]],
+         "profile_y_points": [[-2, 0], [-1, 0], [1, 0], [2, 0]]}
+# Values no field of a FingertipState takes, whatever its length.
+NOT_FOUR_NUMBERS = [
+    pytest.param(None, id="none"),
+    pytest.param("text", id="text"),
+    pytest.param(1.0, id="number"),
+    pytest.param([1.0, 2.0, 3.0], id="three"),
+    pytest.param([0.0, math.nan, 0.0, 0.0], id="nan"),
+    pytest.param([0.0, math.inf, 0.0, 0.0], id="inf"),
+    pytest.param([10**400, 0, 0, 0], id="huge-int"),
+    pytest.param(["1", "2", "3", "4"], id="numeric-strings"),
+]
+NOT_A_PROFILE = [
+    pytest.param(None, id="none"),
+    pytest.param("abcd", id="text"),
+    pytest.param([[0, 0]] * 3, id="three-points"),
+    pytest.param([[0, 0]] * 5, id="five-points"),
+    pytest.param([[0, 0], [0, 0], [0, 0], [0, math.nan]], id="nan"),
+    pytest.param([[0, 0], [0, 0], [0, 0], [0, 0, 0]], id="three-coordinates"),
+    pytest.param([[0, 0], [0, 0], [0, 0], "12"], id="digits"),
+    pytest.param([[0, 0], [0, 0], [0, 0], [10**400, 0]], id="huge-int"),
+]
+NOT_TWO_NUMBERS = [
+    pytest.param(None, id="none"),
+    pytest.param([0.0], id="one"),
+    pytest.param([0.0, 0.0, 0.0], id="three"),
+    pytest.param([math.nan, 0.0], id="nan"),
+    pytest.param("ab", id="text"),
+]
+
+
+@pytest.mark.parametrize("field, bad", [
+    *(pytest.param(field, *bad.values, id=f"{field}-{bad.id}")
+      for field in ("thetas", "phis") for bad in NOT_FOUR_NUMBERS),
+    *(pytest.param("terrace_tilt", *bad.values, id=f"terrace_tilt-{bad.id}")
+      for bad in NOT_TWO_NUMBERS),
+    *(pytest.param(field, *bad.values, id=f"{field}-{bad.id}")
+      for field in ("profile_x_points", "profile_y_points") for bad in NOT_A_PROFILE),
+])
+def test_fingertip_state_refuses_a_field_that_is_not_finite_numbers(field, bad):
+    with pytest.raises(InvalidParams) as exc:
+        FingertipState(**{**STATE, field: bad})
+    assert exc.value.field == field and str(exc.value).startswith(f"{field} must ")
+
+
+def test_fingertip_state_stores_every_field_as_tuples_of_floats():
+    state = FingertipState(np.zeros(4), [np.float64(0.0), 0, False, 0.0], (0, -0.0),
+                           np.array(STATE["profile_x_points"]), STATE["profile_y_points"])
+    for name in state._fields:
+        value = getattr(state, name)
+        assert type(value) is tuple
+        assert all(type(v) is float for v in (value if name in ("thetas", "phis", "terrace_tilt")
+                                               else sum(value, ())))
+    assert state.profile_x_points == ((-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+    assert math.copysign(1.0, state.terrace_tilt[1]) == -1.0
+    assert all(type(point) is tuple for point in state.profile_y_points)
+
+
+@pytest.mark.parametrize("prim", [
+    pytest.param(TiltedPlanar(np.float64(0.05), 0), id="TiltedPlanar"),
+    pytest.param(Concave(np.float64(0.2)), id="Concave"),
+    pytest.param(Convex(np.float32(-0.25)), id="Convex"),
+])
+def test_a_plan_from_numpy_floats_holds_the_floats_its_replace_holds(prim):
+    # Each primitive stores its angles as Python floats, so a plan's state
+    # is what its checking constructor, run again by replace, stores.
+    assert all(type(value) is float for value in prim._values())
+    state = plan_primitive(FingertipConfig(), prim)
+    assert repr(state) == repr(state.replace()) and state == state.replace()

@@ -5,6 +5,7 @@ import importlib.util
 import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -125,15 +126,25 @@ def test_pool_digests_of_seeds_1_to_3_are_unchanged(pool_digest_tool, workload):
         f"{workload} seeds 1 2 3: pool digest {digest}, pinned {POOL_DIGESTS[workload]}")
 
 
-def test_line_counts_repeat_exactly(line_count_tool, monkeypatch):
+@pytest.mark.parametrize("workload, calls", [
+    ("grasp-batch", {"find_contacts", "closure_classify", "pivot_feasible", "cradle_height"}),
+    ("design-sweep", {"operating_range", "forward_facet", "inverse_facet", "attainable_tilt_range",
+                      "solve_planar_pair", "Concave", "Convex", "TiltedPlanar", "plan_primitive",
+                      "transition_trajectory"}),
+], ids=["grasp-batch", "design-sweep"])
+def test_line_counts_repeat_exactly(line_count_tool, monkeypatch, workload, calls):
     build = line_count_tool.worker.build  # the first 20 inputs of each pool keep the run short
     monkeypatch.setattr(line_count_tool.worker, "build",
                         lambda workload, seed: (build(workload, seed)[0][:20], None))
     start = time.perf_counter()
-    first = line_count_tool.line_counts("grasp-batch", [1])
-    assert line_count_tool.line_counts("grasp-batch", [1]) == first
+    first = line_count_tool.line_counts(workload, [1])
+    assert line_count_tool.line_counts(workload, [1]) == first  # name by name
     assert time.perf_counter() - start < 2.0
-    assert len(first) == 20 and all(n > 0 for n in first)
+    assert len(first) == 20 and all(counts.total() > 0 for counts in first)
+    # Each line goes to the outermost public call running: the planned
+    # Unreachable's __init__ is inverse_facet's, and the linkage calls that
+    # plan_primitive makes are plan_primitive's.
+    assert set().union(*first) - {line_count_tool.OUTSIDE} == calls
 
 
 def test_line_counts_put_back_the_trace_already_installed(line_count_tool, monkeypatch):
@@ -157,7 +168,10 @@ def test_line_counts_put_back_the_trace_already_installed(line_count_tool, monke
 def test_line_count_summary_and_output(line_count_tool, monkeypatch, capsys):
     assert line_count_tool.summary([5, 1, 3, 2]) == (11, 2.5, 5)
     assert line_count_tool.summary(list(range(1, 41))) == (820, 20.5, 39)
-    monkeypatch.setattr(line_count_tool, "line_counts", lambda workload, seeds: [4, 1, 3])
+    counts = [Counter(forward_facet=3, Concave=1), Counter(Concave=1), Counter(forward_facet=3)]
+    monkeypatch.setattr(line_count_tool, "line_counts", lambda workload, seeds: counts)
     assert line_count_tool.main(["design-sweep", "1"]) == 0
-    assert capsys.readouterr().out == "operations 3  total 8  median 3  p97.5 4\n"
+    assert capsys.readouterr().out == ("operations 3  total 8  median 3  p97.5 4\n"
+                                       "  forward_facet            6\n"
+                                       "  Concave                  2\n")
     assert line_count_tool.main(["grasp-sweep", "1"]) == 2

@@ -6,9 +6,13 @@ built as ``bench/worker.py`` builds it, from this checkout's ``src/``,
 and every input in it runs once through the workload's operation under
 ``sys.settrace``, which counts each line event in a file of the
 ``morphtip`` package.  Prints the total, and the median and p97.5 (the
-nearest-rank percentile) per operation.  Unlike wall time, the count is
-the same on every run with the same Python; it is blind to work done in
-C.  The ``bench/`` modules are imported and left as they are.
+nearest-rank percentile) per operation; then, for each public name the
+operations called, the lines credited to it.  A line is credited to the
+outermost call the operation made to a name in ``morphtip.__all__``, the
+one running when the line ran, so work a public call hands to another is
+its caller's.  Unlike wall time, the count is the same on every run with
+the same Python; it is blind to work done in C.  The ``bench/`` modules
+are imported and left as they are.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 import statistics
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,41 +33,58 @@ import workloads  # noqa: E402
 import morphtip  # noqa: E402
 
 LIBRARY = str(Path(morphtip.__file__).parent) + "/"
+PUBLIC = frozenset(morphtip.__all__)
+# The name lines run outside every public call are credited to, such as
+# those of the package's lazy attribute lookup.
+OUTSIDE = "(outside)"
 
 
-def line_counts(workload: str, seeds: list[int]) -> list[int]:
-    """Library lines each operation executed, in pool order, seed by seed.
+def line_counts(workload: str, seeds: list[int]) -> list[Counter]:
+    """Library lines each operation executed, by public name, in pool order, seed by seed.
 
-    The operations catch the errors their pools plan, so any other error
-    is raised here.  A trace function already installed, such as a
-    debugger's or a coverage tool's, is put back after each operation.
+    Each line is credited to the outermost public call running: a
+    function in ``morphtip.__all__``, or the ``__init__`` of a class
+    there, credited to the class.  The operations catch the errors their
+    pools plan, so any other error is raised here.  A trace function
+    already installed, such as a debugger's or a coverage tool's, is put
+    back after each operation.
     """
     op = workloads.WORKLOADS[workload][0]
     api = tracing.Api()
-    count = 0
+    outer, name = None, OUTSIDE  # the frame of the outermost public call, and its name
 
     def line(frame, event, arg):
-        nonlocal count
+        nonlocal outer, name
         if event == "line":
-            count += 1
+            counts[name] += 1
+        elif event == "return" and frame is outer:  # also when the call raises
+            outer, name = None, OUTSIDE
         return line
 
     def call(frame, event, arg):  # traces a frame only when its code is the library's
-        return line if frame.f_code.co_filename.startswith(LIBRARY) else None
+        nonlocal outer, name
+        code = frame.f_code
+        if not code.co_filename.startswith(LIBRARY):
+            return None
+        if outer is None:
+            public = code.co_qualname.removesuffix(".__init__")
+            if public in PUBLIC:
+                outer, name = frame, public
+        return line
 
-    counts = []
+    per_op = []
     for seed in seeds:
         pool, _ = worker.build(workload, seed)
         for inp in pool:
-            count = 0
+            counts = Counter()
             previous = sys.gettrace()
             sys.settrace(call)
             try:
                 op(api, inp)
             finally:
                 sys.settrace(previous)
-            counts.append(count)
-    return counts
+            per_op.append(counts)
+    return per_op
 
 
 def summary(counts: list[int]) -> tuple[int, float, int]:
@@ -75,9 +97,12 @@ def main(argv: list[str]) -> int:
     if len(argv) < 2 or argv[0] not in workloads.WORKLOADS:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    counts = line_counts(argv[0], [int(seed) for seed in argv[1:]])
-    total, median, p97_5 = summary(counts)
-    print(f"operations {len(counts)}  total {total}  median {median:g}  p97.5 {p97_5}")
+    per_op = line_counts(argv[0], [int(seed) for seed in argv[1:]])
+    total, median, p97_5 = summary([counts.total() for counts in per_op])
+    print(f"operations {len(per_op)}  total {total}  median {median:g}  p97.5 {p97_5}")
+    by_name = sum(per_op, Counter())
+    for name, count in sorted(by_name.items(), key=lambda item: (-item[1], item[0])):
+        print(f"  {name:<24} {count}")
     return 0
 
 
