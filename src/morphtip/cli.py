@@ -50,7 +50,7 @@ import morphtip as mt
 
 from . import fingertip as ft
 from . import linkage as lk
-from .errors import InvalidParams, MorphtipError, Penetration, Record, Unreachable
+from .errors import InvalidParams, MorphtipError, Penetration, Points, Record, Unreachable
 
 SWEEP_HEADER = "step,theta_deg,phi_deg,B_x_mm,B_y_mm"
 POINTER_HEADER = "index,psi_x_deg,psi_y_deg,x_mm,y_mm,z_mm"
@@ -281,7 +281,7 @@ def _pair(value, f: _Field, option: bool = False) -> tuple[float, float]:
     return tuple(map(math.radians if f.deg else float, value))
 
 
-def _points(value, f: _Field, option: bool = False) -> ft.Profile:
+def _points(value, f: _Field, option: bool = False) -> Points:
     shape = ConfigError(f"must be a list of at least {f.least} [x, y] points")
     if not (isinstance(value, list) and len(value) >= f.least):
         raise shape
@@ -441,7 +441,7 @@ def _primitive(kind: str, depth: float | None = None,
         raise InvalidParams(f"{exc} in degrees for {kind}", field=exc.field) from exc
 
 
-def _profile(spec: dict, side: str, tip: ft.FingertipConfig) -> ft.Profile:
+def _profile(spec: dict, side: str, tip: ft.FingertipConfig) -> Points:
     """The profile a scene's left or right spec gives, in its fingertip's own frame.
 
     That is its polyline_mm as read, or else its primitive's planned profile.

@@ -1,19 +1,29 @@
-"""Exception types shared across the toolkit, the one check of a number argument,
-and :class:`Record`, the base of the toolkit's frozen records, with
-:func:`_array`, the one import of numpy, which builds a record's ndarray
-views (:func:`_array_of`, a new array from the stored floats on every
-access) and every array a public call returns.
+"""Exception types shared across the toolkit, the one reader of every
+argument, and :class:`Record`, the base of the toolkit's frozen records,
+with :func:`_array`, the one import of numpy, which builds a record's
+ndarray views (:func:`_array_of`, a new array from the stored floats on
+every access) and every array a public call returns.
 
-Every number the library is given, a command, a length, a tilt, a gap or
-a friction coefficient, is checked by :func:`check_number`: a value that
-is not a finite number meeting its condition (NaN, an infinity, an
-integer too large for a float, text, None or a sequence) is refused with
-:class:`InvalidParams` naming the argument.  Every profile and polygon
-is read by :func:`_read_points`, into finite (x, y) pairs of floats.
+This module alone reads an argument, whatever its shape.  Every number
+the library is given, a command, a length, a tilt, a gap or a friction
+coefficient, is checked by :func:`check_number`: a value that is not a
+finite number meeting its condition (NaN, an infinity, an integer too
+large for a float, text, None or a sequence) is refused with
+:class:`InvalidParams` naming the argument.  Every tuple of numbers, a
+center, a contact's point and normal, a state's commands, readouts and
+tilt, is read by :func:`_read_floats`; every profile and polygon by
+:func:`_read_points` (a state's profiles, of exactly four points, by
+:func:`_read_four_points`), into finite (x, y) pairs of floats, a
+:data:`Points`.  An argument that is not what it must be, such as a
+record of the wrong class, is refused with the message
+:func:`_refusal` words.
 """
 
 import math
-from itertools import chain
+from itertools import chain, islice
+
+# A polyline or polygon as (x, y) points.
+Points = tuple[tuple[float, float], ...]
 
 
 class MorphtipError(Exception):
@@ -55,6 +65,15 @@ def check_number(name: str, value, must: str = "be finite", ok=None) -> None:
     except (TypeError, OverflowError):
         pass
     raise InvalidParams(f"{name} must {must}", field=name)
+
+
+def _refusal(name: str, what: str, value) -> InvalidParams:
+    """The refusal of an argument that is not what it must be, naming it.
+
+    Its message is ``"<name> must be <what>, got <value!r>"``, such as
+    ``"load must be an ExternalLoad, got None"``.
+    """
+    return InvalidParams(f"{name} must be {what}, got {value!r}", field=name)
 
 
 class Record:
@@ -142,7 +161,39 @@ def _read_pair(pair) -> tuple[float, float]:
     return x, y
 
 
-def _read_points(points, name: str, least: int) -> tuple[tuple[float, float], ...]:
+def _read_floats(values, name: str, n: int = 2, must: str | None = None) -> tuple[float, ...]:
+    """values as a tuple of n finite Python floats; else InvalidParams naming it.
+
+    With no ``must``, values is an (x, y) pair: one of another shape, or
+    that is not numbers, is refused with ``"<name> must be a pair of
+    numbers (x, y)"`` and one with a NaN, an infinity or an integer too
+    large for a float with ``"<name> must be finite"``.  With ``must``,
+    every refusal is ``"<name> must <must>"``.  This is the one reader
+    of every tuple of numbers.
+
+    Any iterable of exactly n numbers is read, once, as ``float`` reads
+    each, and a one-shot iterator too; no more than n + 1 items are
+    taken from it.  Text is not numbers: a ``str``, ``bytes`` or
+    ``bytearray``, as values or as an item of it, is refused, though
+    ``float`` would parse it and bytes iterate as ints.
+    """
+    text = (str, bytes, bytearray)
+    try:
+        items = () if isinstance(values, text) else tuple(islice(values, n + 1))
+        if len(items) != n or any(isinstance(v, text) for v in items):
+            items = ()  # of another shape, or text
+        floats = tuple(map(float, items))
+    except OverflowError:  # an integer too large for a float is not finite
+        floats = (math.inf,)
+    except (TypeError, ValueError):  # not iterable, or not numbers
+        floats = ()
+    if not (floats and all(map(math.isfinite, floats))):  # () is not n numbers
+        must = must or ("be finite" if floats else "be a pair of numbers (x, y)")
+        raise InvalidParams(f"{name} must {must}", field=name)
+    return floats
+
+
+def _read_points(points, name: str, least: int) -> Points:
     """points as at least ``least`` finite (x, y) pairs of floats.
 
     ``points`` is any (n, 2) array-like of numbers, an ndarray read
@@ -162,6 +213,18 @@ def _read_points(points, name: str, least: int) -> tuple[tuple[float, float], ..
         raise InvalidParams(f"{name} must have at least {least} points of shape (n, 2)", field=name)
     if not all(map(math.isfinite, chain.from_iterable(pairs))):
         raise InvalidParams(f"{name} must be finite", field=name)
+    return pairs
+
+
+def _read_four_points(points, name: str) -> Points:
+    """points as exactly four finite (x, y) pairs of floats, a fingertip state's profile.
+
+    They are read by :func:`_read_points`; more than four points are
+    InvalidParams naming it too.
+    """
+    pairs = _read_points(points, name, 4)
+    if len(pairs) != 4:
+        raise InvalidParams(f"{name} must have 4 points of shape (4, 2)", field=name)
     return pairs
 
 

@@ -17,7 +17,9 @@ helpers below it trust the floats they are given, which a public call or
 a plan already checked: ``_state``, which builds a state around its
 checking constructor, ``_profile``, ``_settle``, and linkage's
 ``_slider_ray``, the one evaluation of the crank, which poses every
-facet.
+facet.  Every argument is read, and one of the wrong kind refused, by
+``errors``, the one reader of arguments: this module holds no reader of
+its own.
 
 The library computes and stores Python floats.  Every ndarray it returns
 is built by :func:`morphtip.errors._array`, the one place numpy is
@@ -30,16 +32,14 @@ from __future__ import annotations
 import math
 
 from . import linkage
-from .errors import (InvalidParams, Record, _array, _array_of, _read_points, check_number,
-                     positive)
+from .errors import (InvalidParams, Points, Record, _array, _array_of, _read_floats,
+                     _read_four_points, _refusal, check_number, positive)
 from .linkage import _JAM, LinkageParams, _require_finite_points, _slider_ray, tilt_line_residual
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
-# A cross-section polyline as (x, y) points; a fingertip plane has four.
-Profile = tuple[tuple[float, float], ...]
 # Most states one transition ramp may hold: every state is built in memory,
 # and a step that rounds to 0 rad would make an endless ramp.
 MAX_STATES = 100_000
@@ -75,7 +75,7 @@ class FingertipConfig(Record):
                             ("step_deg", step_deg)):
             check_number(name, value, "be positive and finite", positive)
         if not isinstance(linkage, LinkageParams):
-            raise InvalidParams(f"linkage must be a LinkageParams, got {linkage!r}", field="linkage")
+            raise _refusal("linkage", "a LinkageParams", linkage)
         _require_finite_points(linkage, facet_len)
         for name, length in (("facet_len", facet_len), ("l_oc", 2.0 * linkage.l_oc)):
             if math.isinf(4.0 * length * length):
@@ -160,38 +160,13 @@ class FingertipState(Record):
 
     def __init__(self, thetas: tuple[float, float, float, float],
                  phis: tuple[float, float, float, float], terrace_tilt: tuple[float, float],
-                 profile_x_points: Profile, profile_y_points: Profile) -> None:
+                 profile_x_points: Points, profile_y_points: Points) -> None:
         vars(self).update(
-            thetas=_finite_floats("thetas", thetas, 4, "be four finite numbers"),
-            phis=_finite_floats("phis", phis, 4, "be four finite numbers"),
-            terrace_tilt=_finite_floats("terrace_tilt", terrace_tilt, 2, "be two finite numbers"),
-            profile_x_points=_four_points("profile_x_points", profile_x_points),
-            profile_y_points=_four_points("profile_y_points", profile_y_points))
-
-
-def _finite_floats(name: str, values, n: int, must: str) -> tuple[float, ...]:
-    """values as a tuple of n Python floats; else InvalidParams ``"<name> must <must>"``.
-
-    Anything that is not n finite numbers is refused: text, None, an
-    integer too large for a float, or a sequence of another length.
-    """
-    try:
-        if len(values) == n and all(map(math.isfinite, values)):
-            return tuple(map(float, values))
-    except (TypeError, OverflowError):  # not numbers, or an integer too large for a float
-        pass
-    raise InvalidParams(f"{name} must {must}", field=name)
-
-
-def _four_points(name: str, points) -> Profile:
-    """A profile as four finite (x, y) pairs of floats, read by ``_read_points``.
-
-    Anything else is InvalidParams naming it.
-    """
-    pairs = _read_points(points, name, 4)
-    if len(pairs) != 4:
-        raise InvalidParams(f"{name} must have 4 points of shape (4, 2)", field=name)
-    return pairs
+            thetas=_read_floats(thetas, "thetas", 4, "be four finite numbers"),
+            phis=_read_floats(phis, "phis", 4, "be four finite numbers"),
+            terrace_tilt=_read_floats(terrace_tilt, "terrace_tilt", 2, "be two finite numbers"),
+            profile_x_points=_read_four_points(profile_x_points, "profile_x_points"),
+            profile_y_points=_read_four_points(profile_y_points, "profile_y_points"))
 
 
 def terrace_equilibrium(
@@ -252,7 +227,7 @@ def surface_profile(
     return _array(_profile(cfg, pos, neg, psi))
 
 
-def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> Profile:
+def _profile(cfg: FingertipConfig, pos: tuple, neg: tuple, psi: float) -> Points:
     """surface_profile from the two facet poses ``(phi, bx, by)`` and a checked psi."""
     f = cfg.facet_len
     cx = cfg.linkage.l_oc * math.cos(psi)
@@ -332,14 +307,15 @@ def state_from_thetas(
     The terrace tilt of each pair comes from the spring-energy argmin of
     the pair's facet readouts plus the external torque on that axis.
     ``thetas`` must be four finite commands (+x, -x, +y, -y), else
-    InvalidParams names it; any sequence of four numbers is stored as a
-    tuple of four Python floats.  ``load`` must be an ExternalLoad whose
-    torques over ``2*cfg.spring_k`` stay finite, else InvalidParams names
-    it; so the terrace tilt of every state is finite.
+    InvalidParams names it; any iterable of four numbers that is not
+    text or bytes, a one-shot iterator too, is stored as a tuple of four
+    Python floats.  ``load`` must be an ExternalLoad whose torques over
+    ``2*cfg.spring_k`` stay finite, else InvalidParams names it; so the
+    terrace tilt of every state is finite.
     """
-    thetas = _finite_floats("thetas", thetas, 4, "be four finite servo commands")
+    thetas = _read_floats(thetas, "thetas", 4, "be four finite servo commands")
     if not isinstance(load, ExternalLoad):
-        raise InvalidParams(f"load must be an ExternalLoad, got {load!r}", field="load")
+        raise _refusal("load", "an ExternalLoad", load)
     if not math.isfinite(max(abs(load.tau_x), abs(load.tau_y)) / (2.0 * cfg.spring_k)):
         raise InvalidParams("load is too large for cfg.spring_k: each torque / (2*spring_k) "
                             "must be finite", field="load")
@@ -360,7 +336,7 @@ def _commands(params: LinkageParams, prim: MorphPrimitive) -> tuple[tuple[float,
         xp, xn = linkage.solve_planar_pair(params, prim.tilt_x)
         yp, yn = linkage.solve_planar_pair(params, prim.tilt_y)
         return (xp, xn, yp, yn), (prim.tilt_x, prim.tilt_y)
-    raise InvalidParams(f"prim must be a morphing primitive, got {prim!r}", field="prim")
+    raise _refusal("prim", "a morphing primitive", prim)
 
 
 def plan_primitive(cfg: FingertipConfig, prim: MorphPrimitive) -> FingertipState:

@@ -19,9 +19,12 @@ cone rays of one pair of contacts on opposite sides.  Neither shortcut
 changes a result.
 
 Inputs are read, derived and checked on construction: :class:`Circle`,
-:class:`ConvexPolygon` and :class:`GraspScene` (whose profiles must not
-touch themselves, a check made once per profile) refuse a bad one with
-InvalidParams naming it, and :func:`find_contacts` scans what they store.
+:class:`Contact`, :class:`ConvexPolygon` and :class:`GraspScene` (whose
+profiles must not touch themselves, a check made once per profile)
+refuse a bad one with InvalidParams naming it, and :func:`find_contacts`
+scans what they store.  Every pair and point list is read, and every
+argument of the wrong kind refused, by ``errors``, the one reader of
+arguments; this module derives and checks the geometry.
 This module alone knows the scene frame: :func:`_place` puts a profile in
 it, and :func:`cradle_sign` reads the left one back out.
 Scenes and contacts hold Python floats, and compare and hash by them.
@@ -39,17 +42,15 @@ import math
 from enum import Enum
 from itertools import combinations
 
-from .errors import (DegenerateContacts, InvalidParams, Penetration, Record, Unsupported,
-                     _array, _array_of, _read_pair, _read_points, check_number, positive)
+from .errors import (DegenerateContacts, InvalidParams, Penetration, Points, Record, Unsupported,
+                     _array, _array_of, _read_floats, _read_points, _refusal, check_number,
+                     positive)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
     import numpy as np
-
-# A polyline or polygon as (x, y) points.
-Points = tuple[tuple[float, float], ...]
 
 # Boundary-touch tolerance for contact detection (mm).
 CONTACT_TOL = 1e-7
@@ -75,22 +76,6 @@ PIVOT_ANGLE_TOL = 1e-3
 CRADLE_DELTA = 0.1
 
 
-def _finite_pair(pair, name: str) -> tuple[float, float]:
-    """pair as two finite floats, read by :func:`_read_pair`; else InvalidParams naming it.
-
-    [1.0], "12" and [[1.0], [2.0]] are not pairs of numbers; an integer
-    too large for a float (OverflowError) is not finite.
-    """
-    try:
-        x, y = _read_pair(pair)
-    except (TypeError, ValueError, OverflowError) as exc:
-        must = "be finite" if isinstance(exc, OverflowError) else "be a pair of numbers (x, y)"
-        raise InvalidParams(f"{name} must {must}", field=name) from None
-    check_number(name, x)
-    check_number(name, y)
-    return x, y
-
-
 def _non_negative(value: float) -> bool:
     return value >= 0
 
@@ -111,7 +96,7 @@ class Circle(Record):
 
     def __init__(self, radius: float, center: tuple[float, float]) -> None:
         check_number("radius", radius, "be positive and its square finite", _radius)
-        vars(self).update(radius=radius, center=_finite_pair(center, "center"))
+        vars(self).update(radius=radius, center=_read_floats(center, "center"))
 
 
 class ConvexPolygon(Record):
@@ -177,12 +162,11 @@ class Contact(Record):
     normal = _array_of("normal_xy")
 
     def __init__(self, point, normal, side: str, segment: int) -> None:
-        point_xy, normal_xy = _finite_pair(point, "point"), _finite_pair(normal, "normal")
+        point_xy, normal_xy = _read_floats(point, "point"), _read_floats(normal, "normal")
         if not (isinstance(side, str) and side in ("left", "right")):
-            raise InvalidParams(f"side must be 'left' or 'right', got {side!r}", field="side")
+            raise _refusal("side", "'left' or 'right'", side)
         if isinstance(segment, bool) or not isinstance(segment, int) or segment < 0:
-            raise InvalidParams(f"segment must be a non-negative int, got {segment!r}",
-                                field="segment")
+            raise _refusal("segment", "a non-negative int", segment)
         vars(self).update(point_xy=point_xy, normal_xy=normal_xy, side=side, segment=segment)
 
     @classmethod
@@ -231,8 +215,7 @@ class GraspScene(Record):
         check_number("gap", gap, "be positive and finite", positive)
         check_number("mu", mu, "be non-negative and finite", _non_negative)
         if not isinstance(obj, (Circle, ConvexPolygon)):
-            raise InvalidParams(f"obj must be a Circle or a ConvexPolygon, got {obj!r}",
-                                field="obj")
+            raise _refusal("obj", "a Circle or a ConvexPolygon", obj)
         vars(self).update(left_points=placed[0], right_points=placed[1], gap=gap, obj=obj, mu=mu)
 
 

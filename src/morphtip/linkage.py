@@ -118,8 +118,11 @@ def _rad(angle: float) -> str:
 
     Six decimals below 1e6 rad; from there on six digits after the point
     of an exponent form, so a huge angle does not print hundreds of digits.
+    The angle is printed as its float, so every number that
+    :func:`~morphtip.errors.check_number` accepts prints, a ``Fraction``
+    included, which has no ``f`` format of its own on Python 3.11.
     """
-    return f"{angle:.6f}" if abs(angle) < 1e6 else f"{angle:.6e}"
+    return format(float(angle), ".6f" if abs(angle) < 1e6 else ".6e")
 
 
 def slider_point(params: LinkageParams, theta: float) -> tuple[float, float]:

@@ -291,6 +291,33 @@ def polyline_touches_itself(points) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# strict convexity oracle
+
+def polygon_is_strictly_convex(vertices) -> bool:
+    """True when ``vertices`` are a strictly convex polygon in counter-clockwise order.
+
+    Decided exactly, on the vertices as given: in rational arithmetic each
+    turn, the cross product of an edge and the next, is positive, and the
+    edge directions go around once.  With every turn left and below a half
+    turn, the direction crosses from below the x axis to above it once per
+    time around, so it must do so exactly once.
+    """
+    # Imported here, as in polyline_touches_itself.
+    from fractions import Fraction
+
+    pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    edges = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+    pairs = list(zip(edges, edges[1:] + edges[:1]))
+    if len(pts) < 3 or any(ex * fy - ey * fx <= 0 for (ex, ey), (fx, fy) in pairs):
+        return False
+
+    def upper(e) -> bool:  # the direction's angle from +x lies in [0, pi)
+        return e[1] > 0 or (e[1] == 0 and e[0] > 0)
+
+    return sum(not upper(e) and upper(f) for e, f in pairs) == 1
+
+
+# ---------------------------------------------------------------------------
 # contact oracle
 
 def _closest_on_segment(p, a, b):

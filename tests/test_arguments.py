@@ -10,6 +10,7 @@ a whole and refused the same way.
 
 import enum
 import math
+from decimal import Decimal
 from functools import partial
 
 import numpy as np
@@ -152,9 +153,10 @@ SEQUENCE_IDS = [f"{call.func.__name__}-{arg}" for call, arg, _ in SEQUENCES]
     pytest.param("12", id="digits"),
     pytest.param([[1.0], [2.0]], id="column"),
     pytest.param(lambda n: ("1",) * n, id="numeric-strings"),
+    pytest.param(lambda n: b"\x00" * n, id="bytes"),
     *(pytest.param(lambda n, v=v: (v,) + (0.0,) * (n - 1), id=f"holding-{name}")
       for v, name in ((math.nan, "nan"), (math.inf, "inf"), (10**400, "huge-int"), (None, "none"),
-                      ([1.0], "list"))),
+                      ([1.0], "list"), (Decimal("sNaN"), "signalling-nan"))),
 ])
 @pytest.mark.parametrize("call, arg, valid", SEQUENCES, ids=SEQUENCE_IDS)
 def test_sequence_that_is_not_finite_numbers_is_invalid_params_naming_it(call, arg, valid, bad):
@@ -168,3 +170,4 @@ def test_sequence_of_ints_or_numpy_floats_gives_the_float_result(call, arg, vali
     expected = plain(call(**{arg: tuple(map(float, valid))}))
     assert plain(call(**{arg: valid})) == expected
     assert plain(call(**{arg: tuple(map(np.float64, valid))})) == expected
+    assert plain(call(**{arg: iter(valid)})) == expected  # a one-shot iterator, read once

@@ -804,6 +804,22 @@ class TestSceneValidation:
         points = [[float(x), float(y)] for x, y in grid_points]
         assert grasp._polyline_is_simple(points) is not oracles.polyline_touches_itself(points)
 
+    # The float orientation tests misread this near-collinear polyline, which
+    # touches itself exactly: the refusal below fails, and nothing else may.
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="float orientation accepts a polyline that touches itself")
+    def test_near_collinear_polyline_that_touches_itself_rejected(self):
+        touching = [[-9.155792883064604, -3.6712053891229535],
+                    [4.841182394016473, 1.9411726675813035],
+                    [-7.66245658068323, -3.0724211711863414],
+                    [7.704269609419711, 3.089186973820088],
+                    [-2.5165569830645174, -1.0090658096198724]]
+        assert oracles.polyline_touches_itself(touching)
+        flat = profile(Flat())
+        with pytest.raises(InvalidParams, match="must not self-intersect"):
+            GraspScene(left_profile=touching, right_profile=flat, gap=40.0,
+                       obj=Circle(5.0, (20.0, 0.0)), mu=0.0)
+
     def test_segment_whose_square_overflows_rejected(self):
         # Its coordinates are finite, but no closest-point test can measure it.
         flat = profile(Flat())
@@ -902,6 +918,17 @@ class TestSceneValidation:
             ConvexPolygon(np.array([[0, 0], [8, 0], [2, 1], [0, 8]], dtype=float))
         with pytest.raises(InvalidParams):
             ConvexPolygon(arrow[::-1])  # clockwise
+
+    # ConvexPolygon decides from the rounded edge vectors, which turn left where
+    # the vertices turn right: the refusal below fails, and nothing else may.
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="the rounded edge vectors turn left where the vertices turn right")
+    def test_quadrilateral_that_turns_right_by_2e_15_rejected(self):
+        quad = [[-4.927263918504629, -14.67079202727701], [4.9792984276881, 5.877947211723672],
+                [5.761061798307459, 17.153402151210507], [-2.380179955201597, -7.086919979892962]]
+        assert not oracles.polygon_is_strictly_convex(quad)
+        with pytest.raises(InvalidParams, match="^vertices must be a strictly convex polygon"):
+            ConvexPolygon(quad)
 
     def test_polygon_edge_whose_squared_length_underflows_rejected(self):
         # Convex by its cross products, but the edge has no direction in floats.

@@ -304,6 +304,22 @@ class TestInlineCheck:
             expected = outcome(call, float(value))
         assert outcome(call, value) == expected
 
+    # A Fraction has no "f" format on Python 3.11; a message prints its float.
+    @pytest.mark.parametrize("call, value, error, message", [
+        (inverse_facet, Fraction(5), Unreachable,
+         "facet angle 5.000000 rad not attainable; "
+         "reachable interval is [-0.605454, 1.570796] rad"),
+        (forward_facet, Fraction(3), OutOfRange,
+         "crank angle -2.476401 rad outside (0, pi) for theta=3.000000 rad"),
+        (solve_planar_pair, Fraction(1), Unreachable,
+         "tilt 1.000000 rad not attainable; reachable interval is [-0.135459, 0.135459] rad"),
+    ], ids=["inverse_facet", "forward_facet", "solve_planar_pair"])
+    def test_a_fraction_prints_in_a_message_as_its_float(self, params, call, value, error, message):
+        for given_as in (value, float(value)):
+            with pytest.raises(error) as exc:
+                call(params, given_as)
+            assert type(exc.value) is error and str(exc.value) == message
+
 
 class TestForward:
     def test_neutral_is_exactly_flat(self, params):

@@ -236,6 +236,7 @@ NOT_FOUR_NUMBERS = [
     pytest.param([0.0, math.inf, 0.0, 0.0], id="inf"),
     pytest.param([10**400, 0, 0, 0], id="huge-int"),
     pytest.param(["1", "2", "3", "4"], id="numeric-strings"),
+    pytest.param(b"\x00" * 4, id="bytes"),
 ]
 NOT_A_PROFILE = [
     pytest.param(None, id="none"),
@@ -253,6 +254,7 @@ NOT_TWO_NUMBERS = [
     pytest.param([0.0, 0.0, 0.0], id="three"),
     pytest.param([math.nan, 0.0], id="nan"),
     pytest.param("ab", id="text"),
+    pytest.param(b"\x00" * 2, id="bytes"),
 ]
 
 
